@@ -14,17 +14,23 @@ no closed form; the second-order Taylor (Brockhaus-Long) approximation
 is used, with error bounded by mu3 / (16 E[sigma_t^2]^{5/2}) where mu3 is
 the third central moment of sigma_t^2.
 
-The expected realized generalized variance combines seven time integrals
-E_0..E_6: E_0..E_3 integrate products of expected variances and have exact
-exponential antiderivatives; E_4..E_6 involve expected volatilities and are
-evaluated by adaptive quadrature (absolute tolerance 1e-12 by default) with
-reported error estimates. The rank-one jump term contributes through the
-inverse-correlation entries delta_ij:
+The expected realized generalized variance of an n-asset portfolio takes
+the expectation of the determinant-lemma expansion of |Sigma_2| term by
+term. The rank-one jump term contributes through the inverse-correlation
+entries delta_ij:
 
-    E[sigma_R^2] = (|C|/T) [ E_0 + lambda kappa2* (
-        delta_11 rho_1^2 E_1 + delta_22 rho_2^2 E_2 + delta_33 rho_3^2 E_3
-        + 2 delta_21 rho_2 rho_1 E_4 + 2 delta_31 rho_3 rho_1 E_5
-        + 2 delta_32 rho_3 rho_2 E_6 ) ].
+    E[sigma_R^2] = (|C|/T) [ E_all + lambda kappa2* (
+        sum_i delta_ii rho_i^2 E_{-i}
+        + sum_{i<j} 2 delta_ij rho_i rho_j E_{ij} ) ],
+
+where E_all and E_{-i} integrate products of expected variances over all
+assets and over all assets but i. They are exact: the exponential-affine
+product kernel of ``heston`` expands them over subsets of assets. E_{ij}
+replaces the variances of assets i and j by their expected volatilities and
+is evaluated by adaptive quadrature (absolute tolerance 1e-12 by default)
+with reported error estimates. For n = 3 these are the paper's E_0..E_6
+(``compute_e_terms``): E_0 = E_all, E_1..E_3 = E_{-1}..E_{-3} and
+E_4..E_6 = E_{12}, E_{13}, E_{23} (1-based).
 
 A note on the volatility correction: with Var[sigma_t^2] written out, the
 correction kappa2 (1 - e^{-2 lambda t}) / (16 E^{3/2}) equals
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -48,13 +55,12 @@ from scipy.integrate import quad
 from .core import BnsAssetParams, BnsPortfolioParams, CorrelationMatrix, SwapContract
 from .errors import (
     DegenerateVariance,
+    DimensionMismatch,
     MissingSubordinatorSpec,
-    NegativeTime,
-    NonPositiveMaturity,
     QuadratureFailure,
     WrongAssetCount,
 )
-from .heston import price_swap
+from .heston import _affine_product_integral, _check_maturity, _check_time, price_swap
 
 __all__ = [
     "BnsETerms",
@@ -67,10 +73,6 @@ __all__ = [
     "expected_realized_variance_bns",
     "price_swap_bns",
 ]
-
-# Pairs of (squared asset, vol asset, vol asset), 0-based, for E_4..E_6.
-_CROSS_LAYOUT = {4: (2, 1, 0), 5: (1, 2, 0), 6: (0, 2, 1)}
-
 
 class VolApprox(NamedTuple):
     """Brockhaus-Long volatility approximation and its optional error bound."""
@@ -102,13 +104,6 @@ class BnsETerms:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise QuadratureFailure(f"E-term field {f.name} is not finite")
-
-
-def _check_time(t):
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise NegativeTime("t must be >= 0")
-    return t
 
 
 def expected_variance_bns(t, a: BnsAssetParams, lambda_: float):
@@ -176,68 +171,48 @@ def expected_vol_bns(
     return VolApprox(value if np.ndim(value) else float(value), bound)
 
 
-def _exp_integral(m: int, lambda_: float, T):
-    """integral_0^T e^{-m lambda t} dt = (1 - e^{-m lambda T}) / (m lambda)."""
-    rate = m * lambda_
-    return (1.0 - np.exp(-rate * T)) / rate
-
-
-def _check_three_assets(p: BnsPortfolioParams) -> None:
-    if p.n != 3:
-        raise WrongAssetCount(f"closed form needs exactly 3 assets, got {p.n}")
-
-
-def _e0(T, p: BnsPortfolioParams):
-    d = np.array([a.sigma0_2 - a.kappa1 for a in p.assets])
-    kap = np.array([a.kappa1 for a in p.assets])
-    lam = p.lambda_
+def _mean_variance_terms(p: BnsPortfolioParams, keep) -> tuple[list, list, list]:
+    """(d, c, k) of E[(sigma_t^i)^2] = d_i e^{-k_i t} + c_i for the assets in ``keep``."""
+    assets = [p.assets[i] for i in keep]
     return (
-        d[0] * d[1] * d[2] * _exp_integral(3, lam, T)
-        + (d[0] * d[1] * kap[2] + d[0] * d[2] * kap[1] + d[1] * d[2] * kap[0])
-        * _exp_integral(2, lam, T)
-        + (d[0] * kap[1] * kap[2] + d[1] * kap[0] * kap[2] + d[2] * kap[0] * kap[1])
-        * _exp_integral(1, lam, T)
-        + kap[0] * kap[1] * kap[2] * T
+        [a.sigma0_2 - a.kappa1 for a in assets],
+        [a.kappa1 for a in assets],
+        [p.lambda_] * len(assets),
     )
 
 
-def _e_pair(T, p: BnsPortfolioParams, i: int, j: int):
-    """integral_0^T E[(sigma^i)^2] E[(sigma^j)^2] dt in closed form."""
-    ai, aj = p.assets[i], p.assets[j]
-    di, dj = ai.sigma0_2 - ai.kappa1, aj.sigma0_2 - aj.kappa1
-    lam = p.lambda_
-    return (
-        di * dj * _exp_integral(2, lam, T)
-        + (di * aj.kappa1 + dj * ai.kappa1) * _exp_integral(1, lam, T)
-        + ai.kappa1 * aj.kappa1 * T
-    )
+def _e_cross(T, p: BnsPortfolioParams, i: int, j: int, tol: float, var_i_coefficient: float):
+    """integral_0^T E[sigma^i] E[sigma^j] prod_{l != i, j} E[(sigma^l)^2] dt.
 
-
-def _e_cross(
-    T: float,
-    p: BnsPortfolioParams,
-    index: int,
-    tol: float,
-    var_i_coefficient: float,
-) -> tuple[float, float]:
-    """E_4, E_5 or E_6 by adaptive quadrature; returns (value, error estimate)."""
-    sq, va, vb = _CROSS_LAYOUT[index]
+    Adaptive quadrature for each maturity in ``T``; returns the values and
+    the absolute error estimates, both shaped like ``T``.
+    """
     lam = p.lambda_
-    a_sq, a_va, a_vb = p.assets[sq], p.assets[va], p.assets[vb]
+    squared = [(a.sigma0_2 - a.kappa1, a.kappa1) for l, a in enumerate(p.assets) if l not in (i, j)]
+    vols = [
+        (a.sigma0_2 - a.kappa1, a.kappa1, 0.5 * a.kappa2)
+        for a in (p.assets[i], p.assets[j])
+    ]
 
     def integrand(t: float) -> float:
-        ev = math.exp(-lam * t) * (a_sq.sigma0_2 - a_sq.kappa1) + a_sq.kappa1
-        out = ev
-        for a in (a_va, a_vb):
-            e = math.exp(-lam * t) * (a.sigma0_2 - a.kappa1) + a.kappa1
-            v = 0.5 * a.kappa2 * (1.0 - math.exp(-2.0 * lam * t))
-            out *= math.sqrt(e) - v / (var_i_coefficient * e**1.5)
+        decay = math.exp(-lam * t)
+        growth = 1.0 - math.exp(-2.0 * lam * t)
+        out = 1.0
+        for d, c in squared:
+            out *= decay * d + c
+        for d, c, half_kappa2 in vols:
+            e = decay * d + c
+            out *= math.sqrt(e) - half_kappa2 * growth / (var_i_coefficient * e**1.5)
         return out
 
-    result = quad(integrand, 0.0, T, epsabs=tol, epsrel=tol, limit=200, full_output=1)
-    if len(result) > 3:
-        raise QuadratureFailure(f"E_{index} quadrature failed: {result[3]}")
-    return float(result[0]), float(result[1])
+    values, errors = [], []
+    for T_k in np.ravel(T):
+        result = quad(integrand, 0.0, float(T_k), epsabs=tol, epsrel=tol, limit=200, full_output=1)
+        if len(result) > 3:
+            raise QuadratureFailure(f"cross term ({i}, {j}) quadrature failed: {result[3]}")
+        values.append(result[0])
+        errors.append(result[1])
+    return np.reshape(values, np.shape(T)), np.reshape(errors, np.shape(T))
 
 
 def compute_e_terms(
@@ -246,30 +221,34 @@ def compute_e_terms(
     tol: float = 1e-12,
     var_i_coefficient: float = 8.0,
 ) -> BnsETerms:
-    """All seven integrals E_0..E_6 over [0, T].
+    """The paper's seven integrals E_0..E_6 over [0, T] for three assets.
 
-    E_0..E_3 use the exact exponential antiderivatives; E_4..E_6 use
+    E_0..E_3 use the exact exponential-affine product kernel; E_4..E_6 use
     adaptive quadrature at absolute tolerance ``tol`` with reported error
     estimates.
     """
-    _check_three_assets(p)
-    T = float(T)
-    if T <= 0.0:
-        raise NonPositiveMaturity("T must be > 0")
-    e4, e4_err = _e_cross(T, p, 4, tol, var_i_coefficient)
-    e5, e5_err = _e_cross(T, p, 5, tol, var_i_coefficient)
-    e6, e6_err = _e_cross(T, p, 6, tol, var_i_coefficient)
+    if p.n != 3:
+        raise WrongAssetCount(f"E_0..E_6 are defined for exactly 3 assets, got {p.n}")
+    T = float(_check_maturity(T))
+
+    def product(*keep):
+        return float(_affine_product_integral(T, *_mean_variance_terms(p, keep)))
+
+    e4, e5, e6 = (
+        [float(x) for x in _e_cross(T, p, i, j, tol, var_i_coefficient)]
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    )
     return BnsETerms(
-        e0=float(_e0(T, p)),
-        e1=float(_e_pair(T, p, 2, 1)),
-        e2=float(_e_pair(T, p, 2, 0)),
-        e3=float(_e_pair(T, p, 1, 0)),
-        e4=e4,
-        e5=e5,
-        e6=e6,
-        e4_error=e4_err,
-        e5_error=e5_err,
-        e6_error=e6_err,
+        e0=product(0, 1, 2),
+        e1=product(1, 2),
+        e2=product(0, 2),
+        e3=product(0, 1),
+        e4=e4[0],
+        e5=e5[0],
+        e6=e6[0],
+        e4_error=e4[1],
+        e5_error=e5[1],
+        e6_error=e6[1],
     )
 
 
@@ -280,49 +259,37 @@ def expected_realized_variance_bns(
     tol: float = 1e-12,
     var_i_coefficient: float = 8.0,
 ):
-    """E[sigma_R^2] over [0, T] for the three-asset BNS portfolio.
+    """E[sigma_R^2] over [0, T] for a BNS portfolio of any asset count.
 
     Accepts scalar or array T. Cross-term quadratures are skipped when their
     coefficients vanish exactly (kappa2* = 0 or the relevant rho product is
     zero), which makes the common rho = 0 calibration path fully closed-form.
     """
-    _check_three_assets(p)
-    if corr.n != 3:
-        raise WrongAssetCount(f"correlation must be 3x3, got {corr.n}x{corr.n}")
+    if p.n != corr.n:
+        raise DimensionMismatch(f"{p.n} assets vs {corr.n}x{corr.n} correlation")
     delta = corr.inverse()
-    T_arr = np.asarray(T, dtype=float)
-    if np.any(T_arr <= 0.0):
-        raise NonPositiveMaturity("T must be > 0")
+    T = _check_maturity(T)
 
-    rho = p.rho
+    n = p.n
+    bracket = _affine_product_integral(T, *_mean_variance_terms(p, range(n)))
     lam_k2 = p.lambda_ * p.kappa2_star
-    diag_coef = np.array([delta[i, i] * rho[i] ** 2 for i in range(3)])
-    cross_coef = {
-        4: 2.0 * delta[1, 0] * rho[1] * rho[0],
-        5: 2.0 * delta[2, 0] * rho[2] * rho[0],
-        6: 2.0 * delta[2, 1] * rho[2] * rho[1],
-    }
-
-    def scalar(T_scalar: float) -> float:
-        bracket = _e0(T_scalar, p)
-        if lam_k2 != 0.0:
-            pair_idx = {1: (2, 1), 2: (2, 0), 3: (1, 0)}
-            inner = 0.0
-            for m in (1, 2, 3):
-                if diag_coef[m - 1] != 0.0:
-                    inner += diag_coef[m - 1] * _e_pair(T_scalar, p, *pair_idx[m])
-            for m in (4, 5, 6):
-                if cross_coef[m] != 0.0:
-                    value, _ = _e_cross(T_scalar, p, m, tol, var_i_coefficient)
-                    inner += cross_coef[m] * value
-            bracket += lam_k2 * inner
-        return corr.det_c * bracket / T_scalar
-
-    if T_arr.ndim == 0:
-        return scalar(float(T_arr))
-    if lam_k2 == 0.0 or (not np.any(diag_coef) and not any(cross_coef.values())):
-        return corr.det_c * _e0(T_arr, p) / T_arr
-    return np.array([scalar(float(t)) for t in T_arr])
+    if lam_k2 != 0.0:
+        rho = p.rho
+        inner = 0.0
+        for i in range(n):
+            coeff = delta[i, i] * rho[i] ** 2
+            if coeff != 0.0:
+                others = [l for l in range(n) if l != i]
+                inner = inner + coeff * _affine_product_integral(
+                    T, *_mean_variance_terms(p, others)
+                )
+        for i, j in combinations(range(n), 2):
+            coeff = 2.0 * delta[j, i] * rho[j] * rho[i]
+            if coeff != 0.0:
+                inner = inner + coeff * _e_cross(T, p, i, j, tol, var_i_coefficient)[0]
+        bracket = bracket + lam_k2 * inner
+    out = corr.det_c * bracket / T
+    return out if out.ndim else float(out)
 
 
 def price_swap_bns(ev_realized: float, contract: SwapContract) -> float:

@@ -18,6 +18,7 @@ calibration non-convergence), 4 I/O.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -127,20 +128,37 @@ def _ensure_out(path: str) -> str:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top level must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+@contextlib.contextmanager
+def _reading(path: str):
+    """Report a missing key or a mistyped field of the JSON document at ``path`` as invalid input."""
+    try:
+        yield
+    except GenvarswapError:
+        raise
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed field ({exc})") from None
 
 
 def _load_model(path: str):
     """Read a model document; returns ('heston', HestonPortfolio) or ('bns', (params, corr))."""
     doc = _load_json(path)
     kind = doc.get("model")
-    if kind == "heston":
-        return kind, HestonPortfolio.from_dict(doc)
-    if kind == "bns":
-        corr = validate_correlation(np.asarray(doc["correlation"], dtype=float))
-        return kind, (BnsPortfolioParams.from_dict(doc), corr)
+    with _reading(path):
+        if kind == "heston":
+            return kind, HestonPortfolio.from_dict(doc)
+        if kind == "bns":
+            corr = validate_correlation(np.asarray(doc["correlation"], dtype=float))
+            return kind, (BnsPortfolioParams.from_dict(doc), corr)
     raise ValidationError(f"{path}: model must be 'heston' or 'bns', got {kind!r}")
 
 
@@ -222,7 +240,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_price(args) -> int:
     kind, model = _load_model(args.model)
-    contract = SwapContract.from_dict(_load_json(args.contract))
+    with _reading(args.contract):
+        contract = SwapContract.from_dict(_load_json(args.contract))
     if kind == "heston":
         ev = expected_realized_variance(contract.maturity, model)
         price = price_swap(ev, contract)
@@ -257,15 +276,16 @@ def cmd_simulate(args) -> int:
     kind, model = _load_model(args.model)
     sim_doc = _load_json(args.sim)
     record = sim_doc.get("record_times")
-    cfg = SimConfig(
-        n_paths=int(sim_doc["n_paths"]),
-        dt=float(sim_doc["dt"]),
-        horizon=float(sim_doc["horizon"]),
-        seed=args.seed,
-        scheme=sim_doc.get("scheme", "auto"),
-        record_times=tuple(record) if record is not None else None,
-        block_size=int(sim_doc.get("block_size", 4096)),
-    )
+    with _reading(args.sim):
+        cfg = SimConfig(
+            n_paths=int(sim_doc["n_paths"]),
+            dt=float(sim_doc["dt"]),
+            horizon=float(sim_doc["horizon"]),
+            seed=args.seed,
+            scheme=sim_doc.get("scheme", "auto"),
+            record_times=tuple(record) if record is not None else None,
+            block_size=int(sim_doc.get("block_size", 4096)),
+        )
     if kind == "heston":
         estimate = heston_realized_variance_mc(model, cfg, threads=args.threads)
     else:
@@ -301,18 +321,19 @@ def cmd_calibrate(args) -> int:
 
     if args.init:
         init_doc = _load_json(args.init)
-        initial = np.asarray(init_doc["initial"], dtype=float)
         raw_bounds = init_doc.get("bounds")
-        if raw_bounds is None:
-            bounds = default_bounds(args.model)
-        else:
-            bounds = tuple(
-                (
-                    -np.inf if lo is None else float(lo),
-                    np.inf if hi is None else float(hi),
+        with _reading(args.init):
+            initial = np.asarray(init_doc["initial"], dtype=float)
+            if raw_bounds is None:
+                bounds = default_bounds(args.model)
+            else:
+                bounds = tuple(
+                    (
+                        -np.inf if lo is None else float(lo),
+                        np.inf if hi is None else float(hi),
+                    )
+                    for lo, hi in raw_bounds
                 )
-                for lo, hi in raw_bounds
-            )
     else:
         initial = initial_guess(args.model, series, corr)
         bounds = default_bounds(args.model)
@@ -359,10 +380,13 @@ def cmd_report(args) -> int:
             print(f"warning: result file {path} not found, skipping", file=sys.stderr)
             continue
         doc = _load_json(path)
-        corr = validate_correlation(np.asarray(doc["correlation"], dtype=float))
-        curve = model_curve(doc["model"], np.asarray(doc["params"], dtype=float), corr, series.times)
+        with _reading(path):
+            model = doc["model"]
+            corr = validate_correlation(np.asarray(doc["correlation"], dtype=float))
+            params = np.asarray(doc["params"], dtype=float)
+        curve = model_curve(model, params, corr, series.times)
         metrics = error_metrics(series.values, curve)
-        loaded.append((doc["model"], curve, metrics))
+        loaded.append((model, curve, metrics))
         inputs[f"result_{idx + 1}"] = path
     if not loaded:
         raise FileNotFoundError("no result files could be read")

@@ -53,7 +53,7 @@ class NonPositiveMaturity(ValidationError):
 
 
 class WrongAssetCount(ValidationError):
-    """A closed form that requires exactly three assets got something else."""
+    """``compute_e_terms`` (the paper's three-asset E_0..E_6) got another asset count."""
 
 
 class DegenerateVariance(NumericalError):

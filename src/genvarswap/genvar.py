@@ -7,10 +7,10 @@ whose determinant follows from the matrix determinant lemma:
 
     |Sigma_2| = |Sigma_1| (1 + lambda Var[Z_1*] rho^T Sigma_1^-1 rho).
 
-For n = 3 the lemma expands into the six delta_ij cross terms used by the
-pricing formulas; that expansion is a polynomial identity in the vols, so it
-extends by continuity to paths where an instantaneous vol touches zero. Both
-paths are implemented and cross-checked in the tests.
+Expanded over the delta_ij entries, the lemma becomes the polynomial in the
+vols used by the pricing formulas; that expansion extends by continuity to
+paths where an instantaneous vol touches zero. Both forms are implemented
+and cross-checked in the tests.
 
 All functions are pure and safe for concurrent invocation. The ``*_values``
 variants evaluate determinants along whole ensembles of variance paths at
@@ -117,20 +117,14 @@ def det_sigma2(
 ) -> float:
     """|Sigma_2| via the matrix determinant lemma.
 
-    For n = 3 uses the expanded delta_ij form; for general n the lemma with
-    Sigma_1^-1 = D^-1 C^-1 D^-1. Requires an invertible correlation matrix.
+    Uses Sigma_1^-1 = D^-1 C^-1 D^-1, which needs sigma > 0 (enforced by
+    ``InstantaneousVols``) and an invertible correlation matrix.
     """
     _check_dims(vols, corr)
     rho = _check_rho(rho, vols.n)
     lambda_, var_z1 = _check_jump_scale(lambda_, var_z1)
     delta = corr.inverse()
     s = vols.sigma
-    if vols.n == 3:
-        return float(
-            det_sigma2_values(
-                (s**2)[np.newaxis, :], corr, rho, lambda_, var_z1
-            )[0]
-        )
     quad_form = float((rho / s) @ delta @ (rho / s))
     return corr.det_c * float(np.prod(s**2)) * (1.0 + lambda_ * var_z1 * quad_form)
 

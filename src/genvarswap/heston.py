@@ -5,12 +5,13 @@ E[sigma_t^2] = e^{-k t}(sigma_0^2 - theta^2) + theta^2 and the expected
 generalized variance factorizes through |Sigma_1| = |C| prod (sigma_t^i)^2.
 The expected realized generalized variance over [0, T] is
 
-    E[sigma_R^2] = (|C| / T) * integral_0^T prod_i E[(sigma_t^i)^2] dt,
+    E[sigma_R^2] = (|C| / T) * integral_0^T prod_i E[(sigma_t^i)^2] dt
 
-which for three assets expands into eight exponential terms: each transient
-e^{-a t} integrates to (1 - e^{-a T})/a with a running over the seven
-nonempty sums of mean-reversion speeds, and the constant term contributes
-T theta_1^2 theta_2^2 theta_3^2.
+for any asset count n. The time integral is one exponential-affine product,
+integral_0^T prod_i (d_i e^{-k_i t} + c_i) dt, which expands over the 2^n
+subsets S of assets: each contributes prod_{i in S} d_i prod_{i not in S} c_i
+times (1 - e^{-a T})/a with a = sum_{i in S} k_i, or times T when a = 0.
+The BNS closed forms reuse the same kernel.
 
 Time arguments accept scalars or arrays (broadcast elementwise); all
 functions are pure.
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.integrate import quad
@@ -31,7 +31,6 @@ from .errors import (
     NegativeTime,
     NonPositiveMaturity,
     QuadratureFailure,
-    WrongAssetCount,
 )
 
 __all__ = [
@@ -99,48 +98,50 @@ def expected_variance(t, p: HestonAssetParams):
 
 
 def expected_product(t, portfolio: HestonPortfolio):
-    """prod_i E[(sigma_t^i)^2] as the eight-term exponential expansion.
-
-    Equals the direct product of the three ``expected_variance`` values; the
-    expansion is what the closed-form time integral is built from.
-    """
-    if portfolio.n != 3:
-        raise WrongAssetCount(f"closed form needs exactly 3 assets, got {portfolio.n}")
+    """prod_i E[(sigma_t^i)^2], the integrand of the expected realized variance."""
     t = _check_time(t)
-    k = np.array([a.k for a in portfolio.assets])
-    theta2 = np.array([a.theta2 for a in portfolio.assets])
-    d = np.array([a.sigma0_2 - a.theta2 for a in portfolio.assets])
+    out = np.prod([expected_variance(t, a) for a in portfolio.assets], axis=0)
+    return out if out.ndim else float(out)
 
-    total = np.zeros_like(t, dtype=float)
-    for size in range(4):
-        for subset in combinations(range(3), size):
-            rest = [i for i in range(3) if i not in subset]
-            coeff = np.prod(d[list(subset)]) * np.prod(theta2[rest])
-            rate = float(np.sum(k[list(subset)]))
-            total = total + coeff * np.exp(-rate * t)
-    return total if total.ndim else float(total)
+
+def _affine_product_integral(T, d, c, k):
+    """integral_0^T prod_i (d_i e^{-k_i t} + c_i) dt, vectorised over T.
+
+    Multiplying the factors out one at a time expands the product over the
+    subsets S of indices, sum_S prod_{i in S} d_i prod_{i not in S} c_i
+    e^{-a_S t} with a_S = sum_{i in S} k_i. Terms that share a rate are
+    merged as they appear, so an equal-rate family (every BNS rate is a
+    multiple of lambda) keeps n + 1 terms instead of 2^n.
+    """
+    terms = {0.0: 1.0}
+    for d_i, c_i, k_i in zip(d, c, k):
+        grown: dict[float, float] = {}
+        for rate, coeff in terms.items():
+            grown[rate] = grown.get(rate, 0.0) + coeff * c_i
+            grown[rate + k_i] = grown.get(rate + k_i, 0.0) + coeff * d_i
+        terms = grown
+    total = 0.0
+    for rate, coeff in terms.items():
+        if rate == 0.0:
+            total = total + coeff * T
+        else:
+            total = total + coeff * (1.0 - np.exp(-rate * T)) / rate
+    return total
 
 
 def expected_realized_variance(T, portfolio: HestonPortfolio):
     """E[sigma_R^2] = (|C|/T) integral_0^T prod_i E[(sigma_t^i)^2] dt, in closed form.
 
-    Three assets only; the general-n quadrature route is
-    ``expected_realized_variance_quad``.
+    Any asset count; ``expected_realized_variance_quad`` is the quadrature
+    cross-check.
     """
-    if portfolio.n != 3:
-        raise WrongAssetCount(f"closed form needs exactly 3 assets, got {portfolio.n}")
     T = _check_maturity(T)
-    k = np.array([a.k for a in portfolio.assets])
-    theta2 = np.array([a.theta2 for a in portfolio.assets])
-    d = np.array([a.sigma0_2 - a.theta2 for a in portfolio.assets])
-
-    integral = T * float(np.prod(theta2))
-    for size in range(1, 4):
-        for subset in combinations(range(3), size):
-            rest = [i for i in range(3) if i not in subset]
-            coeff = np.prod(d[list(subset)]) * np.prod(theta2[rest])
-            rate = float(np.sum(k[list(subset)]))
-            integral = integral + coeff * (1.0 - np.exp(-rate * T)) / rate
+    integral = _affine_product_integral(
+        T,
+        [a.sigma0_2 - a.theta2 for a in portfolio.assets],
+        [a.theta2 for a in portfolio.assets],
+        [a.k for a in portfolio.assets],
+    )
     out = portfolio.corr.det_c * integral / T
     return out if out.ndim else float(out)
 
@@ -151,8 +152,8 @@ def expected_realized_variance_quad(
     """Quadrature route for E[sigma_R^2], valid for any asset count n.
 
     Integrates |C| prod_i E[(sigma_t^i)^2] over [0, T] adaptively and divides
-    by T. Used as the general-n evaluation path; for n = 3 it agrees with the
-    closed form to the quadrature tolerance.
+    by T. Shares no code with the closed form, which it agrees with to the
+    quadrature tolerance.
     """
     T = float(_check_maturity(T))
 

@@ -1,9 +1,10 @@
 """Stochastic-simulation oracle for the closed-form prices.
 
 Heston variance paths use full-truncation Euler on the square-root process
-(negative proposals floored at zero inside drift and diffusion, floored
-values reported), whose bias vanishes as dt -> 0. BNS variance paths use the
-exact-in-law OU recursion between jump times,
+(negative proposals floored at zero inside drift and diffusion; the
+recorded path holds the floored value, and nothing counts the floor hits),
+whose bias vanishes as dt -> 0. BNS variance paths use the exact-in-law OU
+recursion between jump times,
 
     sigma^2_{t+dt} = e^{-lambda dt} sigma^2_t
                      + sum_{jumps s in (t, t+dt]} e^{-lambda (t+dt-s)} J_s,

@@ -26,6 +26,7 @@ from genvarswap import (
 from genvarswap.bns import third_central_moment_bns
 from genvarswap.errors import (
     DegenerateVariance,
+    DimensionMismatch,
     MissingSubordinatorSpec,
     NegativeTime,
     NonPositiveMaturity,
@@ -261,6 +262,13 @@ class TestETerms:
         tight = compute_e_terms(1.0, p, tol=1e-13)
         assert loose.e4 == pytest.approx(tight.e4, abs=1e-7)
 
+    def test_needs_three_assets(self):
+        p = make_portfolio(
+            sigma0_2s=(0.04, 0.06), kappa1s=(0.05, 0.07), kappa2s=(0.004, 0.006)
+        )
+        with pytest.raises(WrongAssetCount):
+            compute_e_terms(1.0, p)
+
     def test_nonpositive_maturity_rejected(self):
         with pytest.raises(NonPositiveMaturity):
             compute_e_terms(0.0, make_portfolio())
@@ -331,13 +339,64 @@ class TestExpectedRealizedVariance:
         p = make_portfolio()
         with pytest.raises(NonPositiveMaturity):
             expected_realized_variance_bns(0.0, p, CORR)
-        with pytest.raises(WrongAssetCount):
+        with pytest.raises(DimensionMismatch):
             expected_realized_variance_bns(
                 1.0, p, validate_correlation(np.eye(2))
             )
         singular = validate_correlation(np.ones((3, 3)))
         with pytest.raises(SingularCorrelation):
             expected_realized_variance_bns(1.0, p, singular)
+
+
+def realized_variance_oracle(T, p, corr):
+    """Quadrature of E|Sigma_2| over [0, T], divided by T, for any asset count.
+
+    The integrand takes the expectation of the determinant-lemma expansion
+    term by term from the per-asset moments, sharing no code with the closed
+    form's integrals.
+    """
+    n = p.n
+    weight = corr.delta * np.outer(p.rho, p.rho)
+
+    def integrand(t):
+        ev = [expected_variance_bns(t, a, p.lambda_) for a in p.assets]
+        vol = [expected_vol_bns(t, a, p.lambda_).value for a in p.assets]
+        jump = 0.0
+        for i in range(n):
+            for j in range(n):
+                mixed = 1.0 if i == j else vol[i] * vol[j]
+                rest = math.prod(ev[l] for l in range(n) if l not in (i, j))
+                jump += weight[i, j] * mixed * rest
+        return math.prod(ev) + p.lambda_ * p.kappa2_star * jump
+
+    value, _ = quad(integrand, 0.0, T, epsabs=1e-14, epsrel=1e-13, limit=200)
+    return corr.det_c * value / T
+
+
+class TestAnyAssetCount:
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    def test_closed_form_matches_quadrature(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(5):
+            p = make_portfolio(
+                sigma0_2s=rng.uniform(0.01, 0.2, n),
+                kappa1s=rng.uniform(0.01, 0.2, n),
+                kappa2s=rng.uniform(0.0, 0.01, n),
+                rhos=rng.uniform(-0.8, -0.05, n),
+                lambda_=rng.uniform(0.5, 4.0),
+                kappa2_star=rng.uniform(0.005, 0.05),
+            )
+            corr = random_correlation(rng, n)
+            T = rng.uniform(0.1, 3.0)
+            assert expected_realized_variance_bns(T, p, corr) == pytest.approx(
+                realized_variance_oracle(T, p, corr), rel=1e-10
+            )
+
+    def test_three_assets_match_oracle(self):
+        p = make_portfolio(rhos=(-0.4, -0.25, -0.6), kappa2_star=0.02)
+        assert expected_realized_variance_bns(1.3, p, CORR) == pytest.approx(
+            realized_variance_oracle(1.3, p, CORR), rel=1e-10
+        )
 
 
 class TestPriceSwapBns:

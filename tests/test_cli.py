@@ -169,11 +169,87 @@ class TestPrice:
         contract = write_contract(tmp_path)
         assert main(["price", "--model", str(bad), "--contract", str(contract)]) == 2
 
+    def test_non_utf8_json_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        contract = write_contract(tmp_path)
+        assert main(["price", "--model", str(bad), "--contract", str(contract)]) == 2
+
     def test_unknown_model_kind_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"model": "garch"}))
         contract = write_contract(tmp_path)
         assert main(["price", "--model", str(bad), "--contract", str(contract)]) == 2
+
+
+    def test_two_asset_model_matches_library(self, tmp_path, capsys):
+        assets = (
+            HestonAssetParams(k=1.0, theta2=0.05, sigma0_2=0.10, gamma=0.4),
+            HestonAssetParams(k=3.0, theta2=0.08, sigma0_2=0.06, gamma=0.4),
+        )
+        pf = HestonPortfolio(assets=assets, corr=validate_correlation(np.array([[1.0, 0.4], [0.4, 1.0]])))
+        model = tmp_path / "model2.json"
+        model.write_text(json.dumps({"model": "heston", **pf.to_dict()}))
+        contract = write_contract(tmp_path)
+        out = tmp_path / "out"
+        code = main(["price", "--model", str(model), "--contract", str(contract),
+                     "--out", str(out)])
+        assert code == 0
+        ev = expected_realized_variance(1.0, pf)
+        assert f"{ev:.6e}" in capsys.readouterr().out
+        row = (out / "price.csv").read_text().strip().splitlines()[1].split(",")
+        assert float(row[2]) == ev
+        assert float(row[4]) == price_swap(ev, SwapContract(1e-4, 0.02, 1.0, 1000.0))
+
+
+def _drop(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _bns_doc():
+    return {
+        "model": "bns",
+        "correlation": CORR_ARRAY.tolist(),
+        "assets": [{"sigma0_2": 0.04, "kappa1": 0.05, "kappa2": 0.004, "rho": -0.3}] * 3,
+        "lambda": 2.0,
+        "kappa2_star": 0.01,
+    }
+
+
+class TestMalformedDocuments:
+    """A JSON document with a missing key or the wrong shape exits 2 with a message."""
+
+    @pytest.mark.parametrize(
+        "command, role, content, needle",
+        [
+            ("price", "model", lambda m: _drop(m, "correlation"), "'correlation'"),
+            ("price", "model", lambda m: [m], "JSON object"),
+            ("price", "model", lambda m: _drop(_bns_doc(), "assets"), "'assets'"),
+            ("price", "contract", lambda m: {"k_var": 1e-4, "r": 0.02, "notional": 1.0}, "'maturity'"),
+            ("price", "contract", lambda m: {"k_var": 1e-4, "r": 0.02, "maturity": "1y",
+                                            "notional": 1.0}, "1y"),
+            ("simulate", "sim", lambda m: {"n_paths": 4, "horizon": 1.0}, "'dt'"),
+        ],
+        ids=["heston-no-correlation", "top-level-array", "bns-no-assets",
+             "contract-no-maturity", "contract-text-maturity", "sim-no-dt"],
+    )
+    def test_exits_2_naming_file(self, tmp_path, capsys, command, role, content, needle):
+        paths = {"model": write_model(tmp_path), "contract": write_contract(tmp_path)}
+        model_doc = json.loads(paths["model"].read_text())
+        paths["sim"] = tmp_path / "sim.json"
+        paths["sim"].write_text(json.dumps({"n_paths": 4, "dt": 0.25, "horizon": 1.0}))
+        bad = tmp_path / f"bad_{role}.json"
+        bad.write_text(json.dumps(content(model_doc)))
+        paths[role] = bad
+        argv = [command, "--model", str(paths["model"])]
+        if command == "price":
+            argv += ["--contract", str(paths["contract"])]
+        else:
+            argv += ["--sim", str(paths["sim"]), "--seed", "1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and needle in err
+        assert "Traceback" not in err
 
 
 class TestSimulate:
@@ -291,6 +367,14 @@ class TestCalibrate:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_init_without_initial_exits_2(self, tmp_path, capsys):
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"bounds": None}))
+        code = main(["calibrate", str(write_realized(tmp_path)), str(write_correlation(tmp_path)),
+                     "--model", "heston", "--init", str(init), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "'initial'" in capsys.readouterr().err
+
 
 class TestReport:
     def run_calibration(self, tmp_path):
@@ -331,6 +415,14 @@ class TestReport:
         code = main(["report", str(realized), "--result", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "rep")])
         assert code == 4
+
+    def test_result_without_params_exits_2(self, tmp_path, capsys):
+        realized, result = self.run_calibration(tmp_path)
+        result.write_text(json.dumps(_drop(json.loads(result.read_text()), "params")))
+        code = main(["report", str(realized), "--result", str(result),
+                     "--out", str(tmp_path / "rep")])
+        assert code == 2
+        assert "'params'" in capsys.readouterr().err
 
 
 class TestParser:

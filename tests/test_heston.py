@@ -21,7 +21,6 @@ from genvarswap.errors import (
     DimensionMismatch,
     NegativeTime,
     NonPositiveMaturity,
-    WrongAssetCount,
 )
 from genvarswap.heston import expected_realized_variance_quad
 
@@ -112,12 +111,14 @@ class TestExpectedProduct:
         assert out.shape == (3,)
         assert out[1] == pytest.approx(expected_product(0.5, pf), rel=1e-15)
 
-    def test_wrong_asset_count(self):
+    def test_two_assets_matches_direct_product(self):
         pf2 = HestonPortfolio(
             assets=make_assets()[:2], corr=validate_correlation(np.eye(2))
         )
-        with pytest.raises(WrongAssetCount):
-            expected_product(1.0, pf2)
+        t = np.array([0.0, 0.4, 1.0, 3.0])
+        direct = expected_variance(t, pf2.assets[0]) * expected_variance(t, pf2.assets[1])
+        np.testing.assert_allclose(expected_product(t, pf2), direct, rtol=1e-15)
+        assert expected_product(1.0, pf2) == pytest.approx(direct[2], rel=1e-15)
 
 
 class TestExpectedRealizedVariance:
@@ -208,3 +209,37 @@ class TestPriceSwap:
         small = SwapContract(k_var=0.03, r=0.02, maturity=1.0, notional=1.0)
         big = SwapContract(k_var=0.03, r=0.02, maturity=1.0, notional=2.5e6)
         assert price_swap(0.05, big) == pytest.approx(2.5e6 * price_swap(0.05, small))
+
+
+class TestAnyAssetCount:
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    def test_closed_form_matches_quadrature(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(10):
+            assets = tuple(
+                HestonAssetParams(
+                    k=rng.uniform(0.2, 6.0),
+                    theta2=rng.uniform(0.01, 0.2),
+                    sigma0_2=rng.uniform(0.01, 0.2),
+                    gamma=0.3,
+                )
+                for _ in range(n)
+            )
+            pf = HestonPortfolio(assets=assets, corr=random_correlation(rng, n))
+            T = rng.uniform(0.05, 3.0)
+            assert expected_realized_variance(T, pf) == pytest.approx(
+                expected_realized_variance_quad(T, pf), rel=1e-10
+            )
+
+    def test_coinciding_rates(self):
+        # k_1 = k_3 and k_1 + k_2 = k_4 give subsets that share a decay rate
+        pf = HestonPortfolio(
+            assets=make_assets(ks=(1.0, 2.0, 1.0), theta2s=(0.09, 0.05, 0.07),
+                               sigma0_2s=(0.04, 0.06, 0.05))
+            + (HestonAssetParams(k=3.0, theta2=0.08, sigma0_2=0.11, gamma=0.3),),
+            corr=validate_correlation(np.eye(4)),
+        )
+        for T in (0.3, 1.0, 4.0):
+            assert expected_realized_variance(T, pf) == pytest.approx(
+                expected_realized_variance_quad(T, pf), rel=1e-10
+            )
