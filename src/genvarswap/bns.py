@@ -26,9 +26,13 @@ entries delta_ij:
 where E_all and E_{-i} integrate products of expected variances over all
 assets and over all assets but i. They are exact: the exponential-affine
 product kernel of ``heston`` expands them over subsets of assets. E_{ij}
-replaces the variances of assets i and j by their expected volatilities and
-is evaluated by adaptive quadrature (absolute tolerance 1e-12 by default)
-with reported error estimates. For n = 3 these are the paper's E_0..E_6
+replaces the variances of assets i and j by their expected volatilities.
+All pairs are integrated together over all maturities in one vectorised
+pass of the 15-point Gauss-Kronrod rule (QUADPACK's qk15): the sorted
+maturities split [0, max T] into panels, cumulative panel sums give every
+maturity, and |K15 - G7| is the reported error estimate. Failing panels are
+split until each maturity's error is within max(tol, tol |value|)
+(tol = 1e-12 by default). For n = 3 these are the paper's E_0..E_6
 (``compute_e_terms``): E_0 = E_all, E_1..E_3 = E_{-1}..E_{-3} and
 E_4..E_6 = E_{12}, E_{13}, E_{23} (1-based).
 
@@ -39,7 +43,7 @@ is exposed for compatibility with the coefficient-16 reading of that
 specialized formula (which halves the correction); the default 8 follows the
 Brockhaus-Long expansion.
 
-All functions are pure; quadrature is re-entrant.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import BnsAssetParams, BnsPortfolioParams, CorrelationMatrix, SwapContract
 from .errors import (
@@ -58,6 +61,7 @@ from .errors import (
     DimensionMismatch,
     MissingSubordinatorSpec,
     QuadratureFailure,
+    ValidationError,
     WrongAssetCount,
 )
 from .heston import _affine_product_integral, _check_maturity, _check_time, price_swap
@@ -85,8 +89,8 @@ class VolApprox(NamedTuple):
 class BnsETerms:
     """The seven integrals E_0..E_6 over [0, T].
 
-    E_0..E_3 are exact; E_4..E_6 are adaptive quadratures whose reported
-    absolute error estimates are carried alongside.
+    E_0..E_3 are exact; E_4..E_6 come from the vectorised Gauss-Kronrod
+    pass, with its absolute error estimates |K15 - G7| carried alongside.
     """
 
     e0: float
@@ -181,38 +185,118 @@ def _mean_variance_terms(p: BnsPortfolioParams, keep) -> tuple[list, list, list]
     )
 
 
-def _e_cross(T, p: BnsPortfolioParams, i: int, j: int, tol: float, var_i_coefficient: float):
-    """integral_0^T E[sigma^i] E[sigma^j] prod_{l != i, j} E[(sigma^l)^2] dt.
+# QUADPACK qk15 on [-1, 1] (Piessens et al., 1983): the 15 Kronrod nodes and
+# weights, and the weights of the embedded 7-point Gauss rule (zero at the
+# Kronrod-only nodes).
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG = (
+    0.0,
+    0.129484966168869693270611432679082,
+    0.0,
+    0.279705391489276667901467771423780,
+    0.0,
+    0.381830050505118944950369775488975,
+    0.0,
+    0.417959183673469387755102040816327,
+)
+_NODES = np.concatenate((np.negative(_XGK[:-1]), _XGK[::-1]))
+_KRONROD = np.concatenate((_WGK[:-1], _WGK[::-1]))
+_KRONROD_MINUS_GAUSS = _KRONROD - np.concatenate((_WG[:-1], _WG[::-1]))
+# A failing panel is split at its quarter points, two bisection levels per
+# round. Limits: refinement rounds, and panels per maturity (as quad's
+# subinterval limit of 200).
+_QUARTERS = np.array([0.25, 0.5, 0.75])
+_MAX_ROUNDS = 20
+_MAX_PANELS_PER_MATURITY = 200
 
-    Adaptive quadrature for each maturity in ``T``; returns the values and
-    the absolute error estimates, both shaped like ``T``.
+
+def _check_tol(tol) -> float:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"quadrature tolerance must be finite and > 0, got {tol!r}")
+    return float(tol)
+
+
+def _cross_terms(T, p: BnsPortfolioParams, tol: float, var_i_coefficient: float):
+    """integral_0^T E[sigma^i] E[sigma^j] prod_{l != i, j} E[(sigma^l)^2] dt, all i < j.
+
+    One vectorised Gauss-Kronrod pass over every pair and maturity. The
+    sorted unique maturities are the breakpoints of panels [0, t_1],
+    [t_1, t_2], ...; each panel's K15 sum is its value and |K15 - G7| its
+    error, and cumulative sums give each maturity. While some maturity's
+    error exceeds max(tol, tol |value|), the panels over their share of the
+    budget are split in four and all panels re-integrated; past the limits
+    it raises ``QuadratureFailure`` naming the worst pair. Returns the
+    values and the absolute error estimates, shaped ``(n_pairs, *T.shape)``
+    with pairs in ``combinations`` order.
     """
-    lam = p.lambda_
-    squared = [(a.sigma0_2 - a.kappa1, a.kappa1) for l, a in enumerate(p.assets) if l not in (i, j)]
-    vols = [
-        (a.sigma0_2 - a.kappa1, a.kappa1, 0.5 * a.kappa2)
-        for a in (p.assets[i], p.assets[j])
-    ]
+    T = np.asarray(T, dtype=float)
+    ts, where = np.unique(T.ravel(), return_inverse=True)
+    pairs = list(combinations(range(p.n), 2))
+    first, second = np.array(pairs).T
+    squared = np.array([[l not in pair for l in range(p.n)] for pair in pairs])
+    d, c, _ = (np.array(x)[:, None, None] for x in _mean_variance_terms(p, range(p.n)))
+    half_kappa2 = np.array([0.5 * a.kappa2 for a in p.assets])[:, None, None]
 
-    def integrand(t: float) -> float:
-        decay = math.exp(-lam * t)
-        growth = 1.0 - math.exp(-2.0 * lam * t)
-        out = 1.0
-        for d, c in squared:
-            out *= decay * d + c
-        for d, c, half_kappa2 in vols:
-            e = decay * d + c
-            out *= math.sqrt(e) - half_kappa2 * growth / (var_i_coefficient * e**1.5)
-        return out
+    def integrate(edges):
+        """K15 values and |K15 - G7| errors of every panel, (n_pairs, n_panels)."""
+        half = 0.5 * (edges[1:] - edges[:-1])
+        t = (edges[:-1] + half)[:, None] + half[:, None] * _NODES
+        growth = -np.expm1(-2.0 * p.lambda_ * t)
+        ev = np.exp(-p.lambda_ * t) * d + c
+        if ev.min() <= 0.0:
+            raise DegenerateVariance("E[sigma_t^2] <= 0 under the supplied parameters")
+        root = np.sqrt(ev)
+        vol = root - half_kappa2 * growth / (var_i_coefficient * ev * root)
+        f = np.where(squared[:, :, None, None], ev, 1.0).prod(axis=1) * vol[first] * vol[second]
+        return half * (f @ _KRONROD), half * np.abs(f @ _KRONROD_MINUS_GAUSS)
 
-    values, errors = [], []
-    for T_k in np.ravel(T):
-        result = quad(integrand, 0.0, float(T_k), epsabs=tol, epsrel=tol, limit=200, full_output=1)
-        if len(result) > 3:
-            raise QuadratureFailure(f"cross term ({i}, {j}) quadrature failed: {result[3]}")
-        values.append(result[0])
-        errors.append(result[1])
-    return np.reshape(values, np.shape(T)), np.reshape(errors, np.shape(T))
+    edges = np.concatenate(([0.0], ts))
+    for rounds in range(_MAX_ROUNDS + 1):
+        panel_values, panel_errors = integrate(edges)
+        last = edges.searchsorted(ts) - 1
+        value = panel_values.cumsum(axis=1)[:, last]
+        error = panel_errors.cumsum(axis=1)[:, last]
+        allowed = np.maximum(tol, tol * np.abs(value))
+        if (error <= allowed).all():
+            break
+        # Every panel within its width times the smallest allowed error per
+        # unit time of the maturities at or after its end keeps every
+        # cumulative error within budget, so some panel must be over it.
+        per_time = np.minimum.accumulate((allowed / ts)[:, ::-1], axis=1)[:, ::-1]
+        widths = edges[1:] - edges[:-1]
+        split = (panel_errors > widths * per_time[:, ts.searchsorted(edges[1:])]).any(axis=0)
+        if not split.any():
+            break  # the excess is rounding in the cumulative sums
+        too_many = edges.size + _QUARTERS.size * split.sum() > _MAX_PANELS_PER_MATURITY * ts.size
+        if rounds == _MAX_ROUNDS or too_many:
+            i, j = pairs[int(np.argmax(np.max(error / allowed, axis=1)))]
+            raise QuadratureFailure(
+                f"cross term ({i}, {j}) did not reach tolerance {tol:g} within "
+                f"{edges.size - 1} panels after {rounds} rounds"
+            )
+        quarters = edges[:-1][split, None] + widths[split, None] * _QUARTERS
+        edges = np.sort(np.concatenate((edges, quarters.ravel())))
+    shape = (len(pairs), *T.shape)
+    return value[:, where].reshape(shape), error[:, where].reshape(shape)
 
 
 def compute_e_terms(
@@ -223,32 +307,33 @@ def compute_e_terms(
 ) -> BnsETerms:
     """The paper's seven integrals E_0..E_6 over [0, T] for three assets.
 
-    E_0..E_3 use the exact exponential-affine product kernel; E_4..E_6 use
-    adaptive quadrature at absolute tolerance ``tol`` with reported error
-    estimates.
+    E_0..E_3 use the exact exponential-affine product kernel; E_4..E_6 come
+    from one Gauss-Kronrod pass over the three pairs, each within
+    max(tol, tol |value|) by its reported error estimate. ``tol`` must be
+    finite and > 0.
     """
     if p.n != 3:
         raise WrongAssetCount(f"E_0..E_6 are defined for exactly 3 assets, got {p.n}")
     T = float(_check_maturity(T))
+    tol = _check_tol(tol)
 
     def product(*keep):
         return float(_affine_product_integral(T, *_mean_variance_terms(p, keep)))
 
-    e4, e5, e6 = (
-        [float(x) for x in _e_cross(T, p, i, j, tol, var_i_coefficient)]
-        for i, j in ((0, 1), (0, 2), (1, 2))
+    (e4, e5, e6), (e4_error, e5_error, e6_error) = (
+        map(float, x) for x in _cross_terms(T, p, tol, var_i_coefficient)
     )
     return BnsETerms(
         e0=product(0, 1, 2),
         e1=product(1, 2),
         e2=product(0, 2),
         e3=product(0, 1),
-        e4=e4[0],
-        e5=e5[0],
-        e6=e6[0],
-        e4_error=e4[1],
-        e5_error=e5[1],
-        e6_error=e6[1],
+        e4=e4,
+        e5=e5,
+        e6=e6,
+        e4_error=e4_error,
+        e5_error=e5_error,
+        e6_error=e6_error,
     )
 
 
@@ -261,14 +346,16 @@ def expected_realized_variance_bns(
 ):
     """E[sigma_R^2] over [0, T] for a BNS portfolio of any asset count.
 
-    Accepts scalar or array T. Cross-term quadratures are skipped when their
-    coefficients vanish exactly (kappa2* = 0 or the relevant rho product is
-    zero), which makes the common rho = 0 calibration path fully closed-form.
+    Accepts scalar or array T. The cross terms are integrated, in one pass,
+    only when some cross coefficient is nonzero (kappa2* > 0 and two nonzero
+    rho), which makes the common rho = 0 calibration path fully
+    closed-form. ``tol`` must be finite and > 0.
     """
     if p.n != corr.n:
         raise DimensionMismatch(f"{p.n} assets vs {corr.n}x{corr.n} correlation")
     delta = corr.inverse()
     T = _check_maturity(T)
+    tol = _check_tol(tol)
 
     n = p.n
     bracket = _affine_product_integral(T, *_mean_variance_terms(p, range(n)))
@@ -283,10 +370,11 @@ def expected_realized_variance_bns(
                 inner = inner + coeff * _affine_product_integral(
                     T, *_mean_variance_terms(p, others)
                 )
-        for i, j in combinations(range(n), 2):
-            coeff = 2.0 * delta[j, i] * rho[j] * rho[i]
-            if coeff != 0.0:
-                inner = inner + coeff * _e_cross(T, p, i, j, tol, var_i_coefficient)[0]
+        coeffs = [2.0 * delta[j, i] * rho[j] * rho[i] for i, j in combinations(range(n), 2)]
+        if any(coeffs):
+            values, _ = _cross_terms(T, p, tol, var_i_coefficient)
+            for coeff, value in zip(coeffs, values):
+                inner = inner + coeff * value
         bracket = bracket + lam_k2 * inner
     out = corr.det_c * bracket / T
     return out if out.ndim else float(out)

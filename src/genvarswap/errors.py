@@ -61,7 +61,12 @@ class DegenerateVariance(NumericalError):
 
 
 class QuadratureFailure(NumericalError):
-    """Adaptive quadrature did not reach the requested tolerance."""
+    """A quadrature did not reach the requested tolerance.
+
+    Raised when the Gauss-Kronrod pass of the BNS cross terms would need
+    more refinement rounds or panels than its limits allow, when the Heston
+    quadrature cross-check fails, and for a non-finite E-term.
+    """
 
 
 # simulation
@@ -102,6 +107,10 @@ class WindowTooSmall(ValidationError):
 
 class DegenerateColumn(ValidationError):
     """A return column has zero sample variance."""
+
+
+class NegativeDeterminant(NumericalError):
+    """A window's covariance determinant is negative beyond rounding level."""
 
 
 # calibration

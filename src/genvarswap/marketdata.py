@@ -24,6 +24,7 @@ from scipy import stats
 from .core import CorrelationMatrix, validate_correlation
 from .errors import (
     DegenerateColumn,
+    NegativeDeterminant,
     NonPositivePrice,
     ParseError,
     TooFewRows,
@@ -208,7 +209,7 @@ def rolling_determinants(
             det = 0.0
             clamped += 1
         elif det < 0.0:
-            raise ValueError(
+            raise NegativeDeterminant(
                 f"window ending at row {start + window} produced determinant {det}, "
                 "far below rounding level for a Gram matrix"
             )

@@ -1,6 +1,7 @@
 """BNS closed forms: OU moments, volatility approximation, E-terms, pricing."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from genvarswap import (
     validate_correlation,
     variance_of_variance_bns,
 )
+from genvarswap import bns
 from genvarswap.bns import third_central_moment_bns
 from genvarswap.errors import (
     DegenerateVariance,
@@ -30,7 +32,9 @@ from genvarswap.errors import (
     MissingSubordinatorSpec,
     NegativeTime,
     NonPositiveMaturity,
+    QuadratureFailure,
     SingularCorrelation,
+    ValidationError,
     WrongAssetCount,
 )
 
@@ -397,6 +401,110 @@ class TestAnyAssetCount:
         assert expected_realized_variance_bns(1.3, p, CORR) == pytest.approx(
             realized_variance_oracle(1.3, p, CORR), rel=1e-10
         )
+
+
+def cross_term_oracle(T, p, i, j):
+    """Scalar quad of E[sigma^i] E[sigma^j] prod_{l != i, j} E[(sigma^l)^2] over [0, T]."""
+
+    def integrand(t):
+        out = 1.0
+        for l, a in enumerate(p.assets):
+            e = math.exp(-p.lambda_ * t) * (a.sigma0_2 - a.kappa1) + a.kappa1
+            if l in (i, j):
+                v = 0.5 * a.kappa2 * (1.0 - math.exp(-2.0 * p.lambda_ * t))
+                out *= math.sqrt(e) - v / (8.0 * e**1.5)
+            else:
+                out *= e
+        return out
+
+    value, _ = quad(integrand, 0.0, T, epsabs=0.0, epsrel=1e-13, limit=400)
+    return value
+
+
+def random_portfolio(rng, n, lambda_):
+    return make_portfolio(
+        sigma0_2s=rng.uniform(0.01, 0.2, n),
+        kappa1s=rng.uniform(0.01, 0.2, n),
+        kappa2s=rng.uniform(0.001, 0.01, n),
+        rhos=rng.uniform(-0.8, -0.05, n),
+        lambda_=lambda_,
+        kappa2_star=rng.uniform(0.005, 0.05),
+    )
+
+
+def within_budget(values, errors, tol):
+    return np.all(errors <= np.maximum(tol, tol * np.abs(values)))
+
+
+class TestCrossTerms:
+    @pytest.mark.parametrize("lambda_", [0.3, 2.0, 20.0, 90.0])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_scalar_quadrature(self, n, lambda_):
+        rng = np.random.default_rng(int(10 * n + lambda_))
+        p = random_portfolio(rng, n, lambda_)
+        T = np.array([0.03, 0.4, 2.0, 10.0])
+        values, errors = bns._cross_terms(T, p, 1e-12, 8.0)
+        pairs = list(combinations(range(n), 2))
+        assert values.shape == errors.shape == (len(pairs), T.size)
+        assert within_budget(values, errors, 1e-12)
+        for k, (i, j) in enumerate(pairs):
+            for m, T_m in enumerate(T):
+                oracle = cross_term_oracle(T_m, p, i, j)
+                assert values[k, m] == pytest.approx(oracle, rel=2e-13), (i, j, T_m)
+
+    def test_unsorted_duplicate_and_2d_maturities(self):
+        p = random_portfolio(np.random.default_rng(5), 3, 2.0)
+        T = np.array([[1.5, 0.2, 1.5], [0.7, 0.2, 3.0]])
+        values, errors = bns._cross_terms(T, p, 1e-12, 8.0)
+        assert values.shape == errors.shape == (3, 2, 3)
+        np.testing.assert_array_equal(values[:, 0, 0], values[:, 0, 2])
+        np.testing.assert_array_equal(values[:, 0, 1], values[:, 1, 1])
+        for idx in np.ndindex(T.shape):
+            scalar, scalar_errors = bns._cross_terms(T[idx], p, 1e-12, 8.0)
+            assert scalar.shape == (3,)
+            np.testing.assert_allclose(values[(slice(None), *idx)], scalar, rtol=1e-14)
+            assert within_budget(scalar, scalar_errors, 1e-12)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12, 1e-14])
+    def test_reported_errors_within_tolerance(self, tol):
+        p = random_portfolio(np.random.default_rng(8), 3, 20.0)
+        T = np.linspace(0.05, 5.0, 25)
+        values, errors = bns._cross_terms(T, p, tol, 8.0)
+        assert within_budget(values, errors, tol)
+        exact, _ = bns._cross_terms(T, p, 1e-14, 8.0)
+        assert np.all(np.abs(values - exact) <= errors + 1e-15 * np.abs(exact))
+
+    def test_forced_nonconvergence_raises(self):
+        p = random_portfolio(np.random.default_rng(9), 3, 2.0)
+        with pytest.raises(QuadratureFailure, match=r"cross term \(\d, \d\)"):
+            bns._cross_terms(np.array([0.5, 1.0]), p, 1e-300, 8.0)
+        with pytest.raises(QuadratureFailure):
+            compute_e_terms(1.0, p, tol=1e-300)
+
+    def test_zero_rho_or_kappa2_star_never_integrates(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("cross terms integrated")
+
+        monkeypatch.setattr(bns, "_cross_terms", unreachable)
+        T = np.linspace(0.1, 2.0, 5)
+        expected_realized_variance_bns(T, make_portfolio(kappa2_star=0.02), CORR)
+        expected_realized_variance_bns(
+            T, make_portfolio(rhos=(-0.4, -0.25, -0.6), kappa2_star=0.0), CORR
+        )
+        with pytest.raises(AssertionError, match="integrated"):
+            expected_realized_variance_bns(
+                T, make_portfolio(rhos=(-0.4, -0.25, -0.6), kappa2_star=0.02), CORR
+            )
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+    def test_invalid_tolerance_rejected(self, tol):
+        p = make_portfolio(rhos=(-0.4, -0.25, -0.6), kappa2_star=0.02)
+        with pytest.raises(ValidationError, match="tolerance"):
+            compute_e_terms(1.0, p, tol=tol)
+        with pytest.raises(ValidationError, match="tolerance"):
+            expected_realized_variance_bns(1.0, p, CORR, tol=tol)
+        with pytest.raises(ValidationError, match="tolerance"):
+            expected_realized_variance_bns(1.0, make_portfolio(), CORR, tol=tol)
 
 
 class TestPriceSwapBns:

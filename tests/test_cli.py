@@ -118,6 +118,14 @@ class TestEstimate:
     def test_missing_file_exits_4(self, tmp_path):
         assert main(["estimate", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")]) == 4
 
+    def test_negative_determinant_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(np.linalg, "det", lambda a: -1.0)
+        prices = write_prices(tmp_path)
+        assert main(["estimate", str(prices), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "determinant" in err
+        assert "Traceback" not in err
+
 
 class TestPrice:
     def test_heston_price_matches_library(self, tmp_path, capsys):

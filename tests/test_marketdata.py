@@ -15,7 +15,9 @@ from genvarswap import (
 )
 from genvarswap.errors import (
     DegenerateColumn,
+    NegativeDeterminant,
     NonPositivePrice,
+    NumericalError,
     ParseError,
     TooFewRows,
     TooShort,
@@ -188,6 +190,13 @@ class TestRollingDeterminants:
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             rolling_determinants(np.zeros((5, 3)) + np.eye(5, 3), window=10)
+
+    def test_determinant_below_rounding_level_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "det", lambda a: -1.0)
+        returns = np.random.default_rng(3).normal(0.0, 0.01, (30, 3))
+        with pytest.raises(NegativeDeterminant, match="row 10"):
+            rolling_determinants(returns, window=10)
+        assert issubclass(NegativeDeterminant, NumericalError)
 
 
 class TestEstimateCorrelation:
