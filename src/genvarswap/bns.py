@@ -27,12 +27,12 @@ where E_all and E_{-i} integrate products of expected variances over all
 assets and over all assets but i. They are exact: the exponential-affine
 product kernel of ``heston`` expands them over subsets of assets. E_{ij}
 replaces the variances of assets i and j by their expected volatilities.
-All pairs are integrated together over all maturities in one vectorised
-pass of the 15-point Gauss-Kronrod rule (QUADPACK's qk15): the sorted
-maturities split [0, max T] into panels, cumulative panel sums give every
-maturity, and |K15 - G7| is the reported error estimate. Failing panels are
-split until each maturity's error is within max(tol, tol |value|)
-(tol = 1e-12 by default). For n = 3 these are the paper's E_0..E_6
+The pairs with a nonzero coefficient are integrated together over all
+maturities in one vectorised pass (``quad``) of the 15-point Gauss-Kronrod
+rule (QUADPACK's qk15): the sorted maturities split [0, max T] into
+panels, cumulative panel sums give every maturity, and |K15 - G7| is the
+reported error estimate. Failing panels are split until each maturity's
+error is within max(tol, tol |value|) (tol = 1e-12 by default). For n = 3 these are the paper's E_0..E_6
 (``compute_e_terms``): E_0 = E_all, E_1..E_3 = E_{-1}..E_{-3} and
 E_4..E_6 = E_{12}, E_{13}, E_{23} (1-based).
 
@@ -227,6 +227,10 @@ _KRONROD_MINUS_GAUSS = _KRONROD - np.concatenate((_WG[:-1], _WG[::-1]))
 _QUARTERS = np.array([0.25, 0.5, 0.75])
 _MAX_ROUNDS = 20
 _MAX_PANELS_PER_MATURITY = 200
+# A panel is split above this share of its error budget. The margin exceeds
+# the relative rounding of the cumulative sums (N eps for N panels) up to
+# about 10^9 panels.
+_SPLIT_SHARE = 1.0 - 1e-6
 
 
 def _check_tol(tol) -> float:
@@ -235,68 +239,88 @@ def _check_tol(tol) -> float:
     return float(tol)
 
 
-def _cross_terms(T, p: BnsPortfolioParams, tol: float, var_i_coefficient: float):
-    """integral_0^T E[sigma^i] E[sigma^j] prod_{l != i, j} E[(sigma^l)^2] dt, all i < j.
+def quad(f, T, tol: float, labels):
+    """integral_0^T f(t) dt for every row of ``f`` and every maturity in ``T`` at once.
 
-    One vectorised Gauss-Kronrod pass over every pair and maturity. The
-    sorted unique maturities are the breakpoints of panels [0, t_1],
-    [t_1, t_2], ...; each panel's K15 sum is its value and |K15 - G7| its
-    error, and cumulative sums give each maturity. While some maturity's
-    error exceeds max(tol, tol |value|), the panels over their share of the
-    budget are split in four and all panels re-integrated; past the limits
-    it raises ``QuadratureFailure`` naming the worst pair. Returns the
-    values and the absolute error estimates, shaped ``(n_pairs, *T.shape)``
-    with pairs in ``combinations`` order.
+    ``f`` maps an array of times to the values of all rows, shaped
+    ``(len(labels), *times.shape)``. The sorted unique maturities are the
+    breakpoints of panels [0, t_1], [t_1, t_2], ...; QUADPACK's G7/K15 rule
+    gives each panel's value (K15) and error (|K15 - G7|), and cumulative
+    sums give each maturity. While some maturity's error exceeds
+    max(tol, tol |value|), the accept rule of scipy's
+    ``quad(epsabs=tol, epsrel=tol)``, the panels over their share of that
+    budget are split in four and all panels integrated again. Past the
+    limits, or with no panel left to split (a non-finite integrand), it
+    raises ``QuadratureFailure`` naming the label of the worst row. Returns
+    the values and the absolute error estimates, shaped
+    ``(len(labels), *T.shape)``.
+
+    The name is scipy's, whose place it takes here: the benchmark's
+    ``bns.quad_calls`` counter wraps ``genvarswap.bns.quad`` and counts one
+    call per vectorised quadrature.
     """
     T = np.asarray(T, dtype=float)
     ts, where = np.unique(T.ravel(), return_inverse=True)
-    pairs = list(combinations(range(p.n), 2))
-    first, second = np.array(pairs).T
-    squared = np.array([[l not in pair for l in range(p.n)] for pair in pairs])
-    d, c, _ = (np.array(x)[:, None, None] for x in _mean_variance_terms(p, range(p.n)))
-    half_kappa2 = np.array([0.5 * a.kappa2 for a in p.assets])[:, None, None]
-
-    def integrate(edges):
-        """K15 values and |K15 - G7| errors of every panel, (n_pairs, n_panels)."""
-        half = 0.5 * (edges[1:] - edges[:-1])
-        t = (edges[:-1] + half)[:, None] + half[:, None] * _NODES
-        growth = -np.expm1(-2.0 * p.lambda_ * t)
-        ev = np.exp(-p.lambda_ * t) * d + c
-        if ev.min() <= 0.0:
-            raise DegenerateVariance("E[sigma_t^2] <= 0 under the supplied parameters")
-        root = np.sqrt(ev)
-        vol = root - half_kappa2 * growth / (var_i_coefficient * ev * root)
-        f = np.where(squared[:, :, None, None], ev, 1.0).prod(axis=1) * vol[first] * vol[second]
-        return half * (f @ _KRONROD), half * np.abs(f @ _KRONROD_MINUS_GAUSS)
-
     edges = np.concatenate(([0.0], ts))
     for rounds in range(_MAX_ROUNDS + 1):
-        panel_values, panel_errors = integrate(edges)
+        widths = edges[1:] - edges[:-1]
+        half = 0.5 * widths
+        values = f((edges[:-1] + half)[:, None] + half[:, None] * _NODES)
+        panel_values = half * (values @ _KRONROD)
+        panel_errors = half * np.abs(values @ _KRONROD_MINUS_GAUSS)
         last = edges.searchsorted(ts) - 1
         value = panel_values.cumsum(axis=1)[:, last]
         error = panel_errors.cumsum(axis=1)[:, last]
         allowed = np.maximum(tol, tol * np.abs(value))
         if (error <= allowed).all():
-            break
-        # Every panel within its width times the smallest allowed error per
-        # unit time of the maturities at or after its end keeps every
-        # cumulative error within budget, so some panel must be over it.
+            shape = (len(labels), *T.shape)
+            return value[:, where].reshape(shape), error[:, where].reshape(shape)
+        # A panel's budget is its width times the smallest allowed error per
+        # unit time of the maturities at or after its end. With every panel
+        # within its budget, every maturity is within max(tol, tol |value|),
+        # and the split share leaves room for rounding. So while a maturity
+        # is over, some panel is over its split share, unless an error is
+        # not finite.
         per_time = np.minimum.accumulate((allowed / ts)[:, ::-1], axis=1)[:, ::-1]
-        widths = edges[1:] - edges[:-1]
-        split = (panel_errors > widths * per_time[:, ts.searchsorted(edges[1:])]).any(axis=0)
-        if not split.any():
-            break  # the excess is rounding in the cumulative sums
+        budget = widths * per_time[:, ts.searchsorted(edges[1:])]
+        split = (panel_errors > _SPLIT_SHARE * budget).any(axis=0)
         too_many = edges.size + _QUARTERS.size * split.sum() > _MAX_PANELS_PER_MATURITY * ts.size
-        if rounds == _MAX_ROUNDS or too_many:
-            i, j = pairs[int(np.argmax(np.max(error / allowed, axis=1)))]
+        if rounds == _MAX_ROUNDS or too_many or not split.any():
+            worst = labels[int(np.argmax(np.max(error / allowed, axis=1)))]
             raise QuadratureFailure(
-                f"cross term ({i}, {j}) did not reach tolerance {tol:g} within "
+                f"{worst} did not reach tolerance {tol:g} within "
                 f"{edges.size - 1} panels after {rounds} rounds"
             )
         quarters = edges[:-1][split, None] + widths[split, None] * _QUARTERS
         edges = np.sort(np.concatenate((edges, quarters.ravel())))
-    shape = (len(pairs), *T.shape)
-    return value[:, where].reshape(shape), error[:, where].reshape(shape)
+
+
+def _cross_terms(T, p: BnsPortfolioParams, pairs, tol: float, var_i_coefficient: float):
+    """integral_0^T E[sigma^i] E[sigma^j] prod_{l != i, j} E[(sigma^l)^2] dt, (i, j) in ``pairs``.
+
+    One ``quad`` pass over the given pairs and every maturity. E[sigma^2]
+    and the Brockhaus-Long E[sigma] are evaluated once per node; only the
+    assets in some pair take the volatility factor, so only their E[sigma^2]
+    must stay > 0. Returns the values and the absolute error estimates,
+    shaped ``(len(pairs), *T.shape)``.
+    """
+    vol_assets, slots = np.unique(pairs, return_inverse=True)
+    first, second = slots.reshape(len(pairs), 2).T
+    squared = np.array([[l not in pair for l in range(p.n)] for pair in pairs])
+    d, c, _ = (np.array(x)[:, None, None] for x in _mean_variance_terms(p, range(p.n)))
+    half_kappa2 = np.array([0.5 * p.assets[i].kappa2 for i in vol_assets])[:, None, None]
+
+    def integrand(t):
+        ev = np.exp(-p.lambda_ * t) * d + c
+        vol_ev = ev[vol_assets]
+        if vol_ev.min() <= 0.0:
+            raise DegenerateVariance("E[sigma_t^2] <= 0 under the supplied parameters")
+        root = np.sqrt(vol_ev)
+        growth = -np.expm1(-2.0 * p.lambda_ * t)
+        vol = root - half_kappa2 * growth / (var_i_coefficient * vol_ev * root)
+        return np.where(squared[:, :, None, None], ev, 1.0).prod(axis=1) * vol[first] * vol[second]
+
+    return quad(integrand, T, tol, [f"cross term ({i}, {j})" for i, j in pairs])
 
 
 def compute_e_terms(
@@ -320,9 +344,8 @@ def compute_e_terms(
     def product(*keep):
         return float(_affine_product_integral(T, *_mean_variance_terms(p, keep)))
 
-    (e4, e5, e6), (e4_error, e5_error, e6_error) = (
-        map(float, x) for x in _cross_terms(T, p, tol, var_i_coefficient)
-    )
+    cross = _cross_terms(T, p, [(0, 1), (0, 2), (1, 2)], tol, var_i_coefficient)
+    (e4, e5, e6), (e4_error, e5_error, e6_error) = (map(float, x) for x in cross)
     return BnsETerms(
         e0=product(0, 1, 2),
         e1=product(1, 2),
@@ -370,11 +393,14 @@ def expected_realized_variance_bns(
                 inner = inner + coeff * _affine_product_integral(
                     T, *_mean_variance_terms(p, others)
                 )
-        coeffs = [2.0 * delta[j, i] * rho[j] * rho[i] for i, j in combinations(range(n), 2)]
-        if any(coeffs):
-            values, _ = _cross_terms(T, p, tol, var_i_coefficient)
-            for coeff, value in zip(coeffs, values):
-                inner = inner + coeff * value
+        coeffs = {
+            (i, j): 2.0 * delta[j, i] * rho[j] * rho[i] for i, j in combinations(range(n), 2)
+        }
+        pairs = [pair for pair, coeff in coeffs.items() if coeff != 0.0]
+        if pairs:
+            values, _ = _cross_terms(T, p, pairs, tol, var_i_coefficient)
+            for pair, value in zip(pairs, values):
+                inner = inner + coeffs[pair] * value
         bracket = bracket + lam_k2 * inner
     out = corr.det_c * bracket / T
     return out if out.ndim else float(out)

@@ -64,8 +64,9 @@ class QuadratureFailure(NumericalError):
     """A quadrature did not reach the requested tolerance.
 
     Raised when the Gauss-Kronrod pass of the BNS cross terms would need
-    more refinement rounds or panels than its limits allow, when the Heston
-    quadrature cross-check fails, and for a non-finite E-term.
+    more refinement rounds or panels than its limits allow or meets a
+    non-finite integrand, when the Heston quadrature cross-check fails,
+    and for a non-finite E-term.
     """
 
 

@@ -364,11 +364,16 @@ def realized_variance_oracle(T, p, corr):
 
     def integrand(t):
         ev = [expected_variance_bns(t, a, p.lambda_) for a in p.assets]
-        vol = [expected_vol_bns(t, a, p.lambda_).value for a in p.assets]
+
+        def vol(i):
+            return expected_vol_bns(t, p.assets[i], p.lambda_).value
+
         jump = 0.0
         for i in range(n):
             for j in range(n):
-                mixed = 1.0 if i == j else vol[i] * vol[j]
+                if weight[i, j] == 0.0:
+                    continue
+                mixed = 1.0 if i == j else vol(i) * vol(j)
                 rest = math.prod(ev[l] for l in range(n) if l not in (i, j))
                 jump += weight[i, j] * mixed * rest
         return math.prod(ev) + p.lambda_ * p.kappa2_star * jump
@@ -432,6 +437,9 @@ def random_portfolio(rng, n, lambda_):
     )
 
 
+PAIRS_3 = [(0, 1), (0, 2), (1, 2)]
+
+
 def within_budget(values, errors, tol):
     return np.all(errors <= np.maximum(tol, tol * np.abs(values)))
 
@@ -443,8 +451,8 @@ class TestCrossTerms:
         rng = np.random.default_rng(int(10 * n + lambda_))
         p = random_portfolio(rng, n, lambda_)
         T = np.array([0.03, 0.4, 2.0, 10.0])
-        values, errors = bns._cross_terms(T, p, 1e-12, 8.0)
         pairs = list(combinations(range(n), 2))
+        values, errors = bns._cross_terms(T, p, pairs, 1e-12, 8.0)
         assert values.shape == errors.shape == (len(pairs), T.size)
         assert within_budget(values, errors, 1e-12)
         for k, (i, j) in enumerate(pairs):
@@ -455,12 +463,12 @@ class TestCrossTerms:
     def test_unsorted_duplicate_and_2d_maturities(self):
         p = random_portfolio(np.random.default_rng(5), 3, 2.0)
         T = np.array([[1.5, 0.2, 1.5], [0.7, 0.2, 3.0]])
-        values, errors = bns._cross_terms(T, p, 1e-12, 8.0)
+        values, errors = bns._cross_terms(T, p, PAIRS_3, 1e-12, 8.0)
         assert values.shape == errors.shape == (3, 2, 3)
         np.testing.assert_array_equal(values[:, 0, 0], values[:, 0, 2])
         np.testing.assert_array_equal(values[:, 0, 1], values[:, 1, 1])
         for idx in np.ndindex(T.shape):
-            scalar, scalar_errors = bns._cross_terms(T[idx], p, 1e-12, 8.0)
+            scalar, scalar_errors = bns._cross_terms(T[idx], p, PAIRS_3, 1e-12, 8.0)
             assert scalar.shape == (3,)
             np.testing.assert_allclose(values[(slice(None), *idx)], scalar, rtol=1e-14)
             assert within_budget(scalar, scalar_errors, 1e-12)
@@ -469,15 +477,15 @@ class TestCrossTerms:
     def test_reported_errors_within_tolerance(self, tol):
         p = random_portfolio(np.random.default_rng(8), 3, 20.0)
         T = np.linspace(0.05, 5.0, 25)
-        values, errors = bns._cross_terms(T, p, tol, 8.0)
+        values, errors = bns._cross_terms(T, p, PAIRS_3, tol, 8.0)
         assert within_budget(values, errors, tol)
-        exact, _ = bns._cross_terms(T, p, 1e-14, 8.0)
+        exact, _ = bns._cross_terms(T, p, PAIRS_3, 1e-14, 8.0)
         assert np.all(np.abs(values - exact) <= errors + 1e-15 * np.abs(exact))
 
     def test_forced_nonconvergence_raises(self):
         p = random_portfolio(np.random.default_rng(9), 3, 2.0)
         with pytest.raises(QuadratureFailure, match=r"cross term \(\d, \d\)"):
-            bns._cross_terms(np.array([0.5, 1.0]), p, 1e-300, 8.0)
+            bns._cross_terms(np.array([0.5, 1.0]), p, PAIRS_3, 1e-300, 8.0)
         with pytest.raises(QuadratureFailure):
             compute_e_terms(1.0, p, tol=1e-300)
 
@@ -495,6 +503,44 @@ class TestCrossTerms:
             expected_realized_variance_bns(
                 T, make_portfolio(rhos=(-0.4, -0.25, -0.6), kappa2_star=0.02), CORR
             )
+
+    def test_non_finite_integrand_raises(self):
+        def nan_rows(t):
+            return np.full((2, *t.shape), np.nan)
+
+        with pytest.raises(QuadratureFailure, match="row a"):
+            bns.quad(nan_rows, np.array([0.5, 1.0]), 1e-12, ["row a", "row b"])
+
+    def test_only_nonzero_pairs_integrated(self, monkeypatch):
+        seen = []
+        cross_terms = bns._cross_terms
+
+        def spy(T, p, pairs, *args):
+            seen.append(list(pairs))
+            return cross_terms(T, p, pairs, *args)
+
+        monkeypatch.setattr(bns, "_cross_terms", spy)
+        p = make_portfolio(rhos=(-0.4, 0.0, -0.6), kappa2_star=0.02)
+        expected_realized_variance_bns(np.array([0.5, 1.0]), p, CORR)
+        assert seen == [[(0, 2)]]
+
+    def test_zero_rho_asset_with_vanishing_variance(self):
+        # Asset 1 has rho = 0 and kappa1 = 0, and e^{-lambda t} underflows
+        # on [0, 10] at lambda = 90: its E[sigma_t^2] reaches 0, but it only
+        # enters squared, so the price stays defined.
+        p = make_portfolio(
+            sigma0_2s=(0.04, 0.06, 0.05),
+            kappa1s=(0.05, 0.0, 0.06),
+            rhos=(-0.4, 0.0, -0.6),
+            lambda_=90.0,
+            kappa2_star=0.02,
+        )
+        assert expected_variance_bns(10.0, p.assets[1], p.lambda_) == 0.0
+        assert expected_realized_variance_bns(10.0, p, CORR) == pytest.approx(
+            realized_variance_oracle(10.0, p, CORR), rel=1e-10
+        )
+        with pytest.raises(DegenerateVariance):
+            compute_e_terms(10.0, p)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
     def test_invalid_tolerance_rejected(self, tol):
