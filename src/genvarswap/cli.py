@@ -145,7 +145,7 @@ def _reading(path: str):
         raise
     except KeyError as exc:
         raise ValidationError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed field ({exc})") from None
 
 

@@ -45,11 +45,11 @@ class DimensionMismatch(ValidationError):
 # pricing
 
 class NegativeTime(ValidationError):
-    """A time argument was negative."""
+    """A time argument was negative or NaN."""
 
 
 class NonPositiveMaturity(ValidationError):
-    """A maturity argument was zero or negative."""
+    """A maturity argument was zero, negative or not finite."""
 
 
 class WrongAssetCount(ValidationError):

@@ -7,10 +7,11 @@ whose determinant follows from the matrix determinant lemma:
 
     |Sigma_2| = |Sigma_1| (1 + lambda Var[Z_1*] rho^T Sigma_1^-1 rho).
 
-Expanded over the delta_ij entries, the lemma becomes the polynomial in the
-vols used by the pricing formulas; that expansion extends by continuity to
-paths where an instantaneous vol touches zero. Both forms are implemented
-and cross-checked in the tests.
+With u_i = rho_i prod_{l != i} sigma_l this is one quadratic form,
+|Sigma_2| = |C| (prod_l sigma_l^2 + lambda Var[Z_1*] u^T C^-1 u), which
+divides by no sigma_i and so holds where a vol touches zero. Expanded over
+the entries of C^-1 it is the polynomial the pricing formulas use. Both
+forms are implemented and cross-checked in the tests.
 
 All functions are pure and safe for concurrent invocation. The ``*_values``
 variants evaluate determinants along whole ensembles of variance paths at
@@ -19,6 +20,7 @@ once and are the kernels used by the Monte Carlo module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,14 +150,14 @@ def det_sigma2_values(
 ) -> np.ndarray:
     """|Sigma_2| for an array of variance vectors (last axis = assets).
 
-    Evaluates the expanded determinant-lemma polynomial
+    Evaluates the determinant lemma as one quadratic form,
 
-        |C| [ prod_l v_l
-              + lambda Var[Z_1*] sum_{i,j} delta_ij rho_i rho_j
-                sqrt(v_i v_j) prod_{l not in {i,j}} v_l ]
+        |C| [ prod_l v_l + lambda Var[Z_1*] u^T C^-1 u ],
+        u_i = rho_i prod_{l != i} sigma_l,
 
-    which is continuous down to v_i = 0, so floored simulator variances are
-    handled without special cases.
+    on per-asset planes. u is built from products of the other vols, never
+    by dividing by sigma_i, so the value is continuous down to v_i = 0 and
+    floored simulator variances need no special case.
     """
     variances = np.asarray(variances, dtype=float)
     n = corr.n
@@ -167,25 +169,13 @@ def det_sigma2_values(
     lambda_, var_z1 = _check_jump_scale(lambda_, var_z1)
     delta = corr.inverse()
 
-    v = variances
-    s = np.sqrt(v)
-    base = np.prod(v, axis=-1)
+    base = np.prod(variances, axis=-1)
     if var_z1 == 0.0 or not np.any(rho):
         return corr.det_c * base
 
-    bracket = np.zeros_like(base)
-    for i in range(n):
-        coeff = delta[i, i] * rho[i] * rho[i]
-        if coeff != 0.0:
-            others = [l for l in range(n) if l != i]
-            bracket += coeff * np.prod(v[..., others], axis=-1)
-        for j in range(i + 1, n):
-            coeff = 2.0 * delta[i, j] * rho[i] * rho[j]
-            if coeff == 0.0:
-                continue
-            others = [l for l in range(n) if l != i and l != j]
-            term = s[..., i] * s[..., j]
-            if others:
-                term = term * np.prod(v[..., others], axis=-1)
-            bracket += coeff * term
+    sigma = [np.sqrt(variances[..., l]) for l in range(n)]
+    jumping = np.flatnonzero(rho)
+    u = {i: math.prod((sigma[l] for l in range(n) if l != i), start=rho[i]) for i in jumping}
+    pairs = [(i, j) for i in jumping for j in jumping if i <= j]
+    bracket = sum((1.0 if i == j else 2.0) * delta[i, j] * u[i] * u[j] for i, j in pairs)
     return corr.det_c * (base + lambda_ * var_z1 * bracket)

@@ -79,15 +79,15 @@ class HestonPortfolio:
 
 def _check_time(t, name: str = "t"):
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise NegativeTime(f"{name} must be >= 0")
+    if not np.all(t >= 0.0):
+        raise NegativeTime(f"{name} must be >= 0 (not NaN)")
     return t
 
 
 def _check_maturity(T):
     T = np.asarray(T, dtype=float)
-    if np.any(T <= 0.0):
-        raise NonPositiveMaturity("maturity must be > 0")
+    if not np.all((T > 0.0) & np.isfinite(T)):
+        raise NonPositiveMaturity("maturity must be finite and > 0")
     return T
 
 

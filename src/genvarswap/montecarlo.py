@@ -14,6 +14,12 @@ discretization bias. Only variance paths enter the realized generalized
 variance |Sigma|; asset price paths are provided separately for end-to-end
 data-pipeline runs.
 
+One block pipeline serves all three routes. Each model has one block
+simulator, the only code that draws per-path randomness, which returns the
+variance paths of paths [lo, hi). The ensemble route stores them, the
+streaming route reduces them to per-path time averages of |Sigma| block by
+block, and the price route runs one log-Euler kernel over them.
+
 Reproducibility: every path owns a counter-based RNG stream keyed by
 (seed, path index), so ensembles are identical under any block size, thread
 count, or execution order. Per path the draw layout is fixed:
@@ -95,8 +101,10 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise InvalidConfig(f"n_paths must be >= 1, got {self.n_paths}")
-        if not (0.0 < self.dt <= self.horizon):
-            raise InvalidConfig(f"need 0 < dt <= horizon, got dt={self.dt}, horizon={self.horizon}")
+        if not (0.0 < self.dt <= self.horizon < math.inf):
+            raise InvalidConfig(
+                f"need 0 < dt <= horizon < inf, got dt={self.dt}, horizon={self.horizon}"
+            )
         if not 0 <= int(self.seed) < 2**64:
             raise InvalidConfig("seed must fit in an unsigned 64-bit integer")
         if self.scheme not in _SCHEMES:
@@ -226,6 +234,23 @@ def _check_ensemble_size(cfg: SimConfig, n_assets: int) -> None:
         )
 
 
+# block pipeline: every route walks the paths in blocks of variance paths
+
+
+def _variances(block, model, cfg: SimConfig):
+    """The (lo, hi) -> variance paths producer of a model's block simulator."""
+    return lambda lo, hi: block(model, cfg, lo, hi, price_draws=False)[0]
+
+
+def _ensemble(variances, cfg: SimConfig, n: int, scheme: str) -> PathEnsemble:
+    _check_ensemble_size(cfg, n)
+    rec = cfg.record_indices
+    out = np.empty((cfg.n_paths, rec.size, n))
+    for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
+        out[lo:hi] = variances(lo, hi)[:, rec, :]
+    return PathEnsemble(times=cfg.times[rec], variance_paths=out, scheme=scheme)
+
+
 # Heston paths
 
 
@@ -273,13 +298,7 @@ def simulate_heston(portfolio: HestonPortfolio, cfg: SimConfig) -> PathEnsemble:
     only in determinant evaluation through C.
     """
     scheme = _check_scheme(cfg, "full_truncation_euler")
-    _check_ensemble_size(cfg, portfolio.n)
-    rec = cfg.record_indices
-    out = np.empty((cfg.n_paths, rec.size, portfolio.n))
-    for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
-        v, _ = _heston_block(portfolio, cfg, lo, hi, price_draws=False)
-        out[lo:hi] = v[:, rec, :]
-    return PathEnsemble(times=cfg.times[rec], variance_paths=out, scheme=scheme)
+    return _ensemble(_variances(_heston_block, portfolio, cfg), cfg, portfolio.n, scheme)
 
 
 # BNS paths
@@ -305,6 +324,11 @@ def _draw_jumps(rng: np.random.Generator, spec: GammaOuSpec, lambda_: float, hor
     times = rng.uniform(0.0, horizon, count)
     sizes = rng.exponential(1.0 / spec.b, count)
     return times, sizes
+
+
+def _step_index(t_jump: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """The step [s dt, (s + 1) dt) of each jump time in [0, horizon)."""
+    return np.minimum((t_jump / cfg.dt).astype(int), cfg.n_steps - 1)
 
 
 def _bns_block(
@@ -343,7 +367,7 @@ def _bns_block(
                 continue
             t_jump, sizes = _draw_jumps(rng, spec, lam, horizon)
             if t_jump.size:
-                b = np.minimum((t_jump / dt).astype(int), n_steps - 1)
+                b = _step_index(t_jump, cfg)
                 rows[i].append(np.full(b.size, j))
                 bins[i].append(b)
                 weights[i].append(sizes * np.exp(-lam * ((b + 1) * dt - t_jump)))
@@ -381,13 +405,7 @@ def simulate_bns(p: BnsPortfolioParams, cfg: SimConfig) -> PathEnsemble:
     here; ``jump_marks`` stays empty.
     """
     scheme = _check_scheme(cfg, "exact_ou")
-    _check_ensemble_size(cfg, p.n)
-    rec = cfg.record_indices
-    out = np.empty((cfg.n_paths, rec.size, p.n))
-    for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
-        v, _, _ = _bns_block(p, cfg, lo, hi, price_draws=False)
-        out[lo:hi] = v[:, rec, :]
-    return PathEnsemble(times=cfg.times[rec], variance_paths=out, scheme=scheme)
+    return _ensemble(_variances(_bns_block, p, cfg), cfg, p.n, scheme)
 
 
 # realized generalized variance
@@ -435,20 +453,19 @@ def mc_realized_variance(
     return _summarize(_path_averages(dets, ensemble.times))
 
 
-def _streaming_estimate(block_fn, cfg: SimConfig, threads: int) -> McEstimate:
+def _streaming_estimate(variances, dets, cfg: SimConfig, threads: int) -> McEstimate:
+    """Per-path time averages of dets(variances(lo, hi)), block by block on ``threads`` workers."""
+    if threads < 1:
+        raise InvalidConfig(f"threads must be >= 1, got {threads}")
     avgs = np.empty(cfg.n_paths)
-    spans = list(_blocks(cfg.n_paths, cfg.block_size))
+    times = cfg.times
 
     def run(span):
         lo, hi = span
-        avgs[lo:hi] = block_fn(lo, hi)
+        avgs[lo:hi] = _path_averages(dets(variances(lo, hi)), times)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, spans))
-    else:
-        for span in spans:
-            run(span)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(run, _blocks(cfg.n_paths, cfg.block_size)))
     return _summarize(avgs)
 
 
@@ -462,13 +479,11 @@ def heston_realized_variance_mc(
     result.
     """
     _check_scheme(cfg, "full_truncation_euler")
-    times = cfg.times
-
-    def block_fn(lo, hi):
-        v, _ = _heston_block(portfolio, cfg, lo, hi, price_draws=False)
-        return _path_averages(det_sigma1_values(v, portfolio.corr), times)
-
-    return _streaming_estimate(block_fn, cfg, threads)
+    return _streaming_estimate(
+        _variances(_heston_block, portfolio, cfg),
+        lambda v: det_sigma1_values(v, portfolio.corr),
+        cfg, threads,
+    )
 
 
 def bns_realized_variance_mc(
@@ -478,15 +493,11 @@ def bns_realized_variance_mc(
     _check_scheme(cfg, "exact_ou")
     if p.n != corr.n:
         raise DimensionMismatch(f"{p.n} assets vs {corr.n}x{corr.n} correlation")
-    times = cfg.times
-    rho = p.rho
-
-    def block_fn(lo, hi):
-        v, _, _ = _bns_block(p, cfg, lo, hi, price_draws=False)
-        dets = det_sigma2_values(v, corr, rho, p.lambda_, p.kappa2_star)
-        return _path_averages(dets, times)
-
-    return _streaming_estimate(block_fn, cfg, threads)
+    return _streaming_estimate(
+        _variances(_bns_block, p, cfg),
+        lambda v: det_sigma2_values(v, corr, p.rho, p.lambda_, p.kappa2_star),
+        cfg, threads,
+    )
 
 
 # price paths (data-pipeline plumbing, not used by the pricing oracle)
@@ -500,32 +511,45 @@ def _corr_factor(corr: CorrelationMatrix) -> np.ndarray:
         return vecs * np.sqrt(np.clip(w, 0.0, None))
 
 
+def _price_inputs(n: int, s0, mu, beta):
+    """s0, mu and beta broadcast to one finite value per asset, with s0 > 0."""
+    s0, mu, beta = (np.broadcast_to(np.asarray(x, dtype=float), (n,)) for x in (s0, mu, beta))
+    if not all(np.all(np.isfinite(x)) for x in (s0, mu, beta)):
+        raise ValidationError("s0, mu and beta must be finite")
+    if np.any(s0 <= 0.0):
+        raise ValidationError("initial prices must be > 0")
+    return s0, mu, beta
+
+
+def _log_euler_prices(v, eps, L, s0, mu, beta, dt: float, jumps=None) -> np.ndarray:
+    """s0 exp(x) for the log-Euler paths x driven by variances v and normals eps.
+
+    The increment of step s is (mu + beta v_s - v_s / 2) dt
+    + sqrt(v_s dt) (L eps_s), plus ``jumps[:, s]`` when given.
+    """
+    v_start = v[:, :-1, :]
+    incr = (mu + beta * v_start - 0.5 * v_start) * dt
+    incr += np.sqrt(v_start) * math.sqrt(dt) * (eps @ L.T)
+    if jumps is not None:
+        incr += jumps
+    x = np.zeros_like(v)
+    x[:, 1:] = np.cumsum(incr, axis=1)
+    return s0 * np.exp(x)
+
+
 def simulate_heston_prices(
     portfolio: HestonPortfolio, cfg: SimConfig, s0, mu=0.0
 ) -> PricePaths:
     """Log-Euler price paths with C-correlated return drivers."""
     _check_scheme(cfg, "full_truncation_euler")
     _check_ensemble_size(cfg, 2 * portfolio.n)
-    n = portfolio.n
-    s0 = np.broadcast_to(np.asarray(s0, dtype=float), (n,))
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), (n,))
-    if np.any(s0 <= 0.0):
-        raise ValidationError("initial prices must be > 0")
+    s0, mu, beta = _price_inputs(portfolio.n, s0, mu, 0.0)
     L = _corr_factor(portfolio.corr)
-    dt = cfg.dt
-    sq_dt = math.sqrt(dt)
-
-    prices = np.empty((cfg.n_paths, cfg.n_steps + 1, n))
+    prices = np.empty((cfg.n_paths, cfg.n_steps + 1, portfolio.n))
     variances = np.empty_like(prices)
     for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
         v, eps = _heston_block(portfolio, cfg, lo, hi, price_draws=True)
-        corr_eps = eps @ L.T
-        v_start = v[:, :-1, :]
-        incr = (mu - 0.5 * v_start) * dt + np.sqrt(v_start) * sq_dt * corr_eps
-        x = np.concatenate(
-            [np.zeros((hi - lo, 1, n)), np.cumsum(incr, axis=1)], axis=1
-        )
-        prices[lo:hi] = s0 * np.exp(x)
+        prices[lo:hi] = _log_euler_prices(v, eps, L, s0, mu, beta, cfg.dt)
         variances[lo:hi] = v
     return PricePaths(times=cfg.times, prices=prices, variance_paths=variances)
 
@@ -548,12 +572,7 @@ def simulate_bns_prices(
     _check_ensemble_size(cfg, 2 * p.n)
     if p.n != corr.n:
         raise DimensionMismatch(f"{p.n} assets vs {corr.n}x{corr.n} correlation")
-    n = p.n
-    s0 = np.broadcast_to(np.asarray(s0, dtype=float), (n,))
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), (n,))
-    beta = np.broadcast_to(np.asarray(beta, dtype=float), (n,))
-    if np.any(s0 <= 0.0):
-        raise ValidationError("initial prices must be > 0")
+    s0, mu, beta = _price_inputs(p.n, s0, mu, beta)
     if p.kappa2_star > 0.0:
         if subordinator_star is None:
             raise MissingSubordinatorSpec(
@@ -564,32 +583,20 @@ def simulate_bns_prices(
                 f"subordinator_star has kappa2 = {subordinator_star.kappa2}, "
                 f"portfolio states kappa2_star = {p.kappa2_star}"
             )
-    rho = p.rho
     L = _corr_factor(corr)
-    dt = cfg.dt
-    sq_dt = math.sqrt(dt)
-    n_steps = cfg.n_steps
-
-    prices = np.empty((cfg.n_paths, n_steps + 1, n))
+    prices = np.empty((cfg.n_paths, cfg.n_steps + 1, p.n))
     variances = np.empty_like(prices)
     marks: list[tuple[np.ndarray, np.ndarray]] = []
     for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
         v, eps, star_jumps = _bns_block(
             p, cfg, lo, hi, price_draws=True, star_spec=subordinator_star
         )
-        B = hi - lo
-        corr_eps = eps @ L.T
-        v_start = v[:, :-1, :]
-        incr = (mu + beta * v_start - 0.5 * v_start) * dt
-        incr += np.sqrt(v_start) * sq_dt * corr_eps
-        jump_incr = np.zeros((B, n_steps))
+        star = np.zeros((hi - lo, cfg.n_steps))
         for j, (t_jump, sizes) in enumerate(star_jumps):
-            if t_jump.size:
-                b = np.minimum((t_jump / dt).astype(int), n_steps - 1)
-                np.add.at(jump_incr[j], b, sizes)
-        incr += jump_incr[:, :, np.newaxis] * rho
-        x = np.concatenate([np.zeros((B, 1, n)), np.cumsum(incr, axis=1)], axis=1)
-        prices[lo:hi] = s0 * np.exp(x)
+            np.add.at(star[j], _step_index(t_jump, cfg), sizes)
+        prices[lo:hi] = _log_euler_prices(
+            v, eps, L, s0, mu, beta, cfg.dt, star[:, :, np.newaxis] * p.rho
+        )
         variances[lo:hi] = v
         marks.extend(star_jumps)
     return PricePaths(

@@ -92,10 +92,11 @@ class TestOuMoments:
 
     def test_negative_time_rejected(self):
         a = BnsAssetParams(sigma0_2=0.04, kappa1=0.06, kappa2=0.01)
-        with pytest.raises(NegativeTime):
-            expected_variance_bns(-1.0, a, 1.0)
-        with pytest.raises(NegativeTime):
-            variance_of_variance_bns(-1.0, a, 1.0)
+        for t in (-1.0, math.nan):
+            with pytest.raises(NegativeTime):
+                expected_variance_bns(t, a, 1.0)
+            with pytest.raises(NegativeTime):
+                variance_of_variance_bns(t, a, 1.0)
 
 
 class TestThirdCentralMoment:
@@ -274,8 +275,9 @@ class TestETerms:
             compute_e_terms(1.0, p)
 
     def test_nonpositive_maturity_rejected(self):
-        with pytest.raises(NonPositiveMaturity):
-            compute_e_terms(0.0, make_portfolio())
+        for T in (0.0, math.nan, math.inf):
+            with pytest.raises(NonPositiveMaturity):
+                compute_e_terms(T, make_portfolio())
 
 
 class TestExpectedRealizedVariance:
@@ -341,8 +343,12 @@ class TestExpectedRealizedVariance:
 
     def test_errors(self):
         p = make_portfolio()
-        with pytest.raises(NonPositiveMaturity):
-            expected_realized_variance_bns(0.0, p, CORR)
+        # with and without the integrated cross terms
+        jumps = make_portfolio(rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01)
+        for T in (0.0, math.nan, math.inf, -math.inf, np.array([1.0, math.nan])):
+            for portfolio in (p, jumps):
+                with pytest.raises(NonPositiveMaturity):
+                    expected_realized_variance_bns(T, portfolio, CORR)
         with pytest.raises(DimensionMismatch):
             expected_realized_variance_bns(
                 1.0, p, validate_correlation(np.eye(2))

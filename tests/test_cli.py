@@ -237,9 +237,14 @@ class TestMalformedDocuments:
             ("price", "contract", lambda m: {"k_var": 1e-4, "r": 0.02, "maturity": "1y",
                                             "notional": 1.0}, "1y"),
             ("simulate", "sim", lambda m: {"n_paths": 4, "horizon": 1.0}, "'dt'"),
+            ("simulate", "sim", lambda m: {"n_paths": float("inf"), "dt": 0.25, "horizon": 1.0},
+             "infinity"),
+            ("simulate", "sim", lambda m: {"n_paths": 4, "dt": 0.25, "horizon": 1.0,
+                                          "block_size": 1e400}, "infinity"),
         ],
         ids=["heston-no-correlation", "top-level-array", "bns-no-assets",
-             "contract-no-maturity", "contract-text-maturity", "sim-no-dt"],
+             "contract-no-maturity", "contract-text-maturity", "sim-no-dt",
+             "sim-infinite-paths", "sim-infinite-block"],
     )
     def test_exits_2_naming_file(self, tmp_path, capsys, command, role, content, needle):
         paths = {"model": write_model(tmp_path), "contract": write_contract(tmp_path)}
@@ -304,13 +309,20 @@ class TestSimulate:
         assert lines[0] == "path,time,var_1,var_2,var_3"
         assert len(lines) == 1 + 3 * 5
 
-    def test_bad_sim_config_exits_2(self, tmp_path):
+    def test_bad_sim_config_exits_2(self, tmp_path, capsys):
         model = write_model(tmp_path)
         sim = tmp_path / "sim.json"
-        sim.write_text(json.dumps({"n_paths": 4, "dt": 0.3, "horizon": 1.0}))
-        code = main(["simulate", "--model", str(model), "--sim", str(sim),
-                     "--seed", "7", "--out", str(tmp_path / "out")])
-        assert code == 2
+        good = {"n_paths": 4, "dt": 0.25, "horizon": 1.0}
+        for doc, flags in (
+            ({"n_paths": 4, "dt": 0.3, "horizon": 1.0}, []),
+            ({"n_paths": 4, "dt": 0.25, "horizon": float("inf")}, []),
+            (good, ["--threads", "0"]),
+        ):
+            sim.write_text(json.dumps(doc))
+            code = main(["simulate", "--model", str(model), "--sim", str(sim),
+                         "--seed", "7", "--out", str(tmp_path / "out")] + flags)
+            assert code == 2
+            assert "Traceback" not in capsys.readouterr().err
 
 
 class TestCalibrate:

@@ -175,26 +175,40 @@ class TestVectorizedValues:
 
     def test_det_sigma2_values_matches_scalar(self):
         rng = np.random.default_rng(23)
-        corr = random_correlation(rng)
-        rho = np.array([-0.4, 0.7, -0.1])
-        variances = rng.uniform(0.01, 4.0, (30, 3))
-        out = det_sigma2_values(variances, corr, rho, 2.0, 0.6)
-        for row, value in zip(variances, out):
-            scalar = det_sigma2(InstantaneousVols(np.sqrt(row)), corr, rho, 2.0, 0.6)
-            assert value == pytest.approx(scalar, rel=1e-12)
+        for rho in (
+            [-0.4, 0.7, -0.1],
+            [0.5, -0.8],
+            [0.6, -0.2, -0.3, 0.4],
+            [0.6, 0.0, -0.3, 0.0],
+            [-0.2, 0.4, 0.1, -0.7, 0.3],
+        ):
+            rho = np.array(rho)
+            n = rho.size
+            corr = random_correlation(rng, n=n)
+            variances = rng.uniform(0.01, 4.0, (30, n))
+            out = det_sigma2_values(variances, corr, rho, 2.0, 0.6)
+            for row, value in zip(variances, out):
+                scalar = det_sigma2(InstantaneousVols(np.sqrt(row)), corr, rho, 2.0, 0.6)
+                assert value == pytest.approx(scalar, rel=1e-12)
 
     def test_continuous_at_zero_variance(self):
         # floored simulator paths hit v_i = 0; the polynomial form must agree
         # with the determinant of the assembled matrix there
         rng = np.random.default_rng(29)
-        corr = random_correlation(rng)
-        rho = np.array([0.5, -0.3, 0.2])
-        v = np.array([[0.0, 0.8, 1.2], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        out = det_sigma2_values(v, corr, rho, 1.5, 0.7)
-        for row, value in zip(v, out):
-            s = np.sqrt(row)
-            matrix = np.outer(s, s) * corr.c + 1.5 * 0.7 * np.outer(rho, rho)
-            assert value == pytest.approx(laplace_det(matrix), abs=1e-12)
+        cases = [
+            (np.array([0.5, -0.3, 0.2]),
+             np.array([[0.0, 0.8, 1.2], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])),
+            (np.array([0.5, -0.3, 0.2, -0.6]),
+             np.array([[0.0, 0.8, 1.2, 0.3], [0.5, 0.0, 0.9, 0.0], [0.7, 0.4, 1.1, 0.0],
+                       [0.0, 0.0, 0.0, 0.6], [0.0, 0.0, 0.0, 0.0]])),
+        ]
+        for rho, v in cases:
+            corr = random_correlation(rng, n=rho.size)
+            out = det_sigma2_values(v, corr, rho, 1.5, 0.7)
+            for row, value in zip(v, out):
+                s = np.sqrt(row)
+                matrix = np.outer(s, s) * corr.c + 1.5 * 0.7 * np.outer(rho, rho)
+                assert value == pytest.approx(laplace_det(matrix), abs=1e-12)
 
     def test_zero_jump_shortcut(self):
         rng = np.random.default_rng(31)

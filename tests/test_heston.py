@@ -77,8 +77,9 @@ class TestExpectedVariance:
 
     def test_negative_time_rejected(self):
         p = HestonAssetParams(k=2.0, theta2=0.09, sigma0_2=0.04, gamma=0.3)
-        with pytest.raises(NegativeTime):
-            expected_variance(-0.1, p)
+        for t in (-0.1, math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(NegativeTime):
+                expected_variance(t, p)
 
 
 class TestExpectedProduct:
@@ -174,10 +175,13 @@ class TestExpectedRealizedVariance:
 
     def test_nonpositive_maturity_rejected(self):
         pf = make_portfolio()
+        for T in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(NonPositiveMaturity):
+                expected_realized_variance(T, pf)
+            with pytest.raises(NonPositiveMaturity):
+                expected_realized_variance_quad(T, pf)
         with pytest.raises(NonPositiveMaturity):
-            expected_realized_variance(0.0, pf)
-        with pytest.raises(NonPositiveMaturity):
-            expected_realized_variance_quad(-1.0, pf)
+            expected_realized_variance(np.array([1.0, math.inf]), pf)
 
 
 class TestPortfolioType:

@@ -36,7 +36,12 @@ from genvarswap.montecarlo import (
     simulate_heston_prices,
 )
 
-CORR = validate_correlation(np.full((3, 3), 0.3) + 0.7 * np.eye(3))
+
+def equicorrelated(n):
+    return validate_correlation(np.full((n, n), 0.3) + 0.7 * np.eye(n))
+
+
+CORR = equicorrelated(3)
 
 # gamma this small leaves the diffusion term below one ulp of the variance
 # state, so paths follow the Euler-discretized mean ODE exactly
@@ -91,6 +96,10 @@ class TestSimConfig:
             dict(record_times=(0.5, 0.25)),
             dict(record_times=(0.13,)),
             dict(record_times=(1.5,)),
+            dict(horizon=math.inf),
+            dict(dt=math.inf, horizon=math.inf),
+            dict(horizon=math.nan),
+            dict(dt=math.nan),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -300,24 +309,43 @@ class TestStreamingEstimators:
     def test_bns_streaming_equals_ensemble_route(self):
         p = bns_portfolio(rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01)
         cfg = SimConfig(n_paths=400, dt=0.01, horizon=1.0, seed=37, block_size=50)
-        streaming = bns_realized_variance_mc(p, CORR, cfg, threads=2)
-        ensemble = mc_realized_variance(
-            simulate_bns(p, cfg), CORR, rho=p.rho, lambda_=p.lambda_,
-            kappa2_star=p.kappa2_star,
+        p2 = bns_portfolio(
+            kappa1s=(0.05, 0.07), kappa2s=(0.004, 0.006), rhos=(-0.3, -0.5),
+            kappa2_star=0.01, sigma0_2s=(0.04, 0.06),
         )
-        assert streaming.mean == ensemble.mean
-        assert streaming.std_error == ensemble.std_error
+        p4 = bns_portfolio(
+            kappa1s=(0.05, 0.07, 0.06, 0.04), kappa2s=(0.004, 0.006, 0.005, 0.003),
+            rhos=(-0.3, -0.2, 0.0, -0.4), kappa2_star=0.01,
+            sigma0_2s=(0.04, 0.06, 0.05, 0.03),
+        )
+        for p, corr in ((p, CORR), (p2, equicorrelated(2)), (p4, equicorrelated(4))):
+            streaming = bns_realized_variance_mc(p, corr, cfg, threads=2)
+            ensemble = mc_realized_variance(
+                simulate_bns(p, cfg), corr, rho=p.rho, lambda_=p.lambda_,
+                kappa2_star=p.kappa2_star,
+            )
+            assert streaming.mean == ensemble.mean
+            assert streaming.std_error == ensemble.std_error
+
+    def test_thread_count_below_one_rejected(self):
+        cfg = SimConfig(n_paths=4, dt=0.25, horizon=1.0, seed=1)
+        for threads in (0, -1):
+            with pytest.raises(InvalidConfig):
+                heston_realized_variance_mc(heston_portfolio(), cfg, threads=threads)
+            with pytest.raises(InvalidConfig):
+                bns_realized_variance_mc(bns_portfolio(), CORR, cfg, threads=threads)
 
 
 class TestPricePaths:
     def test_heston_price_paths_share_variance_draws(self):
-        pf = heston_portfolio()
+        pf2 = HestonPortfolio(assets=heston_portfolio().assets[:2], corr=equicorrelated(2))
         cfg = SimConfig(n_paths=30, dt=0.01, horizon=0.5, seed=41)
-        pp = simulate_heston_prices(pf, cfg, s0=(100.0, 50.0, 200.0), mu=0.05)
-        ensemble = simulate_heston(pf, cfg)
-        np.testing.assert_array_equal(pp.variance_paths, ensemble.variance_paths)
-        assert np.all(pp.prices > 0.0)
-        assert np.all(pp.prices[:, 0, :] == np.array([100.0, 50.0, 200.0]))
+        for pf, s0 in ((heston_portfolio(), (100.0, 50.0, 200.0)), (pf2, (100.0, 50.0))):
+            pp = simulate_heston_prices(pf, cfg, s0=s0, mu=0.05)
+            ensemble = simulate_heston(pf, cfg)
+            np.testing.assert_array_equal(pp.variance_paths, ensemble.variance_paths)
+            assert np.all(pp.prices > 0.0)
+            assert np.all(pp.prices[:, 0, :] == np.array(s0))
 
     def test_heston_price_drift(self):
         pf = heston_portfolio(sigma0_2s=(0.09, 0.05, 0.07))
@@ -331,13 +359,18 @@ class TestPricePaths:
 
     def test_bns_price_paths_share_variance_draws(self):
         p = bns_portfolio(rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01)
+        p2 = bns_portfolio(
+            kappa1s=(0.05, 0.07), kappa2s=(0.004, 0.006), rhos=(-0.3, -0.2),
+            kappa2_star=0.01, sigma0_2s=(0.04, 0.06),
+        )
         star = GammaOuSpec.from_cumulants(0.05, 0.01)
         cfg = SimConfig(n_paths=25, dt=0.01, horizon=0.5, seed=47)
-        pp = simulate_bns_prices(p, CORR, cfg, s0=100.0, subordinator_star=star)
-        ensemble = simulate_bns(p, cfg)
-        np.testing.assert_array_equal(pp.variance_paths, ensemble.variance_paths)
-        assert len(pp.jump_marks) == cfg.n_paths
-        assert any(times.size for times, _ in pp.jump_marks)
+        for p, corr in ((p, CORR), (p2, equicorrelated(2))):
+            pp = simulate_bns_prices(p, corr, cfg, s0=100.0, subordinator_star=star)
+            ensemble = simulate_bns(p, cfg)
+            np.testing.assert_array_equal(pp.variance_paths, ensemble.variance_paths)
+            assert len(pp.jump_marks) == cfg.n_paths
+            assert any(times.size for times, _ in pp.jump_marks)
 
     def test_bns_star_spec_required_when_kappa2_star_positive(self):
         p = bns_portfolio(rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01)
@@ -357,6 +390,11 @@ class TestPricePaths:
         cfg = SimConfig(n_paths=2, dt=0.25, horizon=1.0, seed=1)
         with pytest.raises(ValidationError):
             simulate_heston_prices(pf, cfg, s0=(100.0, 0.0, 50.0))
+        for bad in (dict(s0=math.nan), dict(s0=100.0, mu=math.inf)):
+            with pytest.raises(ValidationError):
+                simulate_heston_prices(pf, cfg, **bad)
+        with pytest.raises(ValidationError):
+            simulate_bns_prices(bns_portfolio(), CORR, cfg, s0=100.0, beta=math.nan)
 
 
 class TestContainers:
