@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import (
     BnsAssetParams,
@@ -276,7 +275,11 @@ def _from_internal(z: float, lo: float, hi: float) -> float:
         return lo + math.exp(z)
     if not math.isfinite(lo):
         return hi - math.exp(z)
-    return lo + (hi - lo) * float(expit(z))
+    try:
+        u = 1.0 / (1.0 + math.exp(-z))  # the logistic function, as scipy's expit
+    except OverflowError:  # z < -709.78: e^-z overflows, the logistic value underflows to 0
+        u = 0.0
+    return lo + (hi - lo) * u
 
 
 def fit(problem: CalibrationProblem) -> CalibrationResult:

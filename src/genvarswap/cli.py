@@ -63,7 +63,9 @@ from .marketdata import (
     summary_stats,
     summary_to_csv,
 )
-from .montecarlo import (
+# simulate_heston and simulate_bns stay bound here: perfbench/tracing.py wraps
+# them (and ensemble_to_csv) at these names.
+from .montecarlo import (  # noqa: F401
     SimConfig,
     bns_realized_variance_mc,
     ensemble_to_csv,
@@ -286,20 +288,22 @@ def cmd_simulate(args) -> int:
             record_times=tuple(record) if record is not None else None,
             block_size=int(sim_doc.get("block_size", 4096)),
         )
+    # one pass gives the estimate and, with --paths-csv, the recorded ensemble
     if kind == "heston":
-        estimate = heston_realized_variance_mc(model, cfg, threads=args.threads)
+        result = heston_realized_variance_mc(
+            model, cfg, threads=args.threads, return_ensemble=args.paths_csv
+        )
     else:
         portfolio, corr = model
-        estimate = bns_realized_variance_mc(portfolio, corr, cfg, threads=args.threads)
+        result = bns_realized_variance_mc(
+            portfolio, corr, cfg, threads=args.threads, return_ensemble=args.paths_csv
+        )
+    estimate, ensemble = result if args.paths_csv else (result, None)
 
     with open(os.path.join(out, "mc_estimate.json"), "w") as fh:
         json.dump(estimate.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if args.paths_csv:
-        if kind == "heston":
-            ensemble = simulate_heston(model, cfg)
-        else:
-            ensemble = simulate_bns(model[0], cfg)
+    if ensemble is not None:
         ensemble_to_csv(ensemble, os.path.join(out, "paths.csv"))
     RunManifest.build(
         "simulate", {"model": args.model, "sim": args.sim}, seed=args.seed

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import CorrelationMatrix, HestonAssetParams, SwapContract
 from .errors import (
@@ -155,6 +154,8 @@ def expected_realized_variance_quad(
     by T. Shares no code with the closed form, which it agrees with to the
     quadrature tolerance.
     """
+    from scipy.integrate import quad  # a test oracle: keep scipy off the import path
+
     T = float(_check_maturity(T))
 
     def integrand(t: float) -> float:

@@ -19,7 +19,6 @@ import datetime
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .core import CorrelationMatrix, validate_correlation
 from .errors import (
@@ -234,6 +233,25 @@ def estimate_correlation(returns: np.ndarray) -> CorrelationMatrix:
     return validate_correlation(c)
 
 
+def _excess_kurtosis(col: np.ndarray) -> float:
+    """Bias-corrected sample excess kurtosis G2 of one column.
+
+    G2 = (m^2 - 1) m4 / m2^2 - 3 (m - 1)^2, over (m - 2)(m - 3), with m2 and
+    m4 the central moments about the mean: scipy's
+    ``stats.kurtosis(fisher=True, bias=False)`` in its order of operations,
+    NaN where m2 is below rounding of the mean, as there.
+    """
+    m = col.size
+    mean = np.mean(col)
+    sq = (col - mean) ** 2
+    m2 = np.mean(sq)
+    m4 = np.mean(sq**2)
+    if m2 <= (np.finfo(float).eps * mean) ** 2:
+        return float("nan")
+    g2 = 1.0 / (m - 2) / (m - 3) * ((m**2 - 1.0) * m4 / m2**2.0 - 3 * (m - 1) ** 2.0)
+    return float(g2 + 3.0 - 3)  # scipy's Pearson-then-Fisher round trip, digit for digit
+
+
 def summary_stats(matrix: np.ndarray, tickers=None) -> tuple[AssetSummary, ...]:
     """Sample mean, unbiased variance and excess kurtosis per column.
 
@@ -268,7 +286,7 @@ def summary_stats(matrix: np.ndarray, tickers=None) -> tuple[AssetSummary, ...]:
                 )
             )
             continue
-        kurt = float(stats.kurtosis(col, fisher=True, bias=False))
+        kurt = _excess_kurtosis(col)
         out.append(
             AssetSummary(
                 ticker=str(tickers[i]), mean=mean, variance=variance, excess_kurtosis=kurt

@@ -14,18 +14,27 @@ discretization bias. Only variance paths enter the realized generalized
 variance |Sigma|; asset price paths are provided separately for end-to-end
 data-pipeline runs.
 
-One block pipeline serves all three routes. Each model has one block
-simulator, the only code that draws per-path randomness, which returns the
-variance paths of paths [lo, hi). The ensemble route stores them, the
-streaming route reduces them to per-path time averages of |Sigma| block by
-block, and the price route runs one log-Euler kernel over them.
+One time-major pass serves all three routes. Each model has one path
+kernel, which walks the grid of a block of paths in chunks of ``_CHUNK``
+steps and yields (rows, paths, assets) variance planes, stored asset-major:
+the initial row, then one plane per chunk. Heston draws each chunk's normals
+from the block's live per-path generators; BNS draws every path's jumps up
+front and bins the arrivals of one chunk at a time. One walker consumes the
+planes: it copies out the recorded rows and, for the streaming route,
+evaluates |Sigma| on each plane and adds it to the per-path trapezoidal time
+average. So a block holds O(block_size * _CHUNK * n_assets) floats plus its
+jumps, whatever the number of steps, and the streaming estimators can hand
+back the recorded ensemble of the same pass. The ensemble route records
+``record_times``, the price route records every row and then draws the
+return randomness.
 
 Reproducibility: every path owns a counter-based RNG stream keyed by
 (seed, path index), so ensembles are identical under any block size, thread
 count, or execution order. Per path the draw layout is fixed:
 
 * Heston variance paths consume n_steps * n_assets standard normals,
-  step-major.
+  step-major, drawn one step chunk at a time; the chunking leaves each
+  path's sequence as one draw of all of them would make it.
 * Heston price paths consume the variance normals first, then another
   n_steps * n_assets return normals.
 * BNS variance paths consume, per asset in portfolio order: one Poisson
@@ -35,14 +44,16 @@ count, or execution order. Per path the draw layout is fixed:
 * BNS price paths consume the variance draws, then n_steps * n_assets
   return normals, then the common jump Z* (count, times, sizes).
 
-Aggregation is a deterministic pairwise reduction over the per-path
-averages, so results are schedule-independent.
+Per path, the time average adds its rows one at a time in grid order, and
+the aggregation is a deterministic pairwise reduction over the per-path
+averages, so results are independent of schedule, block size and chunking.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+import numbers
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -79,6 +90,21 @@ _SCHEMES = ("auto", "full_truncation_euler", "exact_ou")
 # should thin via record_times or use the streaming estimators.
 _MAX_ENSEMBLE_ENTRIES = 2**28
 
+# Steps per time-major chunk of the path kernels.
+_CHUNK = 256
+
+
+def _whole_number(name: str, value) -> int:
+    """``value`` as an int; a bool, a non-integral or a non-finite number is an InvalidConfig."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        if not float(value).is_integer():
+            raise InvalidConfig(f"{name} must be an integer, got {value!r}") from None
+        return int(value)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -99,13 +125,15 @@ class SimConfig:
     block_size: int = 4096
 
     def __post_init__(self):
+        for name in ("n_paths", "seed", "block_size"):
+            object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
         if self.n_paths < 1:
             raise InvalidConfig(f"n_paths must be >= 1, got {self.n_paths}")
         if not (0.0 < self.dt <= self.horizon < math.inf):
             raise InvalidConfig(
                 f"need 0 < dt <= horizon < inf, got dt={self.dt}, horizon={self.horizon}"
             )
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise InvalidConfig("seed must fit in an unsigned 64-bit integer")
         if self.scheme not in _SCHEMES:
             raise InvalidConfig(f"unknown scheme {self.scheme!r}, expected one of {_SCHEMES}")
@@ -214,9 +242,19 @@ def _path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _rngs(cfg: SimConfig, lo: int, hi: int) -> list[np.random.Generator]:
+    """The live generators of paths [lo, hi)."""
+    return [_path_rng(cfg.seed, j) for j in range(lo, hi)]
+
+
 def _blocks(n_paths: int, block_size: int):
     for lo in range(0, n_paths, block_size):
         yield lo, min(lo + block_size, n_paths)
+
+
+def _chunks(n_steps: int):
+    for s0 in range(0, n_steps, _CHUNK):
+        yield s0, min(s0 + _CHUNK, n_steps)
 
 
 def _check_scheme(cfg: SimConfig, allowed: str) -> str:
@@ -234,61 +272,143 @@ def _check_ensemble_size(cfg: SimConfig, n_assets: int) -> None:
         )
 
 
-# block pipeline: every route walks the paths in blocks of variance paths
+# the time-major pass: every route walks a block's variance planes once
 
 
-def _variances(block, model, cfg: SimConfig):
-    """The (lo, hi) -> variance paths producer of a model's block simulator."""
-    return lambda lo, hi: block(model, cfg, lo, hi, price_draws=False)[0]
+def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
+    """Per-row weights of the trapezoidal rule on ``times`` (not yet divided by its span)."""
+    half = np.diff(times) / 2.0
+    weights = np.zeros(times.size)
+    weights[:-1] += half
+    weights[1:] += half
+    return weights
 
 
-def _ensemble(variances, cfg: SimConfig, n: int, scheme: str) -> PathEnsemble:
-    _check_ensemble_size(cfg, n)
-    rec = cfg.record_indices
-    out = np.empty((cfg.n_paths, rec.size, n))
-    for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
-        out[lo:hi] = variances(lo, hi)[:, rec, :]
-    return PathEnsemble(times=cfg.times[rec], variance_paths=out, scheme=scheme)
+def _accumulate(total: np.ndarray, dets: np.ndarray, weights: np.ndarray) -> None:
+    """total += weights[g] * dets[g] for each row g, one row at a time in grid order.
+
+    The one time-average accumulator of the streaming and ensemble routes.
+    Each path's additions come in the same order however the rows are split
+    into chunks or the paths into blocks, so both routes agree bit for bit.
+    """
+    for w, row in zip(weights, dets):
+        total += w * row
+
+
+def _walk(planes, paths: int, n: int, rows: np.ndarray, weights=None, dets=None):
+    """One pass over a block's time-major variance planes, in grid order.
+
+    Returns the grid rows ``rows`` (sorted) path-major, shape
+    (paths, rows.size, n), and the per-path sums of weights[g] times
+    ``dets`` of row g, which are zero without ``dets``.
+    """
+    recorded = np.empty((paths, rows.size, n))
+    total = np.zeros(paths)
+    g0 = 0
+    for plane in planes:
+        g1 = g0 + len(plane)
+        i0, i1 = np.searchsorted(rows, (g0, g1))
+        recorded[:, i0:i1] = plane[rows[i0:i1] - g0].transpose(1, 0, 2)
+        if dets is not None:
+            _accumulate(total, dets(plane), weights[g0:g1])
+        g0 = g1
+    return recorded, total
+
+
+def _run(planes, cfg: SimConfig, n: int, scheme: str, dets=None, threads: int = 1,
+         record: bool = True):
+    """Every block of paths through the path kernel ``planes(rngs)`` on ``threads`` workers.
+
+    Returns the ensemble of the rows of ``record_times`` (None unless
+    ``record``) and per path the trapezoidal time average of ``dets`` along
+    the full grid (zeros without ``dets``).
+    """
+    if threads < 1:
+        raise InvalidConfig(f"threads must be >= 1, got {threads}")
+    if record:
+        _check_ensemble_size(cfg, n)
+    rows = cfg.record_indices if record else np.empty(0, dtype=int)
+    times = cfg.times
+    weights = _trapezoid_weights(times)
+    recorded = np.empty((cfg.n_paths, rows.size, n))
+    averages = np.empty(cfg.n_paths)
+
+    def run(span):
+        lo, hi = span
+        recorded[lo:hi], total = _walk(
+            planes(_rngs(cfg, lo, hi)), hi - lo, n, rows, weights, dets
+        )
+        averages[lo:hi] = total / (times[-1] - times[0])
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(run, _blocks(cfg.n_paths, cfg.block_size)))
+    if not record:
+        return None, averages
+    return PathEnsemble(times=times[rows], variance_paths=recorded, scheme=scheme), averages
+
+
+def _paths_last(plane: np.ndarray) -> np.ndarray:
+    """A (rows, paths, assets) view of a plane stored (rows, assets, paths).
+
+    The path kernels store planes asset-major, so per-asset parameters
+    broadcast along the contiguous path axis; the determinant kernels and
+    the walker read them as (rows, paths, assets).
+    """
+    return plane.transpose(0, 2, 1)
+
+
+def _return_normals(rngs, cfg: SimConfig, n: int) -> np.ndarray:
+    """Each path's n_steps * n return normals, step-major, after its variance draws."""
+    eps = np.empty((len(rngs), cfg.n_steps, n))
+    for j, rng in enumerate(rngs):
+        rng.standard_normal(out=eps[j])
+    return eps
 
 
 # Heston paths
 
 
-def _heston_block(
-    portfolio: HestonPortfolio, cfg: SimConfig, lo: int, hi: int, price_draws: bool
-):
-    """Full-truncation Euler variance paths for paths [lo, hi).
+def _heston_planes(portfolio: HestonPortfolio, cfg: SimConfig, rngs):
+    """Full-truncation Euler variance planes of the paths of ``rngs``.
 
-    Returns (variances, return_normals); the reported variance is the floored
-    value while the raw state carries the excursion, and the return normals
-    are drawn (after the variance normals) only when requested.
+    The recorded variance is the floored value while the raw state carries
+    the excursion.
     """
     n = portfolio.n
-    n_steps = cfg.n_steps
-    B = hi - lo
-    k = np.array([a.k for a in portfolio.assets])
-    theta2 = np.array([a.theta2 for a in portfolio.assets])
-    sigma0_2 = np.array([a.sigma0_2 for a in portfolio.assets])
-    gamma = np.array([a.gamma for a in portfolio.assets])
-
-    z = np.empty((B, n_steps, n))
-    eps = np.empty((B, n_steps, n)) if price_draws else None
-    for j in range(B):
-        rng = _path_rng(cfg.seed, lo + j)
-        z[j] = rng.standard_normal(n_steps * n).reshape(n_steps, n)
-        if price_draws:
-            eps[j] = rng.standard_normal(n_steps * n).reshape(n_steps, n)
-
+    B = len(rngs)
+    k, theta2, sigma0_2, gamma = (
+        np.array([[getattr(a, name)] for a in portfolio.assets])
+        for name in ("k", "theta2", "sigma0_2", "gamma")
+    )
     dt = cfg.dt
     sq_dt = math.sqrt(dt)
-    v = np.empty((B, n_steps + 1, n))
-    v[:, 0, :] = sigma0_2
-    state = np.broadcast_to(sigma0_2, (B, n)).copy()
-    for s in range(n_steps):
-        floored = np.maximum(state, 0.0)
-        state = state + k * (theta2 - floored) * dt + gamma * np.sqrt(floored) * sq_dt * z[:, s, :]
-        v[:, s + 1, :] = np.maximum(state, 0.0)
-    return v, eps
+
+    state = np.repeat(sigma0_2, B, axis=1)
+    yield _paths_last(state[np.newaxis].copy())
+    floored = np.maximum(state, 0.0)
+    drawn = np.empty((B, _CHUNK * n))
+    drift = np.empty((n, B))
+    shock = np.empty((n, B))
+    for s0, s1 in _chunks(cfg.n_steps):
+        c = s1 - s0
+        for j, rng in enumerate(rngs):
+            rng.standard_normal(out=drawn[j, : c * n])
+        z = drawn[:, : c * n].reshape(B, c, n).transpose(1, 2, 0).copy()
+        plane = np.empty((c, n, B))
+        for s in range(c):
+            # state += k (theta2 - floored) dt + gamma sqrt(floored) sqrt(dt) z in place,
+            # one operation at a time in the order of that expression
+            np.subtract(theta2, floored, out=drift)
+            drift *= k
+            drift *= dt
+            np.sqrt(floored, out=shock)
+            shock *= gamma
+            shock *= sq_dt
+            shock *= z[s]
+            state += drift
+            state += shock
+            floored = np.maximum(state, 0.0, out=plane[s])
+        yield _paths_last(plane)
 
 
 def simulate_heston(portfolio: HestonPortfolio, cfg: SimConfig) -> PathEnsemble:
@@ -298,7 +418,7 @@ def simulate_heston(portfolio: HestonPortfolio, cfg: SimConfig) -> PathEnsemble:
     only in determinant evaluation through C.
     """
     scheme = _check_scheme(cfg, "full_truncation_euler")
-    return _ensemble(_variances(_heston_block, portfolio, cfg), cfg, portfolio.n, scheme)
+    return _run(lambda rngs: _heston_planes(portfolio, cfg, rngs), cfg, portfolio.n, scheme)[0]
 
 
 # BNS paths
@@ -331,71 +451,56 @@ def _step_index(t_jump: np.ndarray, cfg: SimConfig) -> np.ndarray:
     return np.minimum((t_jump / cfg.dt).astype(int), cfg.n_steps - 1)
 
 
-def _bns_block(
-    p: BnsPortfolioParams,
-    cfg: SimConfig,
-    lo: int,
-    hi: int,
-    price_draws: bool,
-    star_spec: GammaOuSpec | None = None,
-):
-    """Exact OU variance paths for paths [lo, hi).
+def _bns_planes(p: BnsPortfolioParams, cfg: SimConfig, rngs):
+    """Exact OU variance planes of the paths of ``rngs``.
 
-    Returns (variances, return_normals, star_jumps); the latter two are only
-    drawn when requested, keeping variance paths identical between the
-    variance-only and price simulators.
+    Every path's jumps are drawn first. Each jump is keyed by its cell
+    (step, asset, path) of the stored planes and the keys sorted stably, so
+    a chunk's arrivals are one slice, and jumps sharing a cell add up in
+    draw order.
     """
     n = p.n
-    n_steps = cfg.n_steps
-    B = hi - lo
+    B = len(rngs)
     lam = p.lambda_
     dt = cfg.dt
     decay = math.exp(-lam * dt)
-    horizon = n_steps * dt
+    horizon = cfg.n_steps * dt
     specs = [_resolve_subordinator(a) for a in p.assets]
+    # deterministic subordinator: integral of e^{-lam(t+dt-s)} kappa1 lam ds per step
+    drift = np.array([
+        [a.kappa1 * (1.0 - decay) if spec is None and a.kappa1 > 0.0 else 0.0]
+        for a, spec in zip(p.assets, specs)
+    ])
 
-    rows: list[list[np.ndarray]] = [[] for _ in range(n)]
-    bins: list[list[np.ndarray]] = [[] for _ in range(n)]
-    weights: list[list[np.ndarray]] = [[] for _ in range(n)]
-    eps = np.empty((B, n_steps, n)) if price_draws else None
-    star_jumps: list[tuple[np.ndarray, np.ndarray]] | None = [] if price_draws else None
-
-    for j in range(B):
-        rng = _path_rng(cfg.seed, lo + j)
+    owners, counts, t_jump, sizes = [], [], [np.empty(0)], [np.empty(0)]
+    for j, rng in enumerate(rngs):
         for i, spec in enumerate(specs):
-            if spec is None:
-                continue
-            t_jump, sizes = _draw_jumps(rng, spec, lam, horizon)
-            if t_jump.size:
-                b = _step_index(t_jump, cfg)
-                rows[i].append(np.full(b.size, j))
-                bins[i].append(b)
-                weights[i].append(sizes * np.exp(-lam * ((b + 1) * dt - t_jump)))
-        if price_draws:
-            eps[j] = rng.standard_normal(n_steps * n).reshape(n_steps, n)
-            if star_spec is not None:
-                star_jumps.append(_draw_jumps(rng, star_spec, lam, horizon))
-            else:
-                star_jumps.append((np.empty(0), np.empty(0)))
+            if spec is not None:
+                times, jumps = _draw_jumps(rng, spec, lam, horizon)
+                owners.append(i * B + j)
+                counts.append(times.size)
+                t_jump.append(times)
+                sizes.append(jumps)
+    t_jump = np.concatenate(t_jump)
+    steps = _step_index(t_jump, cfg)
+    cells = steps * (n * B) + np.repeat(np.array(owners, dtype=int), counts)
+    order = np.argsort(cells, kind="stable")
+    cells = cells[order]
+    weights = (np.concatenate(sizes) * np.exp(-lam * ((steps + 1) * dt - t_jump)))[order]
 
-    v = np.empty((B, n_steps + 1, n))
-    for i, asset in enumerate(p.assets):
-        arrivals = np.zeros((B, n_steps))
-        if rows[i]:
-            np.add.at(
-                arrivals,
-                (np.concatenate(rows[i]), np.concatenate(bins[i])),
-                np.concatenate(weights[i]),
-            )
-        if specs[i] is None and asset.kappa1 > 0.0:
-            # deterministic subordinator: integral of e^{-lam(t+dt-s)} kappa1 lam ds
-            arrivals += asset.kappa1 * (1.0 - decay)
-        col = np.empty((B, n_steps + 1))
-        col[:, 0] = asset.sigma0_2
-        for s in range(n_steps):
-            col[:, s + 1] = decay * col[:, s] + arrivals[:, s]
-        v[:, :, i] = col
-    return v, eps, star_jumps
+    state = np.repeat([[a.sigma0_2] for a in p.assets], B, axis=1)
+    yield _paths_last(state[np.newaxis].copy())
+    for s0, s1 in _chunks(cfg.n_steps):
+        first = s0 * n * B
+        lo, hi = np.searchsorted(cells, (first, s1 * n * B))
+        plane = np.zeros((s1 - s0, n, B))
+        np.add.at(plane.reshape(-1), cells[lo:hi] - first, weights[lo:hi])
+        if drift.any():
+            plane += drift
+        for s in range(s1 - s0):
+            plane[s] += decay * state
+            state = plane[s]
+        yield _paths_last(plane)
 
 
 def simulate_bns(p: BnsPortfolioParams, cfg: SimConfig) -> PathEnsemble:
@@ -405,14 +510,10 @@ def simulate_bns(p: BnsPortfolioParams, cfg: SimConfig) -> PathEnsemble:
     here; ``jump_marks`` stays empty.
     """
     scheme = _check_scheme(cfg, "exact_ou")
-    return _ensemble(_variances(_bns_block, p, cfg), cfg, p.n, scheme)
+    return _run(lambda rngs: _bns_planes(p, cfg, rngs), cfg, p.n, scheme)[0]
 
 
 # realized generalized variance
-
-
-def _path_averages(dets: np.ndarray, times: np.ndarray) -> np.ndarray:
-    return np.trapezoid(dets, times, axis=1) / (times[-1] - times[0])
 
 
 def _summarize(avgs: np.ndarray) -> McEstimate:
@@ -441,7 +542,8 @@ def mc_realized_variance(
         raise DimensionMismatch(
             f"ensemble has {ensemble.n_assets} assets, correlation has {corr.n}"
         )
-    if ensemble.times.size < 2:
+    times = ensemble.times
+    if times.size < 2:
         raise ValidationError("need at least two recorded times to integrate")
     jump_args = (rho is not None, lambda_ is not None, kappa2_star is not None)
     if any(jump_args) and not all(jump_args):
@@ -450,53 +552,57 @@ def mc_realized_variance(
         dets = det_sigma2_values(ensemble.variance_paths, corr, rho, lambda_, kappa2_star)
     else:
         dets = det_sigma1_values(ensemble.variance_paths, corr)
-    return _summarize(_path_averages(dets, ensemble.times))
+    total = np.zeros(ensemble.n_paths)
+    _accumulate(total, dets.T, _trapezoid_weights(times))
+    return _summarize(total / (times[-1] - times[0]))
 
 
-def _streaming_estimate(variances, dets, cfg: SimConfig, threads: int) -> McEstimate:
-    """Per-path time averages of dets(variances(lo, hi)), block by block on ``threads`` workers."""
-    if threads < 1:
-        raise InvalidConfig(f"threads must be >= 1, got {threads}")
-    avgs = np.empty(cfg.n_paths)
-    times = cfg.times
-
-    def run(span):
-        lo, hi = span
-        avgs[lo:hi] = _path_averages(dets(variances(lo, hi)), times)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, _blocks(cfg.n_paths, cfg.block_size)))
-    return _summarize(avgs)
+def _streaming_estimate(planes, dets, cfg: SimConfig, n: int, scheme: str, threads: int,
+                        return_ensemble: bool):
+    ensemble, averages = _run(planes, cfg, n, scheme, dets, threads, record=return_ensemble)
+    estimate = _summarize(averages)
+    return (estimate, ensemble) if return_ensemble else estimate
 
 
 def heston_realized_variance_mc(
-    portfolio: HestonPortfolio, cfg: SimConfig, threads: int = 1
-) -> McEstimate:
+    portfolio: HestonPortfolio, cfg: SimConfig, threads: int = 1, *, return_ensemble: bool = False
+):
     """Streaming Heston estimate on the full step grid.
 
     Identical path-for-path to ``mc_realized_variance(simulate_heston(...))``
     without materializing the ensemble; thread count does not affect the
-    result.
+    result. With ``return_ensemble``, returns (estimate, ensemble), the
+    ensemble being ``simulate_heston(portfolio, cfg)`` recorded in the same
+    pass.
     """
-    _check_scheme(cfg, "full_truncation_euler")
+    scheme = _check_scheme(cfg, "full_truncation_euler")
     return _streaming_estimate(
-        _variances(_heston_block, portfolio, cfg),
+        lambda rngs: _heston_planes(portfolio, cfg, rngs),
         lambda v: det_sigma1_values(v, portfolio.corr),
-        cfg, threads,
+        cfg, portfolio.n, scheme, threads, return_ensemble,
     )
 
 
 def bns_realized_variance_mc(
-    p: BnsPortfolioParams, corr: CorrelationMatrix, cfg: SimConfig, threads: int = 1
-) -> McEstimate:
-    """Streaming BNS estimate of the |Sigma_2| time average on the full grid."""
-    _check_scheme(cfg, "exact_ou")
+    p: BnsPortfolioParams,
+    corr: CorrelationMatrix,
+    cfg: SimConfig,
+    threads: int = 1,
+    *,
+    return_ensemble: bool = False,
+):
+    """Streaming BNS estimate of the |Sigma_2| time average on the full grid.
+
+    With ``return_ensemble``, returns (estimate, ensemble), the ensemble
+    being ``simulate_bns(p, cfg)`` recorded in the same pass.
+    """
+    scheme = _check_scheme(cfg, "exact_ou")
     if p.n != corr.n:
         raise DimensionMismatch(f"{p.n} assets vs {corr.n}x{corr.n} correlation")
     return _streaming_estimate(
-        _variances(_bns_block, p, cfg),
+        lambda rngs: _bns_planes(p, cfg, rngs),
         lambda v: det_sigma2_values(v, corr, p.rho, p.lambda_, p.kappa2_star),
-        cfg, threads,
+        cfg, p.n, scheme, threads, return_ensemble,
     )
 
 
@@ -545,10 +651,13 @@ def simulate_heston_prices(
     _check_ensemble_size(cfg, 2 * portfolio.n)
     s0, mu, beta = _price_inputs(portfolio.n, s0, mu, 0.0)
     L = _corr_factor(portfolio.corr)
+    every_row = np.arange(cfg.n_steps + 1)
     prices = np.empty((cfg.n_paths, cfg.n_steps + 1, portfolio.n))
     variances = np.empty_like(prices)
     for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
-        v, eps = _heston_block(portfolio, cfg, lo, hi, price_draws=True)
+        rngs = _rngs(cfg, lo, hi)
+        v, _ = _walk(_heston_planes(portfolio, cfg, rngs), hi - lo, portfolio.n, every_row)
+        eps = _return_normals(rngs, cfg, portfolio.n)
         prices[lo:hi] = _log_euler_prices(v, eps, L, s0, mu, beta, cfg.dt)
         variances[lo:hi] = v
     return PricePaths(times=cfg.times, prices=prices, variance_paths=variances)
@@ -584,35 +693,42 @@ def simulate_bns_prices(
                 f"portfolio states kappa2_star = {p.kappa2_star}"
             )
     L = _corr_factor(corr)
+    every_row = np.arange(cfg.n_steps + 1)
+    horizon = cfg.n_steps * cfg.dt
     prices = np.empty((cfg.n_paths, cfg.n_steps + 1, p.n))
     variances = np.empty_like(prices)
     marks: list[tuple[np.ndarray, np.ndarray]] = []
     for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
-        v, eps, star_jumps = _bns_block(
-            p, cfg, lo, hi, price_draws=True, star_spec=subordinator_star
-        )
+        rngs = _rngs(cfg, lo, hi)
+        v, _ = _walk(_bns_planes(p, cfg, rngs), hi - lo, p.n, every_row)
+        eps = _return_normals(rngs, cfg, p.n)
         star = np.zeros((hi - lo, cfg.n_steps))
-        for j, (t_jump, sizes) in enumerate(star_jumps):
+        for j, rng in enumerate(rngs):
+            if subordinator_star is None:
+                marks.append((np.empty(0), np.empty(0)))
+                continue
+            t_jump, sizes = _draw_jumps(rng, subordinator_star, p.lambda_, horizon)
             np.add.at(star[j], _step_index(t_jump, cfg), sizes)
+            marks.append((t_jump, sizes))
         prices[lo:hi] = _log_euler_prices(
             v, eps, L, s0, mu, beta, cfg.dt, star[:, :, np.newaxis] * p.rho
         )
         variances[lo:hi] = v
-        marks.extend(star_jumps)
     return PricePaths(
         times=cfg.times, prices=prices, variance_paths=variances, jump_marks=tuple(marks)
     )
 
 
 def ensemble_to_csv(ensemble: PathEnsemble, path) -> None:
-    """One row per (path, time) with per-asset variances."""
-    header = ["path", "time"] + [f"var_{i + 1}" for i in range(ensemble.n_assets)]
+    """One row per (path, time) with per-asset variances.
+
+    The bytes of ``csv.writer``'s default dialect, written one formatted
+    path at a time: the time strings are formatted once.
+    """
+    n = ensemble.n_assets
+    fields = ",%.17g" * n + "\r\n"
+    formats = [f"%d,{t:.12g}{fields}" for t in ensemble.times]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for j in range(ensemble.n_paths):
-            for s, t in enumerate(ensemble.times):
-                row = [j, f"{t:.12g}"] + [
-                    f"{x:.17g}" for x in ensemble.variance_paths[j, s]
-                ]
-                writer.writerow(row)
+        fh.write(",".join(["path", "time"] + [f"var_{i + 1}" for i in range(n)]) + "\r\n")
+        for j, path_rows in enumerate(ensemble.variance_paths):
+            fh.write("".join(fmt % (j, *row) for fmt, row in zip(formats, path_rows.tolist())))

@@ -20,6 +20,7 @@ from genvarswap.bns import expected_realized_variance_bns
 from genvarswap.calibrate import (
     BNS_PARAM_NAMES,
     HESTON_PARAM_NAMES,
+    _from_internal,
     default_bounds,
     initial_guess,
     param_names,
@@ -175,6 +176,14 @@ class TestParamTables:
         assert len(default_bounds("bns")) == 14
         with pytest.raises(ValidationError):
             param_names("garch")
+
+    def test_bounded_transform_matches_scipy_expit(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(109)
+        zs = np.concatenate([rng.normal(0.0, 8.0, 2000), [-709.0, -709.79, -746.0, -1e308, 800.0]])
+        for z in zs:
+            assert _from_internal(float(z), 0.1, 3.0) == 0.1 + 2.9 * float(special.expit(z))
+        assert _from_internal(-1e308, 0.1, 3.0) == 0.1
 
     def test_problem_validation(self):
         obs = heston_series(np.linspace(0.1, 1.0, 5))

@@ -3,10 +3,14 @@
 import datetime
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import genvarswap
 from genvarswap import (
     HestonAssetParams,
     HestonPortfolio,
@@ -17,6 +21,7 @@ from genvarswap import (
     price_swap,
     validate_correlation,
 )
+from genvarswap import montecarlo
 from genvarswap.calibrate import model_curve
 from genvarswap.cli import main
 
@@ -309,6 +314,25 @@ class TestSimulate:
         assert lines[0] == "path,time,var_1,var_2,var_3"
         assert len(lines) == 1 + 3 * 5
 
+    @pytest.mark.parametrize("kind", ["heston", "bns"])
+    def test_paths_csv_simulates_each_path_once(self, tmp_path, monkeypatch, kind):
+        model = write_model(tmp_path) if kind == "heston" else tmp_path / "bns.json"
+        if kind == "bns":
+            model.write_text(json.dumps(_bns_doc()))
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"n_paths": 11, "dt": 0.25, "horizon": 1.0, "block_size": 4}))
+        made = []
+        path_rng = montecarlo._path_rng
+        monkeypatch.setattr(
+            montecarlo, "_path_rng", lambda seed, j: made.append(j) or path_rng(seed, j)
+        )
+        out = tmp_path / "out"
+        code = main(["simulate", "--model", str(model), "--sim", str(sim), "--seed", "7",
+                     "--threads", "2", "--paths-csv", "--out", str(out)])
+        assert code == 0
+        assert sorted(made) == list(range(11))
+        assert len((out / "paths.csv").read_text().strip().splitlines()) == 1 + 11 * 5
+
     def test_bad_sim_config_exits_2(self, tmp_path, capsys):
         model = write_model(tmp_path)
         sim = tmp_path / "sim.json"
@@ -460,3 +484,13 @@ class TestParser:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "genvarswap" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy stays off the CLI import path; every command pays for what it loads."""
+    source = str(Path(genvarswap.__file__).resolve().parents[1])
+    code = "import sys, genvarswap.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = {**os.environ, "PYTHONPATH": source}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

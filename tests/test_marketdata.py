@@ -240,6 +240,15 @@ class TestSummaryStats:
         assert abs(summary.excess_kurtosis) < 0.02
         assert not summary.degenerate
 
+    def test_kurtosis_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(107)
+        for rows in (4, 5, 17, 250, 4001):
+            matrix = rng.standard_t(5, (rows, 3)) * (0.01, 1.0, 300.0) + (0.0, 50.0, -7.0)
+            for i, summary in enumerate(summary_stats(matrix)):
+                reference = stats.kurtosis(matrix[:, i], fisher=True, bias=False)
+                assert summary.excess_kurtosis == pytest.approx(reference, rel=1e-14, abs=1e-14)
+
     def test_constant_column_flagged(self):
         matrix = np.column_stack([np.full(10, 3.0), np.arange(10.0)])
         constant, moving = summary_stats(matrix)

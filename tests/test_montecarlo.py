@@ -1,6 +1,9 @@
 """Simulation schemes, RNG reproducibility, and the Monte Carlo estimators."""
 
+import csv
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from genvarswap.errors import (
 )
 from genvarswap.heston import expected_realized_variance, expected_variance
 from genvarswap.bns import expected_variance_bns, variance_of_variance_bns
+from genvarswap import montecarlo
 from genvarswap.montecarlo import (
     ensemble_to_csv,
     simulate_bns_prices,
@@ -100,6 +104,17 @@ class TestSimConfig:
             dict(dt=math.inf, horizon=math.inf),
             dict(horizon=math.nan),
             dict(dt=math.nan),
+            dict(n_paths=2.5),
+            dict(n_paths=True),
+            dict(n_paths=math.inf),
+            dict(n_paths="10"),
+            dict(block_size=math.inf),
+            dict(block_size=7.5),
+            dict(block_size=True),
+            dict(seed=2.5),
+            dict(seed=False),
+            dict(seed=math.nan),
+            dict(seed=np.float64(math.inf)),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -107,6 +122,14 @@ class TestSimConfig:
         base.update(kwargs)
         with pytest.raises(InvalidConfig):
             SimConfig(**base)
+
+    def test_integral_numbers_normalized(self):
+        cfg = SimConfig(
+            n_paths=np.int64(10), dt=0.25, horizon=1.0, seed=np.uint64(2**64 - 1),
+            block_size=4.0,
+        )
+        assert (cfg.n_paths, cfg.seed, cfg.block_size) == (10, 2**64 - 1, 4)
+        assert all(type(x) is int for x in (cfg.n_paths, cfg.seed, cfg.block_size))
 
     def test_scheme_model_mismatch(self):
         cfg = SimConfig(n_paths=2, dt=0.5, horizon=1.0, seed=1, scheme="exact_ou")
@@ -336,6 +359,141 @@ class TestStreamingEstimators:
                 bns_realized_variance_mc(bns_portfolio(), CORR, cfg, threads=threads)
 
 
+class TestOnePass:
+    """The streaming pass records the ensemble of the same paths in bounded memory."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("thinned", [False, True])
+    def test_recorded_rows_equal_ensemble_route(self, n, thinned):
+        dt = 0.002
+        steps = 2 * montecarlo._CHUNK + 88  # the grid crosses chunk boundaries
+        record = (0.0, montecarlo._CHUNK * dt, (montecarlo._CHUNK + 1) * dt, steps * dt)
+        assets = heston_portfolio().assets
+        hpf = HestonPortfolio(assets=(assets + assets)[:n], corr=equicorrelated(n))
+        bpf = bns_portfolio(
+            kappa1s=(0.05, 0.07, 0.06, 0.04)[:n], kappa2s=(0.004, 0.006, 0.0, 0.003)[:n],
+            rhos=(-0.3, -0.2, 0.0, -0.4)[:n], kappa2_star=0.01,
+            sigma0_2s=(0.04, 0.06, 0.05, 0.03)[:n],
+        )
+        runs = {}
+        for block_size in (1, 7, 4096):
+            cfg = SimConfig(
+                n_paths=9, dt=dt, horizon=steps * dt, seed=59, block_size=block_size,
+                record_times=record if thinned else None,
+            )
+            heston_ensemble = simulate_heston(hpf, cfg)
+            bns_ensemble = simulate_bns(bpf, cfg)
+            for threads in (1, 2):
+                h_est, h_rec = heston_realized_variance_mc(
+                    hpf, cfg, threads=threads, return_ensemble=True
+                )
+                b_est, b_rec = bns_realized_variance_mc(
+                    bpf, equicorrelated(n), cfg, threads=threads, return_ensemble=True
+                )
+                for recorded, ensemble in ((h_rec, heston_ensemble), (b_rec, bns_ensemble)):
+                    np.testing.assert_array_equal(recorded.variance_paths, ensemble.variance_paths)
+                    np.testing.assert_array_equal(recorded.times, ensemble.times)
+                    assert recorded.scheme == ensemble.scheme
+                assert h_est == heston_realized_variance_mc(hpf, cfg, threads=threads)
+                assert b_est == bns_realized_variance_mc(bpf, equicorrelated(n), cfg, threads=threads)
+                runs[block_size, threads] = (h_est, b_est)
+        assert len(set(runs.values())) == 1
+
+    def test_paths_follow_the_per_path_draw_layout(self):
+        """Each path equals a plain per-path loop over its own (seed, path) stream."""
+        dt, steps, seed = 0.004, montecarlo._CHUNK + 44, 73
+        cfg = SimConfig(n_paths=5, dt=dt, horizon=steps * dt, seed=seed, block_size=2)
+        pf = heston_portfolio()
+        p = bns_portfolio(kappa2s=(0.004, 0.0, 0.005))
+        heston = simulate_heston(pf, cfg).variance_paths
+        bns = simulate_bns(p, cfg).variance_paths
+        k, theta2, sigma0_2, gamma = (
+            np.array([getattr(a, name) for a in pf.assets])
+            for name in ("k", "theta2", "sigma0_2", "gamma")
+        )
+        decay = math.exp(-p.lambda_ * dt)
+        for j in range(cfg.n_paths):
+            rng = np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
+            z = rng.standard_normal(steps * 3).reshape(steps, 3)
+            state = sigma0_2.copy()
+            reference = [state]
+            for s in range(steps):
+                floored = np.maximum(state, 0.0)
+                state = state + k * (theta2 - floored) * dt + gamma * np.sqrt(floored) * math.sqrt(dt) * z[s]
+                reference.append(np.maximum(state, 0.0))
+            np.testing.assert_array_equal(heston[j], reference)
+
+            rng = np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
+            for i, asset in enumerate(p.assets):
+                arrivals = np.zeros(steps)
+                if asset.kappa2 > 0.0:
+                    spec = GammaOuSpec.from_cumulants(asset.kappa1, asset.kappa2)
+                    count = rng.poisson(spec.a * p.lambda_ * steps * dt)
+                    t_jump = rng.uniform(0.0, steps * dt, count)
+                    sizes = rng.exponential(1.0 / spec.b, count)
+                    bins = np.minimum((t_jump / dt).astype(int), steps - 1)
+                    weights = sizes * np.exp(-p.lambda_ * ((bins + 1) * dt - t_jump))
+                    for b, w in zip(bins, weights):
+                        arrivals[b] += w
+                else:
+                    arrivals += asset.kappa1 * (1.0 - decay)
+                column = [asset.sigma0_2]
+                for s in range(steps):
+                    column.append(decay * column[-1] + arrivals[s])
+                np.testing.assert_array_equal(bns[j, :, i], column)
+
+    def test_many_workers_fill_disjoint_blocks(self):
+        pf = heston_portfolio()
+        p = bns_portfolio(rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01)
+        cfg = SimConfig(n_paths=40, dt=0.01, horizon=1.0, seed=71, block_size=3)
+        expected = (
+            heston_realized_variance_mc(pf, cfg, return_ensemble=True),
+            bns_realized_variance_mc(p, CORR, cfg, return_ensemble=True),
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [
+                (
+                    heston_realized_variance_mc(pf, cfg, threads=8, return_ensemble=True),
+                    bns_realized_variance_mc(p, CORR, cfg, threads=8, return_ensemble=True),
+                )
+                for _ in range(3)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        for run in runs:
+            for (estimate, ensemble), (reference, reference_ensemble) in zip(run, expected):
+                assert estimate == reference
+                np.testing.assert_array_equal(
+                    ensemble.variance_paths, reference_ensemble.variance_paths
+                )
+
+    def test_oversized_recorded_ensemble_rejected(self):
+        cfg = SimConfig(n_paths=300000, dt=0.001, horizon=1.0, seed=1)
+        with pytest.raises(InvalidConfig):
+            heston_realized_variance_mc(heston_portfolio(), cfg, return_ensemble=True)
+
+    @pytest.mark.parametrize("model", ["heston", "bns"])
+    def test_streaming_memory_does_not_grow_with_steps(self, model):
+        p = bns_portfolio(rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01)
+
+        def peak(dt):
+            cfg = SimConfig(n_paths=64, dt=dt, horizon=1.0, seed=61, block_size=64)
+            tracemalloc.start()
+            try:
+                if model == "heston":
+                    heston_realized_variance_mc(heston_portfolio(), cfg)
+                else:
+                    bns_realized_variance_mc(p, CORR, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        coarse, fine = peak(1 / 1000), peak(1 / 2000)
+        assert fine < 1.5 * coarse
+
+
 class TestPricePaths:
     def test_heston_price_paths_share_variance_draws(self):
         pf2 = HestonPortfolio(assets=heston_portfolio().assets[:2], corr=equicorrelated(2))
@@ -429,3 +587,22 @@ class TestContainers:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[2]) == ensemble.variance_paths[0, 0, 0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ensemble_to_csv_bytes_match_csv_writer(self, tmp_path, n):
+        rng = np.random.default_rng(67)
+        values = rng.lognormal(-3.0, 4.0, (5, 7, n))
+        values.flat[:6] = (0.0, 5e-324, 1e-300, 1e300, np.inf, 0.1 + 0.2)
+        times = np.arange(7) * 0.1 + 1e-13 * np.arange(7)
+        ensemble = PathEnsemble(times=times, variance_paths=values, scheme="exact_ou")
+        ensemble_to_csv(ensemble, tmp_path / "fast.csv")
+        # reference: one csv.writer row per (path, time)
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["path", "time"] + [f"var_{i + 1}" for i in range(n)])
+            for j in range(ensemble.n_paths):
+                for s, t in enumerate(ensemble.times):
+                    writer.writerow(
+                        [j, f"{t:.12g}"] + [f"{x:.17g}" for x in ensemble.variance_paths[j, s]]
+                    )
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
