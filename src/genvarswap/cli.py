@@ -48,6 +48,7 @@ from .core import (
 )
 from .errors import (
     GenvarswapError,
+    InvalidConfig,
     NumericalError,
     ParseError,
     ValidationError,
@@ -140,9 +141,11 @@ def _load_json(path: str) -> dict:
 
 @contextlib.contextmanager
 def _reading(path: str):
-    """Report a missing key or a mistyped field of the JSON document at ``path`` as invalid input."""
+    """Report a missing key, a mistyped field or an invalid setting as invalid input naming ``path``."""
     try:
         yield
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{path}: {exc}") from None
     except GenvarswapError:
         raise
     except KeyError as exc:
@@ -280,13 +283,13 @@ def cmd_simulate(args) -> int:
     record = sim_doc.get("record_times")
     with _reading(args.sim):
         cfg = SimConfig(
-            n_paths=int(sim_doc["n_paths"]),
+            n_paths=sim_doc["n_paths"],
             dt=float(sim_doc["dt"]),
             horizon=float(sim_doc["horizon"]),
             seed=args.seed,
             scheme=sim_doc.get("scheme", "auto"),
             record_times=tuple(record) if record is not None else None,
-            block_size=int(sim_doc.get("block_size", 4096)),
+            block_size=sim_doc.get("block_size", 4096),
         )
     # one pass gives the estimate and, with --paths-csv, the recorded ensemble
     if kind == "heston":

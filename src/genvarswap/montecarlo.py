@@ -28,9 +28,29 @@ back the recorded ensemble of the same pass. The ensemble route records
 ``record_times``, the price route records every row and then draws the
 return randomness.
 
+Three things keep a block cheap:
+
+* The walker hands the determinant kernels row tiles of each plane of about
+  ``_TILE_BYTES`` (1 MiB) rather than the whole plane, so their temporaries
+  stay in cache; Heston draws a chunk's normals a tile of paths at a time
+  and transposes each tile into place while it is in cache. The kernels are
+  elementwise and the time average adds row by row, so the tiling moves no
+  result.
+* Each path kernel allocates its chunk buffers once per block and refills
+  them for every chunk (Heston's transposed normals and its plane, BNS's
+  plane, zeroed before its jumps are binned). The walker is done with a
+  plane before it asks for the next one, and BNS copies its state out of
+  the last row before the buffer is refilled.
+* A path's generator is built from its key alone: ``np.random.Philox``
+  takes the (seed, path) key from a minimal seed sequence, so no
+  ``SeedSequence`` is made and no OS entropy is read (``Philox(key=...)``
+  does both, for each path, with the interpreter lock held), and the
+  stream is that of ``Philox(key=(seed, path))``.
+
 Reproducibility: every path owns a counter-based RNG stream keyed by
-(seed, path index), so ensembles are identical under any block size, thread
-count, or execution order. Per path the draw layout is fixed:
+(seed, path index) (Philox, Salmon et al., SC 2011), so ensembles are
+identical under any block size, thread count, or execution order. Per path
+the draw layout is fixed:
 
 * Heston variance paths consume n_steps * n_assets standard normals,
   step-major, drawn one step chunk at a time; the chunking leaves each
@@ -46,11 +66,13 @@ count, or execution order. Per path the draw layout is fixed:
 
 Per path, the time average adds its rows one at a time in grid order, and
 the aggregation is a deterministic pairwise reduction over the per-path
-averages, so results are independent of schedule, block size and chunking.
+averages, so results are independent of schedule, block size, chunking
+and tiling.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -93,6 +115,11 @@ _MAX_ENSEMBLE_ENTRIES = 2**28
 # Steps per time-major chunk of the path kernels.
 _CHUNK = 256
 
+# Bytes of the tiles a block is worked on in, so that temporaries stay in
+# cache: rows of a plane for the determinant kernels, paths of a chunk's
+# normals for the Heston transpose.
+_TILE_BYTES = 1 << 20
+
 
 def _whole_number(name: str, value) -> int:
     """``value`` as an int; a bool, a non-integral or a non-finite number is an InvalidConfig."""
@@ -101,9 +128,14 @@ def _whole_number(name: str, value) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        if not float(value).is_integer():
-            raise InvalidConfig(f"{name} must be an integer, got {value!r}") from None
-        return int(value)
+        pass
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError) as exc:  # infinity, NaN
+        raise InvalidConfig(f"{name} must be an integer ({exc})") from None
+    if whole != value:
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    return whole
 
 
 @dataclass(frozen=True)
@@ -237,9 +269,39 @@ class McEstimate:
         return {"mean": self.mean, "std_error": self.std_error, "n_paths": self.n_paths}
 
 
+@functools.cache
+def _philox_key_type() -> type:
+    """The seed-sequence type that hands Philox a (seed, path) key.
+
+    Made on first use, so that importing this module (and the CLI) does
+    not import numpy.random, which the first simulation loads anyway.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        """A (seed, path) Philox key posing as a seed sequence.
+
+        ``np.random.Philox(key=...)`` first seeds a throwaway
+        ``SeedSequence`` from OS entropy and then overrides it with the key.
+        Philox built from this object asks it for two 64-bit words and takes
+        them as its key, so the stream is that of ``Philox(key=...)`` and no
+        entropy is read.
+        """
+
+        __slots__ = ("key",)
+
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key.view(dtype)[:n_words]
+
+    return PhiloxKey
+
+
 def _path_rng(seed: int, path_index: int) -> np.random.Generator:
     key = np.array([seed, path_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_philox_key_type()(key)))
 
 
 def _rngs(cfg: SimConfig, lo: int, hi: int) -> list[np.random.Generator]:
@@ -300,17 +362,21 @@ def _walk(planes, paths: int, n: int, rows: np.ndarray, weights=None, dets=None)
 
     Returns the grid rows ``rows`` (sorted) path-major, shape
     (paths, rows.size, n), and the per-path sums of weights[g] times
-    ``dets`` of row g, which are zero without ``dets``.
+    ``dets`` of row g, which are zero without ``dets``. ``dets`` sees each
+    plane in row tiles of about ``_TILE_BYTES``. A plane is done with
+    before the next is asked for, so the kernels may reuse one buffer.
     """
     recorded = np.empty((paths, rows.size, n))
     total = np.zeros(paths)
+    tile = max(1, _TILE_BYTES // (paths * n * 8))
     g0 = 0
     for plane in planes:
         g1 = g0 + len(plane)
         i0, i1 = np.searchsorted(rows, (g0, g1))
         recorded[:, i0:i1] = plane[rows[i0:i1] - g0].transpose(1, 0, 2)
         if dets is not None:
-            _accumulate(total, dets(plane), weights[g0:g1])
+            for t0 in range(0, len(plane), tile):
+                _accumulate(total, dets(plane[t0:t0 + tile]), weights[g0 + t0:g0 + t0 + tile])
         g0 = g1
     return recorded, total
 
@@ -372,7 +438,9 @@ def _heston_planes(portfolio: HestonPortfolio, cfg: SimConfig, rngs):
     """Full-truncation Euler variance planes of the paths of ``rngs``.
 
     The recorded variance is the floored value while the raw state carries
-    the excursion.
+    the excursion. A chunk's normals are drawn a tile of paths at a time
+    (about ``_TILE_BYTES``) and transposed into the step-major buffer ``z``
+    while the tile is in cache.
     """
     n = portfolio.n
     B = len(rngs)
@@ -386,15 +454,24 @@ def _heston_planes(portfolio: HestonPortfolio, cfg: SimConfig, rngs):
     state = np.repeat(sigma0_2, B, axis=1)
     yield _paths_last(state[np.newaxis].copy())
     floored = np.maximum(state, 0.0)
-    drawn = np.empty((B, _CHUNK * n))
+    rows = min(_CHUNK, cfg.n_steps)
+    tile = min(B, max(1, _TILE_BYTES // (rows * n * 8)))
+    drawn = np.empty((tile, rows * n))
+    z = np.empty((rows, n, B))
+    buffer = np.empty((rows, n, B))
     drift = np.empty((n, B))
     shock = np.empty((n, B))
     for s0, s1 in _chunks(cfg.n_steps):
         c = s1 - s0
-        for j, rng in enumerate(rngs):
-            rng.standard_normal(out=drawn[j, : c * n])
-        z = drawn[:, : c * n].reshape(B, c, n).transpose(1, 2, 0).copy()
-        plane = np.empty((c, n, B))
+        for j0 in range(0, B, tile):
+            part = rngs[j0:j0 + tile]
+            for j, rng in enumerate(part):
+                rng.standard_normal(out=drawn[j, : c * n])
+            np.copyto(
+                z[:c, :, j0:j0 + len(part)],
+                drawn[: len(part), : c * n].reshape(len(part), c, n).transpose(1, 2, 0),
+            )
+        plane = buffer[:c]
         for s in range(c):
             # state += k (theta2 - floored) dt + gamma sqrt(floored) sqrt(dt) z in place,
             # one operation at a time in the order of that expression
@@ -457,7 +534,9 @@ def _bns_planes(p: BnsPortfolioParams, cfg: SimConfig, rngs):
     Every path's jumps are drawn first. Each jump is keyed by its cell
     (step, asset, path) of the stored planes and the keys sorted stably, so
     a chunk's arrivals are one slice, and jumps sharing a cell add up in
-    draw order.
+    draw order (``np.add.at``: ``np.add.reduceat`` sums a run pairwise).
+    Every chunk refills one buffer, so the state is copied out of its last
+    row.
     """
     n = p.n
     B = len(rngs)
@@ -490,16 +569,20 @@ def _bns_planes(p: BnsPortfolioParams, cfg: SimConfig, rngs):
 
     state = np.repeat([[a.sigma0_2] for a in p.assets], B, axis=1)
     yield _paths_last(state[np.newaxis].copy())
+    buffer = np.empty((min(_CHUNK, cfg.n_steps), n, B))
     for s0, s1 in _chunks(cfg.n_steps):
         first = s0 * n * B
         lo, hi = np.searchsorted(cells, (first, s1 * n * B))
-        plane = np.zeros((s1 - s0, n, B))
+        plane = buffer[: s1 - s0]
+        plane.fill(0.0)
         np.add.at(plane.reshape(-1), cells[lo:hi] - first, weights[lo:hi])
         if drift.any():
             plane += drift
+        previous = state
         for s in range(s1 - s0):
-            plane[s] += decay * state
-            state = plane[s]
+            plane[s] += decay * previous
+            previous = plane[s]
+        state[...] = previous
         yield _paths_last(plane)
 
 

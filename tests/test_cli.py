@@ -246,10 +246,14 @@ class TestMalformedDocuments:
              "infinity"),
             ("simulate", "sim", lambda m: {"n_paths": 4, "dt": 0.25, "horizon": 1.0,
                                           "block_size": 1e400}, "infinity"),
+            ("simulate", "sim", lambda m: {"n_paths": 2.5, "dt": 0.25, "horizon": 1.0}, "2.5"),
+            ("simulate", "sim", lambda m: {"n_paths": 4, "dt": 0.25, "horizon": 1.0,
+                                          "block_size": 1.9}, "1.9"),
         ],
         ids=["heston-no-correlation", "top-level-array", "bns-no-assets",
              "contract-no-maturity", "contract-text-maturity", "sim-no-dt",
-             "sim-infinite-paths", "sim-infinite-block"],
+             "sim-infinite-paths", "sim-infinite-block", "sim-fractional-paths",
+             "sim-fractional-block"],
     )
     def test_exits_2_naming_file(self, tmp_path, capsys, command, role, content, needle):
         paths = {"model": write_model(tmp_path), "contract": write_contract(tmp_path)}
@@ -347,6 +351,22 @@ class TestSimulate:
                          "--seed", "7", "--out", str(tmp_path / "out")] + flags)
             assert code == 2
             assert "Traceback" not in capsys.readouterr().err
+
+    def test_integral_float_counts_accepted(self, tmp_path):
+        """n_paths 5.0 and block_size 4096.0 run as 5 and 4096, not as an error."""
+        model = write_model(tmp_path)
+        estimates = []
+        for doc in ({"n_paths": 5, "dt": 0.25, "horizon": 1.0},
+                    {"n_paths": 5.0, "dt": 0.25, "horizon": 1.0, "block_size": 4096.0}):
+            sim = tmp_path / "sim.json"
+            sim.write_text(json.dumps(doc))
+            out = tmp_path / f"out{len(estimates)}"
+            code = main(["simulate", "--model", str(model), "--sim", str(sim),
+                         "--seed", "7", "--out", str(out)])
+            assert code == 0
+            estimates.append((out / "mc_estimate.json").read_text())
+        assert estimates[0] == estimates[1]
+        assert json.loads(estimates[1])["n_paths"] == 5
 
 
 class TestCalibrate:
@@ -486,11 +506,24 @@ class TestParser:
         assert "genvarswap" in capsys.readouterr().out
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy stays off the CLI import path; every command pays for what it loads."""
+def _loaded_by_cli_import(package: str) -> str:
+    """The modules of ``package`` that a fresh ``import genvarswap.cli`` loads, as printed."""
     source = str(Path(genvarswap.__file__).resolve().parents[1])
-    code = "import sys, genvarswap.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code = (
+        "import sys, genvarswap.cli; "
+        f"print([m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})])"
+    )
     env = {**os.environ, "PYTHONPATH": source}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy stays off the CLI import path; every command pays for what it loads."""
+    assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_numpy_random():
+    """numpy.random is loaded by the first simulation, not by the import."""
+    assert _loaded_by_cli_import("numpy.random") == "[]"

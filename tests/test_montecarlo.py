@@ -2,6 +2,7 @@
 
 import csv
 import math
+import random
 import sys
 import tracemalloc
 
@@ -72,6 +73,35 @@ def bns_portfolio(
         for s, k1, k2, r in zip(sigma0_2s, kappa1s, kappa2s, rhos)
     )
     return BnsPortfolioParams(assets=assets, lambda_=2.0, kappa2_star=kappa2_star)
+
+
+def bns_reference_path(p, cfg, j):
+    """Path j of simulate_bns(p, cfg) by a plain loop over its own (seed, path) stream.
+
+    Jumps are added to their step one at a time in draw order.
+    """
+    dt, steps = cfg.dt, cfg.n_steps
+    decay = math.exp(-p.lambda_ * dt)
+    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, j], dtype=np.uint64)))
+    columns = []
+    for asset in p.assets:
+        arrivals = np.zeros(steps)
+        if asset.kappa2 > 0.0:
+            spec = GammaOuSpec.from_cumulants(asset.kappa1, asset.kappa2)
+            count = rng.poisson(spec.a * p.lambda_ * steps * dt)
+            t_jump = rng.uniform(0.0, steps * dt, count)
+            sizes = rng.exponential(1.0 / spec.b, count)
+            bins = np.minimum((t_jump / dt).astype(int), steps - 1)
+            weights = sizes * np.exp(-p.lambda_ * ((bins + 1) * dt - t_jump))
+            for b, w in zip(bins, weights):
+                arrivals[b] += w
+        else:
+            arrivals += asset.kappa1 * (1.0 - decay)
+        column = [asset.sigma0_2]
+        for s in range(steps):
+            column.append(decay * column[-1] + arrivals[s])
+        columns.append(column)
+    return np.array(columns).T
 
 
 class TestSimConfig:
@@ -411,7 +441,6 @@ class TestOnePass:
             np.array([getattr(a, name) for a in pf.assets])
             for name in ("k", "theta2", "sigma0_2", "gamma")
         )
-        decay = math.exp(-p.lambda_ * dt)
         for j in range(cfg.n_paths):
             rng = np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
             z = rng.standard_normal(steps * 3).reshape(steps, 3)
@@ -423,24 +452,7 @@ class TestOnePass:
                 reference.append(np.maximum(state, 0.0))
             np.testing.assert_array_equal(heston[j], reference)
 
-            rng = np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
-            for i, asset in enumerate(p.assets):
-                arrivals = np.zeros(steps)
-                if asset.kappa2 > 0.0:
-                    spec = GammaOuSpec.from_cumulants(asset.kappa1, asset.kappa2)
-                    count = rng.poisson(spec.a * p.lambda_ * steps * dt)
-                    t_jump = rng.uniform(0.0, steps * dt, count)
-                    sizes = rng.exponential(1.0 / spec.b, count)
-                    bins = np.minimum((t_jump / dt).astype(int), steps - 1)
-                    weights = sizes * np.exp(-p.lambda_ * ((bins + 1) * dt - t_jump))
-                    for b, w in zip(bins, weights):
-                        arrivals[b] += w
-                else:
-                    arrivals += asset.kappa1 * (1.0 - decay)
-                column = [asset.sigma0_2]
-                for s in range(steps):
-                    column.append(decay * column[-1] + arrivals[s])
-                np.testing.assert_array_equal(bns[j, :, i], column)
+            np.testing.assert_array_equal(bns[j], bns_reference_path(p, cfg, j))
 
     def test_many_workers_fill_disjoint_blocks(self):
         pf = heston_portfolio()
@@ -492,6 +504,115 @@ class TestOnePass:
 
         coarse, fine = peak(1 / 1000), peak(1 / 2000)
         assert fine < 1.5 * coarse
+
+
+class TestBlockPipeline:
+    """Tiles, reused chunk buffers and key-only generators leave every result as it is."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("path", [0, 2**32, 2**63])
+    def test_path_rng_streams_equal_keyed_philox(self, seed, path):
+        ours = montecarlo._path_rng(seed, path)
+        keyed = np.random.Generator(np.random.Philox(key=np.array([seed, path], dtype=np.uint64)))
+        for draw in (
+            lambda g: g.standard_normal(1000),
+            lambda g: g.poisson(3.7, 1000),
+            lambda g: g.uniform(0.0, 2.0, 1000),
+            lambda g: g.exponential(0.5, 1000),
+        ):
+            np.testing.assert_array_equal(draw(ours), draw(keyed))
+
+    def test_path_rng_reads_no_entropy(self, monkeypatch):
+        # a SeedSequence without entropy draws it through the stdlib's SystemRandom
+        reads = []
+        urandom = random._urandom
+        monkeypatch.setattr(random, "_urandom", lambda k: reads.append(k) or urandom(k))
+        np.random.Philox(key=np.array([1, 2], dtype=np.uint64))
+        assert reads, "the probe does not see a SeedSequence read entropy"
+        reads.clear()
+        rng = montecarlo._path_rng(1, 2)
+        assert not reads
+        assert not isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence)
+
+    def test_jumps_sharing_a_step_add_in_draw_order(self):
+        """About 25 jumps per step and asset: each path equals the per-jump reference loop."""
+        p = bns_portfolio(kappa1s=(0.5, 0.7, 0.6), kappa2s=(0.001, 0.002, 0.001))
+        cfg = SimConfig(n_paths=3, dt=0.05, horizon=1.0, seed=89, block_size=2)
+        bns = simulate_bns(p, cfg).variance_paths
+        for j in range(cfg.n_paths):
+            np.testing.assert_array_equal(bns[j], bns_reference_path(p, cfg, j))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tile_size_does_not_change_results(self, monkeypatch, n):
+        dt = 0.002
+        steps = 2 * montecarlo._CHUNK + 44  # the grid crosses chunk boundaries
+        assets = heston_portfolio(gamma=0.9).assets
+        hpf = HestonPortfolio(assets=(assets + assets)[:n], corr=equicorrelated(n))
+        bpf = bns_portfolio(
+            kappa1s=(0.5, 0.7, 0.06, 0.4)[:n], kappa2s=(0.001, 0.002, 0.0, 0.001)[:n],
+            rhos=(-0.3, -0.2, 0.0, -0.4)[:n], kappa2_star=0.01,
+            sigma0_2s=(0.04, 0.06, 0.05, 0.03)[:n],
+        )
+
+        def runs():
+            results = []
+            for block_size in (1, 7, 4096):
+                cfg = SimConfig(
+                    n_paths=9, dt=dt, horizon=steps * dt, seed=83, block_size=block_size
+                )
+                for threads in (1, 2):
+                    results.append(heston_realized_variance_mc(
+                        hpf, cfg, threads=threads, return_ensemble=True
+                    ))
+                    results.append(bns_realized_variance_mc(
+                        bpf, equicorrelated(n), cfg, threads=threads, return_ensemble=True
+                    ))
+            return results
+
+        reference = runs()
+        # 1-row tiles and 1-path draw tiles; uneven tiles; one tile per plane
+        for budget in (1, 20000, 2**40):
+            monkeypatch.setattr(montecarlo, "_TILE_BYTES", budget)
+            for (estimate, ensemble), (expected, expected_ensemble) in zip(runs(), reference):
+                assert estimate == expected
+                np.testing.assert_array_equal(
+                    ensemble.variance_paths, expected_ensemble.variance_paths
+                )
+
+    def test_state_carries_across_reused_chunk_buffers(self):
+        """Over three chunks, deterministic paths equal a scalar recursion bit for bit."""
+        dt, steps = 0.001, 2 * montecarlo._CHUNK + 44
+        cfg = SimConfig(n_paths=3, dt=dt, horizon=steps * dt, seed=5, block_size=2)
+        p = bns_portfolio(kappa2s=(0.0, 0.0, 0.0))
+        pf = heston_portfolio(gamma=TINY_GAMMA)
+        bns = simulate_bns(p, cfg).variance_paths
+        heston = simulate_heston(pf, cfg).variance_paths
+        decay = math.exp(-p.lambda_ * dt)
+        for i, (b, h) in enumerate(zip(p.assets, pf.assets)):
+            ou, euler = [b.sigma0_2], [h.sigma0_2]
+            for _ in range(steps):
+                ou.append(b.kappa1 * (1.0 - decay) + decay * ou[-1])
+                euler.append(euler[-1] + (h.theta2 - euler[-1]) * h.k * dt)
+            for path in range(cfg.n_paths):
+                np.testing.assert_array_equal(bns[path, :, i], ou)
+                np.testing.assert_array_equal(heston[path, :, i], euler)
+
+    @pytest.mark.parametrize("model, planes", [("heston", 3.0), ("bns", 2.0)])
+    def test_block_peak_memory(self, model, planes):
+        """One 1024-path block over 1000 steps stays within a few chunk planes."""
+        cfg = SimConfig(n_paths=1024, dt=1e-3, horizon=1.0, seed=67, block_size=1024)
+        plane = 1024 * montecarlo._CHUNK * 3 * 8
+        p = bns_portfolio(rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01)
+        tracemalloc.start()
+        try:
+            if model == "heston":
+                heston_realized_variance_mc(heston_portfolio(), cfg)
+            else:
+                bns_realized_variance_mc(p, CORR, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= planes * plane
 
 
 class TestPricePaths:
