@@ -32,7 +32,11 @@ maturities in one vectorised pass (``quad``) of the 15-point Gauss-Kronrod
 rule (QUADPACK's qk15): the sorted maturities split [0, max T] into
 panels, cumulative panel sums give every maturity, and |K15 - G7| is the
 reported error estimate. Failing panels are split until each maturity's
-error is within max(tol, tol |value|) (tol = 1e-12 by default). For n = 3 these are the paper's E_0..E_6
+error is within max(tol, tol |value|) (tol = 1e-12 by default). The same
+kernel prices many parameter sets at once, as the calibration Jacobian
+needs: E_all and E_{-i} take per-set coefficient arrays, and the cross
+terms of every (set, pair) row share one pass; a single portfolio is the
+case of one set. For n = 3 these are the paper's E_0..E_6
 (``compute_e_terms``): E_0 = E_all, E_1..E_3 = E_{-1}..E_{-3} and
 E_4..E_6 = E_{12}, E_{13}, E_{23} (1-based).
 
@@ -175,14 +179,30 @@ def expected_vol_bns(
     return VolApprox(value if np.ndim(value) else float(value), bound)
 
 
-def _mean_variance_terms(p: BnsPortfolioParams, keep) -> tuple[list, list, list]:
-    """(d, c, k) of E[(sigma_t^i)^2] = d_i e^{-k_i t} + c_i for the assets in ``keep``."""
-    assets = [p.assets[i] for i in keep]
-    return (
-        [a.sigma0_2 - a.kappa1 for a in assets],
-        [a.kappa1 for a in assets],
-        [p.lambda_] * len(assets),
-    )
+def _per_set(values, T) -> np.ndarray:
+    """One value per parameter set, shaped to broadcast against ``T``."""
+    return np.reshape(values, (len(values),) + (1,) * np.ndim(T))
+
+
+def _mean_variance_products(T, portfolios) -> tuple:
+    """E_all and E_{-0}, ..., E_{-(n-1)} of each portfolio, shaped ``(P, *T.shape)``.
+
+    Each integrates prod_l E[(sigma^l)^2] over [0, T] in closed form, over
+    all assets or all but asset i, with E[(sigma^l)^2] = d_l e^{-lambda t}
+    + c_l taken per portfolio.
+    """
+    n = portfolios[0].n
+    assets = [[p.assets[i] for p in portfolios] for i in range(n)]
+    d = [_per_set([a.sigma0_2 - a.kappa1 for a in asset], T) for asset in assets]
+    c = [_per_set([a.kappa1 for a in asset], T) for asset in assets]
+    rate = _per_set([p.lambda_ for p in portfolios], T)
+
+    def product(keep):
+        return _affine_product_integral(
+            T, [d[i] for i in keep], [c[i] for i in keep], [rate] * len(keep)
+        )
+
+    return product(range(n)), [product([l for l in range(n) if l != i]) for i in range(n)]
 
 
 # QUADPACK qk15 on [-1, 1] (Piessens et al., 1983): the 15 Kronrod nodes and
@@ -295,30 +315,39 @@ def quad(f, T, tol: float, labels):
         edges = np.sort(np.concatenate((edges, quarters.ravel())))
 
 
-def _cross_terms(T, p: BnsPortfolioParams, pairs, tol: float, var_i_coefficient: float):
+def _cross_terms(T, p, pairs, tol: float, var_i_coefficient: float):
     """integral_0^T E[sigma^i] E[sigma^j] prod_{l != i, j} E[(sigma^l)^2] dt, (i, j) in ``pairs``.
 
-    One ``quad`` pass over the given pairs and every maturity. E[sigma^2]
-    and the Brockhaus-Long E[sigma] are evaluated once per node; only the
-    assets in some pair take the volatility factor, so only their E[sigma^2]
-    must stay > 0. Returns the values and the absolute error estimates,
-    shaped ``(len(pairs), *T.shape)``.
+    ``p`` is one portfolio for every row, or one portfolio per row of
+    ``pairs``. One ``quad`` pass integrates all rows over every maturity.
+    E[sigma^2] is evaluated once per portfolio and node, and the
+    Brockhaus-Long E[sigma] once per node and (portfolio, asset) of some
+    row; only those assets must keep E[sigma^2] > 0. Returns the values and
+    the absolute error estimates, shaped ``(len(pairs), *T.shape)``.
     """
-    vol_assets, slots = np.unique(pairs, return_inverse=True)
+    rows = [p] * len(pairs) if isinstance(p, BnsPortfolioParams) else list(p)
+    sets = list({id(q): q for q in rows}.values())
+    position = {id(q): s for s, q in enumerate(sets)}
+    row_set = np.array([position[id(q)] for q in rows])
+    n = sets[0].n
+    # cells s * n + i: asset i of portfolio s, in the volatility factor of some row
+    vol_cells, slots = np.unique(row_set[:, None] * n + np.array(pairs), return_inverse=True)
     first, second = slots.reshape(len(pairs), 2).T
-    squared = np.array([[l not in pair for l in range(p.n)] for pair in pairs])
-    d, c, _ = (np.array(x)[:, None, None] for x in _mean_variance_terms(p, range(p.n)))
-    half_kappa2 = np.array([0.5 * p.assets[i].kappa2 for i in vol_assets])[:, None, None]
+    others = np.array([[l for l in range(n) if l not in pair] for pair in pairs], dtype=int)
+    rate = np.array([q.lambda_ for q in sets])[:, None, None]
+    d = np.array([[a.sigma0_2 - a.kappa1 for a in q.assets] for q in sets])[:, :, None, None]
+    c = np.array([[a.kappa1 for a in q.assets] for q in sets])[:, :, None, None]
+    half_kappa2 = np.array([0.5 * a.kappa2 for q in sets for a in q.assets])[vol_cells, None, None]
 
     def integrand(t):
-        ev = np.exp(-p.lambda_ * t) * d + c
-        vol_ev = ev[vol_assets]
+        ev = np.exp(-rate * t)[:, None] * d + c
+        vol_ev = ev.reshape(-1, *t.shape)[vol_cells]
         if vol_ev.min() <= 0.0:
             raise DegenerateVariance("E[sigma_t^2] <= 0 under the supplied parameters")
         root = np.sqrt(vol_ev)
-        growth = -np.expm1(-2.0 * p.lambda_ * t)
+        growth = -np.expm1(-2.0 * rate * t)[vol_cells // n]
         vol = root - half_kappa2 * growth / (var_i_coefficient * vol_ev * root)
-        return np.where(squared[:, :, None, None], ev, 1.0).prod(axis=1) * vol[first] * vol[second]
+        return ev[row_set[:, None], others].prod(axis=1) * vol[first] * vol[second]
 
     return quad(integrand, T, tol, [f"cross term ({i}, {j})" for i, j in pairs])
 
@@ -340,17 +369,15 @@ def compute_e_terms(
         raise WrongAssetCount(f"E_0..E_6 are defined for exactly 3 assets, got {p.n}")
     T = float(_check_maturity(T))
     tol = _check_tol(tol)
-
-    def product(*keep):
-        return float(_affine_product_integral(T, *_mean_variance_terms(p, keep)))
-
+    e_all, e_without = _mean_variance_products(T, [p])
     cross = _cross_terms(T, p, [(0, 1), (0, 2), (1, 2)], tol, var_i_coefficient)
     (e4, e5, e6), (e4_error, e5_error, e6_error) = (map(float, x) for x in cross)
+    e1, e2, e3 = (float(e[0]) for e in e_without)
     return BnsETerms(
-        e0=product(0, 1, 2),
-        e1=product(1, 2),
-        e2=product(0, 2),
-        e3=product(0, 1),
+        e0=float(e_all[0]),
+        e1=e1,
+        e2=e2,
+        e3=e3,
         e4=e4,
         e5=e5,
         e6=e6,
@@ -374,36 +401,56 @@ def expected_realized_variance_bns(
     rho), which makes the common rho = 0 calibration path fully
     closed-form. ``tol`` must be finite and > 0.
     """
-    if p.n != corr.n:
-        raise DimensionMismatch(f"{p.n} assets vs {corr.n}x{corr.n} correlation")
+    out = _expected_realized_variance_sets(T, [p], corr, tol, var_i_coefficient)[0]
+    return out if out.ndim else float(out)
+
+
+def _expected_realized_variance_sets(
+    T, portfolios, corr: CorrelationMatrix, tol: float = 1e-12, var_i_coefficient: float = 8.0
+) -> np.ndarray:
+    """``expected_realized_variance_bns`` for P portfolios at once, shaped ``(P, *T.shape)``.
+
+    The cross terms of all portfolios are integrated in one ``quad`` pass
+    whose rows are the (portfolio, pair) combinations with a nonzero
+    coefficient. The rows share the pass's panels: when one portfolio's rows
+    force a refinement, every row is integrated on the finer panels, so a
+    value may differ from the portfolio's own call, each within
+    max(tol, tol |value|). Otherwise every value is that of its own call.
+    """
+    for p in portfolios:
+        if p.n != corr.n:
+            raise DimensionMismatch(f"{p.n} assets vs {corr.n}x{corr.n} correlation")
     delta = corr.inverse()
     T = _check_maturity(T)
     tol = _check_tol(tol)
 
-    n = p.n
-    bracket = _affine_product_integral(T, *_mean_variance_terms(p, range(n)))
-    lam_k2 = p.lambda_ * p.kappa2_star
-    if lam_k2 != 0.0:
-        rho = p.rho
-        inner = 0.0
-        for i in range(n):
-            coeff = delta[i, i] * rho[i] ** 2
-            if coeff != 0.0:
-                others = [l for l in range(n) if l != i]
-                inner = inner + coeff * _affine_product_integral(
-                    T, *_mean_variance_terms(p, others)
-                )
-        coeffs = {
-            (i, j): 2.0 * delta[j, i] * rho[j] * rho[i] for i, j in combinations(range(n), 2)
-        }
-        pairs = [pair for pair, coeff in coeffs.items() if coeff != 0.0]
-        if pairs:
-            values, _ = _cross_terms(T, p, pairs, tol, var_i_coefficient)
-            for pair, value in zip(pairs, values):
-                inner = inner + coeffs[pair] * value
-        bracket = bracket + lam_k2 * inner
-    out = corr.det_c * bracket / T
-    return out if out.ndim else float(out)
+    n = corr.n
+    bracket, e_without = _mean_variance_products(T, portfolios)
+    inner = np.zeros_like(bracket)
+    lam_k2 = np.array([p.lambda_ * p.kappa2_star for p in portfolios])
+    # the coefficients of E_{-i} and E_{ij}; none enters where lambda kappa2* = 0
+    rhos = [p.rho for p in portfolios]
+    own = np.array([[delta[i, i] * rho[i] ** 2 for i in range(n)] for rho in rhos])
+    own[lam_k2 == 0.0] = 0.0
+    for i, e in enumerate(e_without):
+        coeff = _per_set(own[:, i], T)
+        inner = inner + np.where(coeff != 0.0, coeff * e, 0.0)
+    rows, coeffs = [], []
+    for s, rho in enumerate(rhos):
+        for i, j in combinations(range(n), 2):
+            coeff = 2.0 * delta[j, i] * rho[j] * rho[i]
+            if lam_k2[s] != 0.0 and coeff != 0.0:
+                rows.append((s, i, j))
+                coeffs.append(coeff)
+    if rows:
+        values, _ = _cross_terms(
+            T, [portfolios[s] for s, _, _ in rows], [(i, j) for _, i, j in rows],
+            tol, var_i_coefficient,
+        )
+        for (s, _, _), coeff, value in zip(rows, coeffs, values):
+            inner[s] = inner[s] + coeff * value
+    bracket = bracket + _per_set(lam_k2, T) * inner
+    return corr.det_c * bracket / T
 
 
 def price_swap_bns(ev_realized: float, contract: SwapContract) -> float:

@@ -5,6 +5,11 @@ The observed series is fitted by the model curve t -> E[sigma_R^2] over
 with a central-difference Jacobian (relative step 1e-6) on internally
 transformed parameters: log for one-sided bounds, logit for boxed ones, so
 every trial point respects the bounds. A parameter with lo == hi is frozen.
+Each Jacobian, and the one behind the covariance, stacks its 2 n_free
+perturbed points into one ``model_curve`` call; for BNS that is one
+quadrature pass over the cross terms of all of them. The stacked curves are
+those of single calls unless some point forces a finer quadrature (then
+within its tolerance), so fits do not depend on the stacking.
 Convergence is declared when max(|gradient|) < 1e-10 or the relative SSE
 decrease of an accepted step falls below 1e-12, within at most 500
 iterations; non-convergence is reported through the ``converged`` flag, not
@@ -43,7 +48,7 @@ from .errors import (
     ZeroObserved,
 )
 from .heston import HestonPortfolio, expected_realized_variance
-from .bns import expected_realized_variance_bns
+from .bns import _expected_realized_variance_sets, expected_realized_variance_bns
 from .marketdata import RealizedVarianceSeries
 
 __all__ = [
@@ -185,39 +190,61 @@ def model_curve(model: str, params, corr: CorrelationMatrix, times) -> np.ndarra
     """E[sigma_R^2] over [0, t_i] for each t_i, under the given model.
 
     Parameter vector layouts are ``HESTON_PARAM_NAMES`` (gamma is excluded:
-    it never enters the closed form) and ``BNS_PARAM_NAMES``. Sign-convention
-    warnings for trial rho > 0 are suppressed here; judge signs on the fitted
-    result.
+    it never enters the closed form) and ``BNS_PARAM_NAMES``. ``params`` is
+    one vector, giving one curve through the public closed forms, or P
+    vectors stacked as (P, p), giving the P curves as (P, len(times)). A
+    Heston stack evaluates its rows one at a time; a BNS stack makes one
+    pass of the BNS kernel, whose cross terms of all rows share one
+    quadrature. Each stacked curve equals its row's own curve unless
+    another row forces a finer quadrature, and then differs from it within
+    the quadrature tolerance. Sign-convention warnings for trial rho > 0
+    are suppressed here; judge signs on the fitted result.
     """
     names = param_names(model)
     params = np.asarray(params, dtype=float)
-    if params.shape != (len(names),):
+    if params.ndim not in (1, 2) or params.shape[-1] != len(names):
         raise ValidationError(f"{model} needs {len(names)} parameters")
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(np.diff(times) <= 0.0):
         raise ValidationError("times must be nonempty and strictly increasing")
 
     if model == "heston":
-        assets = tuple(
-            HestonAssetParams(k=params[i], theta2=params[3 + i], sigma0_2=params[6 + i], gamma=1.0)
-            for i in range(3)
-        )
-        out = expected_realized_variance(times, HestonPortfolio(assets=assets, corr=corr))
+        portfolios = [
+            HestonPortfolio(
+                assets=tuple(
+                    HestonAssetParams(k=row[i], theta2=row[3 + i], sigma0_2=row[6 + i], gamma=1.0)
+                    for i in range(3)
+                ),
+                corr=corr,
+            )
+            for row in np.atleast_2d(params)
+        ]
+        curves = [expected_realized_variance(times, portfolio) for portfolio in portfolios]
     else:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LeverageSignWarning)
-            assets = tuple(
-                BnsAssetParams(
-                    sigma0_2=params[1 + i],
-                    kappa1=params[4 + i],
-                    kappa2=params[7 + i],
-                    rho=params[10 + i],
+            portfolios = [
+                BnsPortfolioParams(
+                    assets=tuple(
+                        BnsAssetParams(
+                            sigma0_2=row[1 + i],
+                            kappa1=row[4 + i],
+                            kappa2=row[7 + i],
+                            rho=row[10 + i],
+                        )
+                        for i in range(3)
+                    ),
+                    lambda_=row[0],
+                    kappa2_star=row[13],
                 )
-                for i in range(3)
-            )
-        portfolio = BnsPortfolioParams(assets=assets, lambda_=params[0], kappa2_star=params[13])
-        out = expected_realized_variance_bns(times, portfolio, corr)
-    return np.atleast_1d(np.asarray(out, dtype=float))
+                for row in np.atleast_2d(params)
+            ]
+        if params.ndim == 1:
+            curves = [expected_realized_variance_bns(times, portfolios[0], corr)]
+        else:
+            curves = _expected_realized_variance_sets(times, portfolios, corr)
+    out = np.asarray(curves, dtype=float).reshape(len(portfolios), *times.shape)
+    return out[0] if params.ndim == 1 else out
 
 
 def error_metrics(observed, fitted) -> ErrorMetrics:
@@ -318,12 +345,15 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
 
     while iterations < _MAX_ITERATIONS and n_free:
         iterations += 1
-        jac = np.empty((obs.size, n_free))
-        for idx in range(n_free):
-            h = _JACOBIAN_REL_STEP * max(1.0, abs(float(z[idx])))
-            step = np.zeros(n_free)
-            step[idx] = h
-            jac[:, idx] = (residual(z + step) - residual(z - step)) / (2.0 * h)
+        h = np.array([_JACOBIAN_REL_STEP * max(1.0, abs(float(x))) for x in z])
+        steps = np.diag(h)
+        jac = _central_differences(
+            problem,
+            [assemble(z + step) for step in steps],
+            [assemble(z - step) for step in steps],
+            h,
+            obs,
+        )
         if not np.all(np.isfinite(jac)):
             raise SingularNormalEquations("Jacobian is not finite")
         grad = 2.0 * jac.T @ r
@@ -387,17 +417,31 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
     )
 
 
+def _central_differences(problem: CalibrationProblem, up, down, h, offset) -> np.ndarray:
+    """((f(up_k) - offset) - (f(down_k) - offset)) / (2 h_k) as the columns k of an (m, len(h)) array.
+
+    f is the model curve at the observation times; the up and down points
+    of every column go to ``model_curve`` as one stack.
+    """
+    curves = model_curve(
+        problem.model, np.concatenate((up, down)), problem.corr, problem.observed.times
+    )
+    k = len(h)
+    jac = np.empty((curves.shape[1], k))
+    jac[:] = (((curves[:k] - offset) - (curves[k:] - offset)) / (2.0 * h)[:, None]).T
+    return jac
+
+
 def _gauss_newton_covariance(
     problem: CalibrationProblem, params: np.ndarray, free: list[int], sse: float
 ) -> np.ndarray:
     """sse/(m - p) (J^T J)^+ in original coordinates, zero for frozen params."""
     obs = problem.observed.values
-    times = problem.observed.times
     p = params.size
     cov = np.zeros((p, p))
     if not free:
         return cov
-    jac = np.empty((obs.size, len(free)))
+    steps = np.zeros(len(free))
     for idx, j in enumerate(free):
         lo, hi = problem.bounds[j]
         h = _JACOBIAN_REL_STEP * max(1.0, abs(float(params[j])))
@@ -405,17 +449,15 @@ def _gauss_newton_covariance(
             h = min(h, 0.5 * (params[j] - lo)) if params[j] > lo else h
         if math.isfinite(hi):
             h = min(h, 0.5 * (hi - params[j])) if params[j] < hi else h
-        if h <= 0.0:
-            jac[:, idx] = 0.0
-            continue
-        up = params.copy()
-        down = params.copy()
-        up[j] += h
-        down[j] -= h
-        jac[:, idx] = (
-            model_curve(problem.model, up, problem.corr, times)
-            - model_curve(problem.model, down, problem.corr, times)
-        ) / (2.0 * h)
+        steps[idx] = max(h, 0.0)
+    moved = np.flatnonzero(steps)
+    up, down = np.tile(params, (2, moved.size, 1))
+    moved_rows = np.arange(moved.size), np.asarray(free)[moved]
+    up[moved_rows] += steps[moved]
+    down[moved_rows] -= steps[moved]
+    jac = np.zeros((obs.size, len(free)))
+    if moved.size:
+        jac[:, moved] = _central_differences(problem, up, down, steps[moved], 0.0)
     dof = max(obs.size - len(free), 1)
     cov_free = (sse / dof) * np.linalg.pinv(jac.T @ jac)
     # pinv of an ill-conditioned J^T J is symmetric only up to round-off

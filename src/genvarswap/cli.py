@@ -44,6 +44,8 @@ from .calibrate import (
 from .core import (
     BnsPortfolioParams,
     SwapContract,
+    _real_matrix,
+    _real_number,
     validate_correlation,
 )
 from .errors import (
@@ -150,7 +152,8 @@ def _reading(path: str):
         raise
     except KeyError as exc:
         raise ValidationError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    # AttributeError: a list, number or null where the document needs an object
+    except (TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ValidationError(f"{path}: malformed field ({exc})") from None
 
 
@@ -162,7 +165,7 @@ def _load_model(path: str):
         if kind == "heston":
             return kind, HestonPortfolio.from_dict(doc)
         if kind == "bns":
-            corr = validate_correlation(np.asarray(doc["correlation"], dtype=float))
+            corr = validate_correlation(_real_matrix("correlation", doc["correlation"]))
             return kind, (BnsPortfolioParams.from_dict(doc), corr)
     raise ValidationError(f"{path}: model must be 'heston' or 'bns', got {kind!r}")
 
@@ -284,8 +287,8 @@ def cmd_simulate(args) -> int:
     with _reading(args.sim):
         cfg = SimConfig(
             n_paths=sim_doc["n_paths"],
-            dt=float(sim_doc["dt"]),
-            horizon=float(sim_doc["horizon"]),
+            dt=sim_doc["dt"],
+            horizon=sim_doc["horizon"],
             seed=args.seed,
             scheme=sim_doc.get("scheme", "auto"),
             record_times=tuple(record) if record is not None else None,
@@ -330,14 +333,14 @@ def cmd_calibrate(args) -> int:
         init_doc = _load_json(args.init)
         raw_bounds = init_doc.get("bounds")
         with _reading(args.init):
-            initial = np.asarray(init_doc["initial"], dtype=float)
+            initial = np.array([_real_number("initial", x) for x in init_doc["initial"]])
             if raw_bounds is None:
                 bounds = default_bounds(args.model)
             else:
                 bounds = tuple(
                     (
-                        -np.inf if lo is None else float(lo),
-                        np.inf if hi is None else float(hi),
+                        -np.inf if lo is None else _real_number("bounds", lo),
+                        np.inf if hi is None else _real_number("bounds", hi),
                     )
                     for lo, hi in raw_bounds
                 )
@@ -389,8 +392,8 @@ def cmd_report(args) -> int:
         doc = _load_json(path)
         with _reading(path):
             model = doc["model"]
-            corr = validate_correlation(np.asarray(doc["correlation"], dtype=float))
-            params = np.asarray(doc["params"], dtype=float)
+            corr = validate_correlation(_real_matrix("correlation", doc["correlation"]))
+            params = np.array([_real_number("params", x) for x in doc["params"]])
         curve = model_curve(model, params, corr, series.times)
         metrics = error_metrics(series.values, curve)
         loaded.append((model, curve, metrics))

@@ -15,6 +15,8 @@ interface.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import warnings
 from dataclasses import dataclass, fields
 
@@ -22,6 +24,7 @@ import numpy as np
 
 from .errors import (
     BadDiagonal,
+    InvalidConfig,
     NotPositiveSemiDefinite,
     NotSymmetric,
     SingularCorrelation,
@@ -50,6 +53,41 @@ SINGULAR_DET_FLOOR = 1e-12
 
 class LeverageSignWarning(UserWarning):
     """A jump loading rho > 0 reverses the usual leverage sign convention."""
+
+
+def _real_number(name: str, value) -> float:
+    """``value`` as a float; a bool, a string or any other non-number is an InvalidConfig.
+
+    ``float()`` alone would take "2.0" and True from a JSON document.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise InvalidConfig(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InvalidConfig(f"{name} must be a number ({exc})") from None
+
+
+def _real_matrix(name: str, rows) -> np.ndarray:
+    """A list of lists of numbers as a float array, each entry checked by ``_real_number``."""
+    return np.array([[_real_number(name, x) for x in row] for row in rows])
+
+
+def _whole_number(name: str, value) -> int:
+    """``value`` as an int; a bool, a non-integral or a non-finite number is an InvalidConfig."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        pass
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError) as exc:  # infinity, NaN
+        raise InvalidConfig(f"{name} must be an integer ({exc})") from None
+    if whole != value:
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    return whole
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -104,7 +142,7 @@ class CorrelationMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CorrelationMatrix":
-        return validate_correlation(np.asarray(d["c"], dtype=float))
+        return validate_correlation(_real_matrix("c", d["c"]))
 
 
 def validate_correlation(c) -> CorrelationMatrix:
@@ -183,10 +221,10 @@ class HestonAssetParams:
     @classmethod
     def from_dict(cls, d: dict) -> "HestonAssetParams":
         return cls(
-            k=float(d["k"]),
-            theta2=float(d["theta2"]),
-            sigma0_2=float(d["sigma0_2"]),
-            gamma=float(d["gamma"]),
+            k=_real_number("k", d["k"]),
+            theta2=_real_number("theta2", d["theta2"]),
+            sigma0_2=_real_number("sigma0_2", d["sigma0_2"]),
+            gamma=_real_number("gamma", d["gamma"]),
         )
 
 
@@ -231,7 +269,7 @@ class GammaOuSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GammaOuSpec":
-        return cls(a=float(d["a"]), b=float(d["b"]))
+        return cls(a=_real_number("a", d["a"]), b=_real_number("b", d["b"]))
 
 
 @dataclass(frozen=True)
@@ -280,10 +318,10 @@ class BnsAssetParams:
     def from_dict(cls, d: dict) -> "BnsAssetParams":
         sub = d.get("subordinator")
         return cls(
-            sigma0_2=float(d["sigma0_2"]),
-            kappa1=float(d["kappa1"]),
-            kappa2=float(d["kappa2"]),
-            rho=float(d.get("rho", 0.0)),
+            sigma0_2=_real_number("sigma0_2", d["sigma0_2"]),
+            kappa1=_real_number("kappa1", d["kappa1"]),
+            kappa2=_real_number("kappa2", d["kappa2"]),
+            rho=_real_number("rho", d.get("rho", 0.0)),
             subordinator=GammaOuSpec.from_dict(sub) if sub is not None else None,
         )
 
@@ -328,8 +366,8 @@ class BnsPortfolioParams:
     def from_dict(cls, d: dict) -> "BnsPortfolioParams":
         return cls(
             assets=tuple(BnsAssetParams.from_dict(a) for a in d["assets"]),
-            lambda_=float(d["lambda"]),
-            kappa2_star=float(d["kappa2_star"]),
+            lambda_=_real_number("lambda", d["lambda"]),
+            kappa2_star=_real_number("kappa2_star", d["kappa2_star"]),
         )
 
 
@@ -365,8 +403,8 @@ class SwapContract:
     @classmethod
     def from_dict(cls, d: dict) -> "SwapContract":
         return cls(
-            k_var=float(d["k_var"]),
-            r=float(d["r"]),
-            maturity=float(d["maturity"]),
-            notional=float(d["notional"]),
+            k_var=_real_number("k_var", d["k_var"]),
+            r=_real_number("r", d["r"]),
+            maturity=_real_number("maturity", d["maturity"]),
+            notional=_real_number("notional", d["notional"]),
         )

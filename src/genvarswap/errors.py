@@ -73,7 +73,7 @@ class QuadratureFailure(NumericalError):
 # simulation
 
 class InvalidConfig(ValidationError):
-    """Simulation configuration violates an invariant."""
+    """A configuration field has the wrong type, or a simulation setting violates an invariant."""
 
 
 class MissingSubordinatorSpec(ValidationError):

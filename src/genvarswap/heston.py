@@ -68,11 +68,11 @@ class HestonPortfolio:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HestonPortfolio":
-        from .core import validate_correlation
+        from .core import _real_matrix, validate_correlation
 
         return cls(
             assets=tuple(HestonAssetParams.from_dict(a) for a in d["assets"]),
-            corr=validate_correlation(np.asarray(d["correlation"], dtype=float)),
+            corr=validate_correlation(_real_matrix("correlation", d["correlation"])),
         )
 
 
@@ -111,17 +111,24 @@ def _affine_product_integral(T, d, c, k):
     e^{-a_S t} with a_S = sum_{i in S} k_i. Terms that share a rate are
     merged as they appear, so an equal-rate family (every BNS rate is a
     multiple of lambda) keeps n + 1 terms instead of 2^n.
+
+    Each d_i, c_i and k_i may also be an array over parameter sets that
+    broadcasts against T; array rates must be > 0. Terms then merge where
+    their rates are equal in every set, so each set gets the value of its
+    own call whenever its equal rates are equal in all sets, as BNS rates
+    are (multiples of each set's own lambda).
     """
-    terms = {0.0: 1.0}
+    terms = {0.0: (0.0, 1.0)}  # rate key -> (rate, coefficient)
     for d_i, c_i, k_i in zip(d, c, k):
-        grown: dict[float, float] = {}
-        for rate, coeff in terms.items():
-            grown[rate] = grown.get(rate, 0.0) + coeff * c_i
-            grown[rate + k_i] = grown.get(rate + k_i, 0.0) + coeff * d_i
+        grown: dict = {}
+        for rate, coeff in terms.values():
+            for new_rate, part in ((rate, coeff * c_i), (rate + k_i, coeff * d_i)):
+                key = new_rate.tobytes() if isinstance(new_rate, np.ndarray) else new_rate
+                grown[key] = (new_rate, (grown[key][1] if key in grown else 0.0) + part)
         terms = grown
     total = 0.0
-    for rate, coeff in terms.items():
-        if rate == 0.0:
+    for key, (rate, coeff) in terms.items():
+        if key == 0.0:
             total = total + coeff * T
         else:
             total = total + coeff * (1.0 - np.exp(-rate * T)) / rate

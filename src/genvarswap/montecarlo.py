@@ -74,14 +74,18 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BnsPortfolioParams, CorrelationMatrix, GammaOuSpec
+from .core import (
+    BnsPortfolioParams,
+    CorrelationMatrix,
+    GammaOuSpec,
+    _real_number,
+    _whole_number,
+)
 from .errors import (
     DimensionMismatch,
     InvalidConfig,
@@ -121,23 +125,6 @@ _CHUNK = 256
 _TILE_BYTES = 1 << 20
 
 
-def _whole_number(name: str, value) -> int:
-    """``value`` as an int; a bool, a non-integral or a non-finite number is an InvalidConfig."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        pass
-    try:
-        whole = int(value)
-    except (OverflowError, ValueError) as exc:  # infinity, NaN
-        raise InvalidConfig(f"{name} must be an integer ({exc})") from None
-    if whole != value:
-        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-    return whole
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation grid, seed, and scheme.
@@ -159,6 +146,8 @@ class SimConfig:
     def __post_init__(self):
         for name in ("n_paths", "seed", "block_size"):
             object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
+        for name in ("dt", "horizon"):
+            object.__setattr__(self, name, _real_number(name, getattr(self, name)))
         if self.n_paths < 1:
             raise InvalidConfig(f"n_paths must be >= 1, got {self.n_paths}")
         if not (0.0 < self.dt <= self.horizon < math.inf):
@@ -175,7 +164,7 @@ class SimConfig:
         if abs(round(steps) - steps) > 1e-9 * max(1.0, steps):
             raise InvalidConfig("dt must divide horizon into a whole number of steps")
         if self.record_times is not None:
-            rec = tuple(float(t) for t in self.record_times)
+            rec = tuple(_real_number("record time", t) for t in self.record_times)
             if not rec:
                 raise InvalidConfig("record_times must be nonempty when given")
             if any(t2 <= t1 for t1, t2 in zip(rec, rec[1:])):

@@ -2,11 +2,19 @@
 
 The determinant oracle deliberately avoids ``np.linalg`` so the library's
 determinant identities are checked against an independent evaluation route.
+
+Property tests run under a derandomized hypothesis profile: the same
+examples on every run, no example database and no deadline, so a run's
+outcome and time do not depend on the machine or on earlier runs.
 """
 
 import numpy as np
+from hypothesis import settings
 
 from genvarswap import validate_correlation
+
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None, max_examples=50)
+settings.load_profile("derandomized")
 
 
 def laplace_det(m) -> float:

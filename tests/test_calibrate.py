@@ -16,6 +16,7 @@ from genvarswap import (
     model_curve,
     validate_correlation,
 )
+from genvarswap import bns, calibrate
 from genvarswap.bns import expected_realized_variance_bns
 from genvarswap.calibrate import (
     BNS_PARAM_NAMES,
@@ -27,7 +28,13 @@ from genvarswap.calibrate import (
     subordinator_initial_guess,
 )
 from genvarswap.core import BnsAssetParams, BnsPortfolioParams, LeverageSignWarning
-from genvarswap.errors import LengthMismatch, ValidationError, ZeroObserved
+from genvarswap.errors import (
+    DegenerateVariance,
+    LengthMismatch,
+    QuadratureFailure,
+    ValidationError,
+    ZeroObserved,
+)
 from genvarswap.heston import expected_realized_variance_quad
 
 CORR = validate_correlation(np.full((3, 3), 0.3) + 0.7 * np.eye(3))
@@ -47,6 +54,46 @@ def heston_series(times, noise=0.0, seed=0):
     if noise:
         values = values + np.random.default_rng(seed).normal(0.0, noise, values.size)
     return series(times, values)
+
+
+BNS_LEVERAGED = np.array(
+    [2.0, 0.04, 0.06, 0.05, 0.05, 0.07, 0.06, 0.004, 0.006, 0.005, -0.4, -0.25, -0.6, 0.02]
+)
+STACK_TIMES = np.linspace(0.04, 2.0, 50)
+
+
+def near(base, count, seed):
+    """``count`` parameter vectors within 5 % of ``base``, the first one ``base`` itself."""
+    rows = base * (1.0 + np.random.default_rng(seed).uniform(-0.05, 0.05, (count, base.size)))
+    rows[0] = base
+    return rows
+
+
+def heston_stack(count):
+    rows = near(HESTON_TRUTH, count, seed=count)
+    rows[1::3, 0:3] = 2.0  # equal rates within a set, as at the flat start
+    return rows
+
+
+def bns_stack(count):
+    rows = near(BNS_LEVERAGED, count, seed=count)
+    rows[1::4, 10:13] = 0.0  # rho = 0: no cross term
+    rows[2::4, 13] = 0.0  # kappa2* = 0: no jump term at all
+    rows[3::4, 11] = 0.0  # one rho = 0: one cross term left
+    rows[::2, 0] = BNS_LEVERAGED[0]  # equal lambda across sets
+    return rows
+
+
+def count_integrand_calls(monkeypatch):
+    """Patch ``bns.quad`` to record each integrand evaluation in the list it returns."""
+    calls = []
+    quad = bns.quad
+
+    def counting(f, *args):
+        return quad(lambda t: calls.append(t.shape) or f(t), *args)
+
+    monkeypatch.setattr(bns, "quad", counting)
+    return calls
 
 
 class TestErrorMetrics:
@@ -166,6 +213,143 @@ class TestModelCurve:
     def test_bad_times(self):
         with pytest.raises(ValidationError):
             model_curve("heston", HESTON_TRUTH, CORR, np.array([1.0, 0.5]))
+
+
+class TestStackedCurves:
+    @pytest.mark.parametrize("count", [1, 2, 28])
+    @pytest.mark.parametrize("model, stack", [("heston", heston_stack), ("bns", bns_stack)])
+    def test_rows_equal_single_curves(self, model, stack, count):
+        rows = stack(count)
+        curves = model_curve(model, rows, CORR, STACK_TIMES)
+        assert curves.shape == (count, STACK_TIMES.size)
+        for row, curve in zip(rows, curves):
+            np.testing.assert_array_equal(curve, model_curve(model, row, CORR, STACK_TIMES))
+
+    def test_bns_stack_makes_one_quadrature_pass(self, monkeypatch):
+        passes = []
+        quad = bns.quad
+        monkeypatch.setattr(bns, "quad", lambda *args: passes.append(len(args[3])) or quad(*args))
+        model_curve("bns", bns_stack(28), CORR, STACK_TIMES)
+        # of the 28 sets 7 keep all 3 pairs, 7 (one rho = 0) keep 1, and the 14 with
+        # rho = 0 or kappa2* = 0 keep none
+        assert passes == [7 * 3 + 7 * 1]
+
+    def test_one_refining_set_moves_every_row_within_tolerance(self, monkeypatch):
+        stiff = BNS_LEVERAGED.copy()
+        stiff[0] = 90.0  # e^{-90 t} needs finer panels than the maturity grid
+        rows = np.array([BNS_LEVERAGED, stiff, BNS_LEVERAGED * 1.01])
+        calls = count_integrand_calls(monkeypatch)
+        singles, evaluations = [], []
+        for row in rows:
+            calls.clear()
+            singles.append(model_curve("bns", row, CORR, STACK_TIMES))
+            evaluations.append(len(calls))
+        # a calm set alone passes on the maturity grid; the stiff one refines
+        assert evaluations[0] == evaluations[2] == 1 < evaluations[1]
+        calls.clear()
+        curves = model_curve("bns", rows, CORR, STACK_TIMES)
+        assert len(calls) == evaluations[1]
+        tol = 1e-12
+        for curve, single in zip(curves, singles):
+            assert np.all(np.abs(curve - single) <= np.maximum(tol, tol * np.abs(single)))
+        assert not np.array_equal(curves[0], singles[0])  # the refinement reached the calm rows
+
+    @pytest.mark.parametrize(
+        "model, changes, error",
+        [
+            ("heston", {0: -1.0}, ValidationError),  # k < 0
+            ("bns", {7: -1e-3}, ValidationError),  # kappa2 < 0
+            # sigma0^2 of a leveraged asset decays to 0 within the horizon
+            ("bns", {0: 90.0, 1: 1e-300, 4: 0.0}, DegenerateVariance),
+            # the volatility correction overflows: no panel converges
+            ("bns", {7: 1e308}, QuadratureFailure),
+        ],
+        ids=["heston-negative-k", "bns-negative-kappa2", "bns-vanishing-variance",
+             "bns-overflowing-integrand"],
+    )
+    def test_one_bad_set_raises_its_own_error(self, model, changes, error):
+        rows = near(HESTON_TRUTH if model == "heston" else BNS_LEVERAGED, 3, seed=1)
+        for column, value in changes.items():
+            rows[1, column] = value
+        times = np.linspace(0.5, 10.0, 20)
+        with np.errstate(all="ignore"):
+            with pytest.raises(error):
+                model_curve(model, rows[1], CORR, times)
+            with pytest.raises(error):
+                model_curve(model, rows, CORR, times)
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(ValidationError):
+            model_curve("bns", np.ones((2, 9)), CORR, np.array([1.0]))
+        with pytest.raises(ValidationError):
+            model_curve("heston", np.ones((2, 2, 9)), CORR, np.array([1.0]))
+
+
+def batched_problem(model):
+    times = np.linspace(0.05, 2.0, 20)
+    truth = HESTON_TRUTH if model == "heston" else BNS_LEVERAGED
+    values = model_curve(model, truth, CORR, times)
+    values = values + np.random.default_rng(6).normal(0.0, 1e-7, values.size)
+    return CalibrationProblem(
+        model=model, observed=series(times, values), corr=CORR,
+        initial=truth * 1.2, bounds=default_bounds(model),
+    )
+
+
+class TestBatchedJacobian:
+    @pytest.mark.parametrize("reference", ["per-row curves", "column by column"])
+    @pytest.mark.parametrize("model", ["heston", "bns"])
+    def test_fit_equals_unbatched_fit(self, model, reference, monkeypatch):
+        """Stacking changes no bit: not against one curve per row, nor against the
+        C-ordered Jacobian filled one central difference at a time."""
+        problem = batched_problem(model)
+        stacked = fit(problem)
+        single = calibrate.model_curve
+
+        def per_row(model, params, corr, times):
+            if np.ndim(params) == 1:
+                return single(model, params, corr, times)
+            return np.array([single(model, row, corr, times) for row in params])
+
+        def column_by_column(problem, up, down, h, offset):
+            jac = np.empty((problem.observed.values.size, len(h)))
+            for k in range(len(h)):
+                up_k, down_k = (
+                    single(problem.model, x, problem.corr, problem.observed.times) - offset
+                    for x in (up[k], down[k])
+                )
+                jac[:, k] = (up_k - down_k) / (2.0 * h[k])
+            return jac
+
+        if reference == "per-row curves":
+            monkeypatch.setattr(calibrate, "model_curve", per_row)
+        else:
+            monkeypatch.setattr(calibrate, "_central_differences", column_by_column)
+        looped = fit(problem)
+        assert stacked.iterations == looped.iterations > 1
+        assert stacked.converged == looped.converged
+        assert stacked.sse == looped.sse
+        np.testing.assert_array_equal(stacked.params, looped.params)
+        np.testing.assert_array_equal(
+            stacked.covariance_of_estimates, looped.covariance_of_estimates
+        )
+        assert stacked.metrics == looped.metrics
+
+    @pytest.mark.parametrize("model", ["heston", "bns"])
+    def test_one_model_curve_call_per_jacobian(self, model, monkeypatch):
+        shapes = []
+        single = calibrate.model_curve
+
+        def spy(model, params, corr, times):
+            shapes.append(np.shape(params))
+            return single(model, params, corr, times)
+
+        monkeypatch.setattr(calibrate, "model_curve", spy)
+        result = fit(batched_problem(model))
+        p = len(param_names(model))
+        stacks = [shape for shape in shapes if len(shape) == 2]
+        # one per LM iteration, and one for the covariance
+        assert stacks == [(2 * p, p)] * (result.iterations + 1)
 
 
 class TestParamTables:

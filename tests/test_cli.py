@@ -219,6 +219,12 @@ def _drop(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
+def _with_asset_field(doc, key, value):
+    """``doc`` with field ``key`` of its first asset set to ``value``."""
+    first = {**doc["assets"][0], key: value}
+    return {**doc, "assets": [first] + doc["assets"][1:]}
+
+
 def _bns_doc():
     return {
         "model": "bns",
@@ -249,11 +255,28 @@ class TestMalformedDocuments:
             ("simulate", "sim", lambda m: {"n_paths": 2.5, "dt": 0.25, "horizon": 1.0}, "2.5"),
             ("simulate", "sim", lambda m: {"n_paths": 4, "dt": 0.25, "horizon": 1.0,
                                           "block_size": 1.9}, "1.9"),
+            ("simulate", "model", lambda m: _with_asset_field(m, "k", "2.0"), "'2.0'"),
+            ("simulate", "model", lambda m: _with_asset_field(m, "gamma", True), "True"),
+            ("price", "model", lambda m: {**_bns_doc(), "lambda": "2"}, "'2'"),
+            ("price", "model", lambda m: _with_asset_field(_bns_doc(), "rho", False), "False"),
+            ("price", "model", lambda m: {**m, "correlation": [[True, 0.3, 0.3]] + m["correlation"][1:]},
+             "True"),
+            ("price", "contract", lambda m: {"k_var": 1e-4, "r": True, "maturity": 1.0,
+                                            "notional": 1.0}, "True"),
+            ("simulate", "sim", lambda m: {"n_paths": 4, "dt": "0.25", "horizon": 1.0}, "'0.25'"),
+            ("simulate", "sim", lambda m: {"n_paths": 4, "dt": 0.25, "horizon": True}, "True"),
+            ("simulate", "sim", lambda m: {"n_paths": 4, "dt": 0.25, "horizon": 1.0,
+                                          "record_times": ["0.0", 1]}, "'0.0'"),
+            ("simulate", "sim", lambda m: {"n_paths": 4, "dt": 0.25, "horizon": 10**400}, "horizon"),
+            ("price", "model", lambda m: {**_bns_doc(), "assets": [None] * 3}, "malformed field"),
         ],
         ids=["heston-no-correlation", "top-level-array", "bns-no-assets",
              "contract-no-maturity", "contract-text-maturity", "sim-no-dt",
              "sim-infinite-paths", "sim-infinite-block", "sim-fractional-paths",
-             "sim-fractional-block"],
+             "sim-fractional-block", "heston-text-k", "heston-bool-gamma", "bns-text-lambda",
+             "bns-bool-rho", "bool-correlation", "contract-bool-rate", "sim-text-dt",
+             "sim-bool-horizon", "sim-text-record-time", "sim-huge-integer-horizon",
+             "bns-null-asset"],
     )
     def test_exits_2_naming_file(self, tmp_path, capsys, command, role, content, needle):
         paths = {"model": write_model(tmp_path), "contract": write_contract(tmp_path)}
@@ -430,6 +453,27 @@ class TestCalibrate:
                      "--model", "heston", "--init", str(init),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc, needle",
+        [
+            ({"initial": ["2.0"] + TRUTH.tolist()[1:]}, "'2.0'"),
+            ({"initial": [True] + TRUTH.tolist()[1:]}, "True"),
+            ({"initial": TRUTH.tolist(), "bounds": [["1e-4", None]] + [[None, None]] * 8}, "'1e-4'"),
+            ({"initial": TRUTH.tolist(), "bounds": [[None, True]] + [[None, None]] * 8}, "True"),
+            ({"initial": 2.0}, "malformed field"),
+        ],
+        ids=["text-initial", "bool-initial", "text-bound", "bool-bound", "scalar-initial"],
+    )
+    def test_non_numeric_init_exits_2_naming_file(self, tmp_path, capsys, doc, needle):
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps(doc))
+        code = main(["calibrate", str(write_realized(tmp_path)), str(write_correlation(tmp_path)),
+                     "--model", "heston", "--init", str(init), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(init) in err and needle in err
+        assert "Traceback" not in err
 
     def test_init_without_initial_exits_2(self, tmp_path, capsys):
         init = tmp_path / "init.json"

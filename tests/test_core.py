@@ -18,6 +18,7 @@ from genvarswap import (
 )
 from genvarswap.errors import (
     BadDiagonal,
+    InvalidConfig,
     NotPositiveSemiDefinite,
     NotSymmetric,
     SingularCorrelation,
@@ -225,3 +226,37 @@ class TestSwapContract:
             SwapContract(k_var=1e-4, r=0.03, maturity=0.0, notional=1.0)
         with pytest.raises(ValidationError):
             SwapContract(k_var=math.nan, r=0.03, maturity=1.0, notional=1.0)
+
+
+class TestFromDictNumbers:
+    """JSON documents give numbers only: a string, a bool or null is rejected, not converted."""
+
+    DOCS = {
+        HestonAssetParams: {"k": 2.0, "theta2": 0.09, "sigma0_2": 0.04, "gamma": 0.3},
+        GammaOuSpec: {"a": 3.0, "b": 10.0},
+        BnsAssetParams: {"sigma0_2": 0.04, "kappa1": 0.05, "kappa2": 0.004, "rho": -0.3},
+        BnsPortfolioParams: {
+            "assets": [{"sigma0_2": 0.04, "kappa1": 0.05, "kappa2": 0.004}],
+            "lambda": 2.0,
+            "kappa2_star": 0.01,
+        },
+        SwapContract: {"k_var": 1e-4, "r": 0.02, "maturity": 1.0, "notional": 1000.0},
+        CorrelationMatrix: {"c": [[1.0, 0.3], [0.3, 1.0]]},
+    }
+
+    @pytest.mark.parametrize("bad", ["2.0", True, np.bool_(False), None, [1.0]])
+    @pytest.mark.parametrize("cls", list(DOCS), ids=lambda cls: cls.__name__)
+    def test_non_numbers_rejected(self, cls, bad):
+        for key, value in self.DOCS[cls].items():
+            doc = dict(self.DOCS[cls])
+            doc[key] = [[bad, 0.3], [0.3, 1.0]] if key == "c" else bad
+            if key == "assets":
+                doc[key] = [{**value[0], "kappa1": bad}]
+            with pytest.raises(InvalidConfig, match=repr(bad).replace("[", r"\[")):
+                cls.from_dict(doc)
+
+    def test_integers_and_numpy_numbers_accepted(self):
+        doc = {"k": 2, "theta2": np.float64(0.09), "sigma0_2": 0.04, "gamma": np.int64(1)}
+        p = HestonAssetParams.from_dict(doc)
+        assert p == HestonAssetParams(k=2.0, theta2=0.09, sigma0_2=0.04, gamma=1.0)
+        assert all(type(x) is float for x in (p.k, p.theta2, p.sigma0_2, p.gamma))

@@ -22,7 +22,7 @@ from genvarswap.errors import (
     NegativeTime,
     NonPositiveMaturity,
 )
-from genvarswap.heston import expected_realized_variance_quad
+from genvarswap.heston import _affine_product_integral, expected_realized_variance_quad
 
 
 def make_assets(ks=(2.0, 1.0, 3.0), theta2s=(0.09, 0.05, 0.07), sigma0_2s=(0.04, 0.06, 0.05)):
@@ -182,6 +182,35 @@ class TestExpectedRealizedVariance:
                 expected_realized_variance_quad(T, pf)
         with pytest.raises(NonPositiveMaturity):
             expected_realized_variance(np.array([1.0, math.inf]), pf)
+
+
+class TestProductKernelOverParameterSets:
+    """Per-set coefficient arrays give each set the value of its own scalar call."""
+
+    T = np.array([0.3, 1.0, 4.0])
+    D = np.array([[0.02, -0.01, 0.03], [0.01, 0.02, -0.02], [-0.03, 0.01, 0.02]])
+    C = np.array([[0.05, 0.07, 0.06], [0.09, 0.04, 0.08], [0.06, 0.06, 0.05]])
+
+    def single(self, s, k):
+        return _affine_product_integral(self.T, self.D[s], self.C[s], k[s])
+
+    def batched(self, k):
+        # factor i as a (set, 1) column, broadcasting against T
+        return _affine_product_integral(self.T, *(x.T[:, :, None] for x in (self.D, self.C, k)))
+
+    def test_sets_with_unlike_rates(self):
+        k = np.array([[1.0, 1.0, 2.0], [1.0, 2.0, 3.0], [0.5, 0.5, 0.5]])
+        batched = self.batched(k)
+        assert batched.shape == (3, self.T.size)
+        for s in range(3):
+            np.testing.assert_allclose(batched[s], self.single(s, k), rtol=1e-13)
+
+    def test_one_rate_per_set_is_exact(self):
+        """The BNS layout: every factor of a set decays at that set's lambda."""
+        k = np.repeat([[2.0], [0.7], [2.0]], 3, axis=1)
+        batched = self.batched(k)
+        for s in range(3):
+            np.testing.assert_array_equal(batched[s], self.single(s, k))
 
 
 class TestPortfolioType:

@@ -145,6 +145,13 @@ class TestSimConfig:
             dict(seed=False),
             dict(seed=math.nan),
             dict(seed=np.float64(math.inf)),
+            dict(dt="0.25"),
+            dict(dt=np.bool_(True)),
+            dict(horizon=True),
+            dict(horizon=None),
+            dict(horizon=10**400),
+            dict(record_times=("0.0", 1.0)),
+            dict(record_times=(0.0, True)),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -160,6 +167,11 @@ class TestSimConfig:
         )
         assert (cfg.n_paths, cfg.seed, cfg.block_size) == (10, 2**64 - 1, 4)
         assert all(type(x) is int for x in (cfg.n_paths, cfg.seed, cfg.block_size))
+
+    def test_real_numbers_normalized(self):
+        cfg = SimConfig(n_paths=2, dt=np.float32(0.25), horizon=1, seed=1, record_times=(0, 1))
+        assert (cfg.dt, cfg.horizon, cfg.record_times) == (0.25, 1.0, (0.0, 1.0))
+        assert all(type(x) is float for x in (cfg.dt, cfg.horizon, *cfg.record_times))
 
     def test_scheme_model_mismatch(self):
         cfg = SimConfig(n_paths=2, dt=0.5, horizon=1.0, seed=1, scheme="exact_ou")
