@@ -370,21 +370,9 @@ def compute_e_terms(
     T = float(_check_maturity(T))
     tol = _check_tol(tol)
     e_all, e_without = _mean_variance_products(T, [p])
-    cross = _cross_terms(T, p, [(0, 1), (0, 2), (1, 2)], tol, var_i_coefficient)
-    (e4, e5, e6), (e4_error, e5_error, e6_error) = (map(float, x) for x in cross)
-    e1, e2, e3 = (float(e[0]) for e in e_without)
-    return BnsETerms(
-        e0=float(e_all[0]),
-        e1=e1,
-        e2=e2,
-        e3=e3,
-        e4=e4,
-        e5=e5,
-        e6=e6,
-        e4_error=e4_error,
-        e5_error=e5_error,
-        e6_error=e6_error,
-    )
+    cross, errors = _cross_terms(T, p, [(0, 1), (0, 2), (1, 2)], tol, var_i_coefficient)
+    # in field order: e0, e1..e3, e4..e6, e4_error..e6_error
+    return BnsETerms(*map(float, [e_all[0], *(e[0] for e in e_without), *cross, *errors]))
 
 
 def expected_realized_variance_bns(

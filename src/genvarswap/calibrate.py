@@ -16,6 +16,12 @@ iterations; non-convergence is reported through the ``converged`` flag, not
 an exception. The correlation matrix is estimated from data and held fixed
 during the fit.
 
+One table per model (``_LAYOUTS``) lays out the parameter vector: the
+names, default bounds, start vector and ``model_curve``'s unpacking all come
+from it, for the n of the correlation. The fit itself takes three assets
+only (``WrongAssetCount`` otherwise): the gradient test above is absolute,
+while |Sigma| scales as variance^n.
+
 Identifiability caveat: a flat (near-stationary) Heston curve only pins the
 product theta_1^2 theta_2^2 theta_3^2 |C|, so judge fits by curve quality
 (SSE, metrics) unless the data has strong transients.
@@ -45,10 +51,12 @@ from .errors import (
     LengthMismatch,
     SingularNormalEquations,
     ValidationError,
+    WrongAssetCount,
     ZeroObserved,
 )
 from .heston import HestonPortfolio, expected_realized_variance
-from .bns import _expected_realized_variance_sets, expected_realized_variance_bns
+# expected_realized_variance_bns is not called here; perfbench/tracing.py wraps it at this name.
+from .bns import _expected_realized_variance_sets, expected_realized_variance_bns  # noqa: F401
 from .marketdata import RealizedVarianceSeries
 
 __all__ = [
@@ -66,50 +74,69 @@ __all__ = [
     "error_metrics",
 ]
 
-HESTON_PARAM_NAMES = (
-    "k_1", "k_2", "k_3",
-    "theta2_1", "theta2_2", "theta2_3",
-    "sigma0_2_1", "sigma0_2_2", "sigma0_2_3",
-)
-
-BNS_PARAM_NAMES = (
-    "lambda",
-    "sigma0_2_1", "sigma0_2_2", "sigma0_2_3",
-    "kappa1_1", "kappa1_2", "kappa1_3",
-    "kappa2_1", "kappa2_2", "kappa2_3",
-    "rho_1", "rho_2", "rho_3",
-    "kappa2_star",
-)
-
 _MAX_ITERATIONS = 500
 _GRADIENT_TOL = 1e-10
 _SSE_REL_TOL = 1e-12
 _JACOBIAN_REL_STEP = 1e-6
 
+# The asset count ``fit`` takes: its absolute gradient test only suits |Sigma| at this scale.
+_FIT_ASSETS = 3
+
+# Each model's parameter vector, in order: (field, one entry per asset?,
+# default bounds, start). A per-asset field takes the entries field_1 ..
+# field_n. A start is a number, "level" for (mean observed / |C|)^(1/n) or
+# "jumps" for the kappa2 guess of ``subordinator_initial_guess``. Heston's
+# gamma is left out: it never enters the closed form.
+_LAYOUTS = {
+    "heston": (
+        ("k", True, (1e-4, 100.0), 2.0),
+        ("theta2", True, (1e-10, 10.0), "level"),
+        ("sigma0_2", True, (1e-10, 10.0), "level"),
+    ),
+    "bns": (
+        ("lambda", False, (1e-4, 100.0), 2.0),
+        ("sigma0_2", True, (1e-10, 10.0), "level"),
+        ("kappa1", True, (0.0, 10.0), "level"),
+        ("kappa2", True, (0.0, 10.0), "jumps"),
+        ("rho", True, (-math.inf, 0.0), 0.0),
+        ("kappa2_star", False, (0.0, 100.0), 0.0),
+    ),
+}
+
+
+def _entries(model: str, n: int) -> list[tuple[str, tuple[float, float], float | str]]:
+    """(name, default bounds, start) of each entry of the model's vector for n assets."""
+    if model not in _LAYOUTS:
+        raise ValidationError(f"unknown model {model!r}, expected 'heston' or 'bns'")
+    return [
+        (f"{field}_{i}" if per_asset else field, bounds, start)
+        for field, per_asset, bounds, start in _LAYOUTS[model]
+        for i in (range(1, n + 1) if per_asset else [None])
+    ]
+
+
+def _unpack(model: str, row: np.ndarray, n: int):
+    """One parameter vector as n per-asset dicts and one dict of the shared fields."""
+    per_asset, shared, at = {}, {}, 0
+    for field, each, _, _ in _LAYOUTS[model]:
+        if each:
+            per_asset[field], at = row[at:at + n], at + n
+        else:
+            shared[field], at = row[at], at + 1
+    return [dict(zip(per_asset, values)) for values in zip(*per_asset.values())], shared
+
 
 def param_names(model: str) -> tuple[str, ...]:
-    if model == "heston":
-        return HESTON_PARAM_NAMES
-    if model == "bns":
-        return BNS_PARAM_NAMES
-    raise ValidationError(f"unknown model {model!r}, expected 'heston' or 'bns'")
+    return tuple(name for name, _, _ in _entries(model, _FIT_ASSETS))
 
 
 def default_bounds(model: str) -> tuple[tuple[float, float], ...]:
     """Loose positivity/box bounds; tighten or freeze (lo == hi) as needed."""
-    inf = math.inf
-    if model == "heston":
-        return ((1e-4, 100.0),) * 3 + ((1e-10, 10.0),) * 6
-    if model == "bns":
-        return (
-            ((1e-4, 100.0),)
-            + ((1e-10, 10.0),) * 3
-            + ((0.0, 10.0),) * 3
-            + ((0.0, 10.0),) * 3
-            + ((-inf, 0.0),) * 3
-            + ((0.0, 100.0),)
-        )
-    raise ValidationError(f"unknown model {model!r}")
+    return tuple(bounds for _, bounds, _ in _entries(model, _FIT_ASSETS))
+
+
+HESTON_PARAM_NAMES = param_names("heston")
+BNS_PARAM_NAMES = param_names("bns")
 
 
 @dataclass(frozen=True)
@@ -137,7 +164,13 @@ class CalibrationProblem:
     bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        names = param_names(self.model)
+        if self.corr.n != _FIT_ASSETS:
+            raise WrongAssetCount(
+                f"calibration takes {_FIT_ASSETS} assets, got {self.corr.n}: its stopping "
+                f"test max|gradient| < {_GRADIENT_TOL:g} is absolute, and |Sigma| scales "
+                "as variance^n"
+            )
+        names = [name for name, _, _ in _entries(self.model, self.corr.n)]
         initial = np.asarray(self.initial, dtype=float)
         if initial.shape != (len(names),):
             raise ValidationError(
@@ -189,35 +222,31 @@ class CalibrationResult:
 def model_curve(model: str, params, corr: CorrelationMatrix, times) -> np.ndarray:
     """E[sigma_R^2] over [0, t_i] for each t_i, under the given model.
 
-    Parameter vector layouts are ``HESTON_PARAM_NAMES`` (gamma is excluded:
-    it never enters the closed form) and ``BNS_PARAM_NAMES``. ``params`` is
-    one vector, giving one curve through the public closed forms, or P
-    vectors stacked as (P, p), giving the P curves as (P, len(times)). A
-    Heston stack evaluates its rows one at a time; a BNS stack makes one
-    pass of the BNS kernel, whose cross terms of all rows share one
-    quadrature. Each stacked curve equals its row's own curve unless
-    another row forces a finer quadrature, and then differs from it within
-    the quadrature tolerance. Sign-convention warnings for trial rho > 0
-    are suppressed here; judge signs on the fitted result.
+    The parameter vector is laid out as in ``_LAYOUTS`` for ``corr.n``
+    assets; at three assets that is ``HESTON_PARAM_NAMES`` or
+    ``BNS_PARAM_NAMES``. ``params`` is one vector, giving one curve, or P
+    vectors stacked as (P, p), giving the P curves as (P, len(times)).
+    Heston rows go one at a time through ``expected_realized_variance``;
+    the BNS rows make one pass of the BNS kernel, whose cross terms of all
+    rows share one quadrature. Each stacked curve equals its row's own
+    curve unless another row forces a finer quadrature, and then differs
+    from it within the quadrature tolerance. Sign-convention warnings for
+    trial rho > 0 are suppressed here; judge signs on the fitted result.
     """
-    names = param_names(model)
+    n = corr.n
+    size = len(_entries(model, n))
     params = np.asarray(params, dtype=float)
-    if params.ndim not in (1, 2) or params.shape[-1] != len(names):
-        raise ValidationError(f"{model} needs {len(names)} parameters")
+    if params.ndim not in (1, 2) or params.shape[-1] != size:
+        raise ValidationError(f"{model} needs {size} parameters for {n} assets")
     times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(np.diff(times) <= 0.0):
-        raise ValidationError("times must be nonempty and strictly increasing")
+    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0.0):
+        raise ValidationError("times must be a nonempty, strictly increasing 1-D array")
 
+    rows = [_unpack(model, row, n) for row in np.atleast_2d(params)]
     if model == "heston":
         portfolios = [
-            HestonPortfolio(
-                assets=tuple(
-                    HestonAssetParams(k=row[i], theta2=row[3 + i], sigma0_2=row[6 + i], gamma=1.0)
-                    for i in range(3)
-                ),
-                corr=corr,
-            )
-            for row in np.atleast_2d(params)
+            HestonPortfolio(tuple(HestonAssetParams(**a, gamma=1.0) for a in assets), corr)
+            for assets, _ in rows
         ]
         curves = [expected_realized_variance(times, portfolio) for portfolio in portfolios]
     else:
@@ -225,25 +254,14 @@ def model_curve(model: str, params, corr: CorrelationMatrix, times) -> np.ndarra
             warnings.simplefilter("ignore", LeverageSignWarning)
             portfolios = [
                 BnsPortfolioParams(
-                    assets=tuple(
-                        BnsAssetParams(
-                            sigma0_2=row[1 + i],
-                            kappa1=row[4 + i],
-                            kappa2=row[7 + i],
-                            rho=row[10 + i],
-                        )
-                        for i in range(3)
-                    ),
-                    lambda_=row[0],
-                    kappa2_star=row[13],
+                    assets=tuple(BnsAssetParams(**a) for a in assets),
+                    lambda_=shared["lambda"],
+                    kappa2_star=shared["kappa2_star"],
                 )
-                for row in np.atleast_2d(params)
+                for assets, shared in rows
             ]
-        if params.ndim == 1:
-            curves = [expected_realized_variance_bns(times, portfolios[0], corr)]
-        else:
-            curves = _expected_realized_variance_sets(times, portfolios, corr)
-    out = np.asarray(curves, dtype=float).reshape(len(portfolios), *times.shape)
+        curves = _expected_realized_variance_sets(times, portfolios, corr)
+    out = np.asarray(curves, dtype=float)
     return out[0] if params.ndim == 1 else out
 
 
@@ -339,9 +357,9 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
         raise SingularNormalEquations("objective is not finite at the initial point")
     sse = float(r @ r)
     n_free = len(free)
-    converged = False
+    converged = not n_free
     iterations = 0
-    mu = None
+    mu = 1e-3
 
     while iterations < _MAX_ITERATIONS and n_free:
         iterations += 1
@@ -362,8 +380,6 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
             break
         jtj = jac.T @ jac
         damping = np.diag(np.maximum(np.diag(jtj), 1e-12))
-        if mu is None:
-            mu = 1e-3
         accepted = False
         for _ in range(60):
             try:
@@ -396,8 +412,6 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
             # not accepted: no downhill step at maximum damping; return the
             # best point with converged still False
             break
-    if not n_free:
-        converged = True
 
     params = assemble(z)
     fitted = model_curve(problem.model, params, problem.corr, times)
@@ -461,10 +475,7 @@ def _gauss_newton_covariance(
     dof = max(obs.size - len(free), 1)
     cov_free = (sse / dof) * np.linalg.pinv(jac.T @ jac)
     # pinv of an ill-conditioned J^T J is symmetric only up to round-off
-    cov_free = 0.5 * (cov_free + cov_free.T)
-    for a, ja in enumerate(free):
-        for b, jb in enumerate(free):
-            cov[ja, jb] = cov_free[a, b]
+    cov[np.ix_(free, free)] = 0.5 * (cov_free + cov_free.T)
     return cov
 
 
@@ -485,13 +496,9 @@ def initial_guess(model: str, observed: RealizedVarianceSeries, corr: Correlatio
     """Crude but always-feasible start vector for ``fit``."""
     level = max(float(np.mean(observed.values)), 1e-12)
     det_c = max(corr.det_c, 1e-6)
-    per_asset = (level / det_c) ** (1.0 / 3.0)
-    if model == "heston":
-        return np.array([2.0] * 3 + [per_asset] * 3 + [per_asset] * 3)
-    if model == "bns":
-        _, k2 = subordinator_initial_guess(observed.values)
-        k2 = max(min(k2, 9.0), 1e-10)
-        return np.array(
-            [2.0] + [per_asset] * 3 + [per_asset] * 3 + [k2] * 3 + [0.0] * 3 + [0.0]
-        )
-    raise ValidationError(f"unknown model {model!r}")
+    _, k2 = subordinator_initial_guess(observed.values)
+    starts = {"level": (level / det_c) ** (1.0 / corr.n), "jumps": max(min(k2, 9.0), 1e-10)}
+    return np.array([
+        starts[start] if isinstance(start, str) else start
+        for _, _, start in _entries(model, corr.n)
+    ])

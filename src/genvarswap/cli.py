@@ -20,13 +20,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import datetime
 import hashlib
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .core import (
     SwapContract,
     _real_matrix,
     _real_number,
+    _real_vector,
     validate_correlation,
 )
 from .errors import (
@@ -81,7 +82,7 @@ from .svgplot import grouped_histogram, heatmap, line_chart
 __all__ = ["RunManifest", "main"]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunManifest:
     """Reproducibility record written once per output directory."""
 
@@ -112,16 +113,8 @@ class RunManifest:
         )
 
     def write(self, out_dir: str) -> None:
-        payload = {
-            "command": self.command,
-            "config": self.config,
-            "input_hashes": self.input_hashes,
-            "seed": self.seed,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
         with open(os.path.join(out_dir, "run_manifest.json"), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -333,9 +326,13 @@ def cmd_calibrate(args) -> int:
         init_doc = _load_json(args.init)
         raw_bounds = init_doc.get("bounds")
         with _reading(args.init):
-            initial = np.array([_real_number("initial", x) for x in init_doc["initial"]])
+            initial = _real_vector("initial", init_doc["initial"])
             if raw_bounds is None:
                 bounds = default_bounds(args.model)
+            elif not isinstance(raw_bounds, list) or not all(
+                isinstance(pair, list) and len(pair) == 2 for pair in raw_bounds
+            ):
+                raise InvalidConfig(f"bounds must be a list of [lo, hi] pairs, got {raw_bounds!r}")
             else:
                 bounds = tuple(
                     (
@@ -393,7 +390,7 @@ def cmd_report(args) -> int:
         with _reading(path):
             model = doc["model"]
             corr = validate_correlation(_real_matrix("correlation", doc["correlation"]))
-            params = np.array([_real_number("params", x) for x in doc["params"]])
+            params = _real_vector("params", doc["params"])
         curve = model_curve(model, params, corr, series.times)
         metrics = error_metrics(series.values, curve)
         loaded.append((model, curve, metrics))
@@ -477,9 +474,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

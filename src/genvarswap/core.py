@@ -18,7 +18,7 @@ import math
 import numbers
 import operator
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -68,9 +68,23 @@ def _real_number(name: str, value) -> float:
         raise InvalidConfig(f"{name} must be a number ({exc})") from None
 
 
+def _real_vector(name: str, values) -> np.ndarray:
+    """A list of numbers as a float array, each entry checked by ``_real_number``."""
+    if not isinstance(values, (list, tuple)):
+        raise InvalidConfig(f"{name} must be a list of numbers, got {values!r}")
+    return np.array([_real_number(name, x) for x in values])
+
+
 def _real_matrix(name: str, rows) -> np.ndarray:
-    """A list of lists of numbers as a float array, each entry checked by ``_real_number``."""
-    return np.array([[_real_number(name, x) for x in row] for row in rows])
+    """A list of lists of numbers as a float array, each row read by ``_real_vector``."""
+    if not isinstance(rows, (list, tuple)):
+        raise InvalidConfig(f"{name} must be a list of rows, got {rows!r}")
+    return np.array([_real_vector(name, row) for row in rows])
+
+
+def _from_numbers(cls, d: dict):
+    """A ``cls`` whose fields are all numbers, each read from ``d`` by ``_real_number``."""
+    return cls(**{f.name: _real_number(f.name, d[f.name]) for f in fields(cls)})
 
 
 def _whole_number(name: str, value) -> int:
@@ -211,21 +225,11 @@ class HestonAssetParams:
             _require_positive(f.name, getattr(self, f.name))
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "theta2": self.theta2,
-            "sigma0_2": self.sigma0_2,
-            "gamma": self.gamma,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "HestonAssetParams":
-        return cls(
-            k=_real_number("k", d["k"]),
-            theta2=_real_number("theta2", d["theta2"]),
-            sigma0_2=_real_number("sigma0_2", d["sigma0_2"]),
-            gamma=_real_number("gamma", d["gamma"]),
-        )
+        return _from_numbers(cls, d)
 
 
 @dataclass(frozen=True)
@@ -265,11 +269,11 @@ class GammaOuSpec:
         return 6.0 * self.a / self.b**3
 
     def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GammaOuSpec":
-        return cls(a=_real_number("a", d["a"]), b=_real_number("b", d["b"]))
+        return _from_numbers(cls, d)
 
 
 @dataclass(frozen=True)
@@ -393,18 +397,8 @@ class SwapContract:
         _require_finite("notional", self.notional)
 
     def to_dict(self) -> dict:
-        return {
-            "k_var": self.k_var,
-            "r": self.r,
-            "maturity": self.maturity,
-            "notional": self.notional,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SwapContract":
-        return cls(
-            k_var=_real_number("k_var", d["k_var"]),
-            r=_real_number("r", d["r"]),
-            maturity=_real_number("maturity", d["maturity"]),
-            notional=_real_number("notional", d["notional"]),
-        )
+        return _from_numbers(cls, d)

@@ -53,7 +53,12 @@ class NonPositiveMaturity(ValidationError):
 
 
 class WrongAssetCount(ValidationError):
-    """``compute_e_terms`` (the paper's three-asset E_0..E_6) got another asset count."""
+    """A three-asset routine got another asset count.
+
+    ``compute_e_terms`` (the paper's three-asset E_0..E_6) and
+    ``CalibrationProblem``, whose absolute stopping test suits three assets
+    only, raise it.
+    """
 
 
 class DegenerateVariance(NumericalError):

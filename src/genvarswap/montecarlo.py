@@ -715,24 +715,37 @@ def _log_euler_prices(v, eps, L, s0, mu, beta, dt: float, jumps=None) -> np.ndar
     return s0 * np.exp(x)
 
 
+def _price_paths(planes, corr: CorrelationMatrix, cfg: SimConfig, s0, mu, beta, jumps=None):
+    """(prices, variances) of all paths, each (n_paths, n_steps + 1, n).
+
+    A block's generators give its variance planes ``planes(rngs)``, then the
+    return normals, then ``jumps(rngs)``, the per-step log-price jumps, if given.
+    """
+    n = corr.n
+    _check_ensemble_size(cfg, 2 * n)
+    s0, mu, beta = _price_inputs(n, s0, mu, beta)
+    L = _corr_factor(corr)
+    every_row = np.arange(cfg.n_steps + 1)
+    prices = np.empty((cfg.n_paths, cfg.n_steps + 1, n))
+    variances = np.empty_like(prices)
+    for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
+        rngs = _rngs(cfg, lo, hi)
+        v, _ = _walk(planes(rngs), hi - lo, n, every_row)
+        eps = _return_normals(rngs, cfg, n)
+        prices[lo:hi] = _log_euler_prices(
+            v, eps, L, s0, mu, beta, cfg.dt, None if jumps is None else jumps(rngs)
+        )
+        variances[lo:hi] = v
+    return prices, variances
+
+
 def simulate_heston_prices(
     portfolio: HestonPortfolio, cfg: SimConfig, s0, mu=0.0
 ) -> PricePaths:
     """Log-Euler price paths with C-correlated return drivers."""
     _check_scheme(cfg, "full_truncation_euler")
-    _check_ensemble_size(cfg, 2 * portfolio.n)
-    s0, mu, beta = _price_inputs(portfolio.n, s0, mu, 0.0)
-    L = _corr_factor(portfolio.corr)
-    every_row = np.arange(cfg.n_steps + 1)
-    prices = np.empty((cfg.n_paths, cfg.n_steps + 1, portfolio.n))
-    variances = np.empty_like(prices)
-    for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
-        rngs = _rngs(cfg, lo, hi)
-        v, _ = _walk(_heston_planes(portfolio, cfg, rngs), hi - lo, portfolio.n, every_row)
-        eps = _return_normals(rngs, cfg, portfolio.n)
-        prices[lo:hi] = _log_euler_prices(v, eps, L, s0, mu, beta, cfg.dt)
-        variances[lo:hi] = v
-    return PricePaths(times=cfg.times, prices=prices, variance_paths=variances)
+    planes = functools.partial(_heston_planes, portfolio, cfg)
+    return PricePaths(cfg.times, *_price_paths(planes, portfolio.corr, cfg, s0, mu, 0.0))
 
 
 def simulate_bns_prices(
@@ -750,10 +763,8 @@ def simulate_bns_prices(
     only states Var[Z_1*], which does not determine a jump law by itself.
     """
     _check_scheme(cfg, "exact_ou")
-    _check_ensemble_size(cfg, 2 * p.n)
     if p.n != corr.n:
         raise DimensionMismatch(f"{p.n} assets vs {corr.n}x{corr.n} correlation")
-    s0, mu, beta = _price_inputs(p.n, s0, mu, beta)
     if p.kappa2_star > 0.0:
         if subordinator_star is None:
             raise MissingSubordinatorSpec(
@@ -764,17 +775,12 @@ def simulate_bns_prices(
                 f"subordinator_star has kappa2 = {subordinator_star.kappa2}, "
                 f"portfolio states kappa2_star = {p.kappa2_star}"
             )
-    L = _corr_factor(corr)
-    every_row = np.arange(cfg.n_steps + 1)
     horizon = cfg.n_steps * cfg.dt
-    prices = np.empty((cfg.n_paths, cfg.n_steps + 1, p.n))
-    variances = np.empty_like(prices)
-    marks: list[tuple[np.ndarray, np.ndarray]] = []
-    for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
-        rngs = _rngs(cfg, lo, hi)
-        v, _ = _walk(_bns_planes(p, cfg, rngs), hi - lo, p.n, every_row)
-        eps = _return_normals(rngs, cfg, p.n)
-        star = np.zeros((hi - lo, cfg.n_steps))
+    marks = []
+
+    def common_jumps(rngs):
+        """rho_i times each step's Z* increment; the draws are kept in ``marks``."""
+        star = np.zeros((len(rngs), cfg.n_steps))
         for j, rng in enumerate(rngs):
             if subordinator_star is None:
                 marks.append((np.empty(0), np.empty(0)))
@@ -782,13 +788,11 @@ def simulate_bns_prices(
             t_jump, sizes = _draw_jumps(rng, subordinator_star, p.lambda_, horizon)
             np.add.at(star[j], _step_index(t_jump, cfg), sizes)
             marks.append((t_jump, sizes))
-        prices[lo:hi] = _log_euler_prices(
-            v, eps, L, s0, mu, beta, cfg.dt, star[:, :, np.newaxis] * p.rho
-        )
-        variances[lo:hi] = v
-    return PricePaths(
-        times=cfg.times, prices=prices, variance_paths=variances, jump_marks=tuple(marks)
-    )
+        return star[:, :, np.newaxis] * p.rho
+
+    planes = functools.partial(_bns_planes, p, cfg)
+    paths = _price_paths(planes, corr, cfg, s0, mu, beta, common_jumps)
+    return PricePaths(cfg.times, *paths, jump_marks=tuple(marks))
 
 
 def ensemble_to_csv(ensemble: PathEnsemble, path) -> None:

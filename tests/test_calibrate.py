@@ -33,9 +33,10 @@ from genvarswap.errors import (
     LengthMismatch,
     QuadratureFailure,
     ValidationError,
+    WrongAssetCount,
     ZeroObserved,
 )
-from genvarswap.heston import expected_realized_variance_quad
+from genvarswap.heston import expected_realized_variance, expected_realized_variance_quad
 
 CORR = validate_correlation(np.full((3, 3), 0.3) + 0.7 * np.eye(3))
 
@@ -211,8 +212,9 @@ class TestModelCurve:
             model_curve("bns", np.ones(9), CORR, np.array([1.0]))
 
     def test_bad_times(self):
-        with pytest.raises(ValidationError):
-            model_curve("heston", HESTON_TRUTH, CORR, np.array([1.0, 0.5]))
+        for times in (np.array([1.0, 0.5]), 1.0, np.ones((2, 2))):
+            with pytest.raises(ValidationError):
+                model_curve("heston", HESTON_TRUTH, CORR, times)
 
 
 class TestStackedCurves:
@@ -354,12 +356,27 @@ class TestBatchedJacobian:
 
 class TestParamTables:
     def test_names_and_bounds_align(self):
-        assert param_names("heston") == HESTON_PARAM_NAMES
-        assert param_names("bns") == BNS_PARAM_NAMES
-        assert len(default_bounds("heston")) == 9
-        assert len(default_bounds("bns")) == 14
-        with pytest.raises(ValidationError):
-            param_names("garch")
+        assert param_names("heston") == HESTON_PARAM_NAMES == (
+            "k_1", "k_2", "k_3",
+            "theta2_1", "theta2_2", "theta2_3",
+            "sigma0_2_1", "sigma0_2_2", "sigma0_2_3",
+        )
+        assert param_names("bns") == BNS_PARAM_NAMES == (
+            "lambda",
+            "sigma0_2_1", "sigma0_2_2", "sigma0_2_3",
+            "kappa1_1", "kappa1_2", "kappa1_3",
+            "kappa2_1", "kappa2_2", "kappa2_3",
+            "rho_1", "rho_2", "rho_3",
+            "kappa2_star",
+        )
+        assert default_bounds("heston") == ((1e-4, 100.0),) * 3 + ((1e-10, 10.0),) * 6
+        assert default_bounds("bns") == (
+            ((1e-4, 100.0),) + ((1e-10, 10.0),) * 3 + ((0.0, 10.0),) * 6
+            + ((-math.inf, 0.0),) * 3 + ((0.0, 100.0),)
+        )
+        for lookup in (param_names, default_bounds):
+            with pytest.raises(ValidationError):
+                lookup("garch")
 
     def test_bounded_transform_matches_scipy_expit(self):
         special = pytest.importorskip("scipy.special")
@@ -386,6 +403,104 @@ class TestParamTables:
             CalibrationProblem(
                 model="heston", observed=obs, corr=CORR,
                 initial=np.full(9, 1e6), bounds=default_bounds("heston"),
+            )
+
+
+# each field's value for asset i (1-based); shared fields take i = 0
+LAYOUT_VALUES = {
+    "k": lambda i: 0.5 + 0.7 * i,
+    "theta2": lambda i: 0.04 + 0.005 * i,
+    "sigma0_2": lambda i: 0.09 - 0.004 * i,
+    "lambda": lambda i: 1.5,
+    "kappa1": lambda i: 0.03 + 0.002 * i,
+    "kappa2": lambda i: 0.002 + 0.0005 * i,
+    "rho": lambda i: -0.2 - 0.05 * i,
+    "kappa2_star": lambda i: 0.02,
+}
+
+
+def layout_vector(model, n):
+    """A parameter vector for n assets built entry by entry from the layout table."""
+    return np.array([
+        LAYOUT_VALUES[field](i)
+        for field, per_asset, _, _ in calibrate._LAYOUTS[model]
+        for i in (range(1, n + 1) if per_asset else [0])
+    ])
+
+
+def layout_portfolio(model, n, corr, scale=1.0):
+    """The portfolio of ``layout_vector(model, n) * scale``, built field by field."""
+    def v(field, i=0):
+        return scale * LAYOUT_VALUES[field](i)
+
+    if model == "heston":
+        assets = tuple(
+            HestonAssetParams(k=v("k", i), theta2=v("theta2", i), sigma0_2=v("sigma0_2", i),
+                              gamma=1.0)
+            for i in range(1, n + 1)
+        )
+        return HestonPortfolio(assets=assets, corr=corr)
+    assets = tuple(
+        BnsAssetParams(sigma0_2=v("sigma0_2", i), kappa1=v("kappa1", i), kappa2=v("kappa2", i),
+                       rho=v("rho", i))
+        for i in range(1, n + 1)
+    )
+    return BnsPortfolioParams(assets=assets, lambda_=v("lambda"), kappa2_star=v("kappa2_star"))
+
+
+def closed_form(model, portfolio, corr, times):
+    if model == "heston":
+        return expected_realized_variance(times, portfolio)
+    return expected_realized_variance_bns(times, portfolio, corr)
+
+
+def equicorrelation(n):
+    return validate_correlation(np.full((n, n), 0.3) + 0.7 * np.eye(n))
+
+
+class TestLayoutForAnyN:
+    TIMES = np.linspace(0.1, 3.0, 12)
+
+    @pytest.mark.parametrize("n", [2, 4, 9])
+    @pytest.mark.parametrize("model", ["heston", "bns"])
+    def test_curve_is_the_closed_form_of_the_built_portfolio(self, model, n):
+        corr = equicorrelation(n)
+        x = layout_vector(model, n)
+        assert x.size == len(calibrate._entries(model, n))
+        expected = closed_form(model, layout_portfolio(model, n, corr), corr, self.TIMES)
+        np.testing.assert_array_equal(model_curve(model, x, corr, self.TIMES), expected)
+
+    @pytest.mark.parametrize("model", ["heston", "bns"])
+    def test_three_asset_stack_rows_are_closed_forms(self, model):
+        x = layout_vector(model, 3)
+        curves = model_curve(model, np.stack([x, x * 1.1]), CORR, self.TIMES)
+        for curve, scale in zip(curves, (1.0, 1.1)):
+            expected = closed_form(model, layout_portfolio(model, 3, CORR, scale), CORR, self.TIMES)
+            np.testing.assert_array_equal(curve, expected)
+
+    @pytest.mark.parametrize("model", ["heston", "bns"])
+    def test_four_asset_start_fits_the_table(self, model):
+        corr = equicorrelation(4)
+        entries = calibrate._entries(model, 4)
+        obs = heston_series(np.linspace(0.1, 1.0, 8))
+        start = initial_guess(model, obs, corr)
+        assert start.shape == (len(entries),)
+        for x, (_, (lo, hi), _) in zip(start, entries):
+            assert lo <= x <= hi
+        # the four starting variances reproduce the observed level through |C|
+        sigma0_2 = [x for x, (name, _, _) in zip(start, entries) if name.startswith("sigma0_2_")]
+        assert len(sigma0_2) == 4
+        assert np.prod(sigma0_2) * corr.det_c == pytest.approx(np.mean(obs.values), rel=1e-12)
+
+    @pytest.mark.parametrize("model", ["heston", "bns"])
+    def test_problem_takes_three_assets_only(self, model):
+        corr = equicorrelation(4)
+        obs = heston_series(np.linspace(0.1, 1.0, 8))
+        with pytest.raises(WrongAssetCount, match="absolute"):
+            CalibrationProblem(
+                model=model, observed=obs, corr=corr,
+                initial=initial_guess(model, obs, corr),
+                bounds=[b for _, b, _ in calibrate._entries(model, 4)],
             )
 
 

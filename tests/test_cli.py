@@ -461,9 +461,13 @@ class TestCalibrate:
             ({"initial": [True] + TRUTH.tolist()[1:]}, "True"),
             ({"initial": TRUTH.tolist(), "bounds": [["1e-4", None]] + [[None, None]] * 8}, "'1e-4'"),
             ({"initial": TRUTH.tolist(), "bounds": [[None, True]] + [[None, None]] * 8}, "True"),
-            ({"initial": 2.0}, "malformed field"),
+            ({"initial": 2.0}, "initial"),
+            ({"initial": TRUTH.tolist(), "bounds": 1.0}, "bounds"),
+            ({"initial": TRUTH.tolist(), "bounds": [[1e-4, 100.0, 3.0]] + [[None, None]] * 8},
+             "bounds"),
         ],
-        ids=["text-initial", "bool-initial", "text-bound", "bool-bound", "scalar-initial"],
+        ids=["text-initial", "bool-initial", "text-bound", "bool-bound", "scalar-initial",
+             "scalar-bounds", "non-pair-bound"],
     )
     def test_non_numeric_init_exits_2_naming_file(self, tmp_path, capsys, doc, needle):
         init = tmp_path / "init.json"
@@ -473,6 +477,35 @@ class TestCalibrate:
         assert code == 2
         err = capsys.readouterr().err
         assert str(init) in err and needle in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("model", ["heston", "bns"])
+    def test_nine_tickers_exit_2_naming_the_asset_count(self, tmp_path, capsys, model):
+        n = 9
+        corr = validate_correlation(np.full((n, n), 0.2) + 0.8 * np.eye(n))
+        assets = tuple(
+            HestonAssetParams(k=2.0 + 0.1 * i, theta2=0.04 + 0.002 * i, sigma0_2=0.05, gamma=0.3)
+            for i in range(n)
+        )
+        cfg = SimConfig(n_paths=1, dt=1.0 / 252, horizon=1.0, seed=17)
+        closes = montecarlo.simulate_heston_prices(
+            HestonPortfolio(assets=assets, corr=corr), cfg, s0=100.0, mu=0.05
+        ).prices[0]
+        rows = ["date," + ",".join(f"T{i}" for i in range(n))]
+        day = datetime.date(2021, 1, 4)
+        for row in closes:
+            rows.append(f"{day}," + ",".join(f"{x:.10f}" for x in row))
+            day += datetime.timedelta(days=1)
+        prices = tmp_path / "prices.csv"
+        prices.write_text("\n".join(rows) + "\n")
+        est = tmp_path / "estimate"
+        assert main(["estimate", str(prices), "--out", str(est)]) == 0
+        capsys.readouterr()
+        code = main(["calibrate", str(est / "realized.csv"), str(est / "correlation.csv"),
+                     "--model", model, "--out", str(tmp_path / "fit")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "calibration takes 3 assets, got 9" in err and "absolute" in err
         assert "Traceback" not in err
 
     def test_init_without_initial_exits_2(self, tmp_path, capsys):
@@ -531,6 +564,17 @@ class TestReport:
                      "--out", str(tmp_path / "rep")])
         assert code == 2
         assert "'params'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["params", "correlation"])
+    def test_result_with_scalar_field_exits_2_naming_it(self, tmp_path, capsys, key):
+        realized, result = self.run_calibration(tmp_path)
+        result.write_text(json.dumps({**json.loads(result.read_text()), key: 0.5}))
+        code = main(["report", str(realized), "--result", str(result),
+                     "--out", str(tmp_path / "rep")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be a list" in err and str(result) in err
+        assert "Traceback" not in err
 
 
 class TestParser:
