@@ -15,12 +15,18 @@ forms are implemented and cross-checked in the tests.
 
 All functions are pure and safe for concurrent invocation. The ``*_values``
 variants evaluate determinants along whole ensembles of variance paths at
-once and are the kernels used by the Monte Carlo module.
+once and are the kernels used by the Monte Carlo module, which calls them
+once per row tile of a block. ``det_sigma2_values`` works in place in
+per-thread scratch planes (square roots, u_i, the pair term) that are
+reused while a tile's shape fits, so only the returned array is new; its
+operations and their order are those of the one-temporary-per-operation
+form, so the values are the same to the bit.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,11 +83,33 @@ def _check_rho(rho, n: int) -> np.ndarray:
 def _check_jump_scale(lambda_: float, var_z1: float) -> tuple[float, float]:
     lambda_ = float(lambda_)
     var_z1 = float(var_z1)
-    if lambda_ <= 0.0:
-        raise ValidationError(f"lambda must be > 0, got {lambda_}")
-    if var_z1 < 0.0:
-        raise ValidationError(f"var_z1 must be >= 0, got {var_z1}")
+    if not (0.0 < lambda_ < math.inf):
+        raise ValidationError(f"lambda must be finite and > 0, got {lambda_}")
+    if not (0.0 <= var_z1 < math.inf):
+        raise ValidationError(f"var_z1 must be finite and >= 0, got {var_z1}")
     return lambda_, var_z1
+
+
+# A thread keeps its scratch between calls up to this size; larger calls
+# (whole ensembles rather than tiles) get buffers that are freed on return.
+_SCRATCH_KEEP_BYTES = 1 << 23
+_scratch = threading.local()
+
+
+def _scratch_planes(k: int, shape: tuple) -> list[np.ndarray]:
+    """k float planes of ``shape`` from the calling thread's scratch buffer.
+
+    The buffer is reused while it fits, so the determinant of each row tile
+    of a Monte Carlo block allocates nothing but its result. Planes of one
+    call never overlap; a later call overwrites them.
+    """
+    size = math.prod(shape)
+    buffer = getattr(_scratch, "buffer", np.empty((0, 0)))
+    if buffer.shape[0] < k or buffer.shape[1] < size:
+        buffer = np.empty((max(k, buffer.shape[0]), max(size, buffer.shape[1])))
+        if buffer.nbytes <= _SCRATCH_KEEP_BYTES:
+            _scratch.buffer = buffer
+    return [row[:size].reshape(shape) for row in buffer[:k]]
 
 
 def build_sigma1(vols: InstantaneousVols, corr: CorrelationMatrix) -> np.ndarray:
@@ -169,13 +197,31 @@ def det_sigma2_values(
     lambda_, var_z1 = _check_jump_scale(lambda_, var_z1)
     delta = corr.inverse()
 
-    base = np.prod(variances, axis=-1)
-    if var_z1 == 0.0 or not np.any(rho):
-        return corr.det_c * base
-
-    sigma = [np.sqrt(variances[..., l]) for l in range(n)]
+    shape = variances.shape[:-1]
     jumping = np.flatnonzero(rho)
-    u = {i: math.prod((sigma[l] for l in range(n) if l != i), start=rho[i]) for i in jumping}
-    pairs = [(i, j) for i in jumping for j in jumping if i <= j]
-    bracket = sum((1.0 if i == j else 2.0) * delta[i, j] * u[i] * u[j] for i, j in pairs)
-    return corr.det_c * (base + lambda_ * var_z1 * bracket)
+    if var_z1 == 0.0 or not jumping.size:
+        (base,) = _scratch_planes(1, shape)
+        return corr.det_c * np.prod(variances, axis=-1, out=base)
+
+    m = jumping.size
+    base, bracket, pair, *planes = _scratch_planes(3 + n + m, shape)
+    sigma, u = planes[:n], planes[n:]
+    np.prod(variances, axis=-1, out=base)
+    for l in range(n):
+        np.sqrt(variances[..., l], out=sigma[l])
+    for ui, i in zip(u, jumping):
+        # u_i = ((rho_i s_a) s_b)... over the assets l != i in order
+        first, *rest = (sigma[l] for l in range(n) if l != i)
+        np.multiply(rho[i], first, out=ui)
+        for s in rest:
+            ui *= s
+    # bracket = ((0 + t_1) + t_2)... over the pairs i <= j, t = ((c delta_ij) u_i) u_j
+    bracket.fill(0.0)
+    for a, i in enumerate(jumping):
+        for b in range(a, m):
+            np.multiply((1.0 if a == b else 2.0) * delta[i, jumping[b]], u[a], out=pair)
+            pair *= u[b]
+            bracket += pair
+    bracket *= lambda_ * var_z1
+    bracket += base
+    return corr.det_c * bracket

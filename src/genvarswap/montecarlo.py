@@ -31,21 +31,33 @@ return randomness.
 Three things keep a block cheap:
 
 * The walker hands the determinant kernels row tiles of each plane of about
-  ``_TILE_BYTES`` (1 MiB) rather than the whole plane, so their temporaries
-  stay in cache; Heston draws a chunk's normals a tile of paths at a time
-  and transposes each tile into place while it is in cache. The kernels are
-  elementwise and the time average adds row by row, so the tiling moves no
-  result.
+  ``_TILE_BYTES`` (1 MiB) rather than the whole plane, so their working set
+  stays in cache (the |Sigma_2| kernel computes in per-thread scratch that
+  it reuses from tile to tile, so a tile allocates only its result); Heston
+  draws a chunk's normals a tile of paths at a time and transposes each
+  tile into place while it is in cache. The kernels are elementwise and the
+  time average adds row by row, so the tiling moves no result.
 * Each path kernel allocates its chunk buffers once per block and refills
   them for every chunk (Heston's transposed normals and its plane, BNS's
-  plane, zeroed before its jumps are binned). The walker is done with a
-  plane before it asks for the next one, and BNS copies its state out of
-  the last row before the buffer is refilled.
-* A path's generator is built from its key alone: ``np.random.Philox``
-  takes the (seed, path) key from a minimal seed sequence, so no
-  ``SeedSequence`` is made and no OS entropy is read (``Philox(key=...)``
-  does both, for each path, with the interpreter lock held), and the
-  stream is that of ``Philox(key=(seed, path))``.
+  plane, zeroed before its jumps are binned, and the decayed row of its OU
+  step). The walker is done with a plane before it asks for the next one,
+  and BNS copies its state out of the last row before the buffer is
+  refilled.
+* No generator costs more than its key. ``np.random.Philox`` takes a path's
+  (seed, path) key from a minimal seed sequence, so no ``SeedSequence`` is
+  made and no OS entropy is read (``Philox(key=...)`` does both, for each
+  path, with the interpreter lock held), and the stream is that of
+  ``Philox(key=(seed, path))``. The BNS variance kernel draws all of a
+  path's jumps before the next path's, so the ensemble and streaming routes
+  give it one generator per block, re-keyed to each path through its state
+  (counter 0, empty buffer): the same streams for about a quarter of the
+  cost. It draws jump times and sizes as standard uniforms and exponentials
+  (none when the count is zero) and scales them once per block; numpy's
+  ``uniform(0, h)`` and ``exponential(1/b)`` are ``0.0 + h U`` and
+  ``(1/b) E``, so the values are those of the layout below. Blocks on
+  different threads take turns at these draws (``_JUMP_DRAWS``), which
+  hold the interpreter lock but for each array draw. Heston and the price
+  routes keep one live generator per path.
 
 Reproducibility: every path owns a counter-based RNG stream keyed by
 (seed, path index) (Philox, Salmon et al., SC 2011), so ensembles are
@@ -74,6 +86,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -118,6 +131,12 @@ _MAX_ENSEMBLE_ENTRIES = 2**28
 
 # Steps per time-major chunk of the path kernels.
 _CHUNK = 256
+
+# Blocks take turns at their jump draws. The draw loop holds the interpreter
+# lock but for the moment each array draw takes, so two threads drawing at
+# once hand it back and forth at every draw; taking turns lets one block
+# draw while another computes.
+_JUMP_DRAWS = threading.Lock()
 
 # Bytes of the tiles a block is worked on in, so that temporaries stay in
 # cache: rows of a plane for the determinant kernels, paths of a chunk's
@@ -210,14 +229,15 @@ class PathEnsemble:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         paths = np.asarray(self.variance_paths, dtype=float)
-        if times.ndim != 1 or np.any(np.diff(times) <= 0.0):
-            raise ValidationError("times must be a strictly increasing vector")
+        if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0.0):
+            raise ValidationError("times must be a strictly increasing vector of finite values")
         if paths.ndim != 3 or paths.shape[1] != times.size:
             raise ValidationError(
                 f"variance_paths shape {paths.shape} does not match {times.size} times"
             )
-        if np.any(paths < 0.0):
-            raise ValidationError("variance paths must be nonnegative")
+        # written so that NaN, which fails every comparison, fails it too
+        if not np.all(paths >= 0.0):
+            raise ValidationError("variance paths must be nonnegative numbers")
         times.setflags(write=False)
         paths.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -298,6 +318,32 @@ def _rngs(cfg: SimConfig, lo: int, hi: int) -> list[np.random.Generator]:
     return [_path_rng(cfg.seed, j) for j in range(lo, hi)]
 
 
+class _Rekeyed:
+    """The streams of paths [lo, hi) through one generator, re-keyed path by path.
+
+    Iterating hands out the same ``Generator`` for each path j, its Philox
+    state set to key (seed, j), counter 0, an empty buffer and no cached
+    32-bit word: the stream of ``_path_rng(seed, j)``, for a fraction of the
+    cost of building one. Only for kernels that draw all of a path's numbers
+    before they move to the next path.
+    """
+
+    def __init__(self, cfg: SimConfig, lo: int, hi: int):
+        self.seed = cfg.seed
+        self.paths = range(lo, hi)
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __iter__(self):
+        rng = _path_rng(self.seed, self.paths.start)
+        state = rng.bit_generator.state
+        for j in self.paths:
+            state["state"]["key"][1] = j
+            rng.bit_generator.state = state
+            yield rng
+
+
 def _blocks(n_paths: int, block_size: int):
     for lo in range(0, n_paths, block_size):
         yield lo, min(lo + block_size, n_paths)
@@ -372,7 +418,7 @@ def _walk(planes, paths: int, n: int, rows: np.ndarray, weights=None, dets=None)
 
 def _run(planes, cfg: SimConfig, n: int, scheme: str, dets=None, threads: int = 1,
          record: bool = True):
-    """Every block of paths through the path kernel ``planes(rngs)`` on ``threads`` workers.
+    """Every block [lo, hi) of paths through its kernel ``planes(lo, hi)`` on ``threads`` workers.
 
     Returns the ensemble of the rows of ``record_times`` (None unless
     ``record``) and per path the trapezoidal time average of ``dets`` along
@@ -390,9 +436,7 @@ def _run(planes, cfg: SimConfig, n: int, scheme: str, dets=None, threads: int = 
 
     def run(span):
         lo, hi = span
-        recorded[lo:hi], total = _walk(
-            planes(_rngs(cfg, lo, hi)), hi - lo, n, rows, weights, dets
-        )
+        recorded[lo:hi], total = _walk(planes(lo, hi), hi - lo, n, rows, weights, dets)
         averages[lo:hi] = total / (times[-1] - times[0])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -477,6 +521,11 @@ def _heston_planes(portfolio: HestonPortfolio, cfg: SimConfig, rngs):
         yield _paths_last(plane)
 
 
+def _heston_block(portfolio: HestonPortfolio, cfg: SimConfig):
+    """The Heston path kernel of a block [lo, hi), on the paths' live generators."""
+    return lambda lo, hi: _heston_planes(portfolio, cfg, _rngs(cfg, lo, hi))
+
+
 def simulate_heston(portfolio: HestonPortfolio, cfg: SimConfig) -> PathEnsemble:
     """CIR variance paths per asset with independent drivers.
 
@@ -484,7 +533,7 @@ def simulate_heston(portfolio: HestonPortfolio, cfg: SimConfig) -> PathEnsemble:
     only in determinant evaluation through C.
     """
     scheme = _check_scheme(cfg, "full_truncation_euler")
-    return _run(lambda rngs: _heston_planes(portfolio, cfg, rngs), cfg, portfolio.n, scheme)[0]
+    return _run(_heston_block(portfolio, cfg), cfg, portfolio.n, scheme)[0]
 
 
 # BNS paths
@@ -504,12 +553,21 @@ def _resolve_subordinator(asset) -> GammaOuSpec | None:
     )
 
 
+_NO_JUMPS = (np.empty(0), np.empty(0))
+
+
 def _draw_jumps(rng: np.random.Generator, spec: GammaOuSpec, lambda_: float, horizon: float):
-    """Jump times/sizes of Z_{lambda t} on [0, horizon): Poisson rate a*lambda."""
+    """Standard uniforms U and exponentials E of Z_{lambda t}'s jumps on [0, horizon).
+
+    A Poisson count at rate a*lambda, then that many of each (no call for
+    none). The jump times and sizes are horizon U and E / b: the values of
+    ``rng.uniform(0, horizon)`` (0.0 + horizon U) and ``rng.exponential(1/b)``
+    ((1/b) E), so callers may scale a whole block of them at once.
+    """
     count = rng.poisson(spec.a * lambda_ * horizon)
-    times = rng.uniform(0.0, horizon, count)
-    sizes = rng.exponential(1.0 / spec.b, count)
-    return times, sizes
+    if not count:
+        return _NO_JUMPS
+    return rng.random(count), rng.standard_exponential(count)
 
 
 def _step_index(t_jump: np.ndarray, cfg: SimConfig) -> np.ndarray:
@@ -520,12 +578,13 @@ def _step_index(t_jump: np.ndarray, cfg: SimConfig) -> np.ndarray:
 def _bns_planes(p: BnsPortfolioParams, cfg: SimConfig, rngs):
     """Exact OU variance planes of the paths of ``rngs``.
 
-    Every path's jumps are drawn first. Each jump is keyed by its cell
-    (step, asset, path) of the stored planes and the keys sorted stably, so
-    a chunk's arrivals are one slice, and jumps sharing a cell add up in
-    draw order (``np.add.at``: ``np.add.reduceat`` sums a run pairwise).
-    Every chunk refills one buffer, so the state is copied out of its last
-    row.
+    Every path's jumps are drawn first, path by path, so ``rngs`` may hand
+    out one re-keyed generator (``_Rekeyed``). Each jump is keyed by its
+    cell (step, asset, path) of the stored planes and the keys sorted
+    stably, so a chunk's arrivals are one slice, and jumps sharing a cell
+    add up in draw order (``np.add.at``: ``np.add.reduceat`` sums a run
+    pairwise). Every chunk refills one buffer, so the state is copied out
+    of its last row.
     """
     n = p.n
     B = len(rngs)
@@ -540,25 +599,30 @@ def _bns_planes(p: BnsPortfolioParams, cfg: SimConfig, rngs):
         for a, spec in zip(p.assets, specs)
     ])
 
-    owners, counts, t_jump, sizes = [], [], [np.empty(0)], [np.empty(0)]
-    for j, rng in enumerate(rngs):
-        for i, spec in enumerate(specs):
-            if spec is not None:
-                times, jumps = _draw_jumps(rng, spec, lam, horizon)
-                owners.append(i * B + j)
-                counts.append(times.size)
-                t_jump.append(times)
-                sizes.append(jumps)
-    t_jump = np.concatenate(t_jump)
+    jumping = [(i, spec, 1.0 / spec.b) for i, spec in enumerate(specs) if spec is not None]
+    owners, counts, scales, uniforms, exponentials = [], [], [], [np.empty(0)], [np.empty(0)]
+    with _JUMP_DRAWS:
+        for j, rng in enumerate(rngs):
+            for i, spec, scale in jumping:
+                u, e = _draw_jumps(rng, spec, lam, horizon)
+                if u.size:
+                    uniforms.append(u)
+                    exponentials.append(e)
+                    owners.append(i * B + j)
+                    counts.append(u.size)
+                    scales.append(scale)
+    t_jump = horizon * np.concatenate(uniforms)
+    sizes = np.repeat(scales, counts) * np.concatenate(exponentials)
     steps = _step_index(t_jump, cfg)
     cells = steps * (n * B) + np.repeat(np.array(owners, dtype=int), counts)
     order = np.argsort(cells, kind="stable")
     cells = cells[order]
-    weights = (np.concatenate(sizes) * np.exp(-lam * ((steps + 1) * dt - t_jump)))[order]
+    weights = (sizes * np.exp(-lam * ((steps + 1) * dt - t_jump)))[order]
 
     state = np.repeat([[a.sigma0_2] for a in p.assets], B, axis=1)
     yield _paths_last(state[np.newaxis].copy())
     buffer = np.empty((min(_CHUNK, cfg.n_steps), n, B))
+    scaled = np.empty((n, B))
     for s0, s1 in _chunks(cfg.n_steps):
         first = s0 * n * B
         lo, hi = np.searchsorted(cells, (first, s1 * n * B))
@@ -568,11 +632,16 @@ def _bns_planes(p: BnsPortfolioParams, cfg: SimConfig, rngs):
         if drift.any():
             plane += drift
         previous = state
-        for s in range(s1 - s0):
-            plane[s] += decay * previous
-            previous = plane[s]
+        for row in plane:
+            row += np.multiply(decay, previous, out=scaled)
+            previous = row
         state[...] = previous
         yield _paths_last(plane)
+
+
+def _bns_block(p: BnsPortfolioParams, cfg: SimConfig):
+    """The BNS path kernel of a block [lo, hi), on one re-keyed generator."""
+    return lambda lo, hi: _bns_planes(p, cfg, _Rekeyed(cfg, lo, hi))
 
 
 def simulate_bns(p: BnsPortfolioParams, cfg: SimConfig) -> PathEnsemble:
@@ -582,7 +651,7 @@ def simulate_bns(p: BnsPortfolioParams, cfg: SimConfig) -> PathEnsemble:
     here; ``jump_marks`` stays empty.
     """
     scheme = _check_scheme(cfg, "exact_ou")
-    return _run(lambda rngs: _bns_planes(p, cfg, rngs), cfg, p.n, scheme)[0]
+    return _run(_bns_block(p, cfg), cfg, p.n, scheme)[0]
 
 
 # realized generalized variance
@@ -649,7 +718,7 @@ def heston_realized_variance_mc(
     """
     scheme = _check_scheme(cfg, "full_truncation_euler")
     return _streaming_estimate(
-        lambda rngs: _heston_planes(portfolio, cfg, rngs),
+        _heston_block(portfolio, cfg),
         lambda v: det_sigma1_values(v, portfolio.corr),
         cfg, portfolio.n, scheme, threads, return_ensemble,
     )
@@ -672,7 +741,7 @@ def bns_realized_variance_mc(
     if p.n != corr.n:
         raise DimensionMismatch(f"{p.n} assets vs {corr.n}x{corr.n} correlation")
     return _streaming_estimate(
-        lambda rngs: _bns_planes(p, cfg, rngs),
+        _bns_block(p, cfg),
         lambda v: det_sigma2_values(v, corr, p.rho, p.lambda_, p.kappa2_star),
         cfg, p.n, scheme, threads, return_ensemble,
     )
@@ -785,7 +854,8 @@ def simulate_bns_prices(
             if subordinator_star is None:
                 marks.append((np.empty(0), np.empty(0)))
                 continue
-            t_jump, sizes = _draw_jumps(rng, subordinator_star, p.lambda_, horizon)
+            u, e = _draw_jumps(rng, subordinator_star, p.lambda_, horizon)
+            t_jump, sizes = horizon * u, (1.0 / subordinator_star.b) * e
             np.add.at(star[j], _step_index(t_jump, cfg), sizes)
             marks.append((t_jump, sizes))
         return star[:, :, np.newaxis] * p.rho
@@ -798,13 +868,13 @@ def simulate_bns_prices(
 def ensemble_to_csv(ensemble: PathEnsemble, path) -> None:
     """One row per (path, time) with per-asset variances.
 
-    The bytes of ``csv.writer``'s default dialect, written one formatted
-    path at a time: the time strings are formatted once.
+    The bytes of ``csv.writer``'s default dialect, written one path at a
+    time: the row templates (time string, then ``%.17g`` fields) are made
+    once, and each path is one ``%`` of their join behind its index.
     """
     n = ensemble.n_assets
-    fields = ",%.17g" * n + "\r\n"
-    formats = [f"%d,{t:.12g}{fields}" for t in ensemble.times]
+    rows = [f"{t:.12g}" + ",%.17g" * n + "\r\n" for t in ensemble.times]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["path", "time"] + [f"var_{i + 1}" for i in range(n)]) + "\r\n")
         for j, path_rows in enumerate(ensemble.variance_paths):
-            fh.write("".join(fmt % (j, *row) for fmt, row in zip(formats, path_rows.tolist())))
+            fh.write(f"{j},".join(["", *rows]) % tuple(path_rows.reshape(-1).tolist()))

@@ -348,16 +348,24 @@ class TestSimulate:
             model.write_text(json.dumps(_bns_doc()))
         sim = tmp_path / "sim.json"
         sim.write_text(json.dumps({"n_paths": 11, "dt": 0.25, "horizon": 1.0, "block_size": 4}))
-        made = []
+        # a block's path streams come from live generators (_rngs) or from one
+        # re-keyed generator (_Rekeyed); each path's stream must start once
+        made, built = [], []
+        for name in ("_rngs", "_Rekeyed"):
+            streams = getattr(montecarlo, name)
+            monkeypatch.setattr(montecarlo, name, lambda cfg, lo, hi, streams=streams: (
+                made.extend(range(lo, hi)) or streams(cfg, lo, hi)
+            ))
         path_rng = montecarlo._path_rng
         monkeypatch.setattr(
-            montecarlo, "_path_rng", lambda seed, j: made.append(j) or path_rng(seed, j)
+            montecarlo, "_path_rng", lambda seed, j: built.append(j) or path_rng(seed, j)
         )
         out = tmp_path / "out"
         code = main(["simulate", "--model", str(model), "--sim", str(sim), "--seed", "7",
                      "--threads", "2", "--paths-csv", "--out", str(out)])
         assert code == 0
         assert sorted(made) == list(range(11))
+        assert len(set(built)) == len(built)
         assert len((out / "paths.csv").read_text().strip().splitlines()) == 1 + 11 * 5
 
     def test_bad_sim_config_exits_2(self, tmp_path, capsys):

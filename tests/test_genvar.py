@@ -1,5 +1,10 @@
 """Covariance construction and the determinant-lemma evaluation paths."""
 
+import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from conftest import laplace_det, random_correlation
@@ -13,6 +18,7 @@ from genvarswap import (
     validate_correlation,
 )
 from genvarswap.errors import DimensionMismatch, SingularCorrelation, ValidationError
+from genvarswap import genvar
 from genvarswap.genvar import det_sigma1_values, det_sigma2_values
 
 IDENTITY3 = validate_correlation(np.eye(3))
@@ -110,6 +116,21 @@ class TestBuildSigma2:
             build_sigma2(vols, IDENTITY3, np.ones(3), 0.0, 1.0)
         with pytest.raises(ValidationError):
             build_sigma2(vols, IDENTITY3, np.ones(3), 1.0, -0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_jump_scale_rejected(self, bad):
+        vols = InstantaneousVols(np.ones(3))
+        rho = np.array([0.5, -0.3, 0.2])
+        calls = (
+            lambda lam, var: build_sigma2(vols, IDENTITY3, rho, lam, var),
+            lambda lam, var: det_sigma2(vols, IDENTITY3, rho, lam, var),
+            lambda lam, var: det_sigma2_values(np.ones((2, 3)), IDENTITY3, rho, lam, var),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError):
+                call(bad, 0.1)
+            with pytest.raises(ValidationError):
+                call(1.0, bad)
 
 
 class TestDetSigma2:
@@ -224,3 +245,106 @@ class TestVectorizedValues:
             det_sigma1_values(np.ones((4, 2)), IDENTITY3)
         with pytest.raises(DimensionMismatch):
             det_sigma2_values(np.ones((4, 3)), IDENTITY3, np.ones(2), 1.0, 1.0)
+
+
+def reference_det_sigma2_values(variances, corr, rho, lambda_, var_z1):
+    """The quadratic form of ``det_sigma2_values`` with one temporary per operation.
+
+    base = prod_l v_l; u_i = ((rho_i s_a) s_b)... over l != i; bracket =
+    ((0 + t_1) + t_2)... over the pairs i <= j, t = ((c delta_ij) u_i) u_j;
+    result = |C| (base + (lambda Var) bracket).
+    """
+    n = corr.n
+    delta = corr.inverse()
+    base = np.prod(variances, axis=-1)
+    if var_z1 == 0.0 or not np.any(rho):
+        return corr.det_c * base
+    sigma = [np.sqrt(variances[..., l]) for l in range(n)]
+    jumping = np.flatnonzero(rho)
+    u = {i: math.prod((sigma[l] for l in range(n) if l != i), start=rho[i]) for i in jumping}
+    bracket = sum(
+        (1.0 if i == j else 2.0) * delta[i, j] * u[i] * u[j]
+        for i in jumping for j in jumping if i <= j
+    )
+    return corr.det_c * (base + lambda_ * var_z1 * bracket)
+
+
+def assert_same_bits(value, expected):
+    assert type(value) is type(expected)
+    assert np.shape(value) == np.shape(expected)
+    assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+
+
+class TestScratchKernel:
+    """det_sigma2_values reuses per-thread scratch and keeps the reference's arithmetic."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_equals_reference_arithmetic(self, n):
+        rng = np.random.default_rng(100 + n)
+        corr = random_correlation(rng, n=n)
+        rhos = (
+            rng.uniform(-0.8, 0.8, n),
+            np.where(np.arange(n) % 2 == 1, 0.0, rng.uniform(-0.8, 0.8, n)),
+            np.eye(n)[n - 1] * -0.5,
+            np.zeros(n),
+        )
+        # asset-major planes read as (rows, paths, assets), as the simulator hands them over
+        plane = rng.lognormal(-3.0, 1.0, (17, n, 23))
+        plane[3, 0, :5] = 0.0
+        plane[4, :, 7] = 0.0
+        views = plane.transpose(0, 2, 1)
+        contiguous = np.ascontiguousarray(views)
+        for rho in rhos:
+            for var in (0.6, 0.0):
+                for v in (views, contiguous, contiguous[5, 2], contiguous[:0]):
+                    assert_same_bits(
+                        det_sigma2_values(v, corr, rho, 1.7, var),
+                        reference_det_sigma2_values(v, corr, rho, 1.7, var),
+                    )
+                # tiles of changing row count reuse one scratch buffer
+                t0 = 0
+                for rows in (5, 1, 8, 3):
+                    tile = views[t0:t0 + rows]
+                    assert_same_bits(
+                        det_sigma2_values(tile, corr, rho, 1.7, var),
+                        reference_det_sigma2_values(tile, corr, rho, 1.7, var),
+                    )
+                    t0 += rows
+
+    def test_results_are_fresh_arrays(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        corr = random_correlation(rng, n=3)
+        rho = np.array([0.4, -0.3, 0.2])
+        for keep in (genvar._SCRATCH_KEEP_BYTES, 0):
+            monkeypatch.setattr(genvar, "_SCRATCH_KEEP_BYTES", keep)
+            first_input, second_input = rng.uniform(0.01, 1.0, (2, 6, 4, 3))
+            first = det_sigma2_values(first_input, corr, rho, 2.0, 0.5)
+            kept = first.copy()
+            second = det_sigma2_values(second_input, corr, rho, 2.0, 0.5)
+            np.testing.assert_array_equal(first, kept)
+            assert not np.shares_memory(first, second)
+            assert_same_bits(second, reference_det_sigma2_values(second_input, corr, rho, 2.0, 0.5))
+
+    def test_threads_at_once_keep_their_own_scratch(self):
+        rng = np.random.default_rng(43)
+        corr = random_correlation(rng, n=4)
+        rho = np.array([0.4, -0.3, 0.0, 0.6])
+        tiles = [rng.lognormal(-3.0, 1.0, (rows, 512, 4)) for rows in (1, 9, 4, 13, 2, 7)]
+        expected = [reference_det_sigma2_values(t, corr, rho, 2.0, 0.5) for t in tiles]
+        start = threading.Barrier(3, timeout=30)
+
+        def work(offset):
+            start.wait()
+            mine = tiles[offset::3]
+            return [det_sigma2_values(t, corr, rho, 2.0, 0.5) for _ in range(20) for t in mine]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                results = list(pool.map(work, range(3)))
+        finally:
+            sys.setswitchinterval(interval)
+        for offset, values in enumerate(results):
+            for value, reference in zip(values, expected[offset::3] * 20):
+                assert_same_bits(value, reference)

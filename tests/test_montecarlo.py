@@ -425,7 +425,7 @@ class TestOnePass:
             )
             heston_ensemble = simulate_heston(hpf, cfg)
             bns_ensemble = simulate_bns(bpf, cfg)
-            for threads in (1, 2):
+            for threads in (1, 2, 3):
                 h_est, h_rec = heston_realized_variance_mc(
                     hpf, cfg, threads=threads, return_ensemble=True
                 )
@@ -545,6 +545,74 @@ class TestBlockPipeline:
         rng = montecarlo._path_rng(1, 2)
         assert not reads
         assert not isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence)
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    def test_rekeyed_streams_equal_path_rngs(self, seed):
+        """Each re-keyed stream starts clean, even after a draw that caches a 32-bit word."""
+        cfg = SimConfig(n_paths=1, dt=0.5, horizon=1.0, seed=seed)
+        lo, hi = 2**32 - 2, 2**32 + 2
+        streams = montecarlo._Rekeyed(cfg, lo, hi)
+        assert len(streams) == hi - lo
+
+        def draws(g):
+            count = g.poisson(3.7)
+            return (
+                count, g.random(count), g.standard_exponential(count),
+                g.standard_normal(7), g.integers(0, 2**32, 3, dtype=np.uint32),
+            )
+
+        seen = 0
+        for j, rekeyed in zip(range(lo, hi), streams):
+            ours = montecarlo._path_rng(seed, j)
+            keyed = np.random.Generator(
+                np.random.Philox(key=np.array([seed, j], dtype=np.uint64))
+            )
+            expected = draws(keyed)
+            for got in (draws(rekeyed), draws(ours)):
+                assert got[0] == expected[0]
+                for a, b in zip(got[1:], expected[1:]):
+                    np.testing.assert_array_equal(a, b)
+            seen += 1
+        assert seen == hi - lo
+
+    def test_bns_price_paths_do_not_depend_on_block_size(self):
+        """Prices and jump marks, with a drift-only and a rho = 0 asset, and Z* after the normals."""
+        p = bns_portfolio(
+            kappa1s=(0.5, 0.07, 0.6), kappa2s=(0.002, 0.0, 0.003), rhos=(-0.3, -0.2, 0.0),
+            kappa2_star=0.01,
+        )
+        star = GammaOuSpec.from_cumulants(0.05, 0.01)
+        dt, steps = 0.004, montecarlo._CHUNK + 44
+        horizon = steps * dt
+        runs = [
+            simulate_bns_prices(
+                p, CORR, SimConfig(n_paths=20, dt=dt, horizon=horizon, seed=97, block_size=size),
+                s0=100.0, mu=0.02, subordinator_star=star,
+            )
+            for size in (1, 7, 4096)
+        ]
+        first = runs[0]
+        for other in runs[1:]:
+            assert other.prices.tobytes() == first.prices.tobytes()
+            assert other.variance_paths.tobytes() == first.variance_paths.tobytes()
+            for (t1, s1), (t2, s2) in zip(other.jump_marks, first.jump_marks, strict=True):
+                np.testing.assert_array_equal(t1, t2)
+                np.testing.assert_array_equal(s1, s2)
+        cfg = SimConfig(n_paths=20, dt=dt, horizon=horizon, seed=97)
+        for j in range(cfg.n_paths):
+            np.testing.assert_array_equal(first.variance_paths[j], bns_reference_path(p, cfg, j))
+            rng = np.random.Generator(np.random.Philox(key=np.array([97, j], dtype=np.uint64)))
+            for asset in p.assets:
+                if asset.kappa2 > 0.0:
+                    spec = GammaOuSpec.from_cumulants(asset.kappa1, asset.kappa2)
+                    count = rng.poisson(spec.a * p.lambda_ * horizon)
+                    rng.uniform(0.0, horizon, count)
+                    rng.exponential(1.0 / spec.b, count)
+            rng.standard_normal(steps * 3)
+            count = rng.poisson(star.a * p.lambda_ * horizon)
+            times, sizes = first.jump_marks[j]
+            np.testing.assert_array_equal(times, rng.uniform(0.0, horizon, count))
+            np.testing.assert_array_equal(sizes, rng.exponential(1.0 / star.b, count))
 
     def test_jumps_sharing_a_step_add_in_draw_order(self):
         """About 25 jumps per step and asset: each path equals the per-jump reference loop."""
@@ -699,6 +767,19 @@ class TestContainers:
         with pytest.raises(ValidationError):
             PathEnsemble(times=times, variance_paths=-good, scheme="exact_ou")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_path_ensemble_rejects_nonfinite_times(self, bad):
+        for times in ([0.0, 0.5, bad], [bad, 0.5, 1.0]):
+            with pytest.raises(ValidationError):
+                PathEnsemble(times=np.array(times), variance_paths=np.ones((2, 3, 3)),
+                             scheme="exact_ou")
+
+    def test_path_ensemble_rejects_nan_variances(self):
+        paths = np.ones((2, 3, 3))
+        paths[1, 2, 0] = math.nan
+        with pytest.raises(ValidationError):
+            PathEnsemble(times=np.array([0.0, 0.5, 1.0]), variance_paths=paths, scheme="exact_ou")
+
     def test_mc_estimate_validation(self):
         with pytest.raises(ValidationError):
             McEstimate(mean=1.0, std_error=-0.1, n_paths=10)
@@ -721,7 +802,7 @@ class TestContainers:
         assert first[0] == "0"
         assert float(first[2]) == ensemble.variance_paths[0, 0, 0]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
     def test_ensemble_to_csv_bytes_match_csv_writer(self, tmp_path, n):
         rng = np.random.default_rng(67)
         values = rng.lognormal(-3.0, 4.0, (5, 7, n))
