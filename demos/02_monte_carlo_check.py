@@ -1,9 +1,9 @@
 """Confirm both pricing formulas against path simulation.
 
 Simulates the variance processes (CIR full-truncation Euler for Heston,
-exact-in-law Gamma-OU recursion for BNS), averages the covariance
-determinant along each path, and compares the Monte Carlo mean with the
-closed-form expected leg. Identical seeds give identical estimates
+exact-in-law Gamma-OU jumps and decay for BNS), averages the covariance
+determinant along each path (for BNS, integrated exactly between jumps),
+and compares the Monte Carlo mean with the closed-form expected leg. Identical seeds give identical estimates
 regardless of thread count or block size.
 """
 

@@ -449,29 +449,37 @@ def _central_differences(problem: CalibrationProblem, up, down, h, offset) -> np
 def _gauss_newton_covariance(
     problem: CalibrationProblem, params: np.ndarray, free: list[int], sse: float
 ) -> np.ndarray:
-    """sse/(m - p) (J^T J)^+ in original coordinates, zero for frozen params."""
+    """sse/(m - p) (J^T J)^+ in original coordinates, zero for frozen params.
+
+    Each column differences the model curve over [x - down, x + up]: a
+    central step h inside the bounds, shrunk to half the distance to a
+    bound, or a one-sided step h into the box for a parameter on a bound.
+    """
     obs = problem.observed.values
     p = params.size
     cov = np.zeros((p, p))
     if not free:
         return cov
-    steps = np.zeros(len(free))
+    ups, downs = np.zeros(len(free)), np.zeros(len(free))
     for idx, j in enumerate(free):
         lo, hi = problem.bounds[j]
-        h = _JACOBIAN_REL_STEP * max(1.0, abs(float(params[j])))
-        if math.isfinite(lo):
-            h = min(h, 0.5 * (params[j] - lo)) if params[j] > lo else h
-        if math.isfinite(hi):
-            h = min(h, 0.5 * (hi - params[j])) if params[j] < hi else h
-        steps[idx] = max(h, 0.0)
-    moved = np.flatnonzero(steps)
+        x = float(params[j])
+        h = _JACOBIAN_REL_STEP * max(1.0, abs(x))
+        if math.isfinite(lo) and x > lo:
+            h = min(h, 0.5 * (x - lo))
+        if math.isfinite(hi) and x < hi:
+            h = min(h, 0.5 * (hi - x))
+        ups[idx] = h if x < hi else 0.0
+        downs[idx] = h if x > lo else 0.0
+    spans = ups + downs
+    moved = np.flatnonzero(spans)
     up, down = np.tile(params, (2, moved.size, 1))
     moved_rows = np.arange(moved.size), np.asarray(free)[moved]
-    up[moved_rows] += steps[moved]
-    down[moved_rows] -= steps[moved]
+    up[moved_rows] += ups[moved]
+    down[moved_rows] -= downs[moved]
     jac = np.zeros((obs.size, len(free)))
     if moved.size:
-        jac[:, moved] = _central_differences(problem, up, down, steps[moved], 0.0)
+        jac[:, moved] = _central_differences(problem, up, down, spans[moved] / 2.0, 0.0)
     dof = max(obs.size - len(free), 1)
     cov_free = (sse / dof) * np.linalg.pinv(jac.T @ jac)
     # pinv of an ill-conditioned J^T J is symmetric only up to round-off

@@ -3,30 +3,51 @@
 Heston variance paths use full-truncation Euler on the square-root process
 (negative proposals floored at zero inside drift and diffusion; the
 recorded path holds the floored value, and nothing counts the floor hits),
-whose bias vanishes as dt -> 0. BNS variance paths use the exact-in-law OU
-recursion between jump times,
+whose bias vanishes as dt -> 0. BNS variance paths are exact in law: with
+compound-Poisson/exponential (Gamma-OU) subordinators, each variance jumps
+at its subordinator's jump times and between them decays exactly,
 
-    sigma^2_{t+dt} = e^{-lambda dt} sigma^2_t
-                     + sum_{jumps s in (t, t+dt]} e^{-lambda (t+dt-s)} J_s,
+    sigma^2_t = a + (sigma^2_s - a) e^{-lambda (t - s)},
 
-with compound-Poisson/exponential (Gamma-OU) subordinators, so it carries no
-discretization bias. Only variance paths enter the realized generalized
-variance |Sigma|; asset price paths are provided separately for end-to-end
-data-pipeline runs.
+toward a = kappa1 under a deterministic subordinator and a = 0 otherwise
+(Barndorff-Nielsen & Shephard 2001). Only variance paths enter the
+realized generalized variance |Sigma|; asset price paths are provided
+separately for end-to-end data-pipeline runs.
 
-One time-major pass serves all three routes. Each model has one path
-kernel, which walks the grid of a block of paths in chunks of ``_CHUNK``
-steps and yields (rows, paths, assets) variance planes, stored asset-major:
-the initial row, then one plane per chunk. Heston draws each chunk's normals
-from the block's live per-path generators; BNS draws every path's jumps up
-front and bins the arrivals of one chunk at a time. One walker consumes the
-planes: it copies out the recorded rows and, for the streaming route,
-evaluates |Sigma| on each plane and adds it to the per-path trapezoidal time
-average. So a block holds O(block_size * _CHUNK * n_assets) floats plus its
-jumps, whatever the number of steps, and the streaming estimators can hand
-back the recorded ensemble of the same pass. The ensemble route records
-``record_times``, the price route records every row and then draws the
-return randomness.
+Each model has one path kernel behind its ensemble, streaming and price
+routes:
+
+* Heston walks the step grid of a block of paths in chunks of ``_CHUNK``
+  steps and yields (rows, paths, assets) variance planes, stored
+  asset-major: the initial row, then one plane per chunk, each chunk's
+  normals drawn from the block's live per-path generators. One walker
+  consumes the planes: it copies out the recorded rows and, for the
+  streaming route, evaluates |Sigma_1| on each plane and adds it to the
+  per-path trapezoidal time average. A block holds O(block_size * _CHUNK *
+  n_assets) floats whatever the number of steps.
+* BNS needs no grid. Its kernel (``_JumpList``) draws every path's jumps,
+  merges each path's jumps across assets in time order and walks them once,
+  keeping the variances right after each jump. A row at any time t is then
+  one evaluation of the decay from the path's last jump at or before t, and
+  |Sigma_2| on a jump-free interval is a sum of products of terms affine in
+  e^{-lambda s}, which ``heston._affine_product_integral`` integrates
+  exactly. So the streaming route's time average is the exact integral
+  over each path's jump-free intervals, the recorded rows are exact values
+  at ``record_times``, and the work is O(jumps + paths * recorded rows),
+  not O(paths * n_steps). The estimate does not depend on dt at a fixed
+  horizon n_steps * dt (the span the jumps are drawn over), nor do rows at
+  times on both grids.
+* One BNS case keeps the grid: a pair term sigma_i sigma_j (i != j) with
+  a nonzero coefficient that involves a drift-only asset (kappa2 = 0,
+  kappa1 > 0) is the square root of a non-affine value. For such
+  portfolios only (``_walks_grid``, a property of the portfolio alone), the
+  jump list is evaluated on every grid row, a chunk at a time, and walked
+  like Heston's planes with the trapezoid of ``det_sigma2_values``.
+
+The ensemble route records ``record_times``; the price route evaluates
+every grid row and then draws the return randomness. Rows come from one
+formula on every route, so ``simulate_bns``, the recorded ensemble of the
+streaming estimator and the price route's variances are the same numbers.
 
 Three things keep a block cheap:
 
@@ -37,22 +58,19 @@ Three things keep a block cheap:
   draws a chunk's normals a tile of paths at a time and transposes each
   tile into place while it is in cache. The kernels are elementwise and the
   time average adds row by row, so the tiling moves no result.
-* Each path kernel allocates its chunk buffers once per block and refills
-  them for every chunk (Heston's transposed normals and its plane, BNS's
-  plane, zeroed before its jumps are binned, and the decayed row of its OU
-  step). The walker is done with a plane before it asks for the next one,
-  and BNS copies its state out of the last row before the buffer is
-  refilled.
+* The Heston kernel allocates its chunk buffers once per block and refills
+  them for every chunk (the transposed normals and the plane). The walker
+  is done with a plane before it asks for the next one.
 * No generator costs more than its key. ``np.random.Philox`` takes a path's
   (seed, path) key from a minimal seed sequence, so no ``SeedSequence`` is
   made and no OS entropy is read (``Philox(key=...)`` does both, for each
   path, with the interpreter lock held), and the stream is that of
-  ``Philox(key=(seed, path))``. The BNS variance kernel draws all of a
-  path's jumps before the next path's, so the ensemble and streaming routes
-  give it one generator per block, re-keyed to each path through its state
-  (counter 0, empty buffer): the same streams for about a quarter of the
-  cost. It draws jump times and sizes as standard uniforms and exponentials
-  (none when the count is zero) and scales them once per block; numpy's
+  ``Philox(key=(seed, path))``. The BNS kernel draws all of a path's jumps
+  before the next path's, so the ensemble and streaming routes give it one
+  generator per block, re-keyed to each path through its state (counter 0,
+  empty buffer): the same streams for about a quarter of the cost. It
+  draws jump times and sizes as standard uniforms and exponentials (none
+  when the count is zero) and scales them once per block; numpy's
   ``uniform(0, h)`` and ``exponential(1/b)`` are ``0.0 + h U`` and
   ``(1/b) E``, so the values are those of the layout below. Blocks on
   different threads take turns at these draws (``_JUMP_DRAWS``), which
@@ -76,10 +94,11 @@ the draw layout is fixed:
 * BNS price paths consume the variance draws, then n_steps * n_assets
   return normals, then the common jump Z* (count, times, sizes).
 
-Per path, the time average adds its rows one at a time in grid order, and
-the aggregation is a deterministic pairwise reduction over the per-path
-averages, so results are independent of schedule, block size, chunking
-and tiling.
+Per path, the time average adds its rows (or, for BNS, its jump-free
+intervals) one at a time in time order, every row and interval value is
+computed elementwise, and the aggregation is a deterministic pairwise
+reduction over the per-path averages, so results are independent of
+schedule, block size, chunking and tiling.
 """
 
 from __future__ import annotations
@@ -106,7 +125,7 @@ from .errors import (
     ValidationError,
 )
 from .genvar import det_sigma1_values, det_sigma2_values
-from .heston import HestonPortfolio
+from .heston import HestonPortfolio, _affine_product_integral
 
 __all__ = [
     "SimConfig",
@@ -149,9 +168,9 @@ class SimConfig:
     """Simulation grid, seed, and scheme.
 
     ``record_times`` optionally thins the stored grid to the given times
-    (each must lie on the step grid); path generation always walks the full
-    grid. ``block_size`` only controls memory batching and never affects
-    results.
+    (each must lie on the step grid); Heston path generation always walks
+    the full grid. ``block_size`` only controls memory batching and never
+    affects results.
     """
 
     n_paths: int
@@ -369,7 +388,7 @@ def _check_ensemble_size(cfg: SimConfig, n_assets: int) -> None:
         )
 
 
-# the time-major pass: every route walks a block's variance planes once
+# the time-major pass: a block's variance planes, walked once in grid order
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -416,13 +435,13 @@ def _walk(planes, paths: int, n: int, rows: np.ndarray, weights=None, dets=None)
     return recorded, total
 
 
-def _run(planes, cfg: SimConfig, n: int, scheme: str, dets=None, threads: int = 1,
-         record: bool = True):
-    """Every block [lo, hi) of paths through its kernel ``planes(lo, hi)`` on ``threads`` workers.
+def _run(block, cfg: SimConfig, n: int, scheme: str, threads: int = 1, record: bool = True):
+    """Every block [lo, hi) of paths through ``block(lo, hi, rows)`` on ``threads`` workers.
 
-    Returns the ensemble of the rows of ``record_times`` (None unless
-    ``record``) and per path the trapezoidal time average of ``dets`` along
-    the full grid (zeros without ``dets``).
+    ``block`` returns the block's grid rows ``rows`` path-major and per path
+    the time integral of |Sigma| over the horizon (zeros when nothing is
+    integrated). Returns the ensemble of the rows of ``record_times`` (None
+    unless ``record``) and per path the time average.
     """
     if threads < 1:
         raise InvalidConfig(f"threads must be >= 1, got {threads}")
@@ -430,13 +449,12 @@ def _run(planes, cfg: SimConfig, n: int, scheme: str, dets=None, threads: int = 
         _check_ensemble_size(cfg, n)
     rows = cfg.record_indices if record else np.empty(0, dtype=int)
     times = cfg.times
-    weights = _trapezoid_weights(times)
     recorded = np.empty((cfg.n_paths, rows.size, n))
     averages = np.empty(cfg.n_paths)
 
     def run(span):
         lo, hi = span
-        recorded[lo:hi], total = _walk(planes(lo, hi), hi - lo, n, rows, weights, dets)
+        recorded[lo:hi], total = block(lo, hi, rows)
         averages[lo:hi] = total / (times[-1] - times[0])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -446,10 +464,19 @@ def _run(planes, cfg: SimConfig, n: int, scheme: str, dets=None, threads: int = 
     return PathEnsemble(times=times[rows], variance_paths=recorded, scheme=scheme), averages
 
 
+def _grid_block(planes, cfg: SimConfig, n: int, dets=None):
+    """A block function that walks the full grid of the planes ``planes(lo, hi)``.
+
+    The time integral is the trapezoidal rule on the grid rows of ``dets``.
+    """
+    weights = _trapezoid_weights(cfg.times)
+    return lambda lo, hi, rows: _walk(planes(lo, hi), hi - lo, n, rows, weights, dets)
+
+
 def _paths_last(plane: np.ndarray) -> np.ndarray:
     """A (rows, paths, assets) view of a plane stored (rows, assets, paths).
 
-    The path kernels store planes asset-major, so per-asset parameters
+    The Heston kernel stores planes asset-major, so per-asset parameters
     broadcast along the contiguous path axis; the determinant kernels and
     the walker read them as (rows, paths, assets).
     """
@@ -521,9 +548,13 @@ def _heston_planes(portfolio: HestonPortfolio, cfg: SimConfig, rngs):
         yield _paths_last(plane)
 
 
-def _heston_block(portfolio: HestonPortfolio, cfg: SimConfig):
-    """The Heston path kernel of a block [lo, hi), on the paths' live generators."""
-    return lambda lo, hi: _heston_planes(portfolio, cfg, _rngs(cfg, lo, hi))
+def _heston_block(portfolio: HestonPortfolio, cfg: SimConfig, dets=None):
+    """The Heston block function: the path kernel on the paths' live generators, walked."""
+
+    def planes(lo, hi):
+        return _heston_planes(portfolio, cfg, _rngs(cfg, lo, hi))
+
+    return _grid_block(planes, cfg, portfolio.n, dets)
 
 
 def simulate_heston(portfolio: HestonPortfolio, cfg: SimConfig) -> PathEnsemble:
@@ -575,73 +606,187 @@ def _step_index(t_jump: np.ndarray, cfg: SimConfig) -> np.ndarray:
     return np.minimum((t_jump / cfg.dt).astype(int), cfg.n_steps - 1)
 
 
-def _bns_planes(p: BnsPortfolioParams, cfg: SimConfig, rngs):
-    """Exact OU variance planes of the paths of ``rngs``.
+def _levels(specs, p: BnsPortfolioParams) -> np.ndarray:
+    """The level each variance decays to between jumps: kappa1 for a drift-only asset, else 0."""
+    return np.array([a.kappa1 if spec is None else 0.0 for a, spec in zip(p.assets, specs)])
+
+
+class _JumpList:
+    """A block of BNS paths as the list of their jumps and the variances right after each.
 
     Every path's jumps are drawn first, path by path, so ``rngs`` may hand
-    out one re-keyed generator (``_Rekeyed``). Each jump is keyed by its
-    cell (step, asset, path) of the stored planes and the keys sorted
-    stably, so a chunk's arrivals are one slice, and jumps sharing a cell
-    add up in draw order (``np.add.at``: ``np.add.reduceat`` sums a run
-    pairwise). Every chunk refills one buffer, so the state is copied out
-    of its last row.
+    out one re-keyed generator (``_Rekeyed``). The events of a block are
+    each path's start (time 0, its initial variances) and its jumps, sorted
+    stably by (path, time): each path is one run of events that begins with
+    its start, and jumps at one time follow draw order. Between events every
+    variance decays exactly, v(t) = a + (x - a) e^{-lambda (t - t_e)} with x
+    its value after event e and a its level (``_levels``), so the rows at
+    any times and the integral of |Sigma_2| come from the event list alone.
     """
-    n = p.n
-    B = len(rngs)
-    lam = p.lambda_
-    dt = cfg.dt
-    decay = math.exp(-lam * dt)
-    horizon = cfg.n_steps * dt
-    specs = [_resolve_subordinator(a) for a in p.assets]
-    # deterministic subordinator: integral of e^{-lam(t+dt-s)} kappa1 lam ds per step
-    drift = np.array([
-        [a.kappa1 * (1.0 - decay) if spec is None and a.kappa1 > 0.0 else 0.0]
-        for a, spec in zip(p.assets, specs)
-    ])
 
-    jumping = [(i, spec, 1.0 / spec.b) for i, spec in enumerate(specs) if spec is not None]
-    owners, counts, scales, uniforms, exponentials = [], [], [], [np.empty(0)], [np.empty(0)]
-    with _JUMP_DRAWS:
-        for j, rng in enumerate(rngs):
-            for i, spec, scale in jumping:
-                u, e = _draw_jumps(rng, spec, lam, horizon)
-                if u.size:
-                    uniforms.append(u)
-                    exponentials.append(e)
-                    owners.append(i * B + j)
-                    counts.append(u.size)
-                    scales.append(scale)
-    t_jump = horizon * np.concatenate(uniforms)
-    sizes = np.repeat(scales, counts) * np.concatenate(exponentials)
-    steps = _step_index(t_jump, cfg)
-    cells = steps * (n * B) + np.repeat(np.array(owners, dtype=int), counts)
-    order = np.argsort(cells, kind="stable")
-    cells = cells[order]
-    weights = (sizes * np.exp(-lam * ((steps + 1) * dt - t_jump)))[order]
+    def __init__(self, p: BnsPortfolioParams, cfg: SimConfig, rngs):
+        n, B = p.n, len(rngs)
+        self.lam = lam = p.lambda_
+        self.horizon = horizon = cfg.n_steps * cfg.dt
+        specs = [_resolve_subordinator(a) for a in p.assets]
+        self.level = _levels(specs, p)
 
-    state = np.repeat([[a.sigma0_2] for a in p.assets], B, axis=1)
-    yield _paths_last(state[np.newaxis].copy())
-    buffer = np.empty((min(_CHUNK, cfg.n_steps), n, B))
-    scaled = np.empty((n, B))
-    for s0, s1 in _chunks(cfg.n_steps):
-        first = s0 * n * B
-        lo, hi = np.searchsorted(cells, (first, s1 * n * B))
-        plane = buffer[: s1 - s0]
-        plane.fill(0.0)
-        np.add.at(plane.reshape(-1), cells[lo:hi] - first, weights[lo:hi])
-        if drift.any():
-            plane += drift
-        previous = state
-        for row in plane:
-            row += np.multiply(decay, previous, out=scaled)
-            previous = row
-        state[...] = previous
-        yield _paths_last(plane)
+        jumping = [(i, spec, 1.0 / spec.b) for i, spec in enumerate(specs) if spec is not None]
+        owners, counts, scales, uniforms, exponentials = [], [], [], [np.empty(0)], [np.empty(0)]
+        with _JUMP_DRAWS:
+            for j, rng in enumerate(rngs):
+                for i, spec, scale in jumping:
+                    u, e = _draw_jumps(rng, spec, lam, horizon)
+                    if u.size:
+                        uniforms.append(u)
+                        exponentials.append(e)
+                        owners.append(j * n + i)
+                        counts.append(u.size)
+                        scales.append(scale)
+        owner = np.repeat(np.array(owners, dtype=int), counts)
+        path = np.concatenate((np.arange(B), owner // n))
+        time = np.concatenate((np.zeros(B), horizon * np.concatenate(uniforms)))
+        sizes = np.repeat(scales, counts) * np.concatenate(exponentials)
+        size = np.concatenate((np.zeros(B), sizes))
+        asset = np.concatenate((np.zeros(B, dtype=int), owner % n))
+        order = np.lexsort((time, path))
+        self.path, self.time, size, asset = path[order], time[order], size[order], asset[order]
+        self.starts = np.searchsorted(self.path, np.arange(B))
+        jumps = np.diff(np.append(self.starts, self.path.size)) - 1
+
+        # walk the jump ranks, each over the paths that still have a jump
+        self.states = states = np.empty((self.path.size, n))
+        states[self.starts] = [a.sigma0_2 for a in p.assets]
+        gaps = np.diff(self.time, prepend=0.0)
+        gaps[self.starts] = 0.0
+        decay = np.exp(-lam * gaps)
+        for rank in range(1, jumps.max(initial=0) + 1):
+            events = self.starts[jumps >= rank] + rank
+            x = states[events - 1]
+            x -= self.level
+            x *= decay[events, np.newaxis]
+            x += self.level
+            x[np.arange(events.size), asset[events]] += size[events]
+            states[events] = x
+
+    def planes(self, times: np.ndarray):
+        """The variances at sorted ``times`` >= 0 as (rows, paths, assets) planes of <= _CHUNK rows.
+
+        Row g of a path reads its last event at or before times[g]. The
+        value of a row depends only on its path and time, so any chunking,
+        block or selection of the rows gives the same numbers.
+        """
+        B = self.starts.size
+        first = np.searchsorted(times, self.time)  # the first row at or after each event
+        latest = self.starts - 1
+        for g0 in range(0, times.size, _CHUNK):
+            g1 = min(g0 + _CHUNK, times.size)
+            inside = (first >= g0) & (first < g1)
+            cells = (first[inside] - g0) * B + self.path[inside]
+            hits = np.bincount(cells, minlength=(g1 - g0) * B).reshape(g1 - g0, B)
+            events = latest + np.cumsum(hits, axis=0)
+            latest = events[-1]
+            decay = np.exp(-self.lam * (times[g0:g1, np.newaxis] - self.time[events]))
+            plane = self.states[events]
+            plane -= self.level
+            plane *= decay[..., np.newaxis]
+            plane += self.level
+            yield plane
+
+    def integrals(self, corr: CorrelationMatrix, rho, var_z1: float) -> np.ndarray:
+        """Per path, the integral of |Sigma_2| over the horizon, exact between events.
+
+        On the interval after an event, with w = e^{-lambda s} and every
+        v_l = (x_l - a_l) w + a_l, the determinant lemma expands to
+
+            |Sigma_2| / |C| = prod_l v_l + lambda Var[Z_1*] (
+                sum_i delta_ii rho_i^2 prod_{l != i} v_l
+                + sum_{i < j} 2 delta_ij rho_i rho_j sigma_i sigma_j prod_{l != i, j} v_l),
+
+        delta = C^-1. A pair i < j enters only where a_i = a_j = 0
+        (``_walks_grid``), so sigma_i sigma_j = sqrt(x_i x_j) w, and every
+        term is one exponential-affine product integral over all the
+        intervals at once. A path's intervals add up in time order.
+        """
+        n = corr.n
+        end = np.append(self.time[1:], self.horizon)
+        end[self.starts[1:] - 1] = self.horizon
+        tau = end - self.time
+        d = [self.states[:, l] - self.level[l] for l in range(n)]
+
+        def product(factors, d_extra=None):
+            """Per interval, the integral of prod_{l in factors} v_l (times d_extra w if given)."""
+            ds, cs = [d[l] for l in factors], [self.level[l] for l in factors]
+            if d_extra is not None:
+                ds, cs = [d_extra, *ds], [0.0, *cs]
+            return _affine_product_integral(tau, ds, cs, [self.lam] * len(ds))
+
+        values = product(range(n))
+        jump_scale = self.lam * var_z1
+        jumping = np.flatnonzero(rho)
+        if jump_scale and jumping.size:
+            delta = corr.inverse()
+            bracket = 0.0
+            for a, i in enumerate(jumping):
+                for j in jumping[a:]:
+                    coeff = (1.0 if i == j else 2.0) * delta[i, j] * rho[i] * rho[j]
+                    if coeff == 0.0:
+                        continue
+                    others = [l for l in range(n) if l not in (i, j)]
+                    if i == j:
+                        term = product(others)
+                    else:
+                        term = product(others, np.sqrt(self.states[:, i] * self.states[:, j]))
+                    bracket = bracket + coeff * term
+            values = values + jump_scale * bracket
+        totals = np.zeros(self.starts.size)
+        np.add.at(totals, self.path, corr.det_c * values)
+        return totals
 
 
-def _bns_block(p: BnsPortfolioParams, cfg: SimConfig):
-    """The BNS path kernel of a block [lo, hi), on one re-keyed generator."""
-    return lambda lo, hi: _bns_planes(p, cfg, _Rekeyed(cfg, lo, hi))
+def _walks_grid(p: BnsPortfolioParams, corr: CorrelationMatrix) -> bool:
+    """Whether the |Sigma_2| time average of ``p`` needs the time grid.
+
+    A pair term sigma_i sigma_j (i != j) with a nonzero coefficient is not
+    affine in e^{-lambda t} when asset i or j decays to a level kappa1 > 0
+    (a deterministic subordinator), so it has no closed-form integral.
+    """
+    if p.lambda_ * p.kappa2_star == 0.0:
+        return False
+    level = _levels([_resolve_subordinator(a) for a in p.assets], p)
+    delta = corr.inverse()
+    rho = p.rho
+    return any(
+        (level[i] or level[j]) and delta[i, j] * rho[i] * rho[j] != 0.0
+        for i in range(p.n) for j in range(i + 1, p.n)
+    )
+
+
+def _bns_block(p: BnsPortfolioParams, cfg: SimConfig, corr: CorrelationMatrix | None = None):
+    """The BNS block function on the jump list of one re-keyed generator per block.
+
+    Without ``corr`` only rows are recorded. With it, the time integral of
+    |Sigma_2| is exact between jumps, or, where ``_walks_grid``, the
+    trapezoidal rule along the full grid of evaluated rows.
+    """
+    if corr is not None and _walks_grid(p, corr):
+        def planes(lo, hi):
+            return _JumpList(p, cfg, _Rekeyed(cfg, lo, hi)).planes(cfg.times)
+
+        def dets(v):
+            return det_sigma2_values(v, corr, p.rho, p.lambda_, p.kappa2_star)
+
+        return _grid_block(planes, cfg, p.n, dets)
+
+    def block(lo, hi, rows):
+        jumps = _JumpList(p, cfg, _Rekeyed(cfg, lo, hi))
+        planes = jumps.planes(cfg.times[rows])
+        recorded, integral = _walk(planes, hi - lo, p.n, np.arange(rows.size))
+        if corr is not None:
+            integral = jumps.integrals(corr, p.rho, p.kappa2_star)
+        return recorded, integral
+
+    return block
 
 
 def simulate_bns(p: BnsPortfolioParams, cfg: SimConfig) -> PathEnsemble:
@@ -698,9 +843,9 @@ def mc_realized_variance(
     return _summarize(total / (times[-1] - times[0]))
 
 
-def _streaming_estimate(planes, dets, cfg: SimConfig, n: int, scheme: str, threads: int,
+def _streaming_estimate(block, cfg: SimConfig, n: int, scheme: str, threads: int,
                         return_ensemble: bool):
-    ensemble, averages = _run(planes, cfg, n, scheme, dets, threads, record=return_ensemble)
+    ensemble, averages = _run(block, cfg, n, scheme, threads, record=return_ensemble)
     estimate = _summarize(averages)
     return (estimate, ensemble) if return_ensemble else estimate
 
@@ -717,11 +862,8 @@ def heston_realized_variance_mc(
     pass.
     """
     scheme = _check_scheme(cfg, "full_truncation_euler")
-    return _streaming_estimate(
-        _heston_block(portfolio, cfg),
-        lambda v: det_sigma1_values(v, portfolio.corr),
-        cfg, portfolio.n, scheme, threads, return_ensemble,
-    )
+    block = _heston_block(portfolio, cfg, lambda v: det_sigma1_values(v, portfolio.corr))
+    return _streaming_estimate(block, cfg, portfolio.n, scheme, threads, return_ensemble)
 
 
 def bns_realized_variance_mc(
@@ -732,19 +874,19 @@ def bns_realized_variance_mc(
     *,
     return_ensemble: bool = False,
 ):
-    """Streaming BNS estimate of the |Sigma_2| time average on the full grid.
+    """Streaming BNS estimate of the |Sigma_2| time average over the horizon.
 
-    With ``return_ensemble``, returns (estimate, ensemble), the ensemble
-    being ``simulate_bns(p, cfg)`` recorded in the same pass.
+    Per path, the average is the exact integral over the jump-free
+    intervals, so it does not depend on dt; only portfolios with a leveraged
+    drift-only asset in a pair term (``_walks_grid``) take the trapezoidal
+    rule on the full grid. With ``return_ensemble``, returns (estimate,
+    ensemble), the ensemble being ``simulate_bns(p, cfg)`` recorded in the
+    same pass.
     """
     scheme = _check_scheme(cfg, "exact_ou")
     if p.n != corr.n:
         raise DimensionMismatch(f"{p.n} assets vs {corr.n}x{corr.n} correlation")
-    return _streaming_estimate(
-        _bns_block(p, cfg),
-        lambda v: det_sigma2_values(v, corr, p.rho, p.lambda_, p.kappa2_star),
-        cfg, p.n, scheme, threads, return_ensemble,
-    )
+    return _streaming_estimate(_bns_block(p, cfg, corr), cfg, p.n, scheme, threads, return_ensemble)
 
 
 # price paths (data-pipeline plumbing, not used by the pricing oracle)
@@ -860,7 +1002,9 @@ def simulate_bns_prices(
             marks.append((t_jump, sizes))
         return star[:, :, np.newaxis] * p.rho
 
-    planes = functools.partial(_bns_planes, p, cfg)
+    def planes(rngs):
+        return _JumpList(p, cfg, rngs).planes(cfg.times)
+
     paths = _price_paths(planes, corr, cfg, s0, mu, beta, common_jumps)
     return PricePaths(cfg.times, *paths, jump_marks=tuple(marks))
 

@@ -605,6 +605,58 @@ class TestFit:
         np.testing.assert_allclose(cov, cov.T, atol=1e-20)
         assert np.all(np.diag(cov) >= -1e-20)
 
+    @pytest.mark.parametrize("model", ["heston", "bns"])
+    def test_covariance_steps_stay_in_the_box_at_every_bound(self, model, monkeypatch):
+        """A parameter on a finite bound of its field is differenced one-sidedly, into the box.
+
+        A full step past the bound used to leave the model's domain (theta2 = 1e-10 gave
+        ``theta2 must be > 0``). rho has no finite lower bound.
+        """
+        problem = batched_problem(model)
+        truth = HESTON_TRUTH if model == "heston" else BNS_LEVERAGED
+        lows, highs = np.array(problem.bounds).T
+        stacks = []
+        curve = calibrate.model_curve
+        monkeypatch.setattr(
+            calibrate, "model_curve",
+            lambda m, x, *rest: stacks.append(np.atleast_2d(x)) or curve(m, x, *rest),
+        )
+        checked = 0
+        for index, (lo, hi) in enumerate(problem.bounds):
+            for bound in (b for b in (lo, hi) if math.isfinite(b)):
+                params = truth.copy()
+                params[index] = bound
+                stacks.clear()
+                cov = calibrate._gauss_newton_covariance(
+                    problem, params, list(range(truth.size)), 1.0
+                )
+                assert np.all(np.isfinite(cov))
+                points = np.concatenate(stacks)
+                assert np.all((points >= lows) & (points <= highs))
+                assert np.any(points[:, index] != bound)
+                checked += 1
+        assert checked == np.isfinite(lows).sum() + np.isfinite(highs).sum()
+
+    def test_one_sided_column_is_the_derivative(self, monkeypatch):
+        """At theta2_1 = 1e-10, its lower bound, the Jacobian column is the curve's slope."""
+        problem = batched_problem("heston")
+        params = HESTON_TRUTH.copy()
+        params[3] = 1e-10
+        columns = []
+        differences = calibrate._central_differences
+        monkeypatch.setattr(
+            calibrate, "_central_differences",
+            lambda *args: columns.append(differences(*args)) or columns[-1],
+        )
+        calibrate._gauss_newton_covariance(problem, params, list(range(9)), 1.0)
+        # the mean curve is linear in theta2_1, so any two points give its slope
+        times = problem.observed.times
+        moved = params.copy()
+        moved[3] = 0.05
+        slope = (model_curve("heston", moved, CORR, times)
+                 - model_curve("heston", params, CORR, times)) / (moved[3] - params[3])
+        np.testing.assert_allclose(columns[0][:, 3], slope, rtol=1e-7)
+
     def test_result_round_trip(self):
         obs = heston_series(np.linspace(0.1, 1.0, 5))
         problem = CalibrationProblem(

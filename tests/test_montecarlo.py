@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -75,10 +76,79 @@ def bns_portfolio(
     return BnsPortfolioParams(assets=assets, lambda_=2.0, kappa2_star=kappa2_star)
 
 
-def bns_reference_path(p, cfg, j):
-    """Path j of simulate_bns(p, cfg) by a plain loop over its own (seed, path) stream.
+def bns_reference_jumps(p, cfg, j):
+    """Path j's jumps (time, asset, size) by its own (seed, path) stream, in time order.
 
-    Jumps are added to their step one at a time in draw order.
+    Jumps at one time keep draw order (``sorted`` is stable).
+    """
+    horizon = cfg.n_steps * cfg.dt
+    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, j], dtype=np.uint64)))
+    jumps = []
+    for i, asset in enumerate(p.assets):
+        if asset.kappa2 > 0.0:
+            spec = GammaOuSpec.from_cumulants(asset.kappa1, asset.kappa2)
+            count = rng.poisson(spec.a * p.lambda_ * horizon)
+            t_jump = rng.uniform(0.0, horizon, count)
+            sizes = rng.exponential(1.0 / spec.b, count)
+            jumps += [(t, i, size) for t, size in zip(t_jump, sizes)]
+    return sorted(jumps, key=lambda jump: jump[0])
+
+
+def bns_levels(p):
+    """The level each variance decays to: kappa1 without jumps, else 0."""
+    return np.array([0.0 if a.kappa2 > 0.0 else a.kappa1 for a in p.assets])
+
+
+def bns_reference_events(p, cfg, j):
+    """Path j as (time, variances right after) of its start and each jump: a plain exact-OU loop."""
+    lam, level = p.lambda_, bns_levels(p)
+    x = np.array([a.sigma0_2 for a in p.assets])
+    events = [(0.0, x.copy())]
+    for t, i, size in bns_reference_jumps(p, cfg, j):
+        x = level + (x - level) * math.exp(-lam * (t - events[-1][0]))
+        x[i] += size
+        events.append((t, x.copy()))
+    return events
+
+
+def bns_reference_path(p, cfg, j):
+    """Path j of simulate_bns(p, cfg): each recorded time from the last event at or before it."""
+    lam, level = p.lambda_, bns_levels(p)
+    events = bns_reference_events(p, cfg, j)
+    rows = []
+    for t in cfg.times[cfg.record_indices]:
+        t_e, x = [event for event in events if event[0] <= t][-1]
+        rows.append(level + (x - level) * math.exp(-lam * (t - t_e)))
+    return np.array(rows)
+
+
+def bns_reference_integral(p, corr, cfg, j, nodes=20):
+    """Path j's integral of |Sigma_2| over the horizon: Gauss-Legendre on each jump-free interval.
+
+    |Sigma_2| is the determinant of D C D + lambda Var[Z_1*] rho rho^T at each node.
+    """
+    lam, level, rho = p.lambda_, bns_levels(p), p.rho
+    horizon = cfg.n_steps * cfg.dt
+    events = bns_reference_events(p, cfg, j)
+    ends = [t for t, _ in events[1:]] + [horizon]
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for (t0, x), t1 in zip(events, ends):
+        s = 0.5 * (t1 - t0) * (u + 1.0)
+        v = level + (x - level) * np.exp(-lam * s)[:, None]
+        sigma = np.sqrt(v)
+        matrices = sigma[:, :, None] * corr.c * sigma[:, None, :]
+        matrices += lam * p.kappa2_star * np.outer(rho, rho)
+        total += 0.5 * (t1 - t0) * float(w @ np.linalg.det(matrices))
+    return total
+
+
+def bns_grid_recursion_path(p, cfg, j):
+    """Path j on the full grid by the step recursion of the grid simulator.
+
+    x_{s+1} = e^{-lambda dt} x_s plus the step's jumps, each decayed from its
+    time to the step end, added one at a time in draw order. It compounds
+    rounding through every step; the exact rows agree with it to rounding.
     """
     dt, steps = cfg.dt, cfg.n_steps
     decay = math.exp(-p.lambda_ * dt)
@@ -371,26 +441,86 @@ class TestStreamingEstimators:
         four = heston_realized_variance_mc(pf, cfg, threads=4)
         assert one == four
 
-    def test_bns_streaming_equals_ensemble_route(self):
-        p = bns_portfolio(rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01)
-        cfg = SimConfig(n_paths=400, dt=0.01, horizon=1.0, seed=37, block_size=50)
-        p2 = bns_portfolio(
-            kappa1s=(0.05, 0.07), kappa2s=(0.004, 0.006), rhos=(-0.3, -0.5),
-            kappa2_star=0.01, sigma0_2s=(0.04, 0.06),
+    BNS_PORTFOLIOS = (
+        (dict(rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01), 3),
+        (dict(kappa1s=(0.05, 0.07), kappa2s=(0.004, 0.006), rhos=(-0.3, -0.5),
+              kappa2_star=0.01, sigma0_2s=(0.04, 0.06)), 2),
+        (dict(kappa1s=(0.05, 0.07, 0.06, 0.04), kappa2s=(0.004, 0.006, 0.005, 0.003),
+              rhos=(-0.3, -0.2, 0.0, -0.4), kappa2_star=0.01,
+              sigma0_2s=(0.04, 0.06, 0.05, 0.03)), 4),
+    )
+
+    @pytest.mark.parametrize("kwargs, n", BNS_PORTFOLIOS, ids=("n3", "n2", "n4"))
+    def test_bns_streaming_equals_exact_reference_integrals(self, kwargs, n):
+        p, corr = bns_portfolio(**kwargs), equicorrelated(n)
+        cfg = SimConfig(n_paths=60, dt=0.01, horizon=1.0, seed=37, block_size=7)
+        streaming = bns_realized_variance_mc(p, corr, cfg, threads=2)
+        reference = [bns_reference_integral(p, corr, cfg, j) for j in range(cfg.n_paths)]
+        assert streaming.mean == pytest.approx(np.mean(reference) / cfg.horizon, rel=1e-12)
+
+    @pytest.mark.parametrize("kwargs, n", BNS_PORTFOLIOS, ids=("n3", "n2", "n4"))
+    def test_bns_streaming_estimate_does_not_depend_on_dt(self, kwargs, n):
+        """So do rows at times on both grids (0.5 and 1.0 are 50 * 0.01 and 500 * 0.001 exactly)."""
+        p, corr = bns_portfolio(**kwargs), equicorrelated(n)
+        (coarse, coarse_rows), (fine, fine_rows) = (
+            bns_realized_variance_mc(
+                p, corr,
+                SimConfig(n_paths=400, dt=dt, horizon=1.0, seed=37, block_size=50,
+                          record_times=(0.0, 0.5, 1.0)),
+                return_ensemble=True,
+            )
+            for dt in (0.01, 0.001)
         )
-        p4 = bns_portfolio(
-            kappa1s=(0.05, 0.07, 0.06, 0.04), kappa2s=(0.004, 0.006, 0.005, 0.003),
-            rhos=(-0.3, -0.2, 0.0, -0.4), kappa2_star=0.01,
-            sigma0_2s=(0.04, 0.06, 0.05, 0.03),
+        assert coarse == fine
+        assert coarse_rows.variance_paths.tobytes() == fine_rows.variance_paths.tobytes()
+
+    def test_bns_drift_only_estimate_is_the_closed_form(self):
+        """No jumps and rho = 0: every path is the mean path, integrated exactly."""
+        from genvarswap.bns import expected_realized_variance_bns
+
+        for horizon, dt in ((1.0, 0.01), (2.5, 0.5)):
+            p = bns_portfolio(kappa2s=(0.0, 0.0, 0.0), kappa2_star=0.01)
+            cfg = SimConfig(n_paths=50, dt=dt, horizon=horizon, seed=3, block_size=7)
+            estimate = bns_realized_variance_mc(p, CORR, cfg, threads=2)
+            closed = expected_realized_variance_bns(horizon, p, CORR)
+            assert estimate.mean == pytest.approx(closed, rel=1e-12)
+            assert estimate.std_error <= 1e-12 * estimate.mean
+
+    def test_bns_fast_mean_reversion_neither_overflows_nor_loses_the_integral(self):
+        """lambda * horizon = 1600: decay factors underflow to zero, none overflows."""
+        p = BnsPortfolioParams(
+            assets=tuple(
+                BnsAssetParams(sigma0_2=s, kappa1=k1, kappa2=k2, rho=r)
+                for s, k1, k2, r in ((0.04, 0.05, 0.004, -0.3), (0.06, 0.07, 0.006, -0.2))
+            ),
+            lambda_=400.0, kappa2_star=0.01,
         )
-        for p, corr in ((p, CORR), (p2, equicorrelated(2)), (p4, equicorrelated(4))):
-            streaming = bns_realized_variance_mc(p, corr, cfg, threads=2)
-            ensemble = mc_realized_variance(
+        corr = equicorrelated(2)
+        cfg = SimConfig(n_paths=3, dt=0.01, horizon=4.0, seed=5, record_times=(0.0, 2.0, 4.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate, ensemble = bns_realized_variance_mc(p, corr, cfg, return_ensemble=True)
+        reference = [bns_reference_integral(p, corr, cfg, j) for j in range(cfg.n_paths)]
+        assert estimate.mean == pytest.approx(np.mean(reference) / cfg.horizon, rel=1e-12)
+        for j in range(cfg.n_paths):
+            np.testing.assert_allclose(
+                ensemble.variance_paths[j], bns_reference_path(p, cfg, j), rtol=1e-13, atol=0
+            )
+
+    @pytest.mark.parametrize("kwargs, n", BNS_PORTFOLIOS, ids=("n3", "n2", "n4"))
+    def test_bns_grid_ensemble_estimate_closes_in_as_dt_shrinks(self, kwargs, n):
+        """The trapezoid on the recorded grid converges to the exact integral."""
+        p, corr = bns_portfolio(**kwargs), equicorrelated(n)
+        gaps = []
+        for dt in (0.01, 0.001):
+            cfg = SimConfig(n_paths=400, dt=dt, horizon=1.0, seed=37, block_size=50)
+            exact = bns_realized_variance_mc(p, corr, cfg, threads=2)
+            grid = mc_realized_variance(
                 simulate_bns(p, cfg), corr, rho=p.rho, lambda_=p.lambda_,
                 kappa2_star=p.kappa2_star,
             )
-            assert streaming.mean == ensemble.mean
-            assert streaming.std_error == ensemble.std_error
+            gaps.append(abs(grid.mean - exact.mean) / exact.mean)
+        assert gaps[1] < gaps[0] / 5.0
 
     def test_thread_count_below_one_rejected(self):
         cfg = SimConfig(n_paths=4, dt=0.25, horizon=1.0, seed=1)
@@ -464,7 +594,7 @@ class TestOnePass:
                 reference.append(np.maximum(state, 0.0))
             np.testing.assert_array_equal(heston[j], reference)
 
-            np.testing.assert_array_equal(bns[j], bns_reference_path(p, cfg, j))
+            np.testing.assert_allclose(bns[j], bns_reference_path(p, cfg, j), rtol=1e-13, atol=0)
 
     def test_many_workers_fill_disjoint_blocks(self):
         pf = heston_portfolio()
@@ -600,7 +730,9 @@ class TestBlockPipeline:
                 np.testing.assert_array_equal(s1, s2)
         cfg = SimConfig(n_paths=20, dt=dt, horizon=horizon, seed=97)
         for j in range(cfg.n_paths):
-            np.testing.assert_array_equal(first.variance_paths[j], bns_reference_path(p, cfg, j))
+            np.testing.assert_allclose(
+                first.variance_paths[j], bns_reference_path(p, cfg, j), rtol=1e-13, atol=0
+            )
             rng = np.random.Generator(np.random.Philox(key=np.array([97, j], dtype=np.uint64)))
             for asset in p.assets:
                 if asset.kappa2 > 0.0:
@@ -615,12 +747,22 @@ class TestBlockPipeline:
             np.testing.assert_array_equal(sizes, rng.exponential(1.0 / star.b, count))
 
     def test_jumps_sharing_a_step_add_in_draw_order(self):
-        """About 25 jumps per step and asset: each path equals the per-jump reference loop."""
+        """About 25 jumps per step and asset: each path equals the per-jump exact-OU loop."""
         p = bns_portfolio(kappa1s=(0.5, 0.7, 0.6), kappa2s=(0.001, 0.002, 0.001))
         cfg = SimConfig(n_paths=3, dt=0.05, horizon=1.0, seed=89, block_size=2)
         bns = simulate_bns(p, cfg).variance_paths
         for j in range(cfg.n_paths):
-            np.testing.assert_array_equal(bns[j], bns_reference_path(p, cfg, j))
+            np.testing.assert_allclose(bns[j], bns_reference_path(p, cfg, j), rtol=1e-13, atol=0)
+
+    def test_exact_rows_agree_with_the_grid_recursion(self):
+        """The step recursion compounds rounding through every step; the rows agree to 1e-13."""
+        p = bns_portfolio(kappa2s=(0.004, 0.0, 0.005))
+        cfg = SimConfig(n_paths=6, dt=0.004, horizon=montecarlo._CHUNK * 0.004, seed=79)
+        bns = simulate_bns(p, cfg).variance_paths
+        for j in range(cfg.n_paths):
+            np.testing.assert_allclose(
+                bns[j], bns_grid_recursion_path(p, cfg, j), rtol=1e-13, atol=0
+            )
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_tile_size_does_not_change_results(self, monkeypatch, n):
@@ -659,22 +801,51 @@ class TestBlockPipeline:
                     ensemble.variance_paths, expected_ensemble.variance_paths
                 )
 
+    def test_grid_portfolio_streams_the_trapezoid_of_its_rows(self, monkeypatch):
+        """A leveraged drift-only asset keeps the grid: the estimate is the trapezoid of the
+        full-grid ensemble, for any block size, thread count and tile."""
+        p = bns_portfolio(kappa2s=(0.004, 0.0, 0.005), rhos=(-0.3, -0.2, 0.0), kappa2_star=0.01)
+        assert montecarlo._walks_grid(p, CORR)
+        for exact in (
+            bns_portfolio(kappa2s=(0.004, 0.0, 0.005), rhos=(-0.3, 0.0, -0.2), kappa2_star=0.01),
+            bns_portfolio(kappa2s=(0.004, 0.0, 0.005), rhos=(-0.3, -0.2, 0.0)),
+            bns_portfolio(kappa2s=(0.004, 0.006, 0.005), rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01),
+        ):
+            assert not montecarlo._walks_grid(exact, CORR)
+        base = dict(n_paths=9, dt=0.002, horizon=(2 * montecarlo._CHUNK + 44) * 0.002, seed=83)
+        ensemble = simulate_bns(p, SimConfig(**base))
+        reference = mc_realized_variance(
+            ensemble, CORR, rho=p.rho, lambda_=p.lambda_, kappa2_star=p.kappa2_star
+        )
+        for budget in (1, 20000, 2**40):
+            monkeypatch.setattr(montecarlo, "_TILE_BYTES", budget)
+            for block_size in (1, 7, 4096):
+                for threads in (1, 2):
+                    estimate, recorded = bns_realized_variance_mc(
+                        p, CORR, SimConfig(**base, block_size=block_size), threads=threads,
+                        return_ensemble=True,
+                    )
+                    assert estimate == reference
+                    np.testing.assert_array_equal(recorded.variance_paths, ensemble.variance_paths)
+
     def test_state_carries_across_reused_chunk_buffers(self):
-        """Over three chunks, deterministic paths equal a scalar recursion bit for bit."""
+        """Over three chunks, deterministic Heston paths equal a scalar recursion bit for bit.
+
+        Drift-only BNS paths equal the closed form kappa1 + (x - kappa1) e^{-lambda t}.
+        """
         dt, steps = 0.001, 2 * montecarlo._CHUNK + 44
         cfg = SimConfig(n_paths=3, dt=dt, horizon=steps * dt, seed=5, block_size=2)
         p = bns_portfolio(kappa2s=(0.0, 0.0, 0.0))
         pf = heston_portfolio(gamma=TINY_GAMMA)
         bns = simulate_bns(p, cfg).variance_paths
         heston = simulate_heston(pf, cfg).variance_paths
-        decay = math.exp(-p.lambda_ * dt)
         for i, (b, h) in enumerate(zip(p.assets, pf.assets)):
-            ou, euler = [b.sigma0_2], [h.sigma0_2]
+            ou = [b.kappa1 + (b.sigma0_2 - b.kappa1) * math.exp(-p.lambda_ * t) for t in cfg.times]
+            euler = [h.sigma0_2]
             for _ in range(steps):
-                ou.append(b.kappa1 * (1.0 - decay) + decay * ou[-1])
                 euler.append(euler[-1] + (h.theta2 - euler[-1]) * h.k * dt)
             for path in range(cfg.n_paths):
-                np.testing.assert_array_equal(bns[path, :, i], ou)
+                np.testing.assert_allclose(bns[path, :, i], ou, rtol=1e-13, atol=0)
                 np.testing.assert_array_equal(heston[path, :, i], euler)
 
     @pytest.mark.parametrize("model, planes", [("heston", 3.0), ("bns", 2.0)])
