@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +67,7 @@ from .errors import (
     ValidationError,
     WrongAssetCount,
 )
+from .genvar import _jump_terms
 from .heston import _affine_product_integral, _check_maturity, _check_time, price_swap
 
 __all__ = [
@@ -408,7 +408,7 @@ def _expected_realized_variance_sets(
     for p in portfolios:
         if p.n != corr.n:
             raise DimensionMismatch(f"{p.n} assets vs {corr.n}x{corr.n} correlation")
-    delta = corr.inverse()
+    corr.inverse()  # raises SingularCorrelation for a singular C, jump terms or not
     T = _check_maturity(T)
     tol = _check_tol(tol)
 
@@ -416,20 +416,20 @@ def _expected_realized_variance_sets(
     bracket, e_without = _mean_variance_products(T, portfolios)
     inner = np.zeros_like(bracket)
     lam_k2 = np.array([p.lambda_ * p.kappa2_star for p in portfolios])
-    # the coefficients of E_{-i} and E_{ij}; none enters where lambda kappa2* = 0
-    rhos = [p.rho for p in portfolios]
-    own = np.array([[delta[i, i] * rho[i] ** 2 for i in range(n)] for rho in rhos])
-    own[lam_k2 == 0.0] = 0.0
+    # the coefficients of E_{-i} and E_{ij}
+    own = np.zeros((len(portfolios), n))
+    rows, coeffs = [], []
+    for s, p in enumerate(portfolios):
+        rho = p.rho
+        for i, j, weight in _jump_terms(corr, rho, lam_k2[s]):
+            if i == j:
+                own[s, i] = weight * rho[i] ** 2
+            else:
+                rows.append((s, i, j))
+                coeffs.append(weight * rho[j] * rho[i])
     for i, e in enumerate(e_without):
         coeff = _per_set(own[:, i], T)
         inner = inner + np.where(coeff != 0.0, coeff * e, 0.0)
-    rows, coeffs = [], []
-    for s, rho in enumerate(rhos):
-        for i, j in combinations(range(n), 2):
-            coeff = 2.0 * delta[j, i] * rho[j] * rho[i]
-            if lam_k2[s] != 0.0 and coeff != 0.0:
-                rows.append((s, i, j))
-                coeffs.append(coeff)
     if rows:
         values, _ = _cross_terms(
             T, [portfolios[s] for s, _, _ in rows], [(i, j) for _, i, j in rows],

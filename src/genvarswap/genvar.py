@@ -13,20 +13,20 @@ divides by no sigma_i and so holds where a vol touches zero. Expanded over
 the entries of C^-1 it is the polynomial the pricing formulas use. Both
 forms are implemented and cross-checked in the tests.
 
+The terms of the lemma's bracket, the pairs i <= j with a nonzero
+coefficient (1 or 2) delta_ij rho_i rho_j, delta = C^-1, are enumerated in
+one place, ``_jump_terms``; the vectorized determinant here, the BNS closed
+form and the Monte Carlo integrals all read them from it.
+
 All functions are pure and safe for concurrent invocation. The ``*_values``
 variants evaluate determinants along whole ensembles of variance paths at
 once and are the kernels used by the Monte Carlo module, which calls them
-once per row tile of a block. ``det_sigma2_values`` works in place in
-per-thread scratch planes (square roots, u_i, the pair term) that are
-reused while a tile's shape fits, so only the returned array is new; its
-operations and their order are those of the one-temporary-per-operation
-form, so the values are the same to the bit.
+once per row tile of a block.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,26 +90,29 @@ def _check_jump_scale(lambda_: float, var_z1: float) -> tuple[float, float]:
     return lambda_, var_z1
 
 
-# A thread keeps its scratch between calls up to this size; larger calls
-# (whole ensembles rather than tiles) get buffers that are freed on return.
-_SCRATCH_KEEP_BYTES = 1 << 23
-_scratch = threading.local()
+def _jump_terms(
+    corr: CorrelationMatrix, rho: np.ndarray, jump_scale: float
+) -> list[tuple[int, int, float]]:
+    """The nonzero terms (i, j, weight) of the determinant lemma's bracket, i <= j.
 
-
-def _scratch_planes(k: int, shape: tuple) -> list[np.ndarray]:
-    """k float planes of ``shape`` from the calling thread's scratch buffer.
-
-    The buffer is reused while it fits, so the determinant of each row tile
-    of a Monte Carlo block allocates nothing but its result. Planes of one
-    call never overlap; a later call overwrites them.
+    lambda Var[Z_1*] rho^T Sigma_1^-1 rho is jump_scale times the sum of
+    weight rho_i rho_j / (sigma_i sigma_j) over these terms, with weight =
+    (1 if i == j else 2) delta_ij. A term is kept where its coefficient
+    weight rho_i rho_j is nonzero, in row-major order over the pairs; there
+    are none where ``jump_scale`` = lambda Var[Z_1*] is 0, and C^-1 is read
+    only when some rho_i is nonzero.
     """
-    size = math.prod(shape)
-    buffer = getattr(_scratch, "buffer", np.empty((0, 0)))
-    if buffer.shape[0] < k or buffer.shape[1] < size:
-        buffer = np.empty((max(k, buffer.shape[0]), max(size, buffer.shape[1])))
-        if buffer.nbytes <= _SCRATCH_KEEP_BYTES:
-            _scratch.buffer = buffer
-    return [row[:size].reshape(shape) for row in buffer[:k]]
+    if jump_scale == 0.0 or not np.any(rho):
+        return []
+    delta = corr.inverse()
+    jumping = np.flatnonzero(rho)
+    terms = []
+    for a, i in enumerate(jumping):
+        for j in jumping[a:]:
+            weight = (1.0 if i == j else 2.0) * delta[i, j]
+            if weight * rho[i] * rho[j] != 0.0:
+                terms.append((int(i), int(j), weight))
+    return terms
 
 
 def build_sigma1(vols: InstantaneousVols, corr: CorrelationMatrix) -> np.ndarray:
@@ -195,33 +198,17 @@ def det_sigma2_values(
         )
     rho = _check_rho(rho, n)
     lambda_, var_z1 = _check_jump_scale(lambda_, var_z1)
-    delta = corr.inverse()
+    terms = _jump_terms(corr, rho, lambda_ * var_z1)
+    if not terms:
+        return det_sigma1_values(variances, corr)
 
-    shape = variances.shape[:-1]
-    jumping = np.flatnonzero(rho)
-    if var_z1 == 0.0 or not jumping.size:
-        (base,) = _scratch_planes(1, shape)
-        return corr.det_c * np.prod(variances, axis=-1, out=base)
-
-    m = jumping.size
-    base, bracket, pair, *planes = _scratch_planes(3 + n + m, shape)
-    sigma, u = planes[:n], planes[n:]
-    np.prod(variances, axis=-1, out=base)
-    for l in range(n):
-        np.sqrt(variances[..., l], out=sigma[l])
-    for ui, i in zip(u, jumping):
-        # u_i = ((rho_i s_a) s_b)... over the assets l != i in order
-        first, *rest = (sigma[l] for l in range(n) if l != i)
-        np.multiply(rho[i], first, out=ui)
-        for s in rest:
-            ui *= s
-    # bracket = ((0 + t_1) + t_2)... over the pairs i <= j, t = ((c delta_ij) u_i) u_j
-    bracket.fill(0.0)
-    for a, i in enumerate(jumping):
-        for b in range(a, m):
-            np.multiply((1.0 if a == b else 2.0) * delta[i, jumping[b]], u[a], out=pair)
-            pair *= u[b]
-            bracket += pair
-    bracket *= lambda_ * var_z1
-    bracket += base
-    return corr.det_c * bracket
+    base = np.prod(variances, axis=-1)
+    sigma = [np.sqrt(variances[..., l]) for l in range(n)]
+    # u_i = ((rho_i s_a) s_b)... over the assets l != i in order
+    u = {
+        i: math.prod((sigma[l] for l in range(n) if l != i), start=rho[i])
+        for i in np.flatnonzero(rho)
+    }
+    # bracket = ((0 + t_1) + t_2)... over the terms, t = ((weight u_i) u_j)
+    bracket = sum(weight * u[i] * u[j] for i, j, weight in terms)
+    return corr.det_c * (base + lambda_ * var_z1 * bracket)

@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     NegativeTime,
     NonPositiveMaturity,
+    NumericalError,
     QuadratureFailure,
 )
 
@@ -179,6 +180,18 @@ def expected_realized_variance_quad(
 
 
 def price_swap(ev_realized: float, contract: SwapContract) -> float:
-    """Discounted swap value: notional * e^{-r T} (E[sigma_R^2] - k_var)."""
-    discount = math.exp(-contract.r * contract.maturity)
-    return contract.notional * discount * (float(ev_realized) - contract.k_var)
+    """Discounted swap value: notional * e^{-r T} (E[sigma_R^2] - k_var).
+
+    Raises ``NumericalError`` where the discount factor or the value is not finite.
+    """
+    try:
+        discount = math.exp(-contract.r * contract.maturity)
+    except OverflowError:
+        discount = math.inf
+    value = contract.notional * discount * (float(ev_realized) - contract.k_var)
+    if not math.isfinite(value):
+        raise NumericalError(
+            f"swap value {value} is not finite (discount factor e^(-r T) = {discount:.6g} "
+            f"at r = {contract.r}, T = {contract.maturity})"
+        )
+    return value

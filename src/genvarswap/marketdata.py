@@ -29,6 +29,7 @@ from .errors import (
     TooFewRows,
     TooShort,
     UnsortedDates,
+    ValidationError,
     WindowTooSmall,
 )
 
@@ -184,8 +185,11 @@ def rolling_determinants(
 
     Windows advance by ``window`` rows (blocked, the default) or by one row
     (``rolling=True``). Each needs at least n+1 observations so the sample
-    covariance of n assets can be nonsingular.
+    covariance of n assets can be nonsingular. ``annualization`` (periods
+    per year) must be >= 1.
     """
+    if not annualization >= 1:
+        raise ValidationError(f"annualization must be >= 1 period per year, got {annualization}")
     returns = np.asarray(returns, dtype=float)
     if returns.ndim != 2:
         raise TooFewRows(f"returns must be 2-d, got shape {returns.shape}")

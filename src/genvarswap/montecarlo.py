@@ -53,11 +53,10 @@ Three things keep a block cheap:
 
 * The walker hands the determinant kernels row tiles of each plane of about
   ``_TILE_BYTES`` (1 MiB) rather than the whole plane, so their working set
-  stays in cache (the |Sigma_2| kernel computes in per-thread scratch that
-  it reuses from tile to tile, so a tile allocates only its result); Heston
-  draws a chunk's normals a tile of paths at a time and transposes each
-  tile into place while it is in cache. The kernels are elementwise and the
-  time average adds row by row, so the tiling moves no result.
+  and temporaries stay in cache; Heston draws a chunk's normals a tile of
+  paths at a time and transposes each tile into place while it is in cache.
+  The kernels are elementwise and the time average adds row by row, so the
+  tiling moves no result.
 * The Heston kernel allocates its chunk buffers once per block and refills
   them for every chunk (the transposed normals and the plane). The walker
   is done with a plane before it asks for the next one.
@@ -124,7 +123,7 @@ from .errors import (
     MissingSubordinatorSpec,
     ValidationError,
 )
-from .genvar import det_sigma1_values, det_sigma2_values
+from .genvar import _jump_terms, det_sigma1_values, det_sigma2_values
 from .heston import HestonPortfolio, _affine_product_integral
 
 __all__ = [
@@ -199,6 +198,10 @@ class SimConfig:
         if self.block_size < 1:
             raise InvalidConfig("block_size must be >= 1")
         steps = self.horizon / self.dt
+        if steps > _MAX_ENSEMBLE_ENTRIES:
+            raise InvalidConfig(
+                f"horizon / dt = {steps:.3g} steps, more than the {_MAX_ENSEMBLE_ENTRIES} allowed"
+            )
         if abs(round(steps) - steps) > 1e-9 * max(1.0, steps):
             raise InvalidConfig("dt must divide horizon into a whole number of steps")
         if self.record_times is not None:
@@ -723,21 +726,16 @@ class _JumpList:
 
         values = product(range(n))
         jump_scale = self.lam * var_z1
-        jumping = np.flatnonzero(rho)
-        if jump_scale and jumping.size:
-            delta = corr.inverse()
+        terms = _jump_terms(corr, rho, jump_scale)
+        if terms:
             bracket = 0.0
-            for a, i in enumerate(jumping):
-                for j in jumping[a:]:
-                    coeff = (1.0 if i == j else 2.0) * delta[i, j] * rho[i] * rho[j]
-                    if coeff == 0.0:
-                        continue
-                    others = [l for l in range(n) if l not in (i, j)]
-                    if i == j:
-                        term = product(others)
-                    else:
-                        term = product(others, np.sqrt(self.states[:, i] * self.states[:, j]))
-                    bracket = bracket + coeff * term
+            for i, j, weight in terms:
+                others = [l for l in range(n) if l not in (i, j)]
+                if i == j:
+                    term = product(others)
+                else:
+                    term = product(others, np.sqrt(self.states[:, i] * self.states[:, j]))
+                bracket = bracket + weight * rho[i] * rho[j] * term
             values = values + jump_scale * bracket
         totals = np.zeros(self.starts.size)
         np.add.at(totals, self.path, corr.det_c * values)
@@ -751,14 +749,10 @@ def _walks_grid(p: BnsPortfolioParams, corr: CorrelationMatrix) -> bool:
     affine in e^{-lambda t} when asset i or j decays to a level kappa1 > 0
     (a deterministic subordinator), so it has no closed-form integral.
     """
-    if p.lambda_ * p.kappa2_star == 0.0:
-        return False
     level = _levels([_resolve_subordinator(a) for a in p.assets], p)
-    delta = corr.inverse()
-    rho = p.rho
     return any(
-        (level[i] or level[j]) and delta[i, j] * rho[i] * rho[j] != 0.0
-        for i in range(p.n) for j in range(i + 1, p.n)
+        i != j and (level[i] or level[j])
+        for i, j, _ in _jump_terms(corr, p.rho, p.lambda_ * p.kappa2_star)
     )
 
 

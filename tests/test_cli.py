@@ -123,6 +123,15 @@ class TestEstimate:
     def test_missing_file_exits_4(self, tmp_path):
         assert main(["estimate", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")]) == 4
 
+    @pytest.mark.parametrize("annualization", ["0", "-252"])
+    def test_annualization_below_one_exits_2(self, tmp_path, capsys, annualization):
+        prices = write_prices(tmp_path)
+        code = main(["estimate", str(prices), "--annualization", annualization,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "annualization" in err and "Traceback" not in err
+
     def test_negative_determinant_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(np.linalg, "det", lambda a: -1.0)
         prices = write_prices(tmp_path)
@@ -194,6 +203,15 @@ class TestPrice:
         contract = write_contract(tmp_path)
         assert main(["price", "--model", str(bad), "--contract", str(contract)]) == 2
 
+
+    @pytest.mark.parametrize("r, notional", [(-1000.0, 1000.0), (-70.0, 1e10)])
+    def test_non_finite_swap_value_exits_3(self, tmp_path, capsys, r, notional):
+        model = write_model(tmp_path)
+        contract = tmp_path / "contract.json"
+        contract.write_text(json.dumps(SwapContract(1e-4, r, 10.0, notional).to_dict()))
+        assert main(["price", "--model", str(model), "--contract", str(contract)]) == 3
+        err = capsys.readouterr().err
+        assert "not finite" in err and "Traceback" not in err
 
     def test_two_asset_model_matches_library(self, tmp_path, capsys):
         assets = (
@@ -375,6 +393,8 @@ class TestSimulate:
         for doc, flags in (
             ({"n_paths": 4, "dt": 0.3, "horizon": 1.0}, []),
             ({"n_paths": 4, "dt": 0.25, "horizon": float("inf")}, []),
+            ({"n_paths": 4, "dt": 1e-300, "horizon": 1.0}, []),
+            ({"n_paths": 4, "dt": 0.25, "horizon": 1e300}, []),
             (good, ["--threads", "0"]),
         ):
             sim.write_text(json.dumps(doc))

@@ -21,6 +21,7 @@ from genvarswap.errors import (
     DimensionMismatch,
     NegativeTime,
     NonPositiveMaturity,
+    NumericalError,
 )
 from genvarswap.heston import _affine_product_integral, expected_realized_variance_quad
 
@@ -237,6 +238,12 @@ class TestPriceSwap:
     def test_known_value(self):
         c = SwapContract(k_var=0.03, r=0.02, maturity=1.0, notional=1.0)
         assert price_swap(0.05, c) == pytest.approx(0.019603973466135106, rel=1e-15)
+
+    @pytest.mark.parametrize("r, notional", [(-1000.0, 1.0), (-70.0, 1e10)])
+    def test_overflowing_discount_or_value_is_numerical_error(self, r, notional):
+        c = SwapContract(k_var=0.03, r=r, maturity=10.0, notional=notional)
+        with pytest.raises(NumericalError, match="not finite"):
+            price_swap(0.05, c)
 
     def test_notional_scaling(self):
         small = SwapContract(k_var=0.03, r=0.02, maturity=1.0, notional=1.0)

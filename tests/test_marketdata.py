@@ -22,6 +22,7 @@ from genvarswap.errors import (
     TooFewRows,
     TooShort,
     UnsortedDates,
+    ValidationError,
     WindowTooSmall,
 )
 from genvarswap.marketdata import (
@@ -190,6 +191,12 @@ class TestRollingDeterminants:
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             rolling_determinants(np.zeros((5, 3)) + np.eye(5, 3), window=10)
+
+    @pytest.mark.parametrize("annualization", [0, -252, math.nan])
+    def test_annualization_below_one_rejected(self, annualization):
+        returns = np.random.default_rng(3).normal(0.0, 0.01, (30, 3))
+        with pytest.raises(ValidationError, match="annualization"):
+            rolling_determinants(returns, window=10, annualization=annualization)
 
     def test_determinant_below_rounding_level_is_numerical_error(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "det", lambda a: -1.0)

@@ -220,6 +220,9 @@ class TestSimConfig:
             dict(horizon=True),
             dict(horizon=None),
             dict(horizon=10**400),
+            dict(dt=1e-300),
+            dict(horizon=1e300),
+            dict(dt=1.0, horizon=2**28 + 1),
             dict(record_times=("0.0", 1.0)),
             dict(record_times=(0.0, True)),
         ],
@@ -229,6 +232,11 @@ class TestSimConfig:
         base.update(kwargs)
         with pytest.raises(InvalidConfig):
             SimConfig(**base)
+
+    def test_step_count_up_to_the_ensemble_limit_accepted(self):
+        """The grid itself is never built here: only the count is checked."""
+        cfg = SimConfig(n_paths=1, dt=1.0, horizon=2**28, seed=1)
+        assert cfg.n_steps == montecarlo._MAX_ENSEMBLE_ENTRIES
 
     def test_integral_numbers_normalized(self):
         cfg = SimConfig(
@@ -800,6 +808,20 @@ class TestBlockPipeline:
                 np.testing.assert_array_equal(
                     ensemble.variance_paths, expected_ensemble.variance_paths
                 )
+
+    def test_uncorrelated_drift_only_leverage_stays_off_the_grid(self):
+        """With C = I no pair term enters (delta_ij = 0 off the diagonal), so the
+        leveraged drift-only asset needs no grid and dt moves nothing."""
+        p = bns_portfolio(kappa2s=(0.004, 0.0, 0.005), rhos=(-0.3, -0.2, 0.0), kappa2_star=0.01)
+        identity = validate_correlation(np.eye(3))
+        assert not montecarlo._walks_grid(p, identity)
+        coarse, fine = (
+            bns_realized_variance_mc(
+                p, identity, SimConfig(n_paths=200, dt=dt, horizon=1.0, seed=37, block_size=50)
+            )
+            for dt in (0.01, 0.001)
+        )
+        assert coarse == fine
 
     def test_grid_portfolio_streams_the_trapezoid_of_its_rows(self, monkeypatch):
         """A leveraged drift-only asset keeps the grid: the estimate is the trapezoid of the
