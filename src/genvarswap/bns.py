@@ -58,11 +58,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BnsAssetParams, BnsPortfolioParams, CorrelationMatrix, SwapContract
+from .core import BnsAssetParams, BnsPortfolioParams, CorrelationMatrix, SwapContract, _jump_law
 from .errors import (
     DegenerateVariance,
     DimensionMismatch,
-    MissingSubordinatorSpec,
     QuadratureFailure,
     ValidationError,
     WrongAssetCount,
@@ -121,35 +120,27 @@ def expected_variance_bns(t, a: BnsAssetParams, lambda_: float):
     return out if out.ndim else float(out)
 
 
+def _ou_cumulant(t, kappa_m: float, m: int, lambda_: float):
+    """The m-th cumulant of the OU state sigma_t^2: kappa_m(Z_1) (1 - e^{-m lambda t}) / m."""
+    t = _check_time(t)
+    out = kappa_m * (1.0 - np.exp(-m * lambda_ * t)) / m
+    return out if out.ndim else float(out)
+
+
 def variance_of_variance_bns(t, a: BnsAssetParams, lambda_: float):
     """Var[sigma_t^2] = (kappa2 / 2)(1 - e^{-2 lambda t})."""
-    t = _check_time(t)
-    out = 0.5 * a.kappa2 * (1.0 - np.exp(-2.0 * lambda_ * t))
-    return out if out.ndim else float(out)
+    return _ou_cumulant(t, a.kappa2, 2, lambda_)
 
 
 def third_central_moment_bns(t, a: BnsAssetParams, lambda_: float):
-    """mu3 of sigma_t^2, from the subordinator's third cumulant.
+    """mu3 of sigma_t^2, kappa3 (1 - e^{-3 lambda t}) / 3.
 
-    The m-th cumulant of the OU state at time t is
-    kappa_m(Z_1) (1 - e^{-m lambda t}) / m. kappa3 comes from the asset's
-    subordinator spec when present, otherwise from the moment-matched
-    Gamma-OU law (kappa3 = 1.5 kappa2^2 / kappa1); kappa2 = 0 gives zero.
+    kappa3 is the third cumulant of the subordinator law ``core._jump_law``
+    decides, zero for the drift of kappa2 = 0; kappa1 = 0 < kappa2 has no
+    law and raises ``MissingSubordinatorSpec``.
     """
-    t = _check_time(t)
-    if a.subordinator is not None:
-        kappa3 = a.subordinator.kappa3
-    elif a.kappa2 == 0.0:
-        kappa3 = 0.0
-    elif a.kappa1 > 0.0:
-        kappa3 = 1.5 * a.kappa2**2 / a.kappa1
-    else:
-        raise MissingSubordinatorSpec(
-            "kappa1 = 0 with kappa2 > 0: third cumulant is not derivable, "
-            "provide an explicit subordinator spec"
-        )
-    out = kappa3 * (1.0 - np.exp(-3.0 * lambda_ * t)) / 3.0
-    return out if out.ndim else float(out)
+    law = _jump_law(a)
+    return _ou_cumulant(t, 0.0 if law is None else law.kappa3, 3, lambda_)
 
 
 def expected_vol_bns(

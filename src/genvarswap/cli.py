@@ -139,8 +139,8 @@ def _reading(path: str):
     """Report a missing key, a mistyped field or an invalid setting as invalid input naming ``path``."""
     try:
         yield
-    except InvalidConfig as exc:
-        raise InvalidConfig(f"{path}: {exc}") from None
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     except GenvarswapError:
         raise
     except KeyError as exc:

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     BadDiagonal,
     InvalidConfig,
+    MissingSubordinatorSpec,
     NotPositiveSemiDefinite,
     NotSymmetric,
     SingularCorrelation,
@@ -256,17 +257,19 @@ class GammaOuSpec:
         kappa2 = _require_positive("kappa2", kappa2)
         return cls(a=2.0 * kappa1 * kappa1 / kappa2, b=2.0 * kappa1 / kappa2)
 
+    # kappa_{m+1} = m kappa_m / b: no power of b is formed, so no cumulant
+    # raises where b^m would overflow or underflow.
     @property
     def kappa1(self) -> float:
         return self.a / self.b
 
     @property
     def kappa2(self) -> float:
-        return 2.0 * self.a / self.b**2
+        return 2.0 * self.kappa1 / self.b
 
     @property
     def kappa3(self) -> float:
-        return 6.0 * self.a / self.b**3
+        return 3.0 * self.kappa2 / self.b
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -284,9 +287,10 @@ class BnsAssetParams:
     subordinator Z_1 (jump-size mean and variance), ``rho`` the loading of
     the common jump in the return equation. The leverage convention is
     rho <= 0; a positive value is accepted but flagged with a
-    ``LeverageSignWarning``. ``subordinator`` optionally pins the exact
-    simulation law; when omitted the simulator moment-matches a
-    ``GammaOuSpec`` from (kappa1, kappa2).
+    ``LeverageSignWarning``. An optional ``subordinator`` spec must agree
+    with (kappa1, kappa2) to 1e-8 relative, since those two fix a Gamma-OU
+    law; ``_jump_law`` decides the law the simulator and the third
+    cumulant use.
     """
 
     sigma0_2: float
@@ -300,6 +304,13 @@ class BnsAssetParams:
         _require_nonnegative("kappa1", self.kappa1)
         _require_nonnegative("kappa2", self.kappa2)
         _require_finite("rho", self.rho)
+        if self.subordinator is not None:
+            for name in ("kappa1", "kappa2"):
+                stated, implied = getattr(self, name), getattr(self.subordinator, name)
+                if not math.isclose(implied, stated, rel_tol=1e-8):
+                    raise ValidationError(
+                        f"subordinator has {name} = {implied!r}, the asset states {stated!r}"
+                    )
         if self.rho > 0.0:
             warnings.warn(
                 f"rho = {self.rho} is positive; the leverage convention is rho <= 0",
@@ -328,6 +339,24 @@ class BnsAssetParams:
             rho=_real_number("rho", d.get("rho", 0.0)),
             subordinator=GammaOuSpec.from_dict(sub) if sub is not None else None,
         )
+
+
+def _jump_law(asset: BnsAssetParams) -> GammaOuSpec | None:
+    """The law of an asset's subordinator Z^i, for the simulator and the third cumulant.
+
+    None for the deterministic drift Z_t = kappa1 t when kappa2 = 0;
+    otherwise the Gamma-OU law moment-matched to (kappa1, kappa2)
+    (Barndorff-Nielsen & Shephard 2001), which needs kappa1 > 0. A stated
+    spec is that law already, as ``BnsAssetParams`` checks.
+    """
+    if asset.kappa2 == 0.0:
+        return None
+    if asset.kappa1 > 0.0:
+        return GammaOuSpec.from_cumulants(asset.kappa1, asset.kappa2)
+    raise MissingSubordinatorSpec(
+        "kappa1 = 0 with kappa2 > 0 has no jump law: a Gamma-OU law with "
+        "kappa1 = a/b = 0 has a = 0 and so kappa2 = 0"
+    )
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,23 +278,15 @@ def summary_stats(matrix: np.ndarray, tickers=None) -> tuple[AssetSummary, ...]:
     out = []
     for i in range(n):
         col = matrix[:, i]
-        mean = float(np.mean(col))
         variance = float(np.var(col, ddof=1))
-        if variance == 0.0:
-            out.append(
-                AssetSummary(
-                    ticker=str(tickers[i]),
-                    mean=mean,
-                    variance=0.0,
-                    excess_kurtosis=float("nan"),
-                    degenerate=True,
-                )
-            )
-            continue
-        kurt = _excess_kurtosis(col)
+        degenerate = variance == 0.0
         out.append(
             AssetSummary(
-                ticker=str(tickers[i]), mean=mean, variance=variance, excess_kurtosis=kurt
+                ticker=str(tickers[i]),
+                mean=float(np.mean(col)),
+                variance=variance,
+                excess_kurtosis=float("nan") if degenerate else _excess_kurtosis(col),
+                degenerate=degenerate,
             )
         )
     return tuple(out)
@@ -308,7 +301,12 @@ def realized_to_csv(series: RealizedVarianceSeries, path) -> None:
 
 
 def load_realized_csv(path) -> RealizedVarianceSeries:
-    """Read a ``t,value`` CSV back; the window length is not recoverable."""
+    """Read a ``t,value`` CSV back; the window length is not recoverable.
+
+    Times must be finite, > 0 and strictly increasing, and values, being
+    determinants of covariance matrices, must not be negative. A NaN or
+    +inf value is read as it is; a fit then reports a numerical failure.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != ["t", "value"]:
@@ -319,10 +317,17 @@ def load_realized_csv(path) -> RealizedVarianceSeries:
         if len(row) != 2:
             raise ParseError(f"{path}: row {row_no} must have 2 fields")
         try:
-            times.append(float(row[0]))
-            values.append(float(row[1]))
+            t, value = float(row[0]), float(row[1])
         except ValueError:
             raise ParseError(f"{path}: row {row_no}: bad number") from None
+        if not (math.isfinite(t) and t > (times[-1] if times else 0.0)):
+            raise ParseError(
+                f"{path}: row {row_no}: time {t!r} must be finite, > 0 and above the previous row's"
+            )
+        if value < 0.0:
+            raise ParseError(f"{path}: row {row_no}: value {value!r} is negative")
+        times.append(t)
+        values.append(value)
     if not times:
         raise ParseError(f"{path}: no data rows")
     return RealizedVarianceSeries(

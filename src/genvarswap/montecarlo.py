@@ -114,6 +114,7 @@ from .core import (
     BnsPortfolioParams,
     CorrelationMatrix,
     GammaOuSpec,
+    _jump_law,
     _real_number,
     _whole_number,
 )
@@ -185,8 +186,10 @@ class SimConfig:
             object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
         for name in ("dt", "horizon"):
             object.__setattr__(self, name, _real_number(name, getattr(self, name)))
-        if self.n_paths < 1:
-            raise InvalidConfig(f"n_paths must be >= 1, got {self.n_paths}")
+        if not 1 <= self.n_paths <= _MAX_ENSEMBLE_ENTRIES:
+            raise InvalidConfig(
+                f"n_paths must be between 1 and {_MAX_ENSEMBLE_ENTRIES}, got {self.n_paths}"
+            )
         if not (0.0 < self.dt <= self.horizon < math.inf):
             raise InvalidConfig(
                 f"need 0 < dt <= horizon < inf, got dt={self.dt}, horizon={self.horizon}"
@@ -238,9 +241,9 @@ class PathEnsemble:
     """Recorded variance paths on a strictly increasing time grid.
 
     ``variance_paths`` has shape (n_paths, n_times, n_assets), all entries
-    >= 0. ``jump_marks`` records the common return jump (times, sizes) per
-    path and is populated only by the BNS price simulator; the variance
-    drivers Z^i are independent of Z*.
+    >= 0. ``jump_marks`` is kept for callers that attach their own marks;
+    no simulator here fills it (``simulate_bns_prices`` returns the common
+    return jump's marks in ``PricePaths.jump_marks``).
     """
 
     times: np.ndarray
@@ -573,20 +576,6 @@ def simulate_heston(portfolio: HestonPortfolio, cfg: SimConfig) -> PathEnsemble:
 # BNS paths
 
 
-def _resolve_subordinator(asset) -> GammaOuSpec | None:
-    """Simulation law for one asset; None means the deterministic drift Z_t = kappa1 t."""
-    if asset.subordinator is not None:
-        return asset.subordinator
-    if asset.kappa2 == 0.0:
-        return None
-    if asset.kappa1 > 0.0:
-        return GammaOuSpec.from_cumulants(asset.kappa1, asset.kappa2)
-    raise MissingSubordinatorSpec(
-        "kappa1 = 0 with kappa2 > 0 does not determine a jump law; "
-        "set an explicit subordinator spec"
-    )
-
-
 _NO_JUMPS = (np.empty(0), np.empty(0))
 
 
@@ -631,7 +620,7 @@ class _JumpList:
         n, B = p.n, len(rngs)
         self.lam = lam = p.lambda_
         self.horizon = horizon = cfg.n_steps * cfg.dt
-        specs = [_resolve_subordinator(a) for a in p.assets]
+        specs = [_jump_law(a) for a in p.assets]
         self.level = _levels(specs, p)
 
         jumping = [(i, spec, 1.0 / spec.b) for i, spec in enumerate(specs) if spec is not None]
@@ -749,7 +738,7 @@ def _walks_grid(p: BnsPortfolioParams, corr: CorrelationMatrix) -> bool:
     affine in e^{-lambda t} when asset i or j decays to a level kappa1 > 0
     (a deterministic subordinator), so it has no closed-form integral.
     """
-    level = _levels([_resolve_subordinator(a) for a in p.assets], p)
+    level = _levels([_jump_law(a) for a in p.assets], p)
     return any(
         i != j and (level[i] or level[j])
         for i, j, _ in _jump_terms(corr, p.rho, p.lambda_ * p.kappa2_star)

@@ -121,7 +121,7 @@ class TestThirdCentralMoment:
 
     def test_underdetermined_law_rejected(self):
         a = BnsAssetParams(sigma0_2=0.04, kappa1=0.0, kappa2=0.01)
-        with pytest.raises(MissingSubordinatorSpec):
+        with pytest.raises(MissingSubordinatorSpec, match="no jump law"):
             third_central_moment_bns(1.0, a, 2.0)
 
 

@@ -314,6 +314,25 @@ class TestMalformedDocuments:
         assert str(bad) in err and needle in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["price", "simulate"])
+    def test_subordinator_disagreeing_with_cumulants_exits_2(self, tmp_path, capsys, command):
+        """A spec with kappa1 = a/b = 0.0067 against a stated 0.05 prices no model."""
+        model = tmp_path / "bns.json"
+        model.write_text(json.dumps(
+            _with_asset_field(_bns_doc(), "subordinator", {"a": 0.2, "b": 30.0})
+        ))
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"n_paths": 4, "dt": 0.25, "horizon": 1.0}))
+        argv = [command, "--model", str(model)]
+        if command == "price":
+            argv += ["--contract", str(write_contract(tmp_path))]
+        else:
+            argv += ["--sim", str(sim), "--seed", "1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{model}: subordinator has kappa1" in err
+        assert "Traceback" not in err
+
 
 class TestSimulate:
     def test_estimate_matches_library(self, tmp_path):
@@ -395,6 +414,7 @@ class TestSimulate:
             ({"n_paths": 4, "dt": 0.25, "horizon": float("inf")}, []),
             ({"n_paths": 4, "dt": 1e-300, "horizon": 1.0}, []),
             ({"n_paths": 4, "dt": 0.25, "horizon": 1e300}, []),
+            ({"n_paths": 1e15, "dt": 0.25, "horizon": 1.0}, []),
             (good, ["--threads", "0"]),
         ):
             sim.write_text(json.dumps(doc))
@@ -471,6 +491,21 @@ class TestCalibrate:
                      "--model", "heston", "--init", str(init), "--out", str(out)])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["heston", "bns"])
+    @pytest.mark.parametrize(
+        "rows", ["0.5,-1e-4\n1.0,1e-4\n", "0.5,1e-4\n0.5,1e-4\n", "0,1e-4\n1.0,1e-4\n"],
+        ids=["negative-value", "repeated-time", "zero-time"],
+    )
+    def test_impossible_series_exits_2(self, tmp_path, capsys, model, rows):
+        realized = tmp_path / "realized.csv"
+        realized.write_text("t,value\n" + rows)
+        code = main(["calibrate", str(realized), str(write_correlation(tmp_path)),
+                     "--model", model, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{realized}: row 2" in err or f"{realized}: row 3" in err
+        assert "Traceback" not in err
 
     def test_initial_outside_bounds_exits_2(self, tmp_path):
         realized = write_realized(tmp_path)

@@ -179,6 +179,18 @@ class TestBnsAssetParams:
         )
         assert BnsAssetParams.from_dict(p.to_dict()) == p
 
+    def test_subordinator_must_agree_with_cumulants(self):
+        spec = GammaOuSpec(a=0.5, b=10.0)  # kappa1 = 0.05, kappa2 = 0.01
+        BnsAssetParams(sigma0_2=0.04, kappa1=0.05 * (1 + 5e-9), kappa2=0.01, subordinator=spec)
+        for kappa1, kappa2 in ((0.07, 0.01), (0.05, 0.006), (0.05 * (1 + 2e-8), 0.01), (0.05, 0.0)):
+            with pytest.raises(ValidationError, match="subordinator has kappa"):
+                BnsAssetParams(sigma0_2=0.04, kappa1=kappa1, kappa2=kappa2, subordinator=spec)
+        # kappa1 agrees while b^2 would underflow or overflow: a ValidationError all the same
+        for b in (1e-200, 1e200):
+            with pytest.raises(ValidationError, match="kappa2"):
+                BnsAssetParams(sigma0_2=0.04, kappa1=0.05, kappa2=0.01,
+                               subordinator=GammaOuSpec(a=0.05 * b, b=b))
+
     def test_round_trip_without_subordinator(self):
         p = BnsAssetParams(sigma0_2=0.04, kappa1=0.05, kappa2=0.01)
         d = p.to_dict()

@@ -42,7 +42,7 @@ BNS = {
     "assets": [
         {"sigma0_2": 0.04, "kappa1": 0.05, "kappa2": 0.004, "rho": -0.3},
         {"sigma0_2": 0.06, "kappa1": 0.07, "kappa2": 0.006, "rho": -0.2,
-         "subordinator": {"a": 2.0, "b": 30.0}},
+         "subordinator": {"a": 1.6333333333333335, "b": 23.333333333333336}},
         {"sigma0_2": 0.05, "kappa1": 0.06, "kappa2": 0.005, "rho": -0.4},
     ],
 }

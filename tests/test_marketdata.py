@@ -290,9 +290,26 @@ class TestCsvRoundTrips:
 
     def test_load_realized_rejects_bad_number(self, tmp_path):
         target = tmp_path / "bad.csv"
-        target.write_text("t,value\n0.1,oops\n")
-        with pytest.raises(ParseError, match="row 2"):
-            load_realized_csv(target)
+        for rows, row in (
+            ("0.1,oops\n", 2),
+            ("0.1,1e-4\n0.2,-1e-6\n", 3),
+            ("0.1,1e-4\n0.2,-inf\n", 3),
+            ("0,1e-4\n", 2),
+            ("-0.1,1e-4\n", 2),
+            ("0.1,1e-4\n0.3,1e-4\n0.2,1e-4\n", 4),
+            ("0.1,1e-4\n0.1,1e-4\n", 3),
+            ("0.1,1e-4\nnan,1e-4\n", 3),
+            ("0.1,1e-4\ninf,1e-4\n", 3),
+        ):
+            target.write_text("t,value\n" + rows)
+            with pytest.raises(ParseError, match=f"bad.csv: row {row}"):
+                load_realized_csv(target)
+
+    def test_load_realized_keeps_non_finite_values(self, tmp_path):
+        target = tmp_path / "realized.csv"
+        target.write_text("t,value\n0.1,nan\n0.2,inf\n0.3,-0.0\n")
+        values = load_realized_csv(target).values
+        assert np.isnan(values[0]) and values[1] == np.inf and values[2] == 0.0
 
     def test_summary_csv_header(self, tmp_path):
         summaries = summary_stats(np.random.default_rng(107).standard_normal((50, 2)))

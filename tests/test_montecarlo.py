@@ -223,6 +223,7 @@ class TestSimConfig:
             dict(dt=1e-300),
             dict(horizon=1e300),
             dict(dt=1.0, horizon=2**28 + 1),
+            dict(n_paths=2**28 + 1),
             dict(record_times=("0.0", 1.0)),
             dict(record_times=(0.0, True)),
         ],
