@@ -123,7 +123,7 @@ def expected_variance_bns(t, a: BnsAssetParams, lambda_: float):
 def _ou_cumulant(t, kappa_m: float, m: int, lambda_: float):
     """The m-th cumulant of the OU state sigma_t^2: kappa_m(Z_1) (1 - e^{-m lambda t}) / m."""
     t = _check_time(t)
-    out = kappa_m * (1.0 - np.exp(-m * lambda_ * t)) / m
+    out = kappa_m * -np.expm1(-m * lambda_ * t) / m
     return out if out.ndim else float(out)
 
 

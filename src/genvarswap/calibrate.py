@@ -10,11 +10,13 @@ perturbed points into one ``model_curve`` call; for BNS that is one
 quadrature pass over the cross terms of all of them. The stacked curves are
 those of single calls unless some point forces a finer quadrature (then
 within its tolerance), so fits do not depend on the stacking.
-Convergence is declared when max(|gradient|) < 1e-10 or the relative SSE
-decrease of an accepted step falls below 1e-12, within at most 500
-iterations; non-convergence is reported through the ``converged`` flag, not
-an exception. The correlation matrix is estimated from data and held fixed
-during the fit.
+``fit`` has one exit rule, spelled out in its docstring: the gradient test
+max(|gradient|) < 1e-10, the SSE-decrease test (an accepted step that lowers
+the SSE by at most 1e-12 relative), the damping ceiling mu > 1e16 (a stall
+with ``converged`` False, or ``SingularNormalEquations`` when no finite
+step exists) and the 500-iteration cap. Non-convergence is reported through
+the ``converged`` flag, not an exception. The correlation matrix is
+estimated from data and held fixed during the fit.
 
 One table per model (``_LAYOUTS``) lays out the parameter vector: the
 names, default bounds, start vector and ``model_curve``'s unpacking all come
@@ -106,7 +108,7 @@ _LAYOUTS = {
 
 def _entries(model: str, n: int) -> list[tuple[str, tuple[float, float], float | str]]:
     """(name, default bounds, start) of each entry of the model's vector for n assets."""
-    if model not in _LAYOUTS:
+    if not isinstance(model, str) or model not in _LAYOUTS:
         raise ValidationError(f"unknown model {model!r}, expected 'heston' or 'bns'")
     return [
         (f"{field}_{i}" if per_asset else field, bounds, start)
@@ -330,9 +332,13 @@ def _from_internal(z: float, lo: float, hi: float) -> float:
 def fit(problem: CalibrationProblem) -> CalibrationResult:
     """Levenberg-Marquardt minimization of the curve-fit SSE.
 
-    Returns the best point found with ``converged`` reporting whether the
-    gradient / SSE-change criterion was met within 500 iterations; the SSE
-    never exceeds the initial point's.
+    Returns the best point found; its SSE never exceeds the initial point's,
+    and its curve, computed once, gives the metrics. The one exit rule:
+    ``converged`` is True once max(|gradient|) < 1e-10 or an accepted step
+    lowers the SSE by at most 1e-12 of the new SSE. The damping mu grows x10
+    until a step lowers the SSE; past mu = 1e16 the fit stops at the best
+    point with ``converged`` False, or raises ``SingularNormalEquations``
+    if no finite step exists. After 500 iterations ``converged`` is False.
     """
     obs = problem.observed.values
     times = problem.observed.times
@@ -346,22 +352,23 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
             x[j] = _from_internal(float(z[idx]), *bounds[j])
         return x
 
-    def residual(z: np.ndarray) -> np.ndarray:
-        return model_curve(problem.model, assemble(z), problem.corr, times) - obs
+    def evaluate(z: np.ndarray):
+        """The model curve at z, its residual and its SSE (inf if not finite)."""
+        curve = model_curve(problem.model, assemble(z), problem.corr, times)
+        r = curve - obs
+        return curve, r, float(r @ r) if np.all(np.isfinite(r)) else math.inf
 
     z = np.array(
         [_to_internal(_interior(full[j], *bounds[j]), *bounds[j]) for j in free]
     )
-    r = residual(z)
+    curve, r, sse = evaluate(z)
     if not np.all(np.isfinite(r)):
         raise SingularNormalEquations("objective is not finite at the initial point")
-    sse = float(r @ r)
-    n_free = len(free)
-    converged = not n_free
+    converged = not free
     iterations = 0
     mu = 1e-3
 
-    while iterations < _MAX_ITERATIONS and n_free:
+    while not converged and iterations < _MAX_ITERATIONS:
         iterations += 1
         h = np.array([_JACOBIAN_REL_STEP * max(1.0, abs(float(x))) for x in z])
         steps = np.diag(h)
@@ -380,45 +387,32 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
             break
         jtj = jac.T @ jac
         damping = np.diag(np.maximum(np.diag(jtj), 1e-12))
-        accepted = False
-        for _ in range(60):
+        # mu >= 1e-12 here, so the ceiling ends this search within 29 tries
+        while mu <= 1e16:
             try:
                 delta = np.linalg.solve(jtj + mu * damping, -0.5 * grad)
             except np.linalg.LinAlgError:
                 delta = None
-            if delta is None or not np.all(np.isfinite(delta)):
-                mu *= 10.0
-                if mu > 1e16:
-                    raise SingularNormalEquations(
-                        "damped normal equations produced no finite step"
-                    )
-                continue
-            z_try = z + delta
-            r_try = residual(z_try)
-            sse_try = float(r_try @ r_try) if np.all(np.isfinite(r_try)) else math.inf
-            if sse_try < sse:
-                z, r = z_try, r_try
-                improvement = sse - sse_try
-                sse = sse_try
-                mu = max(mu * 0.3, 1e-12)
-                accepted = True
-                if improvement <= _SSE_REL_TOL * max(sse, 1e-300):
-                    converged = True
-                break
+            stepped = delta is not None and np.all(np.isfinite(delta))
+            if stepped:
+                z_try = z + delta
+                curve_try, r_try, sse_try = evaluate(z_try)
+                if sse_try < sse:
+                    break
             mu *= 10.0
-            if mu > 1e16:
-                break
-        if converged or not accepted:
-            # not accepted: no downhill step at maximum damping; return the
-            # best point with converged still False
-            break
+        else:
+            if not stepped:
+                raise SingularNormalEquations("damped normal equations produced no finite step")
+            break  # no downhill step at the ceiling: stall at the best point
+        converged = sse - sse_try <= _SSE_REL_TOL * max(sse_try, 1e-300)
+        z, curve, r, sse = z_try, curve_try, r_try, sse_try
+        mu = max(mu * 0.3, 1e-12)
 
     params = assemble(z)
-    fitted = model_curve(problem.model, params, problem.corr, times)
     covariance = _gauss_newton_covariance(problem, params, free, sse)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        metrics = error_metrics(obs, fitted)
+        metrics = error_metrics(obs, curve)
     params.setflags(write=False)
     covariance.setflags(write=False)
     return CalibrationResult(

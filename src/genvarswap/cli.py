@@ -58,6 +58,7 @@ from .errors import (
 )
 from .heston import HestonPortfolio, expected_realized_variance, price_swap
 from .marketdata import (
+    _read_rows,
     estimate_correlation,
     load_prices,
     load_realized_csv,
@@ -164,8 +165,7 @@ def _load_model(path: str):
 
 
 def _load_correlation_csv(path: str):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_rows(path)
     if len(rows) < 2:
         raise ParseError(f"{path}: expected a ticker header plus matrix rows")
     tickers = [c.strip() for c in rows[0]]
@@ -391,7 +391,7 @@ def cmd_report(args) -> int:
             model = doc["model"]
             corr = validate_correlation(_real_matrix("correlation", doc["correlation"]))
             params = _real_vector("params", doc["params"])
-        curve = model_curve(model, params, corr, series.times)
+            curve = model_curve(model, params, corr, series.times)
         metrics = error_metrics(series.values, curve)
         loaded.append((model, curve, metrics))
         inputs[f"result_{idx + 1}"] = path

@@ -132,7 +132,7 @@ def _affine_product_integral(T, d, c, k):
         if key == 0.0:
             total = total + coeff * T
         else:
-            total = total + coeff * (1.0 - np.exp(-rate * T)) / rate
+            total = total + coeff * -np.expm1(-rate * T) / rate
     return total
 
 

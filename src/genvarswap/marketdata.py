@@ -107,6 +107,15 @@ class AssetSummary:
     degenerate: bool = False
 
 
+def _read_rows(path) -> list[list[str]]:
+    """The rows of a CSV file read as UTF-8; other bytes raise ``ParseError`` naming it."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: unreadable CSV ({exc})") from None
+
+
 def load_prices(path) -> PriceSeries:
     """Read and validate a closing-price CSV.
 
@@ -114,8 +123,7 @@ def load_prices(path) -> PriceSeries:
     numbers or dates raise ``ParseError`` naming the row and column, and
     nonpositive prices raise ``NonPositivePrice``.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_rows(path)
     if not rows:
         raise ParseError(f"{path}: empty file")
     header = [cell.strip() for cell in rows[0]]
@@ -307,8 +315,7 @@ def load_realized_csv(path) -> RealizedVarianceSeries:
     determinants of covariance matrices, must not be negative. A NaN or
     +inf value is read as it is; a fit then reports a numerical failure.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_rows(path)
     if not rows or [c.strip() for c in rows[0]] != ["t", "value"]:
         raise ParseError(f"{path}: expected header 't,value'")
     times = []

@@ -90,6 +90,13 @@ class TestOuMoments:
             0.0031606027941427884, rel=1e-15
         )
 
+    @pytest.mark.parametrize("t", [1e-12, 1e-10, 1e-8, 1e-6])
+    def test_variance_of_variance_keeps_its_digits_at_short_times(self, t):
+        # (kappa2 / 2)(1 - e^{-2 lambda t}) = kappa2 lambda t (1 - lambda t + ...), lambda = 2
+        a = BnsAssetParams(sigma0_2=0.04, kappa1=0.06, kappa2=0.01)
+        series = 0.01 * 2.0 * t * (1.0 - 2.0 * t + 8.0 / 3.0 * t**2)
+        assert variance_of_variance_bns(t, a, 2.0) == pytest.approx(series, rel=1e-14, abs=0.0)
+
     def test_negative_time_rejected(self):
         a = BnsAssetParams(sigma0_2=0.04, kappa1=0.06, kappa2=0.01)
         for t in (-1.0, math.nan):

@@ -32,6 +32,7 @@ from genvarswap.errors import (
     DegenerateVariance,
     LengthMismatch,
     QuadratureFailure,
+    SingularNormalEquations,
     ValidationError,
     WrongAssetCount,
     ZeroObserved,
@@ -353,6 +354,22 @@ class TestBatchedJacobian:
         # one per LM iteration, and one for the covariance
         assert stacks == [(2 * p, p)] * (result.iterations + 1)
 
+    @pytest.mark.parametrize("model", ["heston", "bns"])
+    def test_no_single_row_point_is_evaluated_twice(self, model, monkeypatch):
+        """The accepted point's curve is kept for the metrics, not computed again."""
+        rows = []
+        single = calibrate.model_curve
+
+        def spy(model, params, corr, times):
+            if np.ndim(params) == 1:
+                rows.append(tuple(np.asarray(params, dtype=float)))
+            return single(model, params, corr, times)
+
+        monkeypatch.setattr(calibrate, "model_curve", spy)
+        result = fit(batched_problem(model))
+        assert result.iterations > 1
+        assert len(set(rows)) == len(rows)
+
 
 class TestParamTables:
     def test_names_and_bounds_align(self):
@@ -578,6 +595,37 @@ class TestFit:
         assert result.iterations == 0
         np.testing.assert_array_equal(result.params, HESTON_TRUTH)
         np.testing.assert_array_equal(result.covariance_of_estimates, np.zeros((9, 9)))
+
+    def test_no_downhill_step_at_the_damping_ceiling_stalls(self, monkeypatch):
+        problem = batched_problem("heston")
+        obs = problem.observed.values
+        single = calibrate.model_curve
+        rows = []
+
+        def uphill(model, params, corr, times):
+            curve = single(model, params, corr, times)
+            if np.ndim(params) == 2:
+                return curve
+            rows.append(params)
+            return curve if len(rows) == 1 else curve + 1.0  # every trial step raises the SSE
+
+        monkeypatch.setattr(calibrate, "model_curve", uphill)
+        result = fit(problem)
+        start = single("heston", rows[0], CORR, problem.observed.times)
+        assert not result.converged
+        assert result.iterations == 1
+        assert len(rows) == 1 + 20  # the start, then mu = 1e-3 grown x10 past 1e16
+        np.testing.assert_array_equal(result.params, rows[0])
+        assert result.sse == float((start - obs) @ (start - obs))
+        assert result.metrics == error_metrics(obs, start)
+
+    def test_no_finite_step_at_the_damping_ceiling_raises(self, monkeypatch):
+        def no_step(a, b):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(calibrate.np.linalg, "solve", no_step)
+        with pytest.raises(SingularNormalEquations, match="no finite step"):
+            fit(batched_problem("heston"))
 
     def test_sse_never_exceeds_initial(self):
         times = np.linspace(0.05, 2.0, 15)

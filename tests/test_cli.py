@@ -639,6 +639,49 @@ class TestReport:
         assert f"{key} must be a list" in err and str(result) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("model", [["bns"], {"kind": "bns"}, 5])
+    def test_result_with_unknown_model_exits_2_naming_file(self, tmp_path, capsys, model):
+        realized = write_realized(tmp_path)
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps(
+            {"model": model, "correlation": CORR_ARRAY.tolist(), "params": TRUTH.tolist()}
+        ))
+        code = main(["report", str(realized), "--result", str(result),
+                     "--out", str(tmp_path / "rep")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown model" in err and str(result) in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [("estimate", "prices"), ("calibrate", "realized"), ("calibrate", "correlation"),
+     ("report", "realized")],
+)
+def test_non_utf8_csv_exits_2_naming_file(tmp_path, capsys, command, bad):
+    files = {
+        "prices": write_prices(tmp_path),
+        "realized": write_realized(tmp_path),
+        "correlation": write_correlation(tmp_path),
+    }
+    files[bad].write_bytes(files[bad].read_bytes().replace(b"\n", b"\n\xe9", 1))
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(
+        {"model": "heston", "correlation": CORR_ARRAY.tolist(), "params": TRUTH.tolist()}
+    ))
+    out = str(tmp_path / "out")
+    argv = {
+        "estimate": ["estimate", str(files["prices"]), "--out", out],
+        "calibrate": ["calibrate", str(files["realized"]), str(files["correlation"]),
+                      "--model", "heston", "--out", out],
+        "report": ["report", str(files["realized"]), "--result", str(result), "--out", out],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(files[bad]) in err and "utf-8" in err
+    assert "Traceback" not in err
+
 
 class TestParser:
     @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 """Property test of the exit-code contract: any input document exits 0, 2, 3 or 4.
 
-Valid model, sim, contract and init documents and price and realized CSVs
-are mutated in up to two places (a member dropped, scaled or replaced by any
-JSON value; a CSV cell replaced by any short text, a row dropped) and run
-through ``cli.main`` in-process. No input may end in another code or a traceback.
+Valid model, sim, contract, init and result documents and price and realized
+CSVs are mutated in up to two places (a member dropped, scaled or replaced by
+any JSON value; a CSV cell replaced by any short text, a row dropped), a CSV
+may get one byte that is not UTF-8, and each is run through ``cli.main``
+in-process. No input may end in another code or a traceback.
 Simulations stay at most 8 paths by 50 steps: a document that would run a
 larger one is discarded, the others (invalid ones included) all run.
 """
@@ -16,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from genvarswap.calibrate import model_curve
@@ -50,6 +51,10 @@ SIM = {"n_paths": 4, "dt": 0.05, "horizon": 1.0, "record_times": [0.0, 0.5, 1.0]
        "block_size": 3, "scheme": "auto"}
 CONTRACT = {"k_var": 1e-4, "r": 0.02, "maturity": 1.0, "notional": 1000.0}
 HESTON_TRUTH = [1.0, 3.0, 6.0, 0.05, 0.08, 0.06, 0.10, 0.03, 0.09]
+RESULT = {"model": "heston", "correlation": CORRELATION, "params": HESTON_TRUTH}
+BNS_RESULT = {"model": "bns", "correlation": CORRELATION,
+              "params": [2.0, 0.04, 0.06, 0.05, 0.05, 0.07, 0.06, 0.004, 0.006, 0.005,
+                         -0.3, -0.2, -0.4, 0.01]}
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 10) | st.floats() | st.text(max_size=4),
@@ -97,22 +102,29 @@ def edited(doc):
     return st.just(doc) | edits.map(apply)
 
 
-def csv_text(rows):
-    """A strategy: CSV ``rows`` with up to three cells replaced and up to two rows dropped."""
+def csv_bytes(rows):
+    """A strategy: CSV ``rows`` as UTF-8 with up to three cells replaced, up to two rows
+    dropped and maybe one byte that is not UTF-8 inserted."""
     edits = st.lists(
         st.tuples(st.integers(0, len(rows) - 1), st.integers(0, len(rows[0]) - 1), cells), max_size=3
     )
     drops = st.lists(st.integers(0, len(rows) - 1), max_size=2)
+    invalid = st.none() | st.tuples(st.integers(0, 10**4), st.sampled_from([b"\xe9", b"\xff", b"\x80"]))
 
     def build(args):
-        edits, drops = args
+        edits, drops, invalid = args
         table = [list(row) for row in rows]
         for r, c, cell in edits:
             table[r][c] = cell
         kept = [row for i, row in enumerate(table) if i not in drops]
-        return "\n".join(",".join(row) for row in kept) + "\n"
+        data = ("\n".join(",".join(row) for row in kept) + "\n").encode()
+        if invalid is not None:
+            at, byte = invalid
+            at %= len(data) + 1
+            data = data[:at] + byte + data[at:]
+        return data
 
-    return st.tuples(edits, drops).map(build)
+    return st.tuples(edits, drops, invalid).map(build)
 
 
 def price_rows():
@@ -134,14 +146,14 @@ CORRELATION_CSV = "AAA,BBB,CCC\n" + "\n".join(",".join(map(str, row)) for row in
 
 
 def run(commands, files):
-    """Write ``files`` (name -> text) to a fresh directory and run the CLI on each argv of
+    """Write ``files`` (name -> text or bytes) to a fresh directory and run the CLI on each argv of
     ``commands(paths, work)`` in turn; every exit code must be 0, 2, 3 or 4, and no traceback shown.
     """
     with tempfile.TemporaryDirectory() as work:
         paths = {}
         for name, text in files.items():
             paths[name] = str(Path(work) / name)
-            Path(paths[name]).write_text(text)
+            Path(paths[name]).write_bytes(text.encode() if isinstance(text, str) else text)
         for argv in commands(paths, work):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -180,7 +192,7 @@ def test_simulate_documents(model, sim):
 
 
 @settings(max_examples=100)
-@given(prices=csv_text(price_rows()))
+@given(prices=csv_bytes(price_rows()))
 def test_estimate_prices_csv(prices):
     run(lambda p, work: [["estimate", p["prices.csv"], "--window", "5", "--out", work + "/out"]],
         {"prices.csv": prices})
@@ -188,7 +200,7 @@ def test_estimate_prices_csv(prices):
 
 @settings(max_examples=60)
 @given(
-    realized=csv_text(realized_rows()),
+    realized=csv_bytes(realized_rows()),
     init=st.none() | edited({"initial": HESTON_TRUTH, "bounds": [[1e-4, None]] * 3 + [[1e-10, 10.0]] * 6}),
 )
 def test_calibrate_and_report_inputs(realized, init):
@@ -206,3 +218,15 @@ def test_calibrate_and_report_inputs(realized, init):
         ]
 
     run(commands, files)
+
+
+@settings(max_examples=100)
+@example(result={**RESULT, "model": ["bns"]})
+@example(result={**RESULT, "model": {"bns": 1}})
+@example(result={**RESULT, "model": 5})
+@given(result=edited(RESULT) | edited(BNS_RESULT))
+def test_report_result_documents(result):
+    realized = "\n".join(",".join(row) for row in realized_rows()) + "\n"
+    files = {"realized.csv": realized, "result.json": json.dumps(result)}
+    run(lambda p, work: [["report", p["realized.csv"], "--result", p["result.json"],
+                          "--out", work + "/out"]], files)

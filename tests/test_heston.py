@@ -154,6 +154,13 @@ class TestExpectedRealizedVariance:
             expected_realized_variance_quad(1.7, pf), rel=1e-10
         )
 
+    @pytest.mark.parametrize("T", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4])
+    def test_short_maturities_match_library_quadrature(self, T):
+        pf = make_portfolio()
+        assert expected_realized_variance(T, pf) == pytest.approx(
+            expected_realized_variance_quad(T, pf), rel=1e-13, abs=0.0
+        )
+
     def test_long_maturity_limit(self):
         pf = make_portfolio(ks=(1.0, 2.0, 3.0))
         limit = pf.corr.det_c * 0.09 * 0.05 * 0.07

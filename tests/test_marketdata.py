@@ -85,6 +85,11 @@ class TestLoadPrices:
         with pytest.raises(ParseError):
             load_prices(target)
 
+    def test_field_over_the_csv_size_limit_names_file(self, tmp_path):
+        path = write_prices(tmp_path, "2021-01-04,100," + "5" * 200_000 + "\n")
+        with pytest.raises(ParseError, match="prices.csv: unreadable CSV"):
+            load_prices(path)
+
 
 class TestLogReturns:
     def test_constant_prices_give_zero(self, tmp_path):
