@@ -9,7 +9,13 @@ hidden entropy), ``calibrate`` (NLS fit to a realized series) and ``report``
 Every command is deterministic given inputs, flags and seed, and writes
 exactly one ``run_manifest.json`` (command, config paths, input hashes,
 seed, tool version, timestamp) into its output directory; set
-SOURCE_DATE_EPOCH to pin the timestamp for byte-identical reruns.
+SOURCE_DATE_EPOCH (whole seconds; anything else exits 2 before a command
+runs) to pin the timestamp for byte-identical reruns.
+
+Every file is UTF-8. CSV goes through ``marketdata._read_rows`` and
+``marketdata._write_rows``, JSON through ``_load_json`` and ``_write_json``;
+the readers skip a leading byte-order mark and the writers write none.
+``paths.csv`` and the SVGs have their own writers, also UTF-8.
 
 Exit codes: 0 success, 2 input validation, 3 numerical failure (including
 calibration non-convergence), 4 I/O.
@@ -19,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import datetime
 import hashlib
@@ -59,6 +64,7 @@ from .errors import (
 from .heston import HestonPortfolio, expected_realized_variance, price_swap
 from .marketdata import (
     _read_rows,
+    _write_rows,
     estimate_correlation,
     load_prices,
     load_realized_csv,
@@ -95,28 +101,39 @@ class RunManifest:
     timestamp: str
 
     @classmethod
-    def build(cls, command: str, inputs: dict, seed: int | None = None) -> "RunManifest":
+    def build(
+        cls, command: str, inputs: dict, timestamp: str, seed: int | None = None
+    ) -> "RunManifest":
         hashes = {}
         for name, path in inputs.items():
             digest = hashlib.sha256()
             with open(path, "rb") as fh:
                 digest.update(fh.read())
             hashes[name] = digest.hexdigest()
-        epoch = int(os.environ.get("SOURCE_DATE_EPOCH", time.time()))
-        stamp = datetime.datetime.fromtimestamp(epoch, datetime.timezone.utc).isoformat()
         return cls(
             command=command,
             config={name: str(path) for name, path in inputs.items()},
             input_hashes=hashes,
             seed=seed,
             version=__version__,
-            timestamp=stamp,
+            timestamp=timestamp,
         )
 
     def write(self, out_dir: str) -> None:
-        with open(os.path.join(out_dir, "run_manifest.json"), "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, "run_manifest.json"), dataclasses.asdict(self))
+
+
+def _timestamp() -> str:
+    """The manifest time, ISO 8601 in UTC: SOURCE_DATE_EPOCH if set, else now."""
+    raw = os.environ.get("SOURCE_DATE_EPOCH")
+    try:
+        epoch = int(time.time()) if raw is None else int(raw)
+        return datetime.datetime.fromtimestamp(epoch, datetime.timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError) as exc:
+        raise InvalidConfig(
+            f"SOURCE_DATE_EPOCH must be a whole number of seconds within the datetime range, "
+            f"got {raw!r} ({exc})"
+        ) from None
 
 
 def _ensure_out(path: str) -> str:
@@ -125,14 +142,22 @@ def _ensure_out(path: str) -> str:
 
 
 def _load_json(path: str) -> dict:
+    """A JSON object read as UTF-8, a leading byte-order mark skipped."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object, got {type(doc).__name__}")
     return doc
+
+
+def _write_json(path: str, doc: dict) -> None:
+    """``doc`` as UTF-8 JSON: two-space indent, sorted keys, a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @contextlib.contextmanager
@@ -178,14 +203,6 @@ def _load_correlation_csv(path: str):
     return tickers, validate_correlation(matrix)
 
 
-def _write_correlation_csv(path: str, tickers, corr) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(tickers)
-        for row in corr.c:
-            writer.writerow([f"{x:.17g}" for x in row])
-
-
 # estimate
 
 
@@ -204,7 +221,10 @@ def cmd_estimate(args) -> int:
     summaries = summary_stats(cumulative, ps.tickers)
 
     realized_to_csv(series, os.path.join(out, "realized.csv"))
-    _write_correlation_csv(os.path.join(out, "correlation.csv"), ps.tickers, corr)
+    _write_rows(
+        os.path.join(out, "correlation.csv"),
+        [ps.tickers, *([f"{x:.17g}" for x in row] for row in corr.c)],
+    )
     summary_to_csv(summaries, os.path.join(out, "summary.csv"))
 
     grouped_histogram(
@@ -226,7 +246,7 @@ def cmd_estimate(args) -> int:
         title="Cumulative log returns",
         ylabel="cumulative log return",
     )
-    RunManifest.build("estimate", {"prices": args.prices}).write(out)
+    RunManifest.build("estimate", {"prices": args.prices}, args.timestamp).write(out)
 
     mode = "rolling" if args.rolling else "blocked"
     print(f"rows: {len(ps.dates)} (dropped {ps.dropped_rows})")
@@ -241,8 +261,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_price(args) -> int:
     kind, model = _load_model(args.model)
+    contract_doc = _load_json(args.contract)
     with _reading(args.contract):
-        contract = SwapContract.from_dict(_load_json(args.contract))
+        contract = SwapContract.from_dict(contract_doc)
     if kind == "heston":
         ev = expected_realized_variance(contract.maturity, model)
         price = price_swap(ev, contract)
@@ -257,14 +278,15 @@ def cmd_price(args) -> int:
     print(row)
     if args.out:
         out = _ensure_out(args.out)
-        with open(os.path.join(out, "price.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "maturity", "expected_realized_variance", "k_var", "price"])
-            writer.writerow(
-                [kind, f"{contract.maturity:.12g}", f"{ev:.17g}", f"{contract.k_var:.17g}", f"{price:.17g}"]
-            )
+        _write_rows(
+            os.path.join(out, "price.csv"),
+            [
+                ["model", "maturity", "expected_realized_variance", "k_var", "price"],
+                [kind, f"{contract.maturity:.12g}", f"{ev:.17g}", f"{contract.k_var:.17g}", f"{price:.17g}"],
+            ],
+        )
         RunManifest.build(
-            "price", {"model": args.model, "contract": args.contract}
+            "price", {"model": args.model, "contract": args.contract}, args.timestamp
         ).write(out)
     return 0
 
@@ -276,16 +298,14 @@ def cmd_simulate(args) -> int:
     out = _ensure_out(args.out)
     kind, model = _load_model(args.model)
     sim_doc = _load_json(args.sim)
-    record = sim_doc.get("record_times")
     with _reading(args.sim):
+        optional = {k: sim_doc[k] for k in ("scheme", "record_times", "block_size") if k in sim_doc}
         cfg = SimConfig(
             n_paths=sim_doc["n_paths"],
             dt=sim_doc["dt"],
             horizon=sim_doc["horizon"],
             seed=args.seed,
-            scheme=sim_doc.get("scheme", "auto"),
-            record_times=tuple(record) if record is not None else None,
-            block_size=sim_doc.get("block_size", 4096),
+            **optional,
         )
     # one pass gives the estimate and, with --paths-csv, the recorded ensemble
     if kind == "heston":
@@ -299,13 +319,11 @@ def cmd_simulate(args) -> int:
         )
     estimate, ensemble = result if args.paths_csv else (result, None)
 
-    with open(os.path.join(out, "mc_estimate.json"), "w") as fh:
-        json.dump(estimate.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "mc_estimate.json"), estimate.to_dict())
     if ensemble is not None:
         ensemble_to_csv(ensemble, os.path.join(out, "paths.csv"))
     RunManifest.build(
-        "simulate", {"model": args.model, "sim": args.sim}, seed=args.seed
+        "simulate", {"model": args.model, "sim": args.sim}, args.timestamp, seed=args.seed
     ).write(out)
     print(
         f"E[sigma_R^2] ~ {estimate.mean:.6e} +/- {estimate.std_error:.2e} "
@@ -356,11 +374,9 @@ def cmd_calibrate(args) -> int:
         "correlation": corr.c.tolist(),
         **result.to_dict(),
     }
-    with open(os.path.join(out, "result.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "result.json"), payload)
     RunManifest.build(
-        "calibrate", {"realized": args.realized, "correlation": args.correlation}
+        "calibrate", {"realized": args.realized, "correlation": args.correlation}, args.timestamp
     ).write(out)
 
     m = result.metrics
@@ -407,15 +423,12 @@ def cmd_report(args) -> int:
     )
     header = f"{'model':<8} {'RMSE':>12} {'APE':>12} {'AAE':>12} {'ARPE':>12}"
     print(header)
-    with open(os.path.join(out, "metrics.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "RMSE", "APE", "AAE", "ARPE"])
-        for model, _, m in loaded:
-            writer.writerow(
-                [model, f"{m.rmse:.12g}", f"{m.ape:.12g}", f"{m.aae:.12g}", f"{m.arpe:.12g}"]
-            )
-            print(f"{model:<8} {m.rmse:>12.6e} {m.ape:>12.6e} {m.aae:>12.6e} {m.arpe:>12.6e}")
-    RunManifest.build("report", inputs).write(out)
+    rows = [["model", "RMSE", "APE", "AAE", "ARPE"]]
+    for model, _, m in loaded:
+        rows.append([model, f"{m.rmse:.12g}", f"{m.ape:.12g}", f"{m.aae:.12g}", f"{m.arpe:.12g}"])
+        print(f"{model:<8} {m.rmse:>12.6e} {m.ape:>12.6e} {m.aae:>12.6e} {m.arpe:>12.6e}")
+    _write_rows(os.path.join(out, "metrics.csv"), rows)
+    RunManifest.build("report", inputs, args.timestamp).write(out)
     return 0
 
 
@@ -473,6 +486,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        args.timestamp = _timestamp()
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -9,7 +9,10 @@ note the determinant therefore scales by 252^n. Windows are non-overlapping
 by default with a rolling alternative.
 
 Output formats: the realized series as CSV ``t,value`` and summary
-statistics as CSV ``ticker,mean,variance,kurtosis``.
+statistics as CSV ``ticker,mean,variance,kurtosis``. ``_read_rows`` and
+``_write_rows`` are the one CSV reader and writer, here and in the CLI:
+UTF-8 (an input may start with a byte-order mark) in ``csv``'s default
+dialect.
 """
 
 from __future__ import annotations
@@ -108,12 +111,21 @@ class AssetSummary:
 
 
 def _read_rows(path) -> list[list[str]]:
-    """The rows of a CSV file read as UTF-8; other bytes raise ``ParseError`` naming it."""
+    """The rows of a CSV file read as UTF-8, a leading byte-order mark skipped.
+
+    Other bytes raise ``ParseError`` naming the file.
+    """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: unreadable CSV ({exc})") from None
+
+
+def _write_rows(path, rows) -> None:
+    """Write ``rows`` to ``path`` as UTF-8 CSV in ``csv.writer``'s default dialect."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def load_prices(path) -> PriceSeries:
@@ -301,11 +313,8 @@ def summary_stats(matrix: np.ndarray, tickers=None) -> tuple[AssetSummary, ...]:
 
 
 def realized_to_csv(series: RealizedVarianceSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for t, v in zip(series.times, series.values):
-            writer.writerow([f"{t:.12g}", f"{v:.17g}"])
+    rows = ([f"{t:.12g}", f"{v:.17g}"] for t, v in zip(series.times, series.values))
+    _write_rows(path, [["t", "value"], *rows])
 
 
 def load_realized_csv(path) -> RealizedVarianceSeries:
@@ -343,10 +352,8 @@ def load_realized_csv(path) -> RealizedVarianceSeries:
 
 
 def summary_to_csv(summaries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ticker", "mean", "variance", "kurtosis"])
-        for s in summaries:
-            writer.writerow(
-                [s.ticker, f"{s.mean:.12g}", f"{s.variance:.12g}", f"{s.excess_kurtosis:.12g}"]
-            )
+    rows = (
+        [s.ticker, f"{s.mean:.12g}", f"{s.variance:.12g}", f"{s.excess_kurtosis:.12g}"]
+        for s in summaries
+    )
+    _write_rows(path, [["ticker", "mean", "variance", "kurtosis"], *rows])

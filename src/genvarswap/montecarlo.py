@@ -1001,7 +1001,7 @@ def ensemble_to_csv(ensemble: PathEnsemble, path) -> None:
     """
     n = ensemble.n_assets
     rows = [f"{t:.12g}" + ",%.17g" * n + "\r\n" for t in ensemble.times]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["path", "time"] + [f"var_{i + 1}" for i in range(n)]) + "\r\n")
         for j, path_rows in enumerate(ensemble.variance_paths):
             fh.write(f"{j},".join(["", *rows]) % tuple(path_rows.reshape(-1).tolist()))

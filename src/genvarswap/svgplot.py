@@ -72,7 +72,7 @@ class _Canvas:
 
     def write(self, path):
         self.parts.append("</svg>")
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(self.parts) + "\n")
 
 

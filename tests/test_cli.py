@@ -35,17 +35,17 @@ def pinned_epoch(monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
 
 
-def write_prices(tmp_path, n_rows=81, name="prices.csv", seed=211):
+def write_prices(tmp_path, n_rows=81, name="prices.csv", seed=211, tickers=("AAA", "BBB", "CCC")):
     rng = np.random.default_rng(seed)
     log_prices = np.cumsum(rng.normal(0.0, 0.013, (n_rows, 3)), axis=0)
     prices = 100.0 * np.exp(log_prices)
-    rows = ["date,AAA,BBB,CCC"]
+    rows = ["date," + ",".join(tickers)]
     day = datetime.date(2021, 1, 4)
     for row in prices:
         rows.append(f"{day},{row[0]:.6f},{row[1]:.6f},{row[2]:.6f}")
         day += datetime.timedelta(days=1)
     target = tmp_path / name
-    target.write_text("\n".join(rows) + "\n")
+    target.write_bytes(("\n".join(rows) + "\n").encode("utf-8"))
     return target
 
 
@@ -263,9 +263,12 @@ class TestMalformedDocuments:
             ("price", "model", lambda m: [m], "JSON object"),
             ("price", "model", lambda m: _drop(_bns_doc(), "assets"), "'assets'"),
             ("price", "contract", lambda m: {"k_var": 1e-4, "r": 0.02, "notional": 1.0}, "'maturity'"),
+            ("price", "contract", lambda m: [m], "JSON object"),
             ("price", "contract", lambda m: {"k_var": 1e-4, "r": 0.02, "maturity": "1y",
                                             "notional": 1.0}, "1y"),
-            ("simulate", "sim", lambda m: {"n_paths": 4, "horizon": 1.0}, "'dt'"),
+            ("simulate", "sim", lambda m: {"n_paths": 4, "horizon": 1.0}, "missing key 'dt'"),
+            ("simulate", "sim", lambda m: {"dt": 0.25, "horizon": 1.0}, "missing key 'n_paths'"),
+            ("simulate", "sim", lambda m: {"n_paths": 4, "dt": 0.25}, "missing key 'horizon'"),
             ("simulate", "sim", lambda m: {"n_paths": float("inf"), "dt": 0.25, "horizon": 1.0},
              "infinity"),
             ("simulate", "sim", lambda m: {"n_paths": 4, "dt": 0.25, "horizon": 1.0,
@@ -289,7 +292,8 @@ class TestMalformedDocuments:
             ("price", "model", lambda m: {**_bns_doc(), "assets": [None] * 3}, "malformed field"),
         ],
         ids=["heston-no-correlation", "top-level-array", "bns-no-assets",
-             "contract-no-maturity", "contract-text-maturity", "sim-no-dt",
+             "contract-no-maturity", "contract-top-level-array", "contract-text-maturity",
+             "sim-no-dt", "sim-no-paths", "sim-no-horizon",
              "sim-infinite-paths", "sim-infinite-block", "sim-fractional-paths",
              "sim-fractional-block", "heston-text-k", "heston-bool-gamma", "bns-text-lambda",
              "bns-bool-rho", "bool-correlation", "contract-bool-rate", "sim-text-dt",
@@ -311,7 +315,7 @@ class TestMalformedDocuments:
             argv += ["--sim", str(paths["sim"]), "--seed", "1", "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert str(bad) in err and needle in err
+        assert err.count(str(bad)) == 1 and needle in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["price", "simulate"])
@@ -681,6 +685,114 @@ def test_non_utf8_csv_exits_2_naming_file(tmp_path, capsys, command, bad):
     err = capsys.readouterr().err
     assert str(files[bad]) in err and "utf-8" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1.5", "-99999999999999", "99999999999999999"])
+def test_malformed_source_date_epoch_exits_2_writing_nothing(tmp_path, capsys, monkeypatch, epoch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    out = tmp_path / "out"
+    assert main(["estimate", str(write_prices(tmp_path)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "SOURCE_DATE_EPOCH" in err and repr(epoch) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _run_every_command(root, capsys, bom):
+    """Every command on inputs written under ``root``, each prefixed with a BOM if ``bom``.
+
+    Returns {output directory: (exit code, stdout), output file: bytes}.
+    """
+    root.mkdir()
+    files = {
+        "prices": write_prices(root),
+        "realized": write_realized(root),
+        "correlation": write_correlation(root),
+        "model": write_model(root),
+        "contract": write_contract(root),
+        "sim": root / "sim.json",
+        "init": root / "init.json",
+        "result": root / "result.json",
+    }
+    files["sim"].write_text(json.dumps({"n_paths": 8, "dt": 0.25, "horizon": 1.0}))
+    files["init"].write_text(json.dumps({"initial": TRUTH.tolist()}))
+    files["result"].write_text(json.dumps(
+        {"model": "heston", "correlation": CORR_ARRAY.tolist(), "params": TRUTH.tolist()}
+    ))
+    for path in files.values() if bom else ():
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    f = {k: str(v) for k, v in files.items()}
+    commands = {
+        "est": ["estimate", f["prices"]],
+        "priced": ["price", "--model", f["model"], "--contract", f["contract"]],
+        "mc": ["simulate", "--model", f["model"], "--sim", f["sim"], "--seed", "1", "--threads", "1"],
+        "fit": ["calibrate", f["realized"], f["correlation"], "--model", "heston",
+                "--init", f["init"]],
+        "rep": ["report", f["realized"], "--result", f["result"]],
+    }
+    seen = {}
+    for out, argv in commands.items():
+        code = main(argv + ["--out", str(root / out)])
+        seen[out] = (code, capsys.readouterr().out.replace(str(root), "<root>"))
+        for path in sorted((root / out).iterdir()):
+            if path.name != "run_manifest.json":  # holds the input hashes
+                seen[f"{out}/{path.name}"] = path.read_bytes()
+    return seen
+
+
+def test_byte_order_mark_is_skipped_on_every_input(tmp_path, capsys):
+    """A BOM-prefixed copy of each CSV and JSON input gives the plain file's outputs."""
+    expected = _run_every_command(tmp_path / "plain", capsys, bom=False)
+    assert [expected[out][0] for out in ("est", "priced", "mc", "fit", "rep")] == [0] * 5
+    got = _run_every_command(tmp_path / "bom", capsys, bom=True)
+    assert got == expected
+    for name, data in got.items():
+        if isinstance(data, bytes):
+            assert not data.startswith(b"\xef\xbb\xbf"), name
+
+
+def test_non_ascii_pipeline_under_the_c_locale(tmp_path):
+    """estimate -> calibrate -> report and price write the same bytes under C and C.UTF-8."""
+    source = str(Path(genvarswap.__file__).resolve().parents[1])
+    locales = {
+        "c": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+        "utf8": {"LC_ALL": "C.UTF-8"},
+    }
+    runs = {}
+    for name, settings in locales.items():
+        root = tmp_path / name
+        root.mkdir()
+        write_prices(root, tickers=("CAFÉ", "Ørsted", "BBB"))
+        write_model(root)
+        contract = SwapContract(1e-4, 0.02, 1.0, 1000.0).to_dict()
+        (root / "contract.json").write_bytes(
+            json.dumps({**contract, "desk": "Zürich – €"}, ensure_ascii=False).encode("utf-8")
+        )
+        env = {**os.environ, "PYTHONPATH": source, "SOURCE_DATE_EPOCH": "1700000000", **settings}
+        codes = []
+        for argv in (
+            ["estimate", "prices.csv", "--out", "est"],
+            ["calibrate", "est/realized.csv", "est/correlation.csv", "--model", "heston",
+             "--out", "fit"],
+            ["report", "est/realized.csv", "--result", "fit/result.json", "--out", "rep"],
+            ["price", "--model", "model.json", "--contract", "contract.json", "--out", "priced"],
+        ):
+            proc = subprocess.run([sys.executable, "-m", "genvarswap.cli", *argv], cwd=root,
+                                  env=env, capture_output=True, timeout=300)
+            assert b"Traceback" not in proc.stderr, proc.stderr.decode("utf-8", "replace")
+            codes.append(proc.returncode)
+        outputs = {
+            str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.glob("*/*"))
+        }
+        runs[name] = codes, outputs
+    (c_codes, c_outputs), (codes, outputs) = runs["c"], runs["utf8"]
+    assert codes[0] == 0 and codes[3] == 0
+    assert c_codes == codes
+    assert "CAFÉ".encode("utf-8") in outputs["est/correlation.csv"]
+    assert sorted(c_outputs) == sorted(outputs)
+    for name in outputs:
+        assert c_outputs[name] == outputs[name], name
 
 
 class TestParser:

@@ -300,7 +300,7 @@ class TestScratchKernel:
                         det_sigma2_values(v, corr, rho, 1.7, var),
                         reference_det_sigma2_values(v, corr, rho, 1.7, var),
                     )
-                # tiles of changing row count reuse one scratch buffer
+                # tiles of changing row count in turn, as the Monte Carlo walker passes them
                 t0 = 0
                 for rows in (5, 1, 8, 3):
                     tile = views[t0:t0 + rows]
