@@ -233,8 +233,8 @@ _NODES = np.concatenate((np.negative(_XGK[:-1]), _XGK[::-1]))
 _KRONROD = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _KRONROD_MINUS_GAUSS = _KRONROD - np.concatenate((_WG[:-1], _WG[::-1]))
 # A failing panel is split at its quarter points, two bisection levels per
-# round. Limits: refinement rounds, and panels per maturity (as quad's
-# subinterval limit of 200).
+# round. Limits: refinement rounds, and panels per maturity or interval (as
+# quad's subinterval limit of 200).
 _QUARTERS = np.array([0.25, 0.5, 0.75])
 _MAX_ROUNDS = 20
 _MAX_PANELS_PER_MATURITY = 200
@@ -304,6 +304,35 @@ def quad(f, T, tol: float, labels):
             )
         quarters = edges[:-1][split, None] + widths[split, None] * _QUARTERS
         edges = np.sort(np.concatenate((edges, quarters.ravel())))
+
+
+def quad_intervals(f, widths: np.ndarray, tol: float, label: str) -> np.ndarray:
+    """integral_0^{widths[k]} f(k, s) ds for every interval k, each refined on its own.
+
+    ``f(k, s)`` is the integrand, >= 0, of intervals ``k`` (shape (m,)) at
+    times ``s`` (shape (15, m)). A panel of the G7/K15 rule of ``quad`` is
+    accepted when |K15 - G7| <= tol K15 and split in four otherwise; each
+    interval starts as one. No panel is shared and every sum is elementwise,
+    so each interval's value, within tol relative, does not depend on the
+    others. Past the limits of ``quad`` it raises ``QuadratureFailure``.
+    """
+    owner, lo, width = np.arange(widths.size), np.zeros(widths.size), widths
+    panels, totals = np.ones(widths.size, dtype=int), np.zeros(widths.size)
+    for rounds in range(_MAX_ROUNDS + 1):
+        half = 0.5 * width
+        values = f(owner, lo + half + half * _NODES[:, None])
+        kronrod = half * sum(w * row for w, row in zip(_KRONROD, values))
+        gap = half * abs(sum(w * row for w, row in zip(_KRONROD_MINUS_GAUSS, values)))
+        done = gap <= tol * kronrod
+        np.add.at(totals, owner[done], kronrod[done])
+        if done.all():
+            return totals
+        owner, lo, width = owner[~done], lo[~done], 0.25 * width[~done]
+        panels += 3 * np.bincount(owner, minlength=widths.size)
+        if rounds == _MAX_ROUNDS or panels.max() > _MAX_PANELS_PER_MATURITY:
+            raise QuadratureFailure(f"{label} did not reach tolerance {tol:g} in {panels.max()} panels")
+        lo = (lo + width * np.arange(4)[:, None]).T.ravel()
+        owner, width = np.repeat(owner, 4), np.repeat(width, 4)
 
 
 def _cross_terms(T, p, pairs, tol: float, var_i_coefficient: float):

@@ -31,18 +31,14 @@ routes:
   one evaluation of the decay from the path's last jump at or before t, and
   |Sigma_2| on a jump-free interval is a sum of products of terms affine in
   e^{-lambda s}, which ``heston._affine_product_integral`` integrates
-  exactly. So the streaming route's time average is the exact integral
+  exactly, bar a pair term sigma_i sigma_j on a drift-only asset (kappa2 =
+  0, kappa1 > 0), which ``bns.quad_intervals`` integrates per interval to
+  1e-12 relative. So the streaming route's time average is the integral
   over each path's jump-free intervals, the recorded rows are exact values
   at ``record_times``, and the work is O(jumps + paths * recorded rows),
   not O(paths * n_steps). The estimate does not depend on dt at a fixed
   horizon n_steps * dt (the span the jumps are drawn over), nor do rows at
   times on both grids.
-* One BNS case keeps the grid: a pair term sigma_i sigma_j (i != j) with
-  a nonzero coefficient that involves a drift-only asset (kappa2 = 0,
-  kappa1 > 0) is the square root of a non-affine value. For such
-  portfolios only (``_walks_grid``, a property of the portfolio alone), the
-  jump list is evaluated on every grid row, a chunk at a time, and walked
-  like Heston's planes with the trapezoid of ``det_sigma2_values``.
 
 The ensemble route records ``record_times``; the price route evaluates
 every grid row and then draws the return randomness. Rows come from one
@@ -110,6 +106,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bns import quad_intervals
 from .core import (
     BnsPortfolioParams,
     CorrelationMatrix,
@@ -470,15 +467,6 @@ def _run(block, cfg: SimConfig, n: int, scheme: str, threads: int = 1, record: b
     return PathEnsemble(times=times[rows], variance_paths=recorded, scheme=scheme), averages
 
 
-def _grid_block(planes, cfg: SimConfig, n: int, dets=None):
-    """A block function that walks the full grid of the planes ``planes(lo, hi)``.
-
-    The time integral is the trapezoidal rule on the grid rows of ``dets``.
-    """
-    weights = _trapezoid_weights(cfg.times)
-    return lambda lo, hi, rows: _walk(planes(lo, hi), hi - lo, n, rows, weights, dets)
-
-
 def _paths_last(plane: np.ndarray) -> np.ndarray:
     """A (rows, paths, assets) view of a plane stored (rows, assets, paths).
 
@@ -555,12 +543,14 @@ def _heston_planes(portfolio: HestonPortfolio, cfg: SimConfig, rngs):
 
 
 def _heston_block(portfolio: HestonPortfolio, cfg: SimConfig, dets=None):
-    """The Heston block function: the path kernel on the paths' live generators, walked."""
+    """The Heston block function: the path kernel, walked with the full grid's trapezoid."""
+    weights = _trapezoid_weights(cfg.times)
 
-    def planes(lo, hi):
-        return _heston_planes(portfolio, cfg, _rngs(cfg, lo, hi))
+    def block(lo, hi, rows):
+        planes = _heston_planes(portfolio, cfg, _rngs(cfg, lo, hi))
+        return _walk(planes, hi - lo, portfolio.n, rows, weights, dets)
 
-    return _grid_block(planes, cfg, portfolio.n, dets)
+    return block
 
 
 def simulate_heston(portfolio: HestonPortfolio, cfg: SimConfig) -> PathEnsemble:
@@ -598,11 +588,6 @@ def _step_index(t_jump: np.ndarray, cfg: SimConfig) -> np.ndarray:
     return np.minimum((t_jump / cfg.dt).astype(int), cfg.n_steps - 1)
 
 
-def _levels(specs, p: BnsPortfolioParams) -> np.ndarray:
-    """The level each variance decays to between jumps: kappa1 for a drift-only asset, else 0."""
-    return np.array([a.kappa1 if spec is None else 0.0 for a, spec in zip(p.assets, specs)])
-
-
 class _JumpList:
     """A block of BNS paths as the list of their jumps and the variances right after each.
 
@@ -612,8 +597,9 @@ class _JumpList:
     stably by (path, time): each path is one run of events that begins with
     its start, and jumps at one time follow draw order. Between events every
     variance decays exactly, v(t) = a + (x - a) e^{-lambda (t - t_e)} with x
-    its value after event e and a its level (``_levels``), so the rows at
-    any times and the integral of |Sigma_2| come from the event list alone.
+    its value after event e and a its level (kappa1 for a drift-only asset,
+    else 0), so the rows at any times and the integral of |Sigma_2| come
+    from the event list alone.
     """
 
     def __init__(self, p: BnsPortfolioParams, cfg: SimConfig, rngs):
@@ -621,7 +607,7 @@ class _JumpList:
         self.lam = lam = p.lambda_
         self.horizon = horizon = cfg.n_steps * cfg.dt
         specs = [_jump_law(a) for a in p.assets]
-        self.level = _levels(specs, p)
+        self.level = np.array([a.kappa1 if law is None else 0.0 for a, law in zip(p.assets, specs)])
 
         jumping = [(i, spec, 1.0 / spec.b) for i, spec in enumerate(specs) if spec is not None]
         owners, counts, scales, uniforms, exponentials = [], [], [], [np.empty(0)], [np.empty(0)]
@@ -695,10 +681,12 @@ class _JumpList:
                 sum_i delta_ii rho_i^2 prod_{l != i} v_l
                 + sum_{i < j} 2 delta_ij rho_i rho_j sigma_i sigma_j prod_{l != i, j} v_l),
 
-        delta = C^-1. A pair i < j enters only where a_i = a_j = 0
-        (``_walks_grid``), so sigma_i sigma_j = sqrt(x_i x_j) w, and every
-        term is one exponential-affine product integral over all the
-        intervals at once. A path's intervals add up in time order.
+        delta = C^-1. Every product of the v_l, and a pair term with a_i =
+        a_j = 0 (sigma_i sigma_j = sqrt(x_i x_j) w), is one exponential-affine
+        product integral over all the intervals at once; a pair term on a
+        drift-only asset (a > 0) goes through ``bns.quad_intervals``, each
+        interval on its own, to 1e-12 relative. A path's intervals add up in
+        time order.
         """
         n = corr.n
         end = np.append(self.time[1:], self.horizon)
@@ -713,6 +701,12 @@ class _JumpList:
                 ds, cs = [d_extra, *ds], [0.0, *cs]
             return _affine_product_integral(tau, ds, cs, [self.lam] * len(ds))
 
+        def pair(k, s, i, j):
+            """sqrt(v_i v_j) prod_{l != i, j} v_l on intervals k at times s after their events."""
+            w = np.exp(-self.lam * s)
+            v = [d[l][k] * w + self.level[l] for l in range(n)]
+            return math.prod((v[l] for l in range(n) if l not in (i, j)), start=np.sqrt(v[i] * v[j]))
+
         values = product(range(n))
         jump_scale = self.lam * var_z1
         terms = _jump_terms(corr, rho, jump_scale)
@@ -722,6 +716,8 @@ class _JumpList:
                 others = [l for l in range(n) if l not in (i, j)]
                 if i == j:
                     term = product(others)
+                elif self.level[i] or self.level[j]:
+                    term = quad_intervals(functools.partial(pair, i=i, j=j), tau, 1e-12, f"pair ({i}, {j})")
                 else:
                     term = product(others, np.sqrt(self.states[:, i] * self.states[:, j]))
                 bracket = bracket + weight * rho[i] * rho[j] * term
@@ -731,35 +727,12 @@ class _JumpList:
         return totals
 
 
-def _walks_grid(p: BnsPortfolioParams, corr: CorrelationMatrix) -> bool:
-    """Whether the |Sigma_2| time average of ``p`` needs the time grid.
-
-    A pair term sigma_i sigma_j (i != j) with a nonzero coefficient is not
-    affine in e^{-lambda t} when asset i or j decays to a level kappa1 > 0
-    (a deterministic subordinator), so it has no closed-form integral.
-    """
-    level = _levels([_jump_law(a) for a in p.assets], p)
-    return any(
-        i != j and (level[i] or level[j])
-        for i, j, _ in _jump_terms(corr, p.rho, p.lambda_ * p.kappa2_star)
-    )
-
-
 def _bns_block(p: BnsPortfolioParams, cfg: SimConfig, corr: CorrelationMatrix | None = None):
     """The BNS block function on the jump list of one re-keyed generator per block.
 
     Without ``corr`` only rows are recorded. With it, the time integral of
-    |Sigma_2| is exact between jumps, or, where ``_walks_grid``, the
-    trapezoidal rule along the full grid of evaluated rows.
+    |Sigma_2| is that of ``_JumpList.integrals``, over each jump-free interval.
     """
-    if corr is not None and _walks_grid(p, corr):
-        def planes(lo, hi):
-            return _JumpList(p, cfg, _Rekeyed(cfg, lo, hi)).planes(cfg.times)
-
-        def dets(v):
-            return det_sigma2_values(v, corr, p.rho, p.lambda_, p.kappa2_star)
-
-        return _grid_block(planes, cfg, p.n, dets)
 
     def block(lo, hi, rows):
         jumps = _JumpList(p, cfg, _Rekeyed(cfg, lo, hi))
@@ -859,12 +832,10 @@ def bns_realized_variance_mc(
 ):
     """Streaming BNS estimate of the |Sigma_2| time average over the horizon.
 
-    Per path, the average is the exact integral over the jump-free
-    intervals, so it does not depend on dt; only portfolios with a leveraged
-    drift-only asset in a pair term (``_walks_grid``) take the trapezoidal
-    rule on the full grid. With ``return_ensemble``, returns (estimate,
-    ensemble), the ensemble being ``simulate_bns(p, cfg)`` recorded in the
-    same pass.
+    Per path, the average is the integral over the jump-free intervals
+    (``_JumpList.integrals``), so it does not depend on dt. With
+    ``return_ensemble``, returns (estimate, ensemble), the ensemble being
+    ``simulate_bns(p, cfg)`` recorded in the same pass.
     """
     scheme = _check_scheme(cfg, "exact_ou")
     if p.n != corr.n:

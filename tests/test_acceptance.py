@@ -131,7 +131,9 @@ def test_criterion_03_bns_e0_e3_vs_quadrature():
         terms = compute_e_terms(maturity, p)
 
         def mean_var(t, i):
-            return expected_variance_bns(t, p.assets[i], p.lambda_)
+            """E[sigma_t^2] = e^{-lambda t} (sigma_0^2 - kappa1) + kappa1, in scalar arithmetic."""
+            a = p.assets[i]
+            return math.exp(-p.lambda_ * t) * (a.sigma0_2 - a.kappa1) + a.kappa1
 
         oracles = (
             integrate.quad(

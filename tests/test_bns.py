@@ -524,6 +524,18 @@ class TestCrossTerms:
         with pytest.raises(QuadratureFailure, match="row a"):
             bns.quad(nan_rows, np.array([0.5, 1.0]), 1e-12, ["row a", "row b"])
 
+    def test_interval_quadrature(self):
+        """quad_intervals integrates each interval, an empty one too, and names a failing one."""
+        widths = np.array([0.0, 0.5, 2.0])
+        values = bns.quad_intervals(lambda k, s: np.exp(-s), widths, 1e-12, "pair")
+        np.testing.assert_allclose(values, -np.expm1(-widths), rtol=1e-14, atol=0.0)
+
+        def one_nan(k, s):
+            return np.where(k == 1, np.nan, np.exp(-s))
+
+        with pytest.raises(QuadratureFailure, match="pair"):
+            bns.quad_intervals(one_nan, widths, 1e-12, "pair")
+
     def test_only_nonzero_pairs_integrated(self, monkeypatch):
         seen = []
         cross_terms = bns._cross_terms

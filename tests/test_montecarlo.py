@@ -68,12 +68,17 @@ def bns_portfolio(
     rhos=(0.0, 0.0, 0.0),
     kappa2_star=0.0,
     sigma0_2s=(0.04, 0.06, 0.05),
+    lambda_=2.0,
 ):
     assets = tuple(
         BnsAssetParams(sigma0_2=s, kappa1=k1, kappa2=k2, rho=r)
         for s, k1, k2, r in zip(sigma0_2s, kappa1s, kappa2s, rhos)
     )
-    return BnsPortfolioParams(assets=assets, lambda_=2.0, kappa2_star=kappa2_star)
+    return BnsPortfolioParams(assets=assets, lambda_=lambda_, kappa2_star=kappa2_star)
+
+
+# the CI "mixed" model: a leveraged drift-only asset (kappa2 = 0) and an asset without leverage
+MIXED = dict(kappa2s=(0.004, 0.0, 0.005), rhos=(-0.3, -0.2, 0.0), kappa2_star=0.01)
 
 
 def bns_reference_jumps(p, cfg, j):
@@ -467,9 +472,14 @@ class TestStreamingEstimators:
         reference = [bns_reference_integral(p, corr, cfg, j) for j in range(cfg.n_paths)]
         assert streaming.mean == pytest.approx(np.mean(reference) / cfg.horizon, rel=1e-12)
 
-    @pytest.mark.parametrize("kwargs, n", BNS_PORTFOLIOS, ids=("n3", "n2", "n4"))
+    @pytest.mark.parametrize(
+        "kwargs, n", BNS_PORTFOLIOS + ((MIXED, 3),), ids=("n3", "n2", "n4", "mixed")
+    )
     def test_bns_streaming_estimate_does_not_depend_on_dt(self, kwargs, n):
-        """So do rows at times on both grids (0.5 and 1.0 are 50 * 0.01 and 500 * 0.001 exactly)."""
+        """So do rows at times on both grids (0.5 and 1.0 are 50 * 0.01 and 500 * 0.001 exactly).
+
+        The mixed model's pair term on its drift-only asset is integrated per interval too.
+        """
         p, corr = bns_portfolio(**kwargs), equicorrelated(n)
         (coarse, coarse_rows), (fine, fine_rows) = (
             bns_realized_variance_mc(
@@ -515,6 +525,56 @@ class TestStreamingEstimators:
             np.testing.assert_allclose(
                 ensemble.variance_paths[j], bns_reference_path(p, cfg, j), rtol=1e-13, atol=0
             )
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, dict(sigma0_2s=(0.04, 1e-6, 0.05)), dict(lambda_=40.0)],
+        ids=("mixed", "sigma0_2_1e-6", "lambda_40"),
+    )
+    def test_drift_only_pair_term_integrals_equal_scipy_quad(self, kwargs):
+        """Per path, the integral of |Sigma_2| with a pair term on the drift-only asset is
+        scipy's quad of det_sigma2_values along the path's exact rows, broken at its jumps.
+
+        sigma_0^2 = 1e-6 << kappa1 puts a branch point of sqrt(v) just before the first
+        interval; lambda = 40 makes every interval's decay steep.
+        """
+        from scipy import integrate
+
+        from genvarswap.genvar import det_sigma2_values
+
+        p = bns_portfolio(**{**MIXED, **kwargs})
+        lam, level = p.lambda_, bns_levels(p)
+        cfg = SimConfig(n_paths=4, dt=0.01, horizon=1.0, seed=3)
+        jumps = montecarlo._JumpList(p, cfg, montecarlo._Rekeyed(cfg, 0, cfg.n_paths))
+        integrals = jumps.integrals(CORR, p.rho, p.kappa2_star)
+
+        def det(t, t0, x):
+            v = level + (x - level) * math.exp(-lam * (t - t0))
+            return float(det_sigma2_values(v, CORR, p.rho, lam, p.kappa2_star))
+
+        for j in range(cfg.n_paths):
+            events = bns_reference_events(p, cfg, j)
+            assert len(events) > 1
+            ends = [t for t, _ in events[1:]] + [cfg.horizon]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                reference = sum(
+                    integrate.quad(det, t0, t1, args=(t0, x), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                    for (t0, x), t1 in zip(events, ends)
+                )
+            assert integrals[j] == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_drift_only_pair_term_averages_do_not_depend_on_block_size(self):
+        """Each interval refines on its own, so at sigma_0^2 = 1e-6, where a few intervals
+        refine much further than the rest, every per-path average is the same bits in blocks
+        of 1, 7 and 4096 paths."""
+        p = bns_portfolio(**MIXED, sigma0_2s=(0.04, 1e-6, 0.05))
+        averages = []
+        for block_size in (1, 7, 4096):
+            cfg = SimConfig(n_paths=300, dt=0.01, horizon=1.0, seed=3, block_size=block_size)
+            block = montecarlo._bns_block(p, cfg, CORR)
+            averages.append(montecarlo._run(block, cfg, p.n, "exact_ou", record=False)[1])
+        assert averages[1].tobytes() == averages[0].tobytes()
+        assert averages[2].tobytes() == averages[0].tobytes()
 
     @pytest.mark.parametrize("kwargs, n", BNS_PORTFOLIOS, ids=("n3", "n2", "n4"))
     def test_bns_grid_ensemble_estimate_closes_in_as_dt_shrinks(self, kwargs, n):
@@ -784,6 +844,12 @@ class TestBlockPipeline:
             rhos=(-0.3, -0.2, 0.0, -0.4)[:n], kappa2_star=0.01,
             sigma0_2s=(0.04, 0.06, 0.05, 0.03)[:n],
         )
+        # a leveraged drift-only asset in a pair term: that term goes through quad_intervals
+        mixed = bns_portfolio(
+            kappa1s=(0.05, 0.07, 0.06, 0.04)[:n], kappa2s=(0.004, 0.0, 0.005, 0.003)[:n],
+            rhos=(-0.3, -0.2, 0.0, -0.4)[:n], kappa2_star=0.01,
+            sigma0_2s=(0.04, 0.06, 0.05, 0.03)[:n],
+        )
 
         def runs():
             results = []
@@ -795,9 +861,10 @@ class TestBlockPipeline:
                     results.append(heston_realized_variance_mc(
                         hpf, cfg, threads=threads, return_ensemble=True
                     ))
-                    results.append(bns_realized_variance_mc(
-                        bpf, equicorrelated(n), cfg, threads=threads, return_ensemble=True
-                    ))
+                    for p in (bpf, mixed):
+                        results.append(bns_realized_variance_mc(
+                            p, equicorrelated(n), cfg, threads=threads, return_ensemble=True
+                        ))
             return results
 
         reference = runs()
@@ -811,11 +878,10 @@ class TestBlockPipeline:
                 )
 
     def test_uncorrelated_drift_only_leverage_stays_off_the_grid(self):
-        """With C = I no pair term enters (delta_ij = 0 off the diagonal), so the
-        leveraged drift-only asset needs no grid and dt moves nothing."""
-        p = bns_portfolio(kappa2s=(0.004, 0.0, 0.005), rhos=(-0.3, -0.2, 0.0), kappa2_star=0.01)
+        """With C = I no pair term enters (delta_ij = 0 off the diagonal), so every term of
+        the leveraged drift-only asset has a closed form and dt moves nothing."""
+        p = bns_portfolio(**MIXED)
         identity = validate_correlation(np.eye(3))
-        assert not montecarlo._walks_grid(p, identity)
         coarse, fine = (
             bns_realized_variance_mc(
                 p, identity, SimConfig(n_paths=200, dt=dt, horizon=1.0, seed=37, block_size=50)
@@ -823,33 +889,6 @@ class TestBlockPipeline:
             for dt in (0.01, 0.001)
         )
         assert coarse == fine
-
-    def test_grid_portfolio_streams_the_trapezoid_of_its_rows(self, monkeypatch):
-        """A leveraged drift-only asset keeps the grid: the estimate is the trapezoid of the
-        full-grid ensemble, for any block size, thread count and tile."""
-        p = bns_portfolio(kappa2s=(0.004, 0.0, 0.005), rhos=(-0.3, -0.2, 0.0), kappa2_star=0.01)
-        assert montecarlo._walks_grid(p, CORR)
-        for exact in (
-            bns_portfolio(kappa2s=(0.004, 0.0, 0.005), rhos=(-0.3, 0.0, -0.2), kappa2_star=0.01),
-            bns_portfolio(kappa2s=(0.004, 0.0, 0.005), rhos=(-0.3, -0.2, 0.0)),
-            bns_portfolio(kappa2s=(0.004, 0.006, 0.005), rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01),
-        ):
-            assert not montecarlo._walks_grid(exact, CORR)
-        base = dict(n_paths=9, dt=0.002, horizon=(2 * montecarlo._CHUNK + 44) * 0.002, seed=83)
-        ensemble = simulate_bns(p, SimConfig(**base))
-        reference = mc_realized_variance(
-            ensemble, CORR, rho=p.rho, lambda_=p.lambda_, kappa2_star=p.kappa2_star
-        )
-        for budget in (1, 20000, 2**40):
-            monkeypatch.setattr(montecarlo, "_TILE_BYTES", budget)
-            for block_size in (1, 7, 4096):
-                for threads in (1, 2):
-                    estimate, recorded = bns_realized_variance_mc(
-                        p, CORR, SimConfig(**base, block_size=block_size), threads=threads,
-                        return_ensemble=True,
-                    )
-                    assert estimate == reference
-                    np.testing.assert_array_equal(recorded.variance_paths, ensemble.variance_paths)
 
     def test_state_carries_across_reused_chunk_buffers(self):
         """Over three chunks, deterministic Heston paths equal a scalar recursion bit for bit.
