@@ -56,21 +56,17 @@ Three things keep a block cheap:
 * The Heston kernel allocates its chunk buffers once per block and refills
   them for every chunk (the transposed normals and the plane). The walker
   is done with a plane before it asks for the next one.
-* No generator costs more than its key. ``np.random.Philox`` takes a path's
-  (seed, path) key from a minimal seed sequence, so no ``SeedSequence`` is
-  made and no OS entropy is read (``Philox(key=...)`` does both, for each
-  path, with the interpreter lock held), and the stream is that of
-  ``Philox(key=(seed, path))``. The BNS kernel draws all of a path's jumps
-  before the next path's, so the ensemble and streaming routes give it one
-  generator per block, re-keyed to each path through its state (counter 0,
-  empty buffer): the same streams for about a quarter of the cost. It
-  draws jump times and sizes as standard uniforms and exponentials (none
-  when the count is zero) and scales them once per block; numpy's
-  ``uniform(0, h)`` and ``exponential(1/b)`` are ``0.0 + h U`` and
-  ``(1/b) E``, so the values are those of the layout below. Blocks on
-  different threads take turns at these draws (``_JUMP_DRAWS``), which
-  hold the interpreter lock but for each array draw. Heston and the price
-  routes keep one live generator per path.
+* No generator costs more than its key, and BNS jumps need none. Heston
+  and the price routes keep one live generator per path:
+  ``np.random.Philox`` takes the path's (seed, path) key from a minimal
+  seed sequence, so no ``SeedSequence`` is made and no OS entropy is read
+  (``Philox(key=...)`` does both, for each path, with the interpreter lock
+  held), and the stream is that of ``Philox(key=(seed, path))``. The BNS
+  jumps come from ``_philox``, Philox4x64-10 in numpy: the four words of a
+  counter block are a function of (seed, path, counter) alone, so a
+  block's jump words are computed for all its paths at once, in uint64
+  ufuncs that release the interpreter lock, and blocks on different
+  threads draw side by side.
 
 Reproducibility: every path owns a counter-based RNG stream keyed by
 (seed, path index) (Philox, Salmon et al., SC 2011), so ensembles are
@@ -82,12 +78,17 @@ the draw layout is fixed:
   path's sequence as one draw of all of them would make it.
 * Heston price paths consume the variance normals first, then another
   n_steps * n_assets return normals.
-* BNS variance paths consume, per asset in portfolio order: one Poisson
-  jump count over [0, horizon), that many uniform jump times, that many
-  exponential jump sizes. Assets with a deterministic subordinator draw
-  nothing.
-* BNS price paths consume the variance draws, then n_steps * n_assets
-  return normals, then the common jump Z* (count, times, sizes).
+* BNS variance paths draw asset i's jumps (i from 0, in portfolio order)
+  from counter lane i + 1 of the path's key: the stream of
+  ``Philox(key=(seed, path), counter=(0, i + 1, 0, 0))``, which never meets
+  the counter-0 stream the generators read. With U = (w >> 11) 2^-53 of a
+  word w (``Generator.random()``), word 0 gives the Poisson jump count N
+  over [0, horizon) by inverse CDF, words 1..N the jump times horizon U
+  and words N+1..2N the sizes -log1p(-U) / b. Assets with a deterministic
+  subordinator draw nothing.
+* BNS price paths draw n_steps * n_assets return normals from the path's
+  counter-0 stream, as a fresh generator gives them, and the common jump
+  Z* from lane n_assets + 1 in the same layout as the assets.
 
 Per path, the time average adds its rows (or, for BNS, its jump-free
 intervals) one at a time in time order, every row and interval value is
@@ -100,7 +101,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -147,12 +147,6 @@ _MAX_ENSEMBLE_ENTRIES = 2**28
 
 # Steps per time-major chunk of the path kernels.
 _CHUNK = 256
-
-# Blocks take turns at their jump draws. The draw loop holds the interpreter
-# lock but for the moment each array draw takes, so two threads drawing at
-# once hand it back and forth at every draw; taking turns lets one block
-# draw while another computes.
-_JUMP_DRAWS = threading.Lock()
 
 # Bytes of the tiles a block is worked on in, so that temporaries stay in
 # cache: rows of a plane for the determinant kernels, paths of a chunk's
@@ -340,30 +334,126 @@ def _rngs(cfg: SimConfig, lo: int, hi: int) -> list[np.random.Generator]:
     return [_path_rng(cfg.seed, j) for j in range(lo, hi)]
 
 
-class _Rekeyed:
-    """The streams of paths [lo, hi) through one generator, re-keyed path by path.
+# Philox4x64-10 (Salmon et al., SC 2011) as numpy's ``Philox`` computes it
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW = 0xFFFFFFFF
 
-    Iterating hands out the same ``Generator`` for each path j, its Philox
-    state set to key (seed, j), counter 0, an empty buffer and no cached
-    32-bit word: the stream of ``_path_rng(seed, j)``, for a fraction of the
-    cost of building one. Only for kernels that draw all of a path's numbers
-    before they move to the next path.
+
+def _mulhi(a: int, b: np.ndarray, hi: np.ndarray, s: np.ndarray, t: np.ndarray) -> None:
+    """hi = the high 64 bits of the 128-bit product of the constant a and b, by 32-bit halves.
+
+    With a = a1 2^32 + a0 and b = b1 2^32 + b0, t = a1 b0 + (a0 b0 >> 32) and
+    u = a0 b1 + (t & _LOW) fit in 64 bits, and the high word is
+    a1 b1 + (t >> 32) + (u >> 32). ``s`` and ``t`` are scratch arrays like ``b``.
     """
+    a0, a1 = a & _LOW, a >> 32
+    np.bitwise_and(b, _LOW, out=s)
+    np.multiply(s, a0, out=t)
+    t >>= 32
+    s *= a1
+    t += s
+    np.bitwise_and(t, _LOW, out=s)
+    t >>= 32
+    np.right_shift(b, 32, out=hi)
+    hi *= a0
+    s += hi
+    s >>= 32
+    np.right_shift(b, 32, out=hi)
+    hi *= a1
+    hi += t
+    hi += s
 
-    def __init__(self, cfg: SimConfig, lo: int, hi: int):
-        self.seed = cfg.seed
-        self.paths = range(lo, hi)
 
-    def __len__(self) -> int:
-        return len(self.paths)
+def _philox(counters, key) -> tuple[np.ndarray, ...]:
+    """The four words of Philox4x64-10 at ``counters`` under ``key``, elementwise.
 
-    def __iter__(self):
-        rng = _path_rng(self.seed, self.paths.start)
-        state = rng.bit_generator.state
-        for j in self.paths:
-            state["state"]["key"][1] = j
-            rng.bit_generator.state = state
-            yield rng
+    ``counters`` holds the four counter words and ``key`` the (seed, path)
+    pair, each an int or a uint64 array, all broadcast together. The words
+    are the block ``np.random.Philox(key=key)`` buffers at that counter;
+    numpy adds one to its counter before it computes a block, so its stream
+    from counter c reads the blocks at c + 1, c + 2, ... Every step is a
+    ufunc on uint64 arrays, so a block of paths draws without the
+    interpreter lock.
+    """
+    shape = np.broadcast_shapes(*(np.shape(x) for x in (*counters, key[1])))
+    c0, c1, c2, c3, k1 = (
+        np.array(np.broadcast_to(np.asarray(x, dtype=np.uint64), shape), ndmin=1)
+        for x in (*counters, key[1])
+    )
+    k0 = int(key[0])
+    hi0, hi1, s, t = (np.empty_like(c0) for _ in range(4))
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) % 2**64
+            k1 += _PHILOX_W[1]
+        _mulhi(_PHILOX_M[0], c0, hi0, s, t)
+        _mulhi(_PHILOX_M[1], c2, hi1, s, t)
+        c0 *= _PHILOX_M[0]
+        c2 *= _PHILOX_M[1]
+        hi1 ^= c1
+        hi1 ^= k0
+        hi0 ^= c3
+        hi0 ^= k1
+        # the round's output (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0); c1 and c3 become scratch
+        c0, c1, c2, c3, hi0, hi1 = hi1, c2, hi0, c0, c1, c3
+    return tuple(c.reshape(shape) for c in (c0, c1, c2, c3))
+
+
+def _uniform(words: np.ndarray) -> np.ndarray:
+    """(w >> 11) 2^-53 in [0, 1) of each word w, as ``Generator.random()`` makes it."""
+    return (words >> 11) * (1.0 / 9007199254740992.0)
+
+
+def _poisson_counts(u: np.ndarray, mean: float) -> np.ndarray:
+    """Poisson(mean) counts by inverse CDF: per uniform u, the number of atoms with CDF <= u.
+
+    The table holds the atoms in [lo, hi], outside which each tail has mass
+    below e^-45 (Chernoff below, Bennett above), with the pmf built by
+    ratios outward from the mode and the CDF normalized to 1 at hi. One
+    method serves every mean.
+    """
+    mode = math.floor(mean)
+    lo = max(0, math.floor(mean - math.sqrt(90.0 * mean)))
+    hi = math.ceil(mean + 15.0 + math.sqrt(225.0 + 90.0 * mean))
+    below = np.cumprod(np.arange(mode, lo, -1) / mean)[::-1]
+    above = np.cumprod(mean / np.arange(mode + 1, hi + 1))
+    cdf = np.cumsum(np.concatenate((below, [1.0], above)))
+    cdf /= cdf[-1]
+    return lo + np.searchsorted(cdf, u, side="right")
+
+
+def _jumps(seed: int, lo: int, hi: int, lanes, laws, lam: float, horizon: float):
+    """The jumps of Z_{lambda t} on [0, horizon) of paths [lo, hi) under each law.
+
+    Law k of path j reads the stream of ``Philox(key=(seed, j),
+    counter=(0, lanes[k], 0, 0))``, the counter blocks (m, lanes[k], 0, 0)
+    for m >= 1: word 0 gives the Poisson count N at rate a lambda horizon,
+    words 1..N the times horizon U and words N+1..2N the sizes
+    -log1p(-U) / b. Returns per jump its path (from 0 at lo), law, time and
+    size, ordered by path, law and draw.
+    """
+    B, A = hi - lo, len(laws)
+    # stream o = (path, law) = (o // A, o % A)
+    paths = np.repeat(np.arange(lo, hi, dtype=np.uint64), A)
+    lanes = np.tile(np.array(lanes, dtype=np.uint64), B)
+    first = _philox((1, lanes, 0, 0), (seed, paths))[0]
+    counts = np.empty(B * A, dtype=np.int64)
+    for k, law in enumerate(laws):
+        counts[k::A] = _poisson_counts(_uniform(first[k::A]), law.a * lam * horizon)
+    # a stream with jumps reads 1 + 2 N words, (N + 2) // 2 blocks of four, all in one call
+    blocks = np.where(counts > 0, (counts + 2) // 2, 0)
+    start = np.cumsum(blocks) - blocks
+    owner = np.repeat(np.arange(B * A), blocks)
+    m = np.arange(owner.size) - start[owner] + 1
+    words = np.stack(_philox((m, lanes[owner], 0, 0), (seed, paths[owner])), axis=-1).reshape(-1)
+
+    stream = np.repeat(np.arange(B * A), counts)
+    at = 4 * start[stream] + 1 + np.arange(stream.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    time = horizon * _uniform(words[at])
+    b = np.array([law.b for law in laws])
+    size = -np.log1p(-_uniform(words[at + counts[stream]])) / b[stream % A]
+    return stream // A, stream % A, time, size
 
 
 def _blocks(n_paths: int, block_size: int):
@@ -498,14 +588,14 @@ def _heston_planes(portfolio: HestonPortfolio, cfg: SimConfig, rngs):
     """
     n = portfolio.n
     B = len(rngs)
-    k, theta2, sigma0_2, gamma = (
-        np.array([[getattr(a, name)] for a in portfolio.assets])
+    # each parameter as a contiguous (assets, paths) row, not a column broadcast at every step
+    k, theta2, state, gamma = (
+        np.repeat([[getattr(a, name)] for a in portfolio.assets], B, axis=1)
         for name in ("k", "theta2", "sigma0_2", "gamma")
     )
     dt = cfg.dt
     sq_dt = math.sqrt(dt)
 
-    state = np.repeat(sigma0_2, B, axis=1)
     yield _paths_last(state[np.newaxis].copy())
     floored = np.maximum(state, 0.0)
     rows = min(_CHUNK, cfg.n_steps)
@@ -566,23 +656,6 @@ def simulate_heston(portfolio: HestonPortfolio, cfg: SimConfig) -> PathEnsemble:
 # BNS paths
 
 
-_NO_JUMPS = (np.empty(0), np.empty(0))
-
-
-def _draw_jumps(rng: np.random.Generator, spec: GammaOuSpec, lambda_: float, horizon: float):
-    """Standard uniforms U and exponentials E of Z_{lambda t}'s jumps on [0, horizon).
-
-    A Poisson count at rate a*lambda, then that many of each (no call for
-    none). The jump times and sizes are horizon U and E / b: the values of
-    ``rng.uniform(0, horizon)`` (0.0 + horizon U) and ``rng.exponential(1/b)``
-    ((1/b) E), so callers may scale a whole block of them at once.
-    """
-    count = rng.poisson(spec.a * lambda_ * horizon)
-    if not count:
-        return _NO_JUMPS
-    return rng.random(count), rng.standard_exponential(count)
-
-
 def _step_index(t_jump: np.ndarray, cfg: SimConfig) -> np.ndarray:
     """The step [s dt, (s + 1) dt) of each jump time in [0, horizon)."""
     return np.minimum((t_jump / cfg.dt).astype(int), cfg.n_steps - 1)
@@ -591,42 +664,32 @@ def _step_index(t_jump: np.ndarray, cfg: SimConfig) -> np.ndarray:
 class _JumpList:
     """A block of BNS paths as the list of their jumps and the variances right after each.
 
-    Every path's jumps are drawn first, path by path, so ``rngs`` may hand
-    out one re-keyed generator (``_Rekeyed``). The events of a block are
-    each path's start (time 0, its initial variances) and its jumps, sorted
-    stably by (path, time): each path is one run of events that begins with
-    its start, and jumps at one time follow draw order. Between events every
+    Asset i's jumps of path j come from the counter lane i + 1 of path j's
+    Philox stream (``_jumps``). The events of a block are each path's start
+    (time 0, its initial variances) and its jumps, sorted stably by (path,
+    time): each path is one run of events that begins with its start, and
+    jumps at one time keep asset and draw order. Between events every
     variance decays exactly, v(t) = a + (x - a) e^{-lambda (t - t_e)} with x
     its value after event e and a its level (kappa1 for a drift-only asset,
     else 0), so the rows at any times and the integral of |Sigma_2| come
     from the event list alone.
     """
 
-    def __init__(self, p: BnsPortfolioParams, cfg: SimConfig, rngs):
-        n, B = p.n, len(rngs)
+    def __init__(self, p: BnsPortfolioParams, cfg: SimConfig, lo: int, hi: int):
+        n, B = p.n, hi - lo
         self.lam = lam = p.lambda_
         self.horizon = horizon = cfg.n_steps * cfg.dt
         specs = [_jump_law(a) for a in p.assets]
         self.level = np.array([a.kappa1 if law is None else 0.0 for a, law in zip(p.assets, specs)])
 
-        jumping = [(i, spec, 1.0 / spec.b) for i, spec in enumerate(specs) if spec is not None]
-        owners, counts, scales, uniforms, exponentials = [], [], [], [np.empty(0)], [np.empty(0)]
-        with _JUMP_DRAWS:
-            for j, rng in enumerate(rngs):
-                for i, spec, scale in jumping:
-                    u, e = _draw_jumps(rng, spec, lam, horizon)
-                    if u.size:
-                        uniforms.append(u)
-                        exponentials.append(e)
-                        owners.append(j * n + i)
-                        counts.append(u.size)
-                        scales.append(scale)
-        owner = np.repeat(np.array(owners, dtype=int), counts)
-        path = np.concatenate((np.arange(B), owner // n))
-        time = np.concatenate((np.zeros(B), horizon * np.concatenate(uniforms)))
-        sizes = np.repeat(scales, counts) * np.concatenate(exponentials)
+        jumping = [i for i, law in enumerate(specs) if law is not None]
+        owner, law, t_jump, sizes = _jumps(
+            cfg.seed, lo, hi, [i + 1 for i in jumping], [specs[i] for i in jumping], lam, horizon
+        )
+        path = np.concatenate((np.arange(B), owner))
+        time = np.concatenate((np.zeros(B), t_jump))
         size = np.concatenate((np.zeros(B), sizes))
-        asset = np.concatenate((np.zeros(B, dtype=int), owner % n))
+        asset = np.concatenate((np.zeros(B, dtype=int), np.array(jumping, dtype=int)[law]))
         order = np.lexsort((time, path))
         self.path, self.time, size, asset = path[order], time[order], size[order], asset[order]
         self.starts = np.searchsorted(self.path, np.arange(B))
@@ -728,14 +791,14 @@ class _JumpList:
 
 
 def _bns_block(p: BnsPortfolioParams, cfg: SimConfig, corr: CorrelationMatrix | None = None):
-    """The BNS block function on the jump list of one re-keyed generator per block.
+    """The BNS block function on each block's jump list.
 
     Without ``corr`` only rows are recorded. With it, the time integral of
     |Sigma_2| is that of ``_JumpList.integrals``, over each jump-free interval.
     """
 
     def block(lo, hi, rows):
-        jumps = _JumpList(p, cfg, _Rekeyed(cfg, lo, hi))
+        jumps = _JumpList(p, cfg, lo, hi)
         planes = jumps.planes(cfg.times[rows])
         recorded, integral = _walk(planes, hi - lo, p.n, np.arange(rows.size))
         if corr is not None:
@@ -883,8 +946,9 @@ def _log_euler_prices(v, eps, L, s0, mu, beta, dt: float, jumps=None) -> np.ndar
 def _price_paths(planes, corr: CorrelationMatrix, cfg: SimConfig, s0, mu, beta, jumps=None):
     """(prices, variances) of all paths, each (n_paths, n_steps + 1, n).
 
-    A block's generators give its variance planes ``planes(rngs)``, then the
-    return normals, then ``jumps(rngs)``, the per-step log-price jumps, if given.
+    Block [lo, hi) takes its variance planes from ``planes(lo, hi, rngs)``,
+    then the return normals from its live generators ``rngs``, and its
+    per-step log-price jumps from ``jumps(lo, hi)``, if given.
     """
     n = corr.n
     _check_ensemble_size(cfg, 2 * n)
@@ -895,10 +959,10 @@ def _price_paths(planes, corr: CorrelationMatrix, cfg: SimConfig, s0, mu, beta, 
     variances = np.empty_like(prices)
     for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
         rngs = _rngs(cfg, lo, hi)
-        v, _ = _walk(planes(rngs), hi - lo, n, every_row)
+        v, _ = _walk(planes(lo, hi, rngs), hi - lo, n, every_row)
         eps = _return_normals(rngs, cfg, n)
         prices[lo:hi] = _log_euler_prices(
-            v, eps, L, s0, mu, beta, cfg.dt, None if jumps is None else jumps(rngs)
+            v, eps, L, s0, mu, beta, cfg.dt, None if jumps is None else jumps(lo, hi)
         )
         variances[lo:hi] = v
     return prices, variances
@@ -909,7 +973,10 @@ def simulate_heston_prices(
 ) -> PricePaths:
     """Log-Euler price paths with C-correlated return drivers."""
     _check_scheme(cfg, "full_truncation_euler")
-    planes = functools.partial(_heston_planes, portfolio, cfg)
+
+    def planes(lo, hi, rngs):
+        return _heston_planes(portfolio, cfg, rngs)
+
     return PricePaths(cfg.times, *_price_paths(planes, portfolio.corr, cfg, s0, mu, 0.0))
 
 
@@ -943,21 +1010,21 @@ def simulate_bns_prices(
     horizon = cfg.n_steps * cfg.dt
     marks = []
 
-    def common_jumps(rngs):
-        """rho_i times each step's Z* increment; the draws are kept in ``marks``."""
-        star = np.zeros((len(rngs), cfg.n_steps))
-        for j, rng in enumerate(rngs):
-            if subordinator_star is None:
-                marks.append((np.empty(0), np.empty(0)))
-                continue
-            u, e = _draw_jumps(rng, subordinator_star, p.lambda_, horizon)
-            t_jump, sizes = horizon * u, (1.0 / subordinator_star.b) * e
-            np.add.at(star[j], _step_index(t_jump, cfg), sizes)
-            marks.append((t_jump, sizes))
+    laws = [] if subordinator_star is None else [subordinator_star]
+
+    def common_jumps(lo, hi):
+        """rho_i times each step's Z* increment; each path's (times, sizes) go to ``marks``."""
+        path, _, t_jump, sizes = _jumps(
+            cfg.seed, lo, hi, [p.n + 1] * len(laws), laws, p.lambda_, horizon
+        )
+        star = np.zeros((hi - lo, cfg.n_steps))
+        np.add.at(star, (path, _step_index(t_jump, cfg)), sizes)
+        cuts = np.searchsorted(path, np.arange(1, hi - lo))
+        marks.extend(zip(np.split(t_jump, cuts), np.split(sizes, cuts)))
         return star[:, :, np.newaxis] * p.rho
 
-    def planes(rngs):
-        return _JumpList(p, cfg, rngs).planes(cfg.times)
+    def planes(lo, hi, rngs):
+        return _JumpList(p, cfg, lo, hi).planes(cfg.times)
 
     paths = _price_paths(planes, corr, cfg, s0, mu, beta, common_jumps)
     return PricePaths(cfg.times, *paths, jump_marks=tuple(marks))

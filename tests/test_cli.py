@@ -389,14 +389,16 @@ class TestSimulate:
             model.write_text(json.dumps(_bns_doc()))
         sim = tmp_path / "sim.json"
         sim.write_text(json.dumps({"n_paths": 11, "dt": 0.25, "horizon": 1.0, "block_size": 4}))
-        # a block's path streams come from live generators (_rngs) or from one
-        # re-keyed generator (_Rekeyed); each path's stream must start once
+        # a Heston block draws from live generators (_rngs), a BNS block its jump
+        # list (_JumpList) from counters; each path must be drawn once
         made, built = [], []
-        for name in ("_rngs", "_Rekeyed"):
-            streams = getattr(montecarlo, name)
-            monkeypatch.setattr(montecarlo, name, lambda cfg, lo, hi, streams=streams: (
-                made.extend(range(lo, hi)) or streams(cfg, lo, hi)
-            ))
+        rngs, jump_list = montecarlo._rngs, montecarlo._JumpList
+        monkeypatch.setattr(montecarlo, "_rngs", lambda cfg, lo, hi: (
+            made.extend(range(lo, hi)) or rngs(cfg, lo, hi)
+        ))
+        monkeypatch.setattr(montecarlo, "_JumpList", lambda p, cfg, lo, hi: (
+            made.extend(range(lo, hi)) or jump_list(p, cfg, lo, hi)
+        ))
         path_rng = montecarlo._path_rng
         monkeypatch.setattr(
             montecarlo, "_path_rng", lambda seed, j: built.append(j) or path_rng(seed, j)

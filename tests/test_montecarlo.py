@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import random_correlation
+from scipy import stats
 
 from genvarswap import (
     BnsAssetParams,
@@ -81,21 +82,40 @@ def bns_portfolio(
 MIXED = dict(kappa2s=(0.004, 0.0, 0.005), rhos=(-0.3, -0.2, 0.0), kappa2_star=0.01)
 
 
+def reference_jump_draws(seed, j, lane, spec, lambda_, horizon):
+    """Path j's jump times and sizes on counter lane ``lane``, read through numpy's own Philox.
+
+    The stream is that of Philox(key=(seed, j), counter=(0, lane, 0, 0)): its
+    first uniform gives the count N by scipy's Poisson quantile at rate
+    a lambda horizon, the next N give the times horizon U and the N after
+    them the sizes -log1p(-U) / b.
+    """
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed, j], dtype=np.uint64), counter=np.array([0, lane, 0, 0], dtype=np.uint64)
+    ))
+    count = int(stats.poisson.ppf(rng.random(), spec.a * lambda_ * horizon))
+    times = rng.uniform(0.0, horizon, count)
+    return times, -np.log1p(-rng.random(count)) / spec.b
+
+
+def reference_asset_jumps(p, cfg, j, i):
+    """Path j's jump times and sizes of asset i, on lane i + 1 (none for a drift-only asset)."""
+    asset = p.assets[i]
+    if asset.kappa2 == 0.0:
+        return np.empty(0), np.empty(0)
+    spec = GammaOuSpec.from_cumulants(asset.kappa1, asset.kappa2)
+    return reference_jump_draws(cfg.seed, j, i + 1, spec, p.lambda_, cfg.n_steps * cfg.dt)
+
+
 def bns_reference_jumps(p, cfg, j):
     """Path j's jumps (time, asset, size) by its own (seed, path) stream, in time order.
 
-    Jumps at one time keep draw order (``sorted`` is stable).
+    Jumps at one time keep asset and draw order (``sorted`` is stable).
     """
-    horizon = cfg.n_steps * cfg.dt
-    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, j], dtype=np.uint64)))
     jumps = []
-    for i, asset in enumerate(p.assets):
-        if asset.kappa2 > 0.0:
-            spec = GammaOuSpec.from_cumulants(asset.kappa1, asset.kappa2)
-            count = rng.poisson(spec.a * p.lambda_ * horizon)
-            t_jump = rng.uniform(0.0, horizon, count)
-            sizes = rng.exponential(1.0 / spec.b, count)
-            jumps += [(t, i, size) for t, size in zip(t_jump, sizes)]
+    for i in range(p.n):
+        t_jump, sizes = reference_asset_jumps(p, cfg, j, i)
+        jumps += [(t, i, size) for t, size in zip(t_jump, sizes)]
     return sorted(jumps, key=lambda jump: jump[0])
 
 
@@ -157,15 +177,11 @@ def bns_grid_recursion_path(p, cfg, j):
     """
     dt, steps = cfg.dt, cfg.n_steps
     decay = math.exp(-p.lambda_ * dt)
-    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, j], dtype=np.uint64)))
     columns = []
-    for asset in p.assets:
+    for i, asset in enumerate(p.assets):
         arrivals = np.zeros(steps)
         if asset.kappa2 > 0.0:
-            spec = GammaOuSpec.from_cumulants(asset.kappa1, asset.kappa2)
-            count = rng.poisson(spec.a * p.lambda_ * steps * dt)
-            t_jump = rng.uniform(0.0, steps * dt, count)
-            sizes = rng.exponential(1.0 / spec.b, count)
+            t_jump, sizes = reference_asset_jumps(p, cfg, j, i)
             bins = np.minimum((t_jump / dt).astype(int), steps - 1)
             weights = sizes * np.exp(-p.lambda_ * ((bins + 1) * dt - t_jump))
             for b, w in zip(bins, weights):
@@ -544,7 +560,7 @@ class TestStreamingEstimators:
         p = bns_portfolio(**{**MIXED, **kwargs})
         lam, level = p.lambda_, bns_levels(p)
         cfg = SimConfig(n_paths=4, dt=0.01, horizon=1.0, seed=3)
-        jumps = montecarlo._JumpList(p, cfg, montecarlo._Rekeyed(cfg, 0, cfg.n_paths))
+        jumps = montecarlo._JumpList(p, cfg, 0, cfg.n_paths)
         integrals = jumps.integrals(CORR, p.rho, p.kappa2_star)
 
         def det(t, t0, x):
@@ -717,6 +733,81 @@ class TestOnePass:
         assert fine < 1.5 * coarse
 
 
+class TestCounterDraws:
+    """The vectorised Philox4x64-10 and the jump samplers that read its words."""
+
+    @pytest.mark.parametrize(
+        "counter",
+        [(0, 0, 0, 0), (3, 1, 0, 0), (2**64 - 1, 5, 0, 0), (2**64 - 2, 2**64 - 1, 2**64 - 1, 7)],
+        ids=("zero", "lane", "carry", "carry3"),
+    )
+    def test_philox_equals_numpy_random_raw(self, counter):
+        """Three blocks from each counter; numpy adds one, with carry, before each block."""
+        rng = np.random.default_rng(101)
+        keys = [(2**64 - 1, 0), (0, 2**64 - 1), (2**64 - 1, 2**64 - 1)] + [
+            tuple(int(x) for x in rng.integers(0, 2**64, 2, dtype=np.uint64)) for _ in range(5)
+        ]
+        value = sum(c << (64 * w) for w, c in enumerate(counter))
+        blocks = [(value + b) % 2**256 for b in (1, 2, 3)]
+        counters = tuple(
+            np.array([(c >> (64 * w)) % 2**64 for c in blocks], dtype=np.uint64) for w in range(4)
+        )
+        for seed, path in keys:
+            expected = np.random.Philox(
+                key=np.array([seed, path], dtype=np.uint64), counter=np.array(counter, dtype=np.uint64)
+            ).random_raw(12)
+            words = montecarlo._philox(counters, (seed, path))
+            np.testing.assert_array_equal(np.stack(words, axis=-1).reshape(-1), expected)
+
+    def test_philox_broadcasts_paths_against_counters(self):
+        seed, paths = 2**64 - 1, np.array([0, 1, 2**32, 2**64 - 1], dtype=np.uint64)
+        words = montecarlo._philox((np.arange(1, 4)[:, np.newaxis], 2, 0, 0), (seed, paths))
+        assert all(w.shape == (3, 4) for w in words)
+        for k, path in enumerate(paths):
+            expected = np.random.Philox(
+                key=np.array([seed, path], dtype=np.uint64),
+                counter=np.array([0, 2, 0, 0], dtype=np.uint64),
+            ).random_raw(12)
+            np.testing.assert_array_equal(np.stack([w[:, k] for w in words], axis=-1).reshape(-1), expected)
+
+    def test_uniforms_equal_generator_random(self):
+        bits = np.random.Philox(key=np.array([7, 9], dtype=np.uint64))
+        words = bits.random_raw(1000)
+        bits = np.random.Philox(key=np.array([7, 9], dtype=np.uint64))
+        np.testing.assert_array_equal(montecarlo._uniform(words), np.random.Generator(bits).random(1000))
+
+    @pytest.mark.parametrize("mean", [0.01, 2.5, 12.0, 400.0, 1e5])
+    def test_poisson_counts_are_scipy_quantiles(self, mean):
+        """On a grid of uniforms the count is the least k with CDF(k) > u, scipy's quantile."""
+        u = np.arange(1, 20_000) / 20_000
+        np.testing.assert_array_equal(
+            montecarlo._poisson_counts(u, mean), stats.poisson.ppf(u, mean).astype(int)
+        )
+
+    @pytest.mark.parametrize("rate, paths", [(0.01, 20000), (2.5, 4000), (12.0, 2000), (400.0, 400)])
+    def test_jump_draws_pass_goodness_of_fit(self, rate, paths):
+        """Counts are Poisson(a lambda horizon), times uniform and sizes exponential (seed 11).
+
+        The count bins lump each tail beyond its 0.1 % quantile.
+        """
+        lam, horizon, b = 2.0, 0.5, 3.0
+        spec = GammaOuSpec(a=rate / (lam * horizon), b=b)
+        path, law, times, sizes = montecarlo._jumps(11, 0, paths, [1], [spec], lam, horizon)
+        assert not law.any()
+        counts = np.bincount(path, minlength=paths)
+        lo, hi = int(stats.poisson.ppf(0.001, rate)), int(stats.poisson.isf(0.001, rate))
+        observed = np.bincount(np.clip(counts, lo, hi) - lo, minlength=hi - lo + 1)
+        expected = np.concatenate((
+            [stats.poisson.cdf(lo, rate)],
+            stats.poisson.pmf(np.arange(lo + 1, hi), rate),
+            [stats.poisson.sf(hi - 1, rate)],
+        )) * paths
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+        assert stats.kstest(times / horizon, "uniform").pvalue > 1e-3
+        assert stats.kstest(sizes * b, "expon").pvalue > 1e-3
+        assert np.all((times >= 0.0) & (times < horizon)) and np.all(np.isfinite(sizes))
+
+
 class TestBlockPipeline:
     """Tiles, reused chunk buffers and key-only generators leave every result as it is."""
 
@@ -745,37 +836,11 @@ class TestBlockPipeline:
         assert not reads
         assert not isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence)
 
-    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
-    def test_rekeyed_streams_equal_path_rngs(self, seed):
-        """Each re-keyed stream starts clean, even after a draw that caches a 32-bit word."""
-        cfg = SimConfig(n_paths=1, dt=0.5, horizon=1.0, seed=seed)
-        lo, hi = 2**32 - 2, 2**32 + 2
-        streams = montecarlo._Rekeyed(cfg, lo, hi)
-        assert len(streams) == hi - lo
-
-        def draws(g):
-            count = g.poisson(3.7)
-            return (
-                count, g.random(count), g.standard_exponential(count),
-                g.standard_normal(7), g.integers(0, 2**32, 3, dtype=np.uint32),
-            )
-
-        seen = 0
-        for j, rekeyed in zip(range(lo, hi), streams):
-            ours = montecarlo._path_rng(seed, j)
-            keyed = np.random.Generator(
-                np.random.Philox(key=np.array([seed, j], dtype=np.uint64))
-            )
-            expected = draws(keyed)
-            for got in (draws(rekeyed), draws(ours)):
-                assert got[0] == expected[0]
-                for a, b in zip(got[1:], expected[1:]):
-                    np.testing.assert_array_equal(a, b)
-            seen += 1
-        assert seen == hi - lo
-
     def test_bns_price_paths_do_not_depend_on_block_size(self):
-        """Prices and jump marks, with a drift-only and a rho = 0 asset, and Z* after the normals."""
+        """Prices and jump marks, with a drift-only and a rho = 0 asset.
+
+        Z* reads counter lane n + 1 and the return normals the path's counter-0 stream.
+        """
         p = bns_portfolio(
             kappa1s=(0.5, 0.07, 0.6), kappa2s=(0.002, 0.0, 0.003), rhos=(-0.3, -0.2, 0.0),
             kappa2_star=0.01,
@@ -798,22 +863,22 @@ class TestBlockPipeline:
                 np.testing.assert_array_equal(t1, t2)
                 np.testing.assert_array_equal(s1, s2)
         cfg = SimConfig(n_paths=20, dt=dt, horizon=horizon, seed=97)
+        L = np.linalg.cholesky(CORR.c)
         for j in range(cfg.n_paths):
-            np.testing.assert_allclose(
-                first.variance_paths[j], bns_reference_path(p, cfg, j), rtol=1e-13, atol=0
-            )
-            rng = np.random.Generator(np.random.Philox(key=np.array([97, j], dtype=np.uint64)))
-            for asset in p.assets:
-                if asset.kappa2 > 0.0:
-                    spec = GammaOuSpec.from_cumulants(asset.kappa1, asset.kappa2)
-                    count = rng.poisson(spec.a * p.lambda_ * horizon)
-                    rng.uniform(0.0, horizon, count)
-                    rng.exponential(1.0 / spec.b, count)
-            rng.standard_normal(steps * 3)
-            count = rng.poisson(star.a * p.lambda_ * horizon)
+            v = first.variance_paths[j]
+            np.testing.assert_allclose(v, bns_reference_path(p, cfg, j), rtol=1e-13, atol=0)
             times, sizes = first.jump_marks[j]
-            np.testing.assert_array_equal(times, rng.uniform(0.0, horizon, count))
-            np.testing.assert_array_equal(sizes, rng.exponential(1.0 / star.b, count))
+            expected = reference_jump_draws(97, j, p.n + 1, star, p.lambda_, horizon)
+            np.testing.assert_array_equal(times, expected[0])
+            np.testing.assert_array_equal(sizes, expected[1])
+            rng = np.random.Generator(np.random.Philox(key=np.array([97, j], dtype=np.uint64)))
+            eps = rng.standard_normal((steps, 3))
+            star_steps = np.zeros(steps)
+            np.add.at(star_steps, np.minimum((times / dt).astype(int), steps - 1), sizes)
+            increments = (0.02 - 0.5 * v[:-1]) * dt + np.sqrt(v[:-1] * dt) * (eps @ L.T)
+            increments += star_steps[:, np.newaxis] * p.rho
+            log_prices = np.vstack((np.zeros(3), np.cumsum(increments, axis=0)))
+            np.testing.assert_allclose(first.prices[j], 100.0 * np.exp(log_prices), rtol=1e-12)
 
     def test_jumps_sharing_a_step_add_in_draw_order(self):
         """About 25 jumps per step and asset: each path equals the per-jump exact-OU loop."""
