@@ -18,17 +18,19 @@ Each model has one path kernel behind its ensemble, streaming and price
 routes:
 
 * Heston walks the step grid of a block of paths in chunks of ``_CHUNK``
-  steps and yields (rows, paths, assets) variance planes, stored
-  asset-major: the initial row, then one plane per chunk, each chunk's
+  steps and yields variance planes stored asset-major, (rows, assets,
+  paths): the initial row, then one plane per chunk, each chunk's
   normals drawn from the block's live per-path generators. One walker
   consumes the planes: it copies out the recorded rows and, for the
   streaming route, evaluates |Sigma_1| on each plane and adds it to the
   per-path trapezoidal time average. A block holds O(block_size * _CHUNK *
-  n_assets) floats whatever the number of steps.
+  n_assets) floats whatever the number of steps. The walker, the chunks and
+  the tiles below serve Heston's grid alone.
 * BNS needs no grid. Its kernel (``_JumpList``) draws every path's jumps,
   merges each path's jumps across assets in time order and walks them once,
   keeping the variances right after each jump. A row at any time t is then
-  one evaluation of the decay from the path's last jump at or before t, and
+  one evaluation of the decay from the path's last jump at or before t
+  (``_JumpList.rows`` finds it for all of a block's rows in one pass), and
   |Sigma_2| on a jump-free interval is a sum of products of terms affine in
   e^{-lambda s}, which ``heston._affine_product_integral`` integrates
   exactly, bar a pair term sigma_i sigma_j on a drift-only asset (kappa2 =
@@ -47,12 +49,12 @@ streaming estimator and the price route's variances are the same numbers.
 
 Three things keep a block cheap:
 
-* The walker hands the determinant kernels row tiles of each plane of about
-  ``_TILE_BYTES`` (1 MiB) rather than the whole plane, so their working set
-  and temporaries stay in cache; Heston draws a chunk's normals a tile of
-  paths at a time and transposes each tile into place while it is in cache.
-  The kernels are elementwise and the time average adds row by row, so the
-  tiling moves no result.
+* The Heston walker hands the determinant kernels row tiles of each plane
+  of about ``_TILE_BYTES`` (1 MiB) rather than the whole plane, so their
+  working set and temporaries stay in cache; Heston draws a chunk's normals
+  a tile of paths at a time and transposes each tile into place while it
+  is in cache. The kernels are elementwise and the time average adds row by
+  row, so the tiling moves no result.
 * The Heston kernel allocates its chunk buffers once per block and refills
   them for every chunk (the transposed normals and the plane). The walker
   is done with a plane before it asks for the next one.
@@ -145,12 +147,12 @@ _SCHEMES = ("auto", "full_truncation_euler", "exact_ou")
 # should thin via record_times or use the streaming estimators.
 _MAX_ENSEMBLE_ENTRIES = 2**28
 
-# Steps per time-major chunk of the path kernels.
+# Steps per time-major chunk of the Heston path kernel.
 _CHUNK = 256
 
-# Bytes of the tiles a block is worked on in, so that temporaries stay in
-# cache: rows of a plane for the determinant kernels, paths of a chunk's
-# normals for the Heston transpose.
+# Bytes of the tiles a Heston block is worked on in, so that temporaries stay
+# in cache: rows of a plane for the determinant kernel, paths of a chunk's
+# normals for the transpose.
 _TILE_BYTES = 1 << 20
 
 
@@ -461,11 +463,6 @@ def _blocks(n_paths: int, block_size: int):
         yield lo, min(lo + block_size, n_paths)
 
 
-def _chunks(n_steps: int):
-    for s0 in range(0, n_steps, _CHUNK):
-        yield s0, min(s0 + _CHUNK, n_steps)
-
-
 def _check_scheme(cfg: SimConfig, allowed: str) -> str:
     if cfg.scheme not in ("auto", allowed):
         raise InvalidConfig(f"scheme {cfg.scheme!r} does not apply to this model")
@@ -481,7 +478,7 @@ def _check_ensemble_size(cfg: SimConfig, n_assets: int) -> None:
         )
 
 
-# the time-major pass: a block's variance planes, walked once in grid order
+# the time average and the block runner
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -502,30 +499,6 @@ def _accumulate(total: np.ndarray, dets: np.ndarray, weights: np.ndarray) -> Non
     """
     for w, row in zip(weights, dets):
         total += w * row
-
-
-def _walk(planes, paths: int, n: int, rows: np.ndarray, weights=None, dets=None):
-    """One pass over a block's time-major variance planes, in grid order.
-
-    Returns the grid rows ``rows`` (sorted) path-major, shape
-    (paths, rows.size, n), and the per-path sums of weights[g] times
-    ``dets`` of row g, which are zero without ``dets``. ``dets`` sees each
-    plane in row tiles of about ``_TILE_BYTES``. A plane is done with
-    before the next is asked for, so the kernels may reuse one buffer.
-    """
-    recorded = np.empty((paths, rows.size, n))
-    total = np.zeros(paths)
-    tile = max(1, _TILE_BYTES // (paths * n * 8))
-    g0 = 0
-    for plane in planes:
-        g1 = g0 + len(plane)
-        i0, i1 = np.searchsorted(rows, (g0, g1))
-        recorded[:, i0:i1] = plane[rows[i0:i1] - g0].transpose(1, 0, 2)
-        if dets is not None:
-            for t0 in range(0, len(plane), tile):
-                _accumulate(total, dets(plane[t0:t0 + tile]), weights[g0 + t0:g0 + t0 + tile])
-        g0 = g1
-    return recorded, total
 
 
 def _run(block, cfg: SimConfig, n: int, scheme: str, threads: int = 1, record: bool = True):
@@ -557,16 +530,6 @@ def _run(block, cfg: SimConfig, n: int, scheme: str, threads: int = 1, record: b
     return PathEnsemble(times=times[rows], variance_paths=recorded, scheme=scheme), averages
 
 
-def _paths_last(plane: np.ndarray) -> np.ndarray:
-    """A (rows, paths, assets) view of a plane stored (rows, assets, paths).
-
-    The Heston kernel stores planes asset-major, so per-asset parameters
-    broadcast along the contiguous path axis; the determinant kernels and
-    the walker read them as (rows, paths, assets).
-    """
-    return plane.transpose(0, 2, 1)
-
-
 def _return_normals(rngs, cfg: SimConfig, n: int) -> np.ndarray:
     """Each path's n_steps * n return normals, step-major, after its variance draws."""
     eps = np.empty((len(rngs), cfg.n_steps, n))
@@ -575,16 +538,43 @@ def _return_normals(rngs, cfg: SimConfig, n: int) -> np.ndarray:
     return eps
 
 
-# Heston paths
+# Heston paths: a block's variance planes, walked once in grid order
+
+
+def _walk(planes, paths: int, n: int, rows: np.ndarray, weights=None, dets=None):
+    """One pass over a block's time-major variance planes, in grid order.
+
+    The planes are stored (rows, assets, paths). Returns the grid rows
+    ``rows`` (sorted) path-major, shape (paths, rows.size, n), and the
+    per-path sums of weights[g] times ``dets`` of row g, which are zero
+    without ``dets``. ``dets`` sees (rows, paths, assets) views of each
+    plane's row tiles of about ``_TILE_BYTES``. A plane is done with before
+    the next is asked for, so the kernels may reuse one buffer.
+    """
+    recorded = np.empty((paths, rows.size, n))
+    total = np.zeros(paths)
+    tile = max(1, _TILE_BYTES // (paths * n * 8))
+    g0 = 0
+    for plane in planes:
+        g1 = g0 + len(plane)
+        i0, i1 = np.searchsorted(rows, (g0, g1))
+        recorded[:, i0:i1] = plane[rows[i0:i1] - g0].transpose(2, 0, 1)
+        if dets is not None:
+            for t0 in range(0, len(plane), tile):
+                view = plane[t0:t0 + tile].transpose(0, 2, 1)
+                _accumulate(total, dets(view), weights[g0 + t0:g0 + t0 + tile])
+        g0 = g1
+    return recorded, total
 
 
 def _heston_planes(portfolio: HestonPortfolio, cfg: SimConfig, rngs):
     """Full-truncation Euler variance planes of the paths of ``rngs``.
 
-    The recorded variance is the floored value while the raw state carries
-    the excursion. A chunk's normals are drawn a tile of paths at a time
-    (about ``_TILE_BYTES``) and transposed into the step-major buffer ``z``
-    while the tile is in cache.
+    Planes are stored (rows, assets, paths), so per-asset parameters
+    broadcast along the contiguous path axis. The recorded variance is the
+    floored value while the raw state carries the excursion. A chunk's
+    normals are drawn a tile of paths at a time (about ``_TILE_BYTES``) and
+    transposed into the step-major buffer ``z`` while the tile is in cache.
     """
     n = portfolio.n
     B = len(rngs)
@@ -596,7 +586,7 @@ def _heston_planes(portfolio: HestonPortfolio, cfg: SimConfig, rngs):
     dt = cfg.dt
     sq_dt = math.sqrt(dt)
 
-    yield _paths_last(state[np.newaxis].copy())
+    yield state[np.newaxis].copy()
     floored = np.maximum(state, 0.0)
     rows = min(_CHUNK, cfg.n_steps)
     tile = min(B, max(1, _TILE_BYTES // (rows * n * 8)))
@@ -605,8 +595,8 @@ def _heston_planes(portfolio: HestonPortfolio, cfg: SimConfig, rngs):
     buffer = np.empty((rows, n, B))
     drift = np.empty((n, B))
     shock = np.empty((n, B))
-    for s0, s1 in _chunks(cfg.n_steps):
-        c = s1 - s0
+    for s0 in range(0, cfg.n_steps, _CHUNK):
+        c = min(_CHUNK, cfg.n_steps - s0)
         for j0 in range(0, B, tile):
             part = rngs[j0:j0 + tile]
             for j, rng in enumerate(part):
@@ -629,7 +619,7 @@ def _heston_planes(portfolio: HestonPortfolio, cfg: SimConfig, rngs):
             state += drift
             state += shock
             floored = np.maximum(state, 0.0, out=plane[s])
-        yield _paths_last(plane)
+        yield plane
 
 
 def _heston_block(portfolio: HestonPortfolio, cfg: SimConfig, dets=None):
@@ -656,9 +646,16 @@ def simulate_heston(portfolio: HestonPortfolio, cfg: SimConfig) -> PathEnsemble:
 # BNS paths
 
 
-def _step_index(t_jump: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """The step [s dt, (s + 1) dt) of each jump time in [0, horizon)."""
-    return np.minimum((t_jump / cfg.dt).astype(int), cfg.n_steps - 1)
+def _check_jump_count(p: BnsPortfolioParams, cfg: SimConfig, star: GammaOuSpec | None = None) -> None:
+    """Refuse, before any draw, a run expected to draw more than ``_MAX_ENSEMBLE_ENTRIES`` jumps.
+
+    The count is n_paths times the sum of a lambda horizon over the assets'
+    jump laws and ``star`` (the price route's Z*), whatever the blocks and threads.
+    """
+    laws = [law for law in (*map(_jump_law, p.assets), star) if law is not None]
+    count = cfg.n_paths * sum(law.a for law in laws) * p.lambda_ * cfg.n_steps * cfg.dt
+    if count > _MAX_ENSEMBLE_ENTRIES:
+        raise InvalidConfig(f"the run expects {count:.3g} jumps, more than the {_MAX_ENSEMBLE_ENTRIES} allowed")
 
 
 class _JumpList:
@@ -710,29 +707,26 @@ class _JumpList:
             x[np.arange(events.size), asset[events]] += size[events]
             states[events] = x
 
-    def planes(self, times: np.ndarray):
-        """The variances at sorted ``times`` >= 0 as (rows, paths, assets) planes of <= _CHUNK rows.
+    def rows(self, times: np.ndarray) -> np.ndarray:
+        """The variances at sorted ``times`` >= 0, shape (paths, times.size, assets).
 
-        Row g of a path reads its last event at or before times[g]. The
-        value of a row depends only on its path and time, so any chunking,
-        block or selection of the rows gives the same numbers.
+        Row g of a path reads its last event at or before times[g], the
+        running count along the rows of the events per (path, row) cell. A
+        row depends only on its path and time, so any block or selection of
+        the rows gives the same numbers.
         """
-        B = self.starts.size
+        B, T = self.starts.size, times.size
         first = np.searchsorted(times, self.time)  # the first row at or after each event
-        latest = self.starts - 1
-        for g0 in range(0, times.size, _CHUNK):
-            g1 = min(g0 + _CHUNK, times.size)
-            inside = (first >= g0) & (first < g1)
-            cells = (first[inside] - g0) * B + self.path[inside]
-            hits = np.bincount(cells, minlength=(g1 - g0) * B).reshape(g1 - g0, B)
-            events = latest + np.cumsum(hits, axis=0)
-            latest = events[-1]
-            decay = np.exp(-self.lam * (times[g0:g1, np.newaxis] - self.time[events]))
-            plane = self.states[events]
-            plane -= self.level
-            plane *= decay[..., np.newaxis]
-            plane += self.level
-            yield plane
+        inside = first < T
+        cells = self.path[inside] * T + first[inside]
+        events = np.cumsum(np.bincount(cells, minlength=B * T).reshape(B, T), axis=1)
+        events += self.starts[:, np.newaxis] - 1
+        decay = np.exp(-self.lam * (times - self.time[events]))
+        rows = self.states[events]
+        rows -= self.level
+        rows *= decay[..., np.newaxis]
+        rows += self.level
+        return rows
 
     def integrals(self, corr: CorrelationMatrix, rho, var_z1: float) -> np.ndarray:
         """Per path, the integral of |Sigma_2| over the horizon, exact between events.
@@ -796,14 +790,12 @@ def _bns_block(p: BnsPortfolioParams, cfg: SimConfig, corr: CorrelationMatrix | 
     Without ``corr`` only rows are recorded. With it, the time integral of
     |Sigma_2| is that of ``_JumpList.integrals``, over each jump-free interval.
     """
+    _check_jump_count(p, cfg)
 
     def block(lo, hi, rows):
         jumps = _JumpList(p, cfg, lo, hi)
-        planes = jumps.planes(cfg.times[rows])
-        recorded, integral = _walk(planes, hi - lo, p.n, np.arange(rows.size))
-        if corr is not None:
-            integral = jumps.integrals(corr, p.rho, p.kappa2_star)
-        return recorded, integral
+        integral = np.zeros(hi - lo) if corr is None else jumps.integrals(corr, p.rho, p.kappa2_star)
+        return jumps.rows(cfg.times[rows]), integral
 
     return block
 
@@ -943,23 +935,23 @@ def _log_euler_prices(v, eps, L, s0, mu, beta, dt: float, jumps=None) -> np.ndar
     return s0 * np.exp(x)
 
 
-def _price_paths(planes, corr: CorrelationMatrix, cfg: SimConfig, s0, mu, beta, jumps=None):
+def _price_paths(variance_rows, corr: CorrelationMatrix, cfg: SimConfig, s0, mu, beta, jumps=None):
     """(prices, variances) of all paths, each (n_paths, n_steps + 1, n).
 
-    Block [lo, hi) takes its variance planes from ``planes(lo, hi, rngs)``,
-    then the return normals from its live generators ``rngs``, and its
-    per-step log-price jumps from ``jumps(lo, hi)``, if given.
+    Block [lo, hi) takes its variances at every grid time, path-major, from
+    ``variance_rows(lo, hi, rngs)``, then the return normals from its live
+    generators ``rngs`` (after whatever the variances drew from them), and
+    its per-step log-price jumps from ``jumps(lo, hi)``, if given.
     """
     n = corr.n
     _check_ensemble_size(cfg, 2 * n)
     s0, mu, beta = _price_inputs(n, s0, mu, beta)
     L = _corr_factor(corr)
-    every_row = np.arange(cfg.n_steps + 1)
     prices = np.empty((cfg.n_paths, cfg.n_steps + 1, n))
     variances = np.empty_like(prices)
     for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
         rngs = _rngs(cfg, lo, hi)
-        v, _ = _walk(planes(lo, hi, rngs), hi - lo, n, every_row)
+        v = variance_rows(lo, hi, rngs)
         eps = _return_normals(rngs, cfg, n)
         prices[lo:hi] = _log_euler_prices(
             v, eps, L, s0, mu, beta, cfg.dt, None if jumps is None else jumps(lo, hi)
@@ -974,10 +966,11 @@ def simulate_heston_prices(
     """Log-Euler price paths with C-correlated return drivers."""
     _check_scheme(cfg, "full_truncation_euler")
 
-    def planes(lo, hi, rngs):
-        return _heston_planes(portfolio, cfg, rngs)
+    def variance_rows(lo, hi, rngs):
+        planes = _heston_planes(portfolio, cfg, rngs)
+        return _walk(planes, hi - lo, portfolio.n, np.arange(cfg.n_steps + 1))[0]
 
-    return PricePaths(cfg.times, *_price_paths(planes, portfolio.corr, cfg, s0, mu, 0.0))
+    return PricePaths(cfg.times, *_price_paths(variance_rows, portfolio.corr, cfg, s0, mu, 0.0))
 
 
 def simulate_bns_prices(
@@ -1007,6 +1000,7 @@ def simulate_bns_prices(
                 f"subordinator_star has kappa2 = {subordinator_star.kappa2}, "
                 f"portfolio states kappa2_star = {p.kappa2_star}"
             )
+    _check_jump_count(p, cfg, subordinator_star)
     horizon = cfg.n_steps * cfg.dt
     marks = []
 
@@ -1018,15 +1012,17 @@ def simulate_bns_prices(
             cfg.seed, lo, hi, [p.n + 1] * len(laws), laws, p.lambda_, horizon
         )
         star = np.zeros((hi - lo, cfg.n_steps))
-        np.add.at(star, (path, _step_index(t_jump, cfg)), sizes)
+        # the step [s dt, (s + 1) dt) of each jump
+        steps = np.minimum((t_jump / cfg.dt).astype(int), cfg.n_steps - 1)
+        np.add.at(star, (path, steps), sizes)
         cuts = np.searchsorted(path, np.arange(1, hi - lo))
         marks.extend(zip(np.split(t_jump, cuts), np.split(sizes, cuts)))
         return star[:, :, np.newaxis] * p.rho
 
-    def planes(lo, hi, rngs):
-        return _JumpList(p, cfg, lo, hi).planes(cfg.times)
+    def variance_rows(lo, hi, rngs):
+        return _JumpList(p, cfg, lo, hi).rows(cfg.times)
 
-    paths = _price_paths(planes, corr, cfg, s0, mu, beta, common_jumps)
+    paths = _price_paths(variance_rows, corr, cfg, s0, mu, beta, common_jumps)
     return PricePaths(cfg.times, *paths, jump_marks=tuple(marks))
 
 

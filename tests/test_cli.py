@@ -429,6 +429,31 @@ class TestSimulate:
             assert code == 2
             assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["rate_2e300", "lambda_1e300"])
+    def test_finite_but_huge_jump_rate_exits_2(self, tmp_path, capsys, kind):
+        """An asset with a = 2 kappa1^2 / kappa2 = 2e300, or the CI mixed model at lambda =
+        1e300, expects far more jumps than can be drawn: exit 2 naming the limit."""
+        doc = _bns_doc()
+        if kind == "rate_2e300":
+            doc["assets"] = [{"sigma0_2": 0.04, "kappa1": 1e150, "kappa2": 1.0, "rho": -0.3}] * 3
+        else:
+            doc["lambda"] = 1e300
+            doc["assets"] = [
+                {"sigma0_2": 0.04, "kappa1": 0.05, "kappa2": 0.004, "rho": -0.3},
+                {"sigma0_2": 0.06, "kappa1": 0.07, "kappa2": 0.0, "rho": -0.2},
+                {"sigma0_2": 0.05, "kappa1": 0.06, "kappa2": 0.005, "rho": 0.0},
+            ]
+        model = tmp_path / "bns.json"
+        model.write_text(json.dumps(doc))
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"n_paths": 4, "dt": 0.25, "horizon": 1.0}))
+        code = main(["simulate", "--model", str(model), "--sim", str(sim), "--seed", "7",
+                     "--paths-csv", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(montecarlo._MAX_ENSEMBLE_ENTRIES) in err
+        assert "Traceback" not in err
+
     def test_integral_float_counts_accepted(self, tmp_path):
         """n_paths 5.0 and block_size 4096.0 run as 5 and 4096, not as an error."""
         model = write_model(tmp_path)

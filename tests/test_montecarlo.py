@@ -880,6 +880,36 @@ class TestBlockPipeline:
             log_prices = np.vstack((np.zeros(3), np.cumsum(increments, axis=0)))
             np.testing.assert_allclose(first.prices[j], 100.0 * np.exp(log_prices), rtol=1e-12)
 
+    @pytest.mark.parametrize("block_size", [1, 7, 12])
+    def test_rows_read_the_last_event_at_or_before_each_time(self, block_size):
+        """``_JumpList.rows`` at every jump time of its block and at off-grid times is the exact
+        decay from the path's last event at or before the time: an event at t counts for row t.
+
+        The asset without jumps (kappa2 = 0) decays toward kappa1.
+        """
+        p = bns_portfolio(**MIXED)
+        lam, level = p.lambda_, bns_levels(p)
+        cfg = SimConfig(n_paths=12, dt=0.01, horizon=1.0, seed=29)
+        off_grid = np.sort(np.random.default_rng(5).uniform(0.0, cfg.horizon, 10))
+        for lo in range(0, cfg.n_paths, block_size):
+            hi = min(lo + block_size, cfg.n_paths)
+            events = [bns_reference_events(p, cfg, j) for j in range(lo, hi)]
+            jump_times = [t for path in events for t, _ in path[1:]]
+            jumps = montecarlo._JumpList(p, cfg, lo, hi)
+            ties = 0
+            for times in (np.unique(np.concatenate((jump_times, off_grid, [0.0, cfg.horizon]))),
+                          off_grid):
+                rows = jumps.rows(times)
+                assert rows.shape == (hi - lo, times.size, p.n)
+                for path, path_rows in zip(events, rows):
+                    for t, row in zip(times, path_rows):
+                        t_e, x = [event for event in path if event[0] <= t][-1]
+                        ties += t > 0.0 and t_e == t
+                        expected = level + (x - level) * math.exp(-lam * (t - t_e))
+                        np.testing.assert_allclose(row, expected, rtol=1e-13, atol=0)
+            # every jump was read at its own time
+            assert ties == len(jump_times)
+
     def test_jumps_sharing_a_step_add_in_draw_order(self):
         """About 25 jumps per step and asset: each path equals the per-jump exact-OU loop."""
         p = bns_portfolio(kappa1s=(0.5, 0.7, 0.6), kappa2s=(0.001, 0.002, 0.001))
@@ -975,22 +1005,102 @@ class TestBlockPipeline:
                 np.testing.assert_allclose(bns[path, :, i], ou, rtol=1e-13, atol=0)
                 np.testing.assert_array_equal(heston[path, :, i], euler)
 
-    @pytest.mark.parametrize("model, planes", [("heston", 3.0), ("bns", 2.0)])
-    def test_block_peak_memory(self, model, planes):
-        """One 1024-path block over 1000 steps stays within a few chunk planes."""
+    @pytest.mark.parametrize("model", ["heston", "bns", "bns_recorded"])
+    def test_block_peak_memory(self, model):
+        """One 1024-path block over 1000 steps.
+
+        The streaming routes stay within three Heston chunk planes (Heston) and within
+        12 KiB a path (BNS, whose jump list does not grow with the steps); the recorded BNS
+        route, every grid row of every path, within 3.5 times those rows.
+        """
         cfg = SimConfig(n_paths=1024, dt=1e-3, horizon=1.0, seed=67, block_size=1024)
-        plane = 1024 * montecarlo._CHUNK * 3 * 8
         p = bns_portfolio(rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01)
+        bound = {
+            "heston": 3 * 1024 * montecarlo._CHUNK * 3 * 8,
+            "bns": 1024 * 12 * 1024,
+            "bns_recorded": 3.5 * 1024 * 1001 * 3 * 8,
+        }[model]
         tracemalloc.start()
         try:
             if model == "heston":
                 heston_realized_variance_mc(heston_portfolio(), cfg)
             else:
-                bns_realized_variance_mc(p, CORR, cfg)
+                bns_realized_variance_mc(p, CORR, cfg, return_ensemble=model == "bns_recorded")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= planes * plane
+        assert peak <= bound
+
+
+class TestJumpCountLimit:
+    """A run expected to draw more than ``_MAX_ENSEMBLE_ENTRIES`` jumps is refused before any
+    draw, whatever its block size and thread count; one just below it reaches the draws."""
+
+    class Drawn(Exception):
+        pass
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            raise self.Drawn
+
+        monkeypatch.setattr(montecarlo, "_jumps", spy)
+        return calls
+
+    @staticmethod
+    def rate(share, n_paths, lambda_=2.0, horizon=1.0):
+        """A Gamma-OU law whose a lambda horizon over n_paths is ``share`` of the limit."""
+        a = share * montecarlo._MAX_ENSEMBLE_ENTRIES / (n_paths * lambda_ * horizon)
+        return GammaOuSpec(a=a, b=1.0)
+
+    @staticmethod
+    def portfolio(spec, star):
+        """One asset with jump law ``spec`` and two drift-only assets; Z* has law ``star``."""
+        return bns_portfolio(
+            kappa1s=(spec.kappa1, 0.07, 0.06), kappa2s=(spec.kappa2, 0.0, 0.0),
+            rhos=(-0.3, -0.2, -0.4), kappa2_star=star.kappa2,
+        )
+
+    ROUTES = {
+        "simulate_bns": lambda p, cfg, star: simulate_bns(p, cfg),
+        "streaming": lambda p, cfg, star: bns_realized_variance_mc(p, CORR, cfg, threads=2),
+        "recorded": lambda p, cfg, star: bns_realized_variance_mc(p, CORR, cfg, return_ensemble=True),
+        "prices": lambda p, cfg, star: simulate_bns_prices(p, CORR, cfg, s0=100.0, subordinator_star=star),
+    }
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("block_size", [1, 4096])
+    def test_just_above_the_limit_raises_before_any_draw(self, draws, route, block_size):
+        cfg = SimConfig(n_paths=8, dt=0.25, horizon=1.0, seed=3, block_size=block_size)
+        star = GammaOuSpec.from_cumulants(0.1, 0.01)
+        p = self.portfolio(self.rate(1.0 + 1e-9, cfg.n_paths), star)
+        with pytest.raises(InvalidConfig, match=str(montecarlo._MAX_ENSEMBLE_ENTRIES)):
+            self.ROUTES[route](p, cfg, star)
+        assert not draws
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_just_below_the_limit_draws(self, draws, route):
+        cfg = SimConfig(n_paths=8, dt=0.25, horizon=1.0, seed=3)
+        star = GammaOuSpec(a=1e-9, b=1.0)
+        p = self.portfolio(self.rate(1.0 - 1e-6, cfg.n_paths), star)
+        with pytest.raises(self.Drawn):
+            self.ROUTES[route](p, cfg, star)
+        assert draws
+
+    def test_the_price_route_counts_the_common_jump(self, draws):
+        """Z* at 0.6 of the limit over assets at 0.6: the price route is refused, the
+        variance routes, which never draw Z*, are not."""
+        cfg = SimConfig(n_paths=8, dt=0.25, horizon=1.0, seed=3)
+        star = self.rate(0.6, cfg.n_paths)
+        p = self.portfolio(self.rate(0.6, cfg.n_paths), star)
+        with pytest.raises(InvalidConfig, match=str(montecarlo._MAX_ENSEMBLE_ENTRIES)):
+            simulate_bns_prices(p, CORR, cfg, s0=100.0, subordinator_star=star)
+        assert not draws
+        with pytest.raises(self.Drawn):
+            simulate_bns(p, cfg)
 
 
 class TestPricePaths:
