@@ -20,8 +20,9 @@ form and the Monte Carlo integrals all read them from it.
 
 All functions are pure and safe for concurrent invocation. The ``*_values``
 variants evaluate determinants along whole ensembles of variance paths at
-once and are the kernels used by the Monte Carlo module, which calls them
-once per row tile of a block.
+once and are the kernels used by the Monte Carlo module: on a recorded
+ensemble, and for |Sigma_1| once per grid row of a Heston block as the row
+is made.
 """
 
 from __future__ import annotations

@@ -17,15 +17,14 @@ separately for end-to-end data-pipeline runs.
 Each model has one path kernel behind its ensemble, streaming and price
 routes:
 
-* Heston walks the step grid of a block of paths in chunks of ``_CHUNK``
-  steps and yields variance planes stored asset-major, (rows, assets,
-  paths): the initial row, then one plane per chunk, each chunk's
-  normals drawn from the block's live per-path generators. One walker
-  consumes the planes: it copies out the recorded rows and, for the
-  streaming route, evaluates |Sigma_1| on each plane and adds it to the
-  per-path trapezoidal time average. A block holds O(block_size * _CHUNK *
-  n_assets) floats whatever the number of steps. The walker, the chunks and
-  the tiles below serve Heston's grid alone.
+* Heston steps a block of paths through the grid in one loop
+  (``_heston_rows``), its state stored asset-major, (assets, paths), and
+  the normals of each chunk of ``_CHUNK`` steps drawn from the block's
+  live per-path generators. Each row is used as it is made: copied out if
+  it is recorded and, for the streaming route, its |Sigma_1| added to the
+  per-path trapezoidal time average. Besides its recorded rows a block
+  holds O(block_size * _CHUNK * n_assets) floats whatever the number of
+  steps. The chunks and the draw tiles below serve Heston's grid alone.
 * BNS needs no grid. Its kernel (``_JumpList``) draws every path's jumps,
   merges each path's jumps across assets in time order and walks them once,
   keeping the variances right after each jump. A row at any time t is then
@@ -49,15 +48,13 @@ streaming estimator and the price route's variances are the same numbers.
 
 Three things keep a block cheap:
 
-* The Heston walker hands the determinant kernels row tiles of each plane
-  of about ``_TILE_BYTES`` (1 MiB) rather than the whole plane, so their
-  working set and temporaries stay in cache; Heston draws a chunk's normals
-  a tile of paths at a time and transposes each tile into place while it
-  is in cache. The kernels are elementwise and the time average adds row by
-  row, so the tiling moves no result.
-* The Heston kernel allocates its chunk buffers once per block and refills
-  them for every chunk (the transposed normals and the plane). The walker
-  is done with a plane before it asks for the next one.
+* Heston draws a chunk's normals a tile of paths of about ``_TILE_BYTES``
+  (1 MiB) at a time and transposes each tile into the step-major buffer
+  while it is in cache. Each path's normals come in the same order whatever
+  the tile, so the tiling moves no result.
+* The Heston step loop allocates its buffers once per block (the state,
+  the step temporaries and the transposed normals, refilled for every
+  chunk) and works in place: no row is kept but the recorded ones.
 * No generator costs more than its key, and BNS jumps need none. Heston
   and the price routes keep one live generator per path:
   ``np.random.Philox`` takes the path's (seed, path) key from a minimal
@@ -150,9 +147,8 @@ _MAX_ENSEMBLE_ENTRIES = 2**28
 # Steps per time-major chunk of the Heston path kernel.
 _CHUNK = 256
 
-# Bytes of the tiles a Heston block is worked on in, so that temporaries stay
-# in cache: rows of a plane for the determinant kernel, paths of a chunk's
-# normals for the transpose.
+# Bytes of the tiles of paths a Heston chunk's normals are drawn in, so that
+# their transpose into step-major order happens in cache.
 _TILE_BYTES = 1 << 20
 
 
@@ -161,9 +157,9 @@ class SimConfig:
     """Simulation grid, seed, and scheme.
 
     ``record_times`` optionally thins the stored grid to the given times
-    (each must lie on the step grid); Heston path generation always walks
-    the full grid. ``block_size`` only controls memory batching and never
-    affects results.
+    (each must lie on its own row of the step grid); Heston path generation
+    always walks the full grid. ``block_size`` only controls memory
+    batching and never affects results.
     """
 
     n_paths: int
@@ -206,12 +202,21 @@ class SimConfig:
                 raise InvalidConfig("record_times must be nonempty when given")
             if any(t2 <= t1 for t1, t2 in zip(rec, rec[1:])):
                 raise InvalidConfig("record_times must be strictly increasing")
-            for t in rec:
+            # each time's grid row, strictly increasing and at most n_steps
+            last = -1
+            for m, t in enumerate(rec):
                 if not 0.0 <= t <= self.horizon + 1e-12:
                     raise InvalidConfig(f"record time {t} outside [0, horizon]")
                 idx = round(t / self.dt)
                 if abs(idx * self.dt - t) > 1e-9 * max(1.0, self.horizon):
                     raise InvalidConfig(f"record time {t} is not on the dt grid")
+                if idx > self.n_steps:
+                    raise InvalidConfig(f"record time {t} is past the last grid row")
+                if idx <= last:
+                    raise InvalidConfig(
+                        f"record times {rec[m - 1]} and {t} fall on one grid row at dt = {self.dt}"
+                    )
+                last = idx
             object.__setattr__(self, "record_times", rec)
 
     @property
@@ -490,17 +495,6 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _accumulate(total: np.ndarray, dets: np.ndarray, weights: np.ndarray) -> None:
-    """total += weights[g] * dets[g] for each row g, one row at a time in grid order.
-
-    The one time-average accumulator of the streaming and ensemble routes.
-    Each path's additions come in the same order however the rows are split
-    into chunks or the paths into blocks, so both routes agree bit for bit.
-    """
-    for w, row in zip(weights, dets):
-        total += w * row
-
-
 def _run(block, cfg: SimConfig, n: int, scheme: str, threads: int = 1, record: bool = True):
     """Every block [lo, hi) of paths through ``block(lo, hi, rows)`` on ``threads`` workers.
 
@@ -538,43 +532,22 @@ def _return_normals(rngs, cfg: SimConfig, n: int) -> np.ndarray:
     return eps
 
 
-# Heston paths: a block's variance planes, walked once in grid order
+# Heston paths: one Euler step loop per block, each row used as it is made
 
 
-def _walk(planes, paths: int, n: int, rows: np.ndarray, weights=None, dets=None):
-    """One pass over a block's time-major variance planes, in grid order.
+def _heston_rows(portfolio: HestonPortfolio, cfg: SimConfig, rngs, rows: np.ndarray,
+                 corr: CorrelationMatrix | None = None):
+    """Full-truncation Euler variances of the paths of ``rngs``, made one grid row at a time.
 
-    The planes are stored (rows, assets, paths). Returns the grid rows
-    ``rows`` (sorted) path-major, shape (paths, rows.size, n), and the
-    per-path sums of weights[g] times ``dets`` of row g, which are zero
-    without ``dets``. ``dets`` sees (rows, paths, assets) views of each
-    plane's row tiles of about ``_TILE_BYTES``. A plane is done with before
-    the next is asked for, so the kernels may reuse one buffer.
-    """
-    recorded = np.empty((paths, rows.size, n))
-    total = np.zeros(paths)
-    tile = max(1, _TILE_BYTES // (paths * n * 8))
-    g0 = 0
-    for plane in planes:
-        g1 = g0 + len(plane)
-        i0, i1 = np.searchsorted(rows, (g0, g1))
-        recorded[:, i0:i1] = plane[rows[i0:i1] - g0].transpose(2, 0, 1)
-        if dets is not None:
-            for t0 in range(0, len(plane), tile):
-                view = plane[t0:t0 + tile].transpose(0, 2, 1)
-                _accumulate(total, dets(view), weights[g0 + t0:g0 + t0 + tile])
-        g0 = g1
-    return recorded, total
-
-
-def _heston_planes(portfolio: HestonPortfolio, cfg: SimConfig, rngs):
-    """Full-truncation Euler variance planes of the paths of ``rngs``.
-
-    Planes are stored (rows, assets, paths), so per-asset parameters
-    broadcast along the contiguous path axis. The recorded variance is the
-    floored value while the raw state carries the excursion. A chunk's
-    normals are drawn a tile of paths at a time (about ``_TILE_BYTES``) and
-    transposed into the step-major buffer ``z`` while the tile is in cache.
+    Returns the grid rows ``rows`` (strictly increasing) path-major, shape
+    (paths, rows.size, n), and per path the trapezoidal sum over the grid
+    of |Sigma_1| under ``corr`` (zeros without it). The state is held
+    (assets, paths), so per-asset parameters broadcast along the contiguous
+    path axis; a row holds the floored value while the raw state carries
+    the excursion. Each row is copied out if recorded and added to the time
+    average as soon as it is made. A chunk's normals are drawn a tile of
+    paths at a time (about ``_TILE_BYTES``) and transposed into the
+    step-major buffer ``z`` while the tile is in cache.
     """
     n = portfolio.n
     B = len(rngs)
@@ -585,14 +558,26 @@ def _heston_planes(portfolio: HestonPortfolio, cfg: SimConfig, rngs):
     )
     dt = cfg.dt
     sq_dt = math.sqrt(dt)
+    weights = _trapezoid_weights(cfg.times)
+    recorded = np.empty((B, rows.size, n))
+    total = np.zeros(B)
+    kept = 0
 
-    yield state[np.newaxis].copy()
+    def use(g, row):
+        """Record grid row g if it is in ``rows`` and add its |Sigma_1| to the time average."""
+        nonlocal kept, total
+        if kept < rows.size and rows[kept] == g:
+            recorded[:, kept] = row.T
+            kept += 1
+        if corr is not None:
+            total += weights[g] * det_sigma1_values(row.T, corr)
+
     floored = np.maximum(state, 0.0)
-    rows = min(_CHUNK, cfg.n_steps)
-    tile = min(B, max(1, _TILE_BYTES // (rows * n * 8)))
-    drawn = np.empty((tile, rows * n))
-    z = np.empty((rows, n, B))
-    buffer = np.empty((rows, n, B))
+    use(0, floored)
+    chunk = min(_CHUNK, cfg.n_steps)
+    tile = min(B, max(1, _TILE_BYTES // (chunk * n * 8)))
+    drawn = np.empty((tile, chunk * n))
+    z = np.empty((chunk, n, B))
     drift = np.empty((n, B))
     shock = np.empty((n, B))
     for s0 in range(0, cfg.n_steps, _CHUNK):
@@ -605,7 +590,6 @@ def _heston_planes(portfolio: HestonPortfolio, cfg: SimConfig, rngs):
                 z[:c, :, j0:j0 + len(part)],
                 drawn[: len(part), : c * n].reshape(len(part), c, n).transpose(1, 2, 0),
             )
-        plane = buffer[:c]
         for s in range(c):
             # state += k (theta2 - floored) dt + gamma sqrt(floored) sqrt(dt) z in place,
             # one operation at a time in the order of that expression
@@ -618,17 +602,17 @@ def _heston_planes(portfolio: HestonPortfolio, cfg: SimConfig, rngs):
             shock *= z[s]
             state += drift
             state += shock
-            floored = np.maximum(state, 0.0, out=plane[s])
-        yield plane
+            np.maximum(state, 0.0, out=floored)
+            use(s0 + s + 1, floored)
+    return recorded, total
 
 
-def _heston_block(portfolio: HestonPortfolio, cfg: SimConfig, dets=None):
-    """The Heston block function: the path kernel, walked with the full grid's trapezoid."""
-    weights = _trapezoid_weights(cfg.times)
+def _heston_block(portfolio: HestonPortfolio, cfg: SimConfig,
+                  corr: CorrelationMatrix | None = None):
+    """The Heston block function: the step loop on the block's live generators."""
 
     def block(lo, hi, rows):
-        planes = _heston_planes(portfolio, cfg, _rngs(cfg, lo, hi))
-        return _walk(planes, hi - lo, portfolio.n, rows, weights, dets)
+        return _heston_rows(portfolio, cfg, _rngs(cfg, lo, hi), rows, corr)
 
     return block
 
@@ -850,7 +834,9 @@ def mc_realized_variance(
     else:
         dets = det_sigma1_values(ensemble.variance_paths, corr)
     total = np.zeros(ensemble.n_paths)
-    _accumulate(total, dets.T, _trapezoid_weights(times))
+    # row by row in grid order, as the Heston step loop adds them, so the routes agree bit for bit
+    for w, row in zip(_trapezoid_weights(times), dets.T):
+        total += w * row
     return _summarize(total / (times[-1] - times[0]))
 
 
@@ -873,7 +859,7 @@ def heston_realized_variance_mc(
     pass.
     """
     scheme = _check_scheme(cfg, "full_truncation_euler")
-    block = _heston_block(portfolio, cfg, lambda v: det_sigma1_values(v, portfolio.corr))
+    block = _heston_block(portfolio, cfg, portfolio.corr)
     return _streaming_estimate(block, cfg, portfolio.n, scheme, threads, return_ensemble)
 
 
@@ -967,8 +953,7 @@ def simulate_heston_prices(
     _check_scheme(cfg, "full_truncation_euler")
 
     def variance_rows(lo, hi, rngs):
-        planes = _heston_planes(portfolio, cfg, rngs)
-        return _walk(planes, hi - lo, portfolio.n, np.arange(cfg.n_steps + 1))[0]
+        return _heston_rows(portfolio, cfg, rngs, np.arange(cfg.n_steps + 1))[0]
 
     return PricePaths(cfg.times, *_price_paths(variance_rows, portfolio.corr, cfg, s0, mu, 0.0))
 

@@ -415,6 +415,8 @@ class TestSimulate:
         model = write_model(tmp_path)
         sim = tmp_path / "sim.json"
         good = {"n_paths": 4, "dt": 0.25, "horizon": 1.0}
+        # 0.5 and 0.5 + 1e-12 both lie on the dt = 0.01 grid, on one row
+        one_row = {"n_paths": 4, "dt": 0.01, "horizon": 1.0, "record_times": [0.5, 0.500000000001]}
         for doc, flags in (
             ({"n_paths": 4, "dt": 0.3, "horizon": 1.0}, []),
             ({"n_paths": 4, "dt": 0.25, "horizon": float("inf")}, []),
@@ -422,12 +424,17 @@ class TestSimulate:
             ({"n_paths": 4, "dt": 0.25, "horizon": 1e300}, []),
             ({"n_paths": 1e15, "dt": 0.25, "horizon": 1.0}, []),
             (good, ["--threads", "0"]),
+            (one_row, []),
+            (one_row, ["--paths-csv"]),
         ):
             sim.write_text(json.dumps(doc))
             code = main(["simulate", "--model", str(model), "--sim", str(sim),
                          "--seed", "7", "--out", str(tmp_path / "out")] + flags)
             assert code == 2
-            assert "Traceback" not in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if doc is one_row:
+                assert "sim.json" in err and "0.5 and 0.500000000001" in err
 
     @pytest.mark.parametrize("kind", ["rate_2e300", "lambda_1e300"])
     def test_finite_but_huge_jump_rate_exits_2(self, tmp_path, capsys, kind):

@@ -287,7 +287,8 @@ class TestScratchKernel:
             np.eye(n)[n - 1] * -0.5,
             np.zeros(n),
         )
-        # asset-major planes read as (rows, paths, assets), as the simulator hands them over
+        # asset-major rows read as (rows, paths, assets): strided views, as the Heston step
+        # loop hands each of its (assets, paths) rows over transposed
         plane = rng.lognormal(-3.0, 1.0, (17, n, 23))
         plane[3, 0, :5] = 0.0
         plane[4, :, 7] = 0.0
@@ -300,7 +301,7 @@ class TestScratchKernel:
                         det_sigma2_values(v, corr, rho, 1.7, var),
                         reference_det_sigma2_values(v, corr, rho, 1.7, var),
                     )
-                # tiles of changing row count in turn, as the Monte Carlo walker passes them
+                # slices of changing row count in turn: no call depends on the one before
                 t0 = 0
                 for rows in (5, 1, 8, 3):
                     tile = views[t0:t0 + rows]

@@ -247,6 +247,10 @@ class TestSimConfig:
             dict(n_paths=2**28 + 1),
             dict(record_times=("0.0", 1.0)),
             dict(record_times=(0.0, True)),
+            # 0.5 and 0.5 + 1e-12 are both on the grid, on one row
+            dict(dt=0.01, record_times=(0.5, 0.500000000001)),
+            # within the horizon's 1e-12 slack, but on row n_steps + 1
+            dict(dt=1e-12, horizon=1e-9, record_times=(0.0, 1e-9 + 1e-12)),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -963,7 +967,7 @@ class TestBlockPipeline:
             return results
 
         reference = runs()
-        # 1-row tiles and 1-path draw tiles; uneven tiles; one tile per plane
+        # the budget sizes the Heston draw tiles only: 1-path tiles; uneven tiles; one tile per chunk
         for budget in (1, 20000, 2**40):
             monkeypatch.setattr(montecarlo, "_TILE_BYTES", budget)
             for (estimate, ensemble), (expected, expected_ensemble) in zip(runs(), reference):
@@ -1005,18 +1009,20 @@ class TestBlockPipeline:
                 np.testing.assert_allclose(bns[path, :, i], ou, rtol=1e-13, atol=0)
                 np.testing.assert_array_equal(heston[path, :, i], euler)
 
-    @pytest.mark.parametrize("model", ["heston", "bns", "bns_recorded"])
+    @pytest.mark.parametrize("model", ["heston", "heston_recorded", "bns", "bns_recorded"])
     def test_block_peak_memory(self, model):
         """One 1024-path block over 1000 steps.
 
-        The streaming routes stay within three Heston chunk planes (Heston) and within
-        12 KiB a path (BNS, whose jump list does not grow with the steps); the recorded BNS
-        route, every grid row of every path, within 3.5 times those rows.
+        The streaming routes stay within two Heston chunk planes (Heston, whose step loop
+        keeps one chunk of normals and no plane of rows) and within 12 KiB a path (BNS,
+        whose jump list does not grow with the steps); the recorded routes, every grid row
+        of every path, within 2.5 (Heston) and 3.5 (BNS) times those rows.
         """
         cfg = SimConfig(n_paths=1024, dt=1e-3, horizon=1.0, seed=67, block_size=1024)
         p = bns_portfolio(rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01)
         bound = {
-            "heston": 3 * 1024 * montecarlo._CHUNK * 3 * 8,
+            "heston": 2 * 1024 * montecarlo._CHUNK * 3 * 8,
+            "heston_recorded": 2.5 * 1024 * 1001 * 3 * 8,
             "bns": 1024 * 12 * 1024,
             "bns_recorded": 3.5 * 1024 * 1001 * 3 * 8,
         }[model]
@@ -1024,6 +1030,8 @@ class TestBlockPipeline:
         try:
             if model == "heston":
                 heston_realized_variance_mc(heston_portfolio(), cfg)
+            elif model == "heston_recorded":
+                simulate_heston(heston_portfolio(), cfg)
             else:
                 bns_realized_variance_mc(p, CORR, cfg, return_ensemble=model == "bns_recorded")
             peak = tracemalloc.get_traced_memory()[1]
