@@ -35,8 +35,9 @@ reported error estimate. Failing panels are split until each maturity's
 error is within max(tol, tol |value|) (tol = 1e-12 by default). The same
 kernel prices many parameter sets at once, as the calibration Jacobian
 needs: E_all and E_{-i} take per-set coefficient arrays, and the cross
-terms of every (set, pair) row share one pass; a single portfolio is the
-case of one set. For n = 3 these are the paper's E_0..E_6
+terms of every (set, pair) row share one pass, which evaluates each rate,
+E[sigma^2] and E[sigma] factor the sets share once per node; a single
+portfolio is the case of one set. For n = 3 these are the paper's E_0..E_6
 (``compute_e_terms``): E_0 = E_all, E_1..E_3 = E_{-1}..E_{-3} and
 E_4..E_6 = E_{12}, E_{13}, E_{23} (1-based).
 
@@ -335,41 +336,70 @@ def quad_intervals(f, widths: np.ndarray, tol: float, label: str) -> np.ndarray:
         owner, width = np.repeat(owner, 4), np.repeat(width, 4)
 
 
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct row of a 2-D array (compared bit for bit) and each row's index among them."""
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, index = np.unique(rows, return_index=True, return_inverse=True)
+    return first, index
+
+
 def _cross_terms(T, p, pairs, tol: float, var_i_coefficient: float):
     """integral_0^T E[sigma^i] E[sigma^j] prod_{l != i, j} E[(sigma^l)^2] dt, (i, j) in ``pairs``.
 
     ``p`` is one portfolio for every row, or one portfolio per row of
     ``pairs``. One ``quad`` pass integrates all rows over every maturity.
-    E[sigma^2] is evaluated once per portfolio and node, and the
-    Brockhaus-Long E[sigma] once per node and (portfolio, asset) of some
-    row; only those assets must keep E[sigma^2] > 0. Returns the values and
-    the absolute error estimates, shaped ``(len(pairs), *T.shape)``.
+    Stacked portfolios, as a Jacobian's, share most factors, so each shared
+    factor is evaluated once per node: e^{-lambda t} and 1 - e^{-2 lambda t}
+    per distinct lambda, E[(sigma^l)^2] per distinct (lambda, sigma_0^2 -
+    kappa1, kappa1) of any (row, asset), and the Brockhaus-Long E[sigma^i]
+    per distinct (lambda, sigma_0^2 - kappa1, kappa1, kappa2) of an asset of
+    some pair; only those must keep E[sigma^2] > 0. Rows with the same
+    factors are integrated once. Keys compare bit for bit, and each row's
+    product is gathered from the factors with the operations of a row on its
+    own, so no row's value depends on the others. Returns the values and the
+    absolute error estimates, shaped ``(len(pairs), *T.shape)``.
     """
     rows = [p] * len(pairs) if isinstance(p, BnsPortfolioParams) else list(p)
     sets = list({id(q): q for q in rows}.values())
     position = {id(q): s for s, q in enumerate(sets)}
     row_set = np.array([position[id(q)] for q in rows])
     n = sets[0].n
-    # cells s * n + i: asset i of portfolio s, in the volatility factor of some row
-    vol_cells, slots = np.unique(row_set[:, None] * n + np.array(pairs), return_inverse=True)
-    first, second = slots.reshape(len(pairs), 2).T
+    # cell s * n + l, asset l of portfolio s: (lambda, sigma_0^2 - kappa1, kappa1, kappa2)
+    cells = np.array(
+        [[q.lambda_, a.sigma0_2 - a.kappa1, a.kappa1, a.kappa2] for q in sets for a in q.assets]
+    )
+    mean_cells, cell_mean = _distinct(cells[:, :3])
+    means = cells[mean_cells]
+    rate_means, mean_rate = _distinct(means[:, :1])
+    pair_cells = (row_set[:, None] * n + np.array(pairs)).ravel()
+    vol_pairs, pair_vol = _distinct(cells[pair_cells])
+    vol_cells = pair_cells[vol_pairs]
+    vol_mean = cell_mean[vol_cells]
+    vol_rate = mean_rate[vol_mean]
     others = np.array([[l for l in range(n) if l not in pair] for pair in pairs], dtype=int)
-    rate = np.array([q.lambda_ for q in sets])[:, None, None]
-    d = np.array([[a.sigma0_2 - a.kappa1 for a in q.assets] for q in sets])[:, :, None, None]
-    c = np.array([[a.kappa1 for a in q.assets] for q in sets])[:, :, None, None]
-    half_kappa2 = np.array([0.5 * a.kappa2 for q in sets for a in q.assets])[vol_cells, None, None]
+    # a row is its factors: the E[sigma^2] of its other assets, then the E[sigma] of its pair
+    factors = np.column_stack((cell_mean[row_set[:, None] * n + others], pair_vol.reshape(-1, 2)))
+    distinct, row_distinct = _distinct(factors)
+    row_factors = factors[distinct]
+    row_others, first, second = row_factors[:, :-2], row_factors[:, -2], row_factors[:, -1]
+    rate = means[rate_means, :1, None]
+    d, c = means[:, 1, None, None], means[:, 2, None, None]
+    half_kappa2 = 0.5 * cells[vol_cells, 3, None, None]
 
     def integrand(t):
-        ev = np.exp(-rate * t)[:, None] * d + c
-        vol_ev = ev.reshape(-1, *t.shape)[vol_cells]
+        ev = np.exp(-rate * t)[mean_rate] * d + c
+        vol_ev = ev[vol_mean]
         if vol_ev.min() <= 0.0:
             raise DegenerateVariance("E[sigma_t^2] <= 0 under the supplied parameters")
         root = np.sqrt(vol_ev)
-        growth = -np.expm1(-2.0 * rate * t)[vol_cells // n]
+        growth = -np.expm1(-2.0 * rate * t)[vol_rate]
         vol = root - half_kappa2 * growth / (var_i_coefficient * vol_ev * root)
-        return ev[row_set[:, None], others].prod(axis=1) * vol[first] * vol[second]
+        return ev[row_others].prod(axis=1) * vol[first] * vol[second]
 
-    return quad(integrand, T, tol, [f"cross term ({i}, {j})" for i, j in pairs])
+    labels = [f"cross term ({i}, {j})" for i, j in pairs]
+    values, errors = quad(integrand, T, tol, [labels[r] for r in distinct])
+    return values[row_distinct], errors[row_distinct]
 
 
 def compute_e_terms(
@@ -424,6 +454,8 @@ def _expected_realized_variance_sets(
     force a refinement, every row is integrated on the finer panels, so a
     value may differ from the portfolio's own call, each within
     max(tol, tol |value|). Otherwise every value is that of its own call.
+    The determinant-lemma terms (``_jump_terms``) are listed once per
+    distinct rho vector and zero or nonzero lambda kappa2*, all they depend on.
     """
     for p in portfolios:
         if p.n != corr.n:
@@ -439,9 +471,13 @@ def _expected_realized_variance_sets(
     # the coefficients of E_{-i} and E_{ij}
     own = np.zeros((len(portfolios), n))
     rows, coeffs = [], []
+    terms = {}
     for s, p in enumerate(portfolios):
         rho = p.rho
-        for i, j, weight in _jump_terms(corr, rho, lam_k2[s]):
+        key = (rho.tobytes(), lam_k2[s] != 0.0)
+        if key not in terms:
+            terms[key] = _jump_terms(corr, rho, lam_k2[s])
+        for i, j, weight in terms[key]:
             if i == j:
                 own[s, i] = weight * rho[i] ** 2
             else:

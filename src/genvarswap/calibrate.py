@@ -6,10 +6,12 @@ with a central-difference Jacobian (relative step 1e-6) on internally
 transformed parameters: log for one-sided bounds, logit for boxed ones, so
 every trial point respects the bounds. A parameter with lo == hi is frozen.
 Each Jacobian, and the one behind the covariance, stacks its 2 n_free
-perturbed points into one ``model_curve`` call; for BNS that is one
-quadrature pass over the cross terms of all of them. The stacked curves are
-those of single calls unless some point forces a finer quadrature (then
-within its tolerance), so fits do not depend on the stacking.
+perturbed points into one ``model_curve`` call; a Jacobian point transforms
+only its own perturbed coordinate again. For BNS the stack is one
+quadrature pass over the cross terms of all points, which evaluates each
+factor the points share once. The stacked curves are those of single calls
+unless some point forces a finer quadrature (then within its tolerance), so
+fits do not depend on the stacking.
 ``fit`` has one exit rule, spelled out in its docstring: the gradient test
 max(|gradient|) < 1e-10, the SSE-decrease test (an accepted step that lowers
 the SSE by at most 1e-12 relative), the damping ceiling mu > 1e16 (a stall
@@ -230,10 +232,12 @@ def model_curve(model: str, params, corr: CorrelationMatrix, times) -> np.ndarra
     vectors stacked as (P, p), giving the P curves as (P, len(times)).
     Heston rows go one at a time through ``expected_realized_variance``;
     the BNS rows make one pass of the BNS kernel, whose cross terms of all
-    rows share one quadrature. Each stacked curve equals its row's own
-    curve unless another row forces a finer quadrature, and then differs
-    from it within the quadrature tolerance. Sign-convention warnings for
-    trial rho > 0 are suppressed here; judge signs on the fitted result.
+    rows share one quadrature, and each rate, E[sigma^2] and E[sigma]
+    factor the rows share is evaluated once per node. Each stacked curve
+    equals its row's own curve bit for bit unless another row forces a
+    finer quadrature, and then differs from it within the quadrature
+    tolerance. Sign-convention warnings for trial rho > 0 are suppressed
+    here; judge signs on the fitted result.
     """
     n = corr.n
     size = len(_entries(model, n))
@@ -329,6 +333,29 @@ def _from_internal(z: float, lo: float, hi: float) -> float:
     return lo + (hi - lo) * u
 
 
+def _assemble(full: np.ndarray, free: list[int], bounds, z: np.ndarray) -> np.ndarray:
+    """``full`` with each free entry ``free[k]`` taken from the internal coordinate z_k."""
+    x = full.copy()
+    for k, j in enumerate(free):
+        x[j] = _from_internal(float(z[k]), *bounds[j])
+    return x
+
+
+def _jacobian_points(full: np.ndarray, free: list[int], bounds, z: np.ndarray, h: np.ndarray):
+    """``_assemble`` at z + h_k e_k and at z - h_k e_k for every k, as two (len(h), p) stacks.
+
+    Each point transforms only its own coordinate k again. Its other
+    coordinates are those of z + 0.0 or z - 0.0: z itself, except that
+    z + 0.0 turns -0.0 into 0.0.
+    """
+    up = np.tile(_assemble(full, free, bounds, z + 0.0), (len(free), 1))
+    down = np.tile(_assemble(full, free, bounds, z), (len(free), 1))
+    for k, j in enumerate(free):
+        up[k, j] = _from_internal(float(z[k] + h[k]), *bounds[j])
+        down[k, j] = _from_internal(float(z[k] - h[k]), *bounds[j])
+    return up, down
+
+
 def fit(problem: CalibrationProblem) -> CalibrationResult:
     """Levenberg-Marquardt minimization of the curve-fit SSE.
 
@@ -346,15 +373,9 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
     free = [j for j, (lo, hi) in enumerate(problem.bounds) if lo < hi]
     bounds = problem.bounds
 
-    def assemble(z: np.ndarray) -> np.ndarray:
-        x = full.copy()
-        for idx, j in enumerate(free):
-            x[j] = _from_internal(float(z[idx]), *bounds[j])
-        return x
-
     def evaluate(z: np.ndarray):
         """The model curve at z, its residual and its SSE (inf if not finite)."""
-        curve = model_curve(problem.model, assemble(z), problem.corr, times)
+        curve = model_curve(problem.model, _assemble(full, free, bounds, z), problem.corr, times)
         r = curve - obs
         return curve, r, float(r @ r) if np.all(np.isfinite(r)) else math.inf
 
@@ -371,14 +392,7 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
     while not converged and iterations < _MAX_ITERATIONS:
         iterations += 1
         h = np.array([_JACOBIAN_REL_STEP * max(1.0, abs(float(x))) for x in z])
-        steps = np.diag(h)
-        jac = _central_differences(
-            problem,
-            [assemble(z + step) for step in steps],
-            [assemble(z - step) for step in steps],
-            h,
-            obs,
-        )
+        jac = _central_differences(problem, *_jacobian_points(full, free, bounds, z, h), h, obs)
         if not np.all(np.isfinite(jac)):
             raise SingularNormalEquations("Jacobian is not finite")
         grad = 2.0 * jac.T @ r
@@ -408,7 +422,7 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
         z, curve, r, sse = z_try, curve_try, r_try, sse_try
         mu = max(mu * 0.3, 1e-12)
 
-    params = assemble(z)
+    params = _assemble(full, free, bounds, z)
     covariance = _gauss_newton_covariance(problem, params, free, sse)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

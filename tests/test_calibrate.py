@@ -1,5 +1,6 @@
 """Error metrics, model curves, and the Levenberg-Marquardt fit."""
 
+import collections
 import math
 import warnings
 
@@ -218,6 +219,42 @@ class TestModelCurve:
                 model_curve("heston", HESTON_TRUTH, CORR, times)
 
 
+def jacobian_stack(n):
+    """A BNS Jacobian's 2p points at ``layout_vector("bns", n)``, plus duplicate and rho = 0 rows.
+
+    kappa2 of asset 1 is 0 and frozen there; the points come from
+    ``calibrate._jacobian_points`` under the default bounds, so the lambda
+    rows carry their own rates.
+    """
+    x = layout_vector("bns", n)
+    x[1 + 2 * n] = 0.0
+    bounds = [bounds for _, bounds, _ in calibrate._entries("bns", n)]
+    bounds[1 + 2 * n] = (0.0, 0.0)
+    free = [j for j, (lo, hi) in enumerate(bounds) if lo < hi]
+    z = np.array([calibrate._to_internal(x[j], *bounds[j]) for j in free])
+    up, down = calibrate._jacobian_points(x, free, bounds, z, 1e-6 * np.maximum(1.0, np.abs(z)))
+    no_rho, one_rho = up[:2].copy(), up[2:4].copy()
+    no_rho[:, 1 + 3 * n:1 + 4 * n] = 0.0  # no cross term
+    one_rho[:, 1 + 3 * n] = 0.0  # the pairs of asset 1 drop out
+    return np.concatenate((up, down, up[:3], no_rho, one_rho))
+
+
+class CountedTimes(np.ndarray):
+    """Times whose ufunc results stay counted: ``counts[name]`` adds up the size of each."""
+
+    def __array_finalize__(self, obj):
+        self.counts = getattr(obj, "counts", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        out = getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+        if method != "__call__":
+            return out
+        self.counts[ufunc.__name__] += out.size
+        out = out.view(CountedTimes)
+        out.counts = self.counts
+        return out
+
+
 class TestStackedCurves:
     @pytest.mark.parametrize("count", [1, 2, 28])
     @pytest.mark.parametrize("model, stack", [("heston", heston_stack), ("bns", bns_stack)])
@@ -227,6 +264,58 @@ class TestStackedCurves:
         assert curves.shape == (count, STACK_TIMES.size)
         for row, curve in zip(rows, curves):
             np.testing.assert_array_equal(curve, model_curve(model, row, CORR, STACK_TIMES))
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["maturity-panels", "one-row-refines"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_jacobian_stack_rows_equal_single_curves(self, n, refine, monkeypatch):
+        """Bit for bit on the maturity panels; within tol where one row forces a refinement."""
+        corr = equicorrelation(n)
+        rows = jacobian_stack(n)
+        if refine:
+            stiff = rows[0].copy()
+            stiff[0] = 300.0  # e^{-300 t} needs finer panels than the maturity grid
+            rows = np.concatenate((rows, [stiff]))
+        singles = [model_curve("bns", row, corr, STACK_TIMES) for row in rows]
+        calls = count_integrand_calls(monkeypatch)
+        curves = model_curve("bns", rows, corr, STACK_TIMES)
+        assert (len(calls) > 1) == refine
+        tol = 1e-12
+        for curve, single in zip(curves, singles):
+            if refine:
+                assert np.all(np.abs(curve - single) <= np.maximum(tol, tol * np.abs(single)))
+            else:
+                assert curve.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_copies_of_one_portfolio_share_every_factor(self, n, monkeypatch):
+        """Per node, 28 copies evaluate one e^{-lambda t} and one e^{-2 lambda t} - 1,
+        at most n E[sigma^2] (the integrand's one add, d e^{-lambda t} + c), at
+        most n E[sigma] (its one sqrt) and one row per pair."""
+        per_node = []
+        quad = bns.quad
+
+        def counting(f, *args):
+            def counted(t):
+                times = t.view(CountedTimes)
+                times.counts = collections.Counter()
+                values = np.asarray(f(times))
+                per_node.append({name: size / t.size for name, size in times.counts.items()})
+                per_node[-1]["rows"] = len(values)
+                return values
+
+            return quad(counted, *args)
+
+        monkeypatch.setattr(bns, "quad", counting)
+        corr = equicorrelation(n)
+        x = layout_vector("bns", n)
+        curves = model_curve("bns", np.tile(x, (28, 1)), corr, STACK_TIMES)
+        assert per_node
+        for counts in per_node:
+            assert counts["exp"] == counts["expm1"] == 1
+            assert counts["add"] <= n and counts["sqrt"] <= n
+            assert counts["rows"] == n * (n - 1) // 2
+        for curve in curves:
+            np.testing.assert_array_equal(curve, model_curve("bns", x, corr, STACK_TIMES))
 
     def test_bns_stack_makes_one_quadrature_pass(self, monkeypatch):
         passes = []
@@ -337,6 +426,24 @@ class TestBatchedJacobian:
             stacked.covariance_of_estimates, looped.covariance_of_estimates
         )
         assert stacked.metrics == looped.metrics
+
+    def test_points_equal_assembled_perturbations_bit_for_bit(self):
+        """Each point is the whole vector assembled at z +- h_k e_k, for the log
+        (either side), logit, unbounded and frozen transforms, and at z = -0.0 on
+        an unbounded entry, which z + 0.0 turns into 0.0."""
+        bounds = [
+            (1e-4, math.inf), (-math.inf, 0.0), (0.0, 10.0), (-math.inf, math.inf), (0.3, 0.3),
+            (-math.inf, math.inf),
+        ]
+        full = np.array([2.0, -0.25, 0.05, 1.5, 0.3, -0.0])
+        free = [j for j, (lo, hi) in enumerate(bounds) if lo < hi]
+        z = np.array([calibrate._to_internal(full[j], *bounds[j]) for j in free])
+        assert math.copysign(1.0, z[-1]) == -1.0
+        h = 1e-6 * np.maximum(1.0, np.abs(z))
+        up, down = calibrate._jacobian_points(full, free, bounds, z, h)
+        for k, step in enumerate(np.diag(h)):
+            assert up[k].tobytes() == calibrate._assemble(full, free, bounds, z + step).tobytes()
+            assert down[k].tobytes() == calibrate._assemble(full, free, bounds, z - step).tobytes()
 
     @pytest.mark.parametrize("model", ["heston", "bns"])
     def test_one_model_curve_call_per_jacobian(self, model, monkeypatch):

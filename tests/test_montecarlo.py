@@ -1160,6 +1160,32 @@ class TestPricePaths:
         with pytest.raises(ValidationError):
             simulate_bns_prices(p, CORR, cfg, s0=100.0, subordinator_star=star)
 
+    def test_heston_price_stream_pin(self):
+        """Stream pin: the first closes of the one-path history the calibration benchmark fits.
+
+        The benchmark's closes are this path (seed 7, dt 1/252, two years,
+        the README model) scaled per ticker, and its fits take 8 to 32 LM
+        iterations across such paths, so a change to the draws, the step or
+        its rounding moves the benchmark. The recorded values are the same
+        under numpy's X86_V2, X86_V3 and X86_V4 dispatch.
+        """
+        assets = tuple(
+            HestonAssetParams(k=k, theta2=theta2, sigma0_2=sigma0_2, gamma=gamma)
+            for k, theta2, sigma0_2, gamma in (
+                (2.0, 0.09, 0.04, 0.3), (1.0, 0.05, 0.06, 0.2), (3.0, 0.07, 0.05, 0.35)
+            )
+        )
+        cfg = SimConfig(n_paths=1, dt=1.0 / 252, horizon=2.0, seed=7)
+        pp = simulate_heston_prices(HestonPortfolio(assets, CORR), cfg, s0=100.0, mu=0.05)
+        recorded = [
+            [100.0, 100.0, 100.0],
+            [101.83487011605878, 99.0105247223652, 99.08440928780286],
+            [101.9570177460633, 100.03394505485674, 100.76561734878942],
+            [100.3785357379436, 100.6556805069132, 100.36922890299455],
+            [98.04320944297719, 97.89583233248068, 100.10294953558612],
+        ]
+        np.testing.assert_array_equal(pp.prices[0, :5], recorded)
+
     def test_nonpositive_initial_price_rejected(self):
         pf = heston_portfolio()
         cfg = SimConfig(n_paths=2, dt=0.25, horizon=1.0, seed=1)
