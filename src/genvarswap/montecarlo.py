@@ -27,19 +27,20 @@ routes:
   steps. The chunks and the draw tiles below serve Heston's grid alone.
 * BNS needs no grid. Its kernel (``_JumpList``) draws every path's jumps,
   merges each path's jumps across assets in time order and walks them once,
-  keeping the variances right after each jump. A row at any time t is then
-  one evaluation of the decay from the path's last jump at or before t
-  (``_JumpList.rows`` finds it for all of a block's rows in one pass), and
-  |Sigma_2| on a jump-free interval is a sum of products of terms affine in
-  e^{-lambda s}, which ``heston._affine_product_integral`` integrates
-  exactly, bar a pair term sigma_i sigma_j on a drift-only asset (kappa2 =
-  0, kappa1 > 0), which ``bns.quad_intervals`` integrates per interval to
-  1e-12 relative. So the streaming route's time average is the integral
-  over each path's jump-free intervals, the recorded rows are exact values
-  at ``record_times``, and the work is O(jumps + paths * recorded rows),
-  not O(paths * n_steps). The estimate does not depend on dt at a fixed
-  horizon n_steps * dt (the span the jumps are drawn over), nor do rows at
-  times on both grids.
+  keeping each variance's excess over its level, sigma^2 - a, right after
+  each jump. A row at any time t is then a plus that excess decayed from
+  the path's last jump at or before t (``_JumpList.rows`` finds it for all
+  of a block's rows in one pass), and |Sigma_2| on a jump-free interval is
+  a sum of products of terms affine in e^{-lambda s}, which
+  ``heston._affine_product_integral`` integrates exactly, bar a pair term
+  sigma_i sigma_j on a drift-only asset (kappa2 = 0, kappa1 > 0), which
+  ``bns.quad_intervals`` integrates per interval to 1e-12 relative. So the
+  streaming route's time average is the integral over each path's
+  jump-free intervals, the recorded rows are exact values at
+  ``record_times``, and the work is O(jumps + paths * recorded rows), not
+  O(paths * n_steps). The estimate does not depend on dt at a fixed horizon
+  n_steps * dt (the span the jumps are drawn over), nor do rows at times on
+  both grids.
 
 The ensemble route records ``record_times``; the price route evaluates
 every grid row and then draws the return randomness. Rows come from one
@@ -118,6 +119,7 @@ from .errors import (
     DimensionMismatch,
     InvalidConfig,
     MissingSubordinatorSpec,
+    NumericalError,
     ValidationError,
 )
 from .genvar import _jump_terms, det_sigma1_values, det_sigma2_values
@@ -294,7 +296,8 @@ class McEstimate:
     n_paths: int
 
     def __post_init__(self):
-        if self.std_error < 0.0:
+        # written so that NaN, which fails every comparison, fails it too
+        if not self.std_error >= 0.0:
             raise ValidationError("std_error must be >= 0")
 
     def to_dict(self) -> dict:
@@ -474,13 +477,11 @@ def _check_scheme(cfg: SimConfig, allowed: str) -> str:
     return allowed
 
 
-def _check_ensemble_size(cfg: SimConfig, n_assets: int) -> None:
-    entries = cfg.n_paths * cfg.record_indices.size * n_assets
+def _check_ensemble_size(cfg: SimConfig, rows: int, values: int, advice: str) -> None:
+    """Refuse to hold ``rows`` rows of ``values`` floats for each of the run's paths."""
+    entries = cfg.n_paths * rows * values
     if entries > _MAX_ENSEMBLE_ENTRIES:
-        raise InvalidConfig(
-            f"ensemble of {entries} values is too large to materialize; "
-            "thin with record_times or use the streaming estimators"
-        )
+        raise InvalidConfig(f"ensemble of {entries} values is too large to materialize; {advice}")
 
 
 # the time average and the block runner
@@ -505,9 +506,8 @@ def _run(block, cfg: SimConfig, n: int, scheme: str, threads: int = 1, record: b
     """
     if threads < 1:
         raise InvalidConfig(f"threads must be >= 1, got {threads}")
-    if record:
-        _check_ensemble_size(cfg, n)
     rows = cfg.record_indices if record else np.empty(0, dtype=int)
+    _check_ensemble_size(cfg, rows.size, n, "thin with record_times or use the streaming estimators")
     times = cfg.times
     recorded = np.empty((cfg.n_paths, rows.size, n))
     averages = np.empty(cfg.n_paths)
@@ -643,17 +643,19 @@ def _check_jump_count(p: BnsPortfolioParams, cfg: SimConfig, star: GammaOuSpec |
 
 
 class _JumpList:
-    """A block of BNS paths as the list of their jumps and the variances right after each.
+    """A block of BNS paths as their events and each variance's excess over its level after each.
 
     Asset i's jumps of path j come from the counter lane i + 1 of path j's
     Philox stream (``_jumps``). The events of a block are each path's start
-    (time 0, its initial variances) and its jumps, sorted stably by (path,
-    time): each path is one run of events that begins with its start, and
-    jumps at one time keep asset and draw order. Between events every
-    variance decays exactly, v(t) = a + (x - a) e^{-lambda (t - t_e)} with x
-    its value after event e and a its level (kappa1 for a drift-only asset,
-    else 0), so the rows at any times and the integral of |Sigma_2| come
-    from the event list alone.
+    (time 0) and its jumps, sorted stably by (path, time): each path is one
+    run of events that begins with its start, and jumps at one time keep
+    asset and draw order. Between events every variance decays exactly,
+    v(t) = a + y e^{-lambda (t - t_e)} with a its level (kappa1 for a
+    drift-only asset, else 0) and y = v(t_e) - a its excess after event e,
+    so the rows at any times and the integral of |Sigma_2| come from the
+    ``excess`` array, (events, assets), alone. An event carries its
+    increment of y into the walk: sigma0^2 - a at a path's start, the jump's
+    size on its asset's column at a jump.
     """
 
     def __init__(self, p: BnsPortfolioParams, cfg: SimConfig, lo: int, hi: int):
@@ -669,27 +671,21 @@ class _JumpList:
         )
         path = np.concatenate((np.arange(B), owner))
         time = np.concatenate((np.zeros(B), t_jump))
-        size = np.concatenate((np.zeros(B), sizes))
-        asset = np.concatenate((np.zeros(B, dtype=int), np.array(jumping, dtype=int)[law]))
+        excess = np.zeros((path.size, n))
+        excess[:B] = np.array([a.sigma0_2 for a in p.assets]) - self.level
+        excess[np.arange(B, path.size), np.array(jumping, dtype=int)[law]] = sizes
         order = np.lexsort((time, path))
-        self.path, self.time, size, asset = path[order], time[order], size[order], asset[order]
+        self.path, self.time, self.excess = path[order], time[order], excess[order]
         self.starts = np.searchsorted(self.path, np.arange(B))
         jumps = np.diff(np.append(self.starts, self.path.size)) - 1
 
         # walk the jump ranks, each over the paths that still have a jump
-        self.states = states = np.empty((self.path.size, n))
-        states[self.starts] = [a.sigma0_2 for a in p.assets]
         gaps = np.diff(self.time, prepend=0.0)
         gaps[self.starts] = 0.0
         decay = np.exp(-lam * gaps)
         for rank in range(1, jumps.max(initial=0) + 1):
             events = self.starts[jumps >= rank] + rank
-            x = states[events - 1]
-            x -= self.level
-            x *= decay[events, np.newaxis]
-            x += self.level
-            x[np.arange(events.size), asset[events]] += size[events]
-            states[events] = x
+            self.excess[events] += self.excess[events - 1] * decay[events, np.newaxis]
 
     def rows(self, times: np.ndarray) -> np.ndarray:
         """The variances at sorted ``times`` >= 0, shape (paths, times.size, assets).
@@ -705,10 +701,8 @@ class _JumpList:
         cells = self.path[inside] * T + first[inside]
         events = np.cumsum(np.bincount(cells, minlength=B * T).reshape(B, T), axis=1)
         events += self.starts[:, np.newaxis] - 1
-        decay = np.exp(-self.lam * (times - self.time[events]))
-        rows = self.states[events]
-        rows -= self.level
-        rows *= decay[..., np.newaxis]
+        rows = self.excess[events]
+        rows *= np.exp(-self.lam * (times - self.time[events]))[..., np.newaxis]
         rows += self.level
         return rows
 
@@ -716,14 +710,14 @@ class _JumpList:
         """Per path, the integral of |Sigma_2| over the horizon, exact between events.
 
         On the interval after an event, with w = e^{-lambda s} and every
-        v_l = (x_l - a_l) w + a_l, the determinant lemma expands to
+        v_l = y_l w + a_l, the determinant lemma expands to
 
             |Sigma_2| / |C| = prod_l v_l + lambda Var[Z_1*] (
                 sum_i delta_ii rho_i^2 prod_{l != i} v_l
                 + sum_{i < j} 2 delta_ij rho_i rho_j sigma_i sigma_j prod_{l != i, j} v_l),
 
         delta = C^-1. Every product of the v_l, and a pair term with a_i =
-        a_j = 0 (sigma_i sigma_j = sqrt(x_i x_j) w), is one exponential-affine
+        a_j = 0 (sigma_i sigma_j = sqrt(y_i y_j) w), is one exponential-affine
         product integral over all the intervals at once; a pair term on a
         drift-only asset (a > 0) goes through ``bns.quad_intervals``, each
         interval on its own, to 1e-12 relative. A path's intervals add up in
@@ -733,7 +727,7 @@ class _JumpList:
         end = np.append(self.time[1:], self.horizon)
         end[self.starts[1:] - 1] = self.horizon
         tau = end - self.time
-        d = [self.states[:, l] - self.level[l] for l in range(n)]
+        d = self.excess.T
 
         def product(factors, d_extra=None):
             """Per interval, the integral of prod_{l in factors} v_l (times d_extra w if given)."""
@@ -760,12 +754,10 @@ class _JumpList:
                 elif self.level[i] or self.level[j]:
                     term = quad_intervals(functools.partial(pair, i=i, j=j), tau, 1e-12, f"pair ({i}, {j})")
                 else:
-                    term = product(others, np.sqrt(self.states[:, i] * self.states[:, j]))
+                    term = product(others, np.sqrt(d[i] * d[j]))
                 bracket = bracket + weight * rho[i] * rho[j] * term
             values = values + jump_scale * bracket
-        totals = np.zeros(self.starts.size)
-        np.add.at(totals, self.path, corr.det_c * values)
-        return totals
+        return np.bincount(self.path, weights=corr.det_c * values, minlength=self.starts.size)
 
 
 def _bns_block(p: BnsPortfolioParams, cfg: SimConfig, corr: CorrelationMatrix | None = None):
@@ -801,6 +793,8 @@ def _summarize(avgs: np.ndarray) -> McEstimate:
     n = avgs.size
     mean = float(np.mean(avgs))
     se = float(np.std(avgs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise NumericalError(f"Monte Carlo estimate is not finite: mean {mean}, std_error {se}")
     return McEstimate(mean=mean, std_error=se, n_paths=n)
 
 
@@ -930,7 +924,8 @@ def _price_paths(variance_rows, corr: CorrelationMatrix, cfg: SimConfig, s0, mu,
     its per-step log-price jumps from ``jumps(lo, hi)``, if given.
     """
     n = corr.n
-    _check_ensemble_size(cfg, 2 * n)
+    # the price routes hold every grid row, whatever record_times says
+    _check_ensemble_size(cfg, cfg.n_steps + 1, 2 * n, "use fewer paths or a coarser dt")
     s0, mu, beta = _price_inputs(n, s0, mu, beta)
     L = _corr_factor(corr)
     prices = np.empty((cfg.n_paths, cfg.n_steps + 1, n))
@@ -996,13 +991,12 @@ def simulate_bns_prices(
         path, _, t_jump, sizes = _jumps(
             cfg.seed, lo, hi, [p.n + 1] * len(laws), laws, p.lambda_, horizon
         )
-        star = np.zeros((hi - lo, cfg.n_steps))
         # the step [s dt, (s + 1) dt) of each jump
         steps = np.minimum((t_jump / cfg.dt).astype(int), cfg.n_steps - 1)
-        np.add.at(star, (path, steps), sizes)
+        star = np.bincount(path * cfg.n_steps + steps, weights=sizes, minlength=(hi - lo) * cfg.n_steps)
         cuts = np.searchsorted(path, np.arange(1, hi - lo))
         marks.extend(zip(np.split(t_jump, cuts), np.split(sizes, cuts)))
-        return star[:, :, np.newaxis] * p.rho
+        return star.reshape(hi - lo, cfg.n_steps, 1) * p.rho
 
     def variance_rows(lo, hi, rngs):
         return _JumpList(p, cfg, lo, hi).rows(cfg.times)

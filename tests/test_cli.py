@@ -461,6 +461,27 @@ class TestSimulate:
         assert str(montecarlo._MAX_ENSEMBLE_ENTRIES) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["heston", "bns"])
+    def test_non_finite_estimate_exits_3(self, tmp_path, capsys, kind):
+        """sigma_0^2 = 1e300 on one asset: the standard error overflows, so the run exits 3
+        and writes no estimate (JSON has no Infinity), no paths and no manifest."""
+        if kind == "heston":
+            model = write_model(tmp_path)
+            doc = json.loads(model.read_text())
+        else:
+            model, doc = tmp_path / "bns.json", _bns_doc()
+        model.write_text(json.dumps(_with_asset_field(doc, "sigma0_2", 1e300)))
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"n_paths": 10, "dt": 0.1, "horizon": 1.0}))
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            code = main(["simulate", "--model", str(model), "--sim", str(sim), "--seed", "1",
+                         "--paths-csv", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "not finite" in err and "Traceback" not in err
+        assert not any(out.iterdir())
+
     def test_integral_float_counts_accepted(self, tmp_path):
         """n_paths 5.0 and block_size 4096.0 run as 5 and 4096, not as an error."""
         model = write_model(tmp_path)

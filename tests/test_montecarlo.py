@@ -32,6 +32,7 @@ from genvarswap.errors import (
     DimensionMismatch,
     InvalidConfig,
     MissingSubordinatorSpec,
+    NumericalError,
     ValidationError,
 )
 from genvarswap.heston import expected_realized_variance, expected_variance
@@ -80,6 +81,10 @@ def bns_portfolio(
 
 # the CI "mixed" model: a leveraged drift-only asset (kappa2 = 0) and an asset without leverage
 MIXED = dict(kappa2s=(0.004, 0.0, 0.005), rhos=(-0.3, -0.2, 0.0), kappa2_star=0.01)
+
+# with MIXED, asset 0 jumps at a lambda = (2 kappa1^2 / kappa2) lambda = 100 per unit time,
+# and each of its jumps decays the drift-only asset's excess over kappa1
+HIGH_RATE = dict(kappa1s=(0.5, 0.07, 0.06), kappa2s=(0.01, 0.0, 0.005))
 
 
 def reference_jump_draws(seed, j, lane, spec, lambda_, horizon):
@@ -458,6 +463,24 @@ class TestMcRealizedVariance:
         with pytest.raises(ValidationError):
             mc_realized_variance(ensemble, CORR)
 
+    ESTIMATORS = {
+        "heston_streaming": lambda pf, p, cfg: heston_realized_variance_mc(pf, cfg),
+        "bns_streaming": lambda pf, p, cfg: bns_realized_variance_mc(p, CORR, cfg, threads=2),
+        "heston_ensemble": lambda pf, p, cfg: mc_realized_variance(simulate_heston(pf, cfg), CORR),
+        "bns_ensemble": lambda pf, p, cfg: mc_realized_variance(
+            simulate_bns(p, cfg), CORR, rho=p.rho, lambda_=p.lambda_, kappa2_star=p.kappa2_star
+        ),
+    }
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_non_finite_estimate_raises(self, estimator):
+        """sigma_0^2 = 1e300 on one asset: every |Sigma| is finite, their spread overflows."""
+        pf = heston_portfolio(sigma0_2s=(1e300, 0.06, 0.05))
+        p = bns_portfolio(rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01, sigma0_2s=(1e300, 0.06, 0.05))
+        cfg = SimConfig(n_paths=10, dt=0.1, horizon=1.0, seed=1)
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
+            self.ESTIMATORS[estimator](pf, p, cfg)
+
 
 class TestStreamingEstimators:
     def test_heston_streaming_equals_ensemble_route(self):
@@ -484,7 +507,10 @@ class TestStreamingEstimators:
               sigma0_2s=(0.04, 0.06, 0.05, 0.03)), 4),
     )
 
-    @pytest.mark.parametrize("kwargs, n", BNS_PORTFOLIOS, ids=("n3", "n2", "n4"))
+    @pytest.mark.parametrize(
+        "kwargs, n", BNS_PORTFOLIOS + (({**MIXED, **HIGH_RATE}, 3),),
+        ids=("n3", "n2", "n4", "high_rate_mixed"),
+    )
     def test_bns_streaming_equals_exact_reference_integrals(self, kwargs, n):
         p, corr = bns_portfolio(**kwargs), equicorrelated(n)
         cfg = SimConfig(n_paths=60, dt=0.01, horizon=1.0, seed=37, block_size=7)
@@ -922,6 +948,25 @@ class TestBlockPipeline:
         for j in range(cfg.n_paths):
             np.testing.assert_allclose(bns[j], bns_reference_path(p, cfg, j), rtol=1e-13, atol=0)
 
+    def test_drift_only_asset_beside_a_high_rate_asset(self):
+        """About 100 jumps a path on asset 0 walk past the drift-only asset 1: the rows
+        equal the per-path exact-OU loop, and rows and averages are the same bits in
+        blocks of 1, 7 and 4096 paths."""
+        p = bns_portfolio(**{**MIXED, **HIGH_RATE})
+        runs = []
+        for block_size in (1, 7, 4096):
+            cfg = SimConfig(n_paths=20, dt=0.01, horizon=1.0, seed=41, block_size=block_size)
+            runs.append(montecarlo._run(montecarlo._bns_block(p, cfg, CORR), cfg, p.n, "exact_ou"))
+        (ensemble, averages), *others = runs
+        for other, other_averages in others:
+            assert other.variance_paths.tobytes() == ensemble.variance_paths.tobytes()
+            assert other_averages.tobytes() == averages.tobytes()
+        for j in range(cfg.n_paths):
+            assert len(bns_reference_events(p, cfg, j)) > 50
+            np.testing.assert_allclose(
+                ensemble.variance_paths[j], bns_reference_path(p, cfg, j), rtol=1e-13, atol=0
+            )
+
     def test_exact_rows_agree_with_the_grid_recursion(self):
         """The step recursion compounds rounding through every step; the rows agree to 1e-13."""
         p = bns_portfolio(kappa2s=(0.004, 0.0, 0.005))
@@ -1112,6 +1157,25 @@ class TestJumpCountLimit:
 
 
 class TestPricePaths:
+    @pytest.mark.parametrize("record_times", [None, (0.0, 1.0)], ids=("full_grid", "thinned"))
+    @pytest.mark.parametrize("route", ["heston", "bns"])
+    def test_size_check_counts_every_grid_row(self, monkeypatch, route, record_times):
+        """A price route holds all n_steps + 1 rows of 2 n values per path, whatever
+        ``record_times`` says: 100 paths by 101 rows by 6 values exceed a limit of 10,000,
+        16 paths fit."""
+        monkeypatch.setattr(montecarlo, "_MAX_ENSEMBLE_ENTRIES", 10_000)
+
+        def run(n_paths):
+            cfg = SimConfig(n_paths=n_paths, dt=0.01, horizon=1.0, seed=3, record_times=record_times)
+            if route == "heston":
+                return simulate_heston_prices(heston_portfolio(), cfg, s0=100.0)
+            return simulate_bns_prices(bns_portfolio(), CORR, cfg, s0=100.0)
+
+        with pytest.raises(InvalidConfig, match="ensemble of 60600 values") as refused:
+            run(100)
+        assert "record_times" not in str(refused.value)
+        assert run(16).prices.shape == (16, 101, 3)
+
     def test_heston_price_paths_share_variance_draws(self):
         pf2 = HestonPortfolio(assets=heston_portfolio().assets[:2], corr=equicorrelated(2))
         cfg = SimConfig(n_paths=30, dt=0.01, horizon=0.5, seed=41)
@@ -1223,8 +1287,9 @@ class TestContainers:
             PathEnsemble(times=np.array([0.0, 0.5, 1.0]), variance_paths=paths, scheme="exact_ou")
 
     def test_mc_estimate_validation(self):
-        with pytest.raises(ValidationError):
-            McEstimate(mean=1.0, std_error=-0.1, n_paths=10)
+        for bad in (-0.1, math.nan):
+            with pytest.raises(ValidationError):
+                McEstimate(mean=1.0, std_error=bad, n_paths=10)
         assert McEstimate(mean=1.0, std_error=0.1, n_paths=10).to_dict() == {
             "mean": 1.0,
             "std_error": 0.1,
