@@ -34,12 +34,13 @@ panels, cumulative panel sums give every maturity, and |K15 - G7| is the
 reported error estimate. Failing panels are split until each maturity's
 error is within max(tol, tol |value|) (tol = 1e-12 by default). The same
 kernel prices many parameter sets at once, as the calibration Jacobian
-needs: E_all and E_{-i} take per-set coefficient arrays, and the cross
-terms of every (set, pair) row share one pass, which evaluates each rate,
-E[sigma^2] and E[sigma] factor the sets share once per node; a single
-portfolio is the case of one set. For n = 3 these are the paper's E_0..E_6
-(``compute_e_terms``): E_0 = E_all, E_1..E_3 = E_{-1}..E_{-3} and
-E_4..E_6 = E_{12}, E_{13}, E_{23} (1-based).
+needs. The sets come as columns, one row per set (``_one_set`` turns a
+portfolio into a stack of one): E_all and E_{-i} are integrated once per
+distinct (lambda, sigma_0^2 - kappa1, kappa1), and the cross terms of every
+(set, pair) row share one pass, which evaluates each rate, E[sigma^2] and
+E[sigma] factor the sets share once per node. For n = 3 these are the
+paper's E_0..E_6 (``compute_e_terms``): E_0 = E_all, E_1..E_3 =
+E_{-1}..E_{-3} and E_4..E_6 = E_{12}, E_{13}, E_{23} (1-based).
 
 A note on the volatility correction: with Var[sigma_t^2] written out, the
 correction kappa2 (1 - e^{-2 lambda t}) / (16 E^{3/2}) equals
@@ -176,23 +177,35 @@ def _per_set(values, T) -> np.ndarray:
     return np.reshape(values, (len(values),) + (1,) * np.ndim(T))
 
 
-def _mean_variance_products(T, portfolios) -> tuple:
-    """E_all and E_{-0}, ..., E_{-(n-1)} of each portfolio, shaped ``(P, *T.shape)``.
+def _one_set(p: BnsPortfolioParams) -> tuple:
+    """One portfolio as a stack of one set: lambda, sigma0_2, kappa1, kappa2, rho, kappa2_star.
+
+    lambda and kappa2_star are shaped (1,), the per-asset columns (1, n).
+    """
+    per_asset = np.array([[a.sigma0_2, a.kappa1, a.kappa2, a.rho] for a in p.assets]).T[:, None, :]
+    return (np.array([p.lambda_]), *per_asset, np.array([p.kappa2_star]))
+
+
+def _mean_variance_products(T, lam, sigma0_2, kappa1) -> tuple:
+    """E_all and E_{-0}, ..., E_{-(n-1)} of each set, shaped ``(P, *T.shape)``.
 
     Each integrates prod_l E[(sigma^l)^2] over [0, T] in closed form, over
     all assets or all but asset i, with E[(sigma^l)^2] = d_l e^{-lambda t}
-    + c_l taken per portfolio.
+    + c_l taken per set from ``lam`` (P,) and ``sigma0_2``, ``kappa1``
+    (P, n). Sets with the same (lambda, sigma_0^2 - kappa1, kappa1) bits are
+    integrated once, and their values gathered back into stack order.
     """
-    n = portfolios[0].n
-    assets = [[p.assets[i] for p in portfolios] for i in range(n)]
-    d = [_per_set([a.sigma0_2 - a.kappa1 for a in asset], T) for asset in assets]
-    c = [_per_set([a.kappa1 for a in asset], T) for asset in assets]
-    rate = _per_set([p.lambda_ for p in portfolios], T)
+    d = sigma0_2 - kappa1
+    first, index = (_distinct if len(lam) > 1 else _each)(np.column_stack((lam, d, kappa1)))
+    n = d.shape[1]
+    d = [_per_set(d[first, i], T) for i in range(n)]
+    c = [_per_set(kappa1[first, i], T) for i in range(n)]
+    rate = _per_set(lam[first], T)
 
     def product(keep):
         return _affine_product_integral(
             T, [d[i] for i in keep], [c[i] for i in keep], [rate] * len(keep)
-        )
+        )[index]
 
     return product(range(n)), [product([l for l in range(n) if l != i]) for i in range(n)]
 
@@ -344,44 +357,55 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, index
 
 
-def _cross_terms(T, p, pairs, tol: float, var_i_coefficient: float):
-    """integral_0^T E[sigma^i] E[sigma^j] prod_{l != i, j} E[(sigma^l)^2] dt, (i, j) in ``pairs``.
+def _each(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_distinct`` without the search: every row its own, as for a single set."""
+    rows = np.arange(len(keys))
+    return rows, rows
 
-    ``p`` is one portfolio for every row, or one portfolio per row of
-    ``pairs``. One ``quad`` pass integrates all rows over every maturity.
-    Stacked portfolios, as a Jacobian's, share most factors, so each shared
-    factor is evaluated once per node: e^{-lambda t} and 1 - e^{-2 lambda t}
-    per distinct lambda, E[(sigma^l)^2] per distinct (lambda, sigma_0^2 -
-    kappa1, kappa1) of any (row, asset), and the Brockhaus-Long E[sigma^i]
-    per distinct (lambda, sigma_0^2 - kappa1, kappa1, kappa2) of an asset of
-    some pair; only those must keep E[sigma^2] > 0. Rows with the same
-    factors are integrated once. Keys compare bit for bit, and each row's
-    product is gathered from the factors with the operations of a row on its
-    own, so no row's value depends on the others. Returns the values and the
-    absolute error estimates, shaped ``(len(pairs), *T.shape)``.
+
+def _cross_terms(
+    T, lam, sigma0_2, kappa1, kappa2, row_set, pairs, tol: float, var_i_coefficient: float
+):
+    """integral_0^T E[sigma^i] E[sigma^j] prod_{l != i, j} E[(sigma^l)^2] dt for each row.
+
+    Row r is the pair ``pairs[r]`` = (i, j) of set ``row_set[r]``, whose
+    columns are ``lam`` (P,) and ``sigma0_2``, ``kappa1``, ``kappa2`` (P, n).
+    One ``quad`` pass integrates all rows over every maturity. Stacked sets,
+    as a Jacobian's, share most factors, so each shared factor is evaluated
+    once per node: e^{-lambda t} and 1 - e^{-2 lambda t} per distinct
+    lambda, E[(sigma^l)^2] per distinct (lambda, sigma_0^2 - kappa1, kappa1)
+    of any (set, asset), and the Brockhaus-Long E[sigma^i] per distinct
+    (lambda, sigma_0^2 - kappa1, kappa1, kappa2) of an asset of some pair;
+    only those must keep E[sigma^2] > 0. Rows with the same factors are
+    integrated once. Keys compare bit for bit, and each row's product is
+    gathered from the factors with the operations of a row on its own, so
+    no row's value depends on the others; a single set skips the search for
+    shared factors. Returns the values and the absolute error estimates,
+    shaped ``(len(pairs), *T.shape)``.
     """
-    rows = [p] * len(pairs) if isinstance(p, BnsPortfolioParams) else list(p)
-    sets = list({id(q): q for q in rows}.values())
-    position = {id(q): s for s, q in enumerate(sets)}
-    row_set = np.array([position[id(q)] for q in rows])
-    n = sets[0].n
-    # cell s * n + l, asset l of portfolio s: (lambda, sigma_0^2 - kappa1, kappa1, kappa2)
-    cells = np.array(
-        [[q.lambda_, a.sigma0_2 - a.kappa1, a.kappa1, a.kappa2] for q in sets for a in q.assets]
+    row_set = np.asarray(row_set)
+    if len(lam) > 1:  # the factor tables hold only the sets of some row
+        used, row_set = np.unique(row_set, return_inverse=True)
+        lam, sigma0_2, kappa1, kappa2 = lam[used], sigma0_2[used], kappa1[used], kappa2[used]
+    distinct = _distinct if len(lam) > 1 else _each
+    n = sigma0_2.shape[1]
+    # cell s * n + l, asset l of set s: (lambda, sigma_0^2 - kappa1, kappa1, kappa2)
+    cells = np.column_stack(
+        (np.repeat(lam, n), (sigma0_2 - kappa1).ravel(), kappa1.ravel(), kappa2.ravel())
     )
-    mean_cells, cell_mean = _distinct(cells[:, :3])
+    mean_cells, cell_mean = distinct(cells[:, :3])
     means = cells[mean_cells]
-    rate_means, mean_rate = _distinct(means[:, :1])
+    rate_means, mean_rate = distinct(means[:, :1])
     pair_cells = (row_set[:, None] * n + np.array(pairs)).ravel()
-    vol_pairs, pair_vol = _distinct(cells[pair_cells])
+    vol_pairs, pair_vol = distinct(cells[pair_cells])
     vol_cells = pair_cells[vol_pairs]
     vol_mean = cell_mean[vol_cells]
     vol_rate = mean_rate[vol_mean]
     others = np.array([[l for l in range(n) if l not in pair] for pair in pairs], dtype=int)
     # a row is its factors: the E[sigma^2] of its other assets, then the E[sigma] of its pair
     factors = np.column_stack((cell_mean[row_set[:, None] * n + others], pair_vol.reshape(-1, 2)))
-    distinct, row_distinct = _distinct(factors)
-    row_factors = factors[distinct]
+    distinct_rows, row_distinct = distinct(factors)
+    row_factors = factors[distinct_rows]
     row_others, first, second = row_factors[:, :-2], row_factors[:, -2], row_factors[:, -1]
     rate = means[rate_means, :1, None]
     d, c = means[:, 1, None, None], means[:, 2, None, None]
@@ -398,7 +422,7 @@ def _cross_terms(T, p, pairs, tol: float, var_i_coefficient: float):
         return ev[row_others].prod(axis=1) * vol[first] * vol[second]
 
     labels = [f"cross term ({i}, {j})" for i, j in pairs]
-    values, errors = quad(integrand, T, tol, [labels[r] for r in distinct])
+    values, errors = quad(integrand, T, tol, [labels[r] for r in distinct_rows])
     return values[row_distinct], errors[row_distinct]
 
 
@@ -419,8 +443,12 @@ def compute_e_terms(
         raise WrongAssetCount(f"E_0..E_6 are defined for exactly 3 assets, got {p.n}")
     T = float(_check_maturity(T))
     tol = _check_tol(tol)
-    e_all, e_without = _mean_variance_products(T, [p])
-    cross, errors = _cross_terms(T, p, [(0, 1), (0, 2), (1, 2)], tol, var_i_coefficient)
+    lam, sigma0_2, kappa1, kappa2, _, _ = _one_set(p)
+    e_all, e_without = _mean_variance_products(T, lam, sigma0_2, kappa1)
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    cross, errors = _cross_terms(
+        T, lam, sigma0_2, kappa1, kappa2, [0] * 3, pairs, tol, var_i_coefficient
+    )
     # in field order: e0, e1..e3, e4..e6, e4_error..e6_error
     return BnsETerms(*map(float, [e_all[0], *(e[0] for e in e_without), *cross, *errors]))
 
@@ -439,60 +467,65 @@ def expected_realized_variance_bns(
     rho), which makes the common rho = 0 calibration path fully
     closed-form. ``tol`` must be finite and > 0.
     """
-    out = _expected_realized_variance_sets(T, [p], corr, tol, var_i_coefficient)[0]
+    out = _expected_realized_variance_sets(T, *_one_set(p), corr, tol, var_i_coefficient)[0]
     return out if out.ndim else float(out)
 
 
 def _expected_realized_variance_sets(
-    T, portfolios, corr: CorrelationMatrix, tol: float = 1e-12, var_i_coefficient: float = 8.0
+    T, lam, sigma0_2, kappa1, kappa2, rho, kappa2_star, corr: CorrelationMatrix,
+    tol: float = 1e-12, var_i_coefficient: float = 8.0,
 ) -> np.ndarray:
-    """``expected_realized_variance_bns`` for P portfolios at once, shaped ``(P, *T.shape)``.
+    """``expected_realized_variance_bns`` for P parameter sets at once, shaped ``(P, *T.shape)``.
 
-    The cross terms of all portfolios are integrated in one ``quad`` pass
-    whose rows are the (portfolio, pair) combinations with a nonzero
-    coefficient. The rows share the pass's panels: when one portfolio's rows
+    Each set is one row of the columns: ``lam`` and ``kappa2_star`` (P,),
+    ``sigma0_2``, ``kappa1``, ``kappa2`` and ``rho`` (P, n), already
+    validated. The cross terms of all sets are integrated in one ``quad``
+    pass whose rows are the (set, pair) combinations with a nonzero
+    coefficient. The rows share the pass's panels: when one set's rows
     force a refinement, every row is integrated on the finer panels, so a
-    value may differ from the portfolio's own call, each within
+    value may differ from the set's own call, each within
     max(tol, tol |value|). Otherwise every value is that of its own call.
     The determinant-lemma terms (``_jump_terms``) are listed once per
     distinct rho vector and zero or nonzero lambda kappa2*, all they depend on.
     """
-    for p in portfolios:
-        if p.n != corr.n:
-            raise DimensionMismatch(f"{p.n} assets vs {corr.n}x{corr.n} correlation")
+    n = corr.n
+    if sigma0_2.shape[1] != n:
+        raise DimensionMismatch(f"{sigma0_2.shape[1]} assets vs {n}x{n} correlation")
     corr.inverse()  # raises SingularCorrelation for a singular C, jump terms or not
     T = _check_maturity(T)
     tol = _check_tol(tol)
 
-    n = corr.n
-    bracket, e_without = _mean_variance_products(T, portfolios)
+    bracket, e_without = _mean_variance_products(T, lam, sigma0_2, kappa1)
     inner = np.zeros_like(bracket)
-    lam_k2 = np.array([p.lambda_ * p.kappa2_star for p in portfolios])
-    # the coefficients of E_{-i} and E_{ij}
-    own = np.zeros((len(portfolios), n))
-    rows, coeffs = [], []
-    terms = {}
-    for s, p in enumerate(portfolios):
-        rho = p.rho
-        key = (rho.tobytes(), lam_k2[s] != 0.0)
+    lam_k2 = lam * kappa2_star
+    # the coefficients of E_{-i}, and the set, pair and coefficient of each E_{ij}
+    own = np.zeros((len(lam), n))
+    row_set, pairs, coeffs = [], [], []
+    terms = {}  # (rho, lambda kappa2* != 0) -> its E_{-i} coefficients and its E_{ij} rows
+    for s, (r, jumps) in enumerate(zip(rho, (lam_k2 != 0.0).tolist())):
+        key = (r.tobytes(), jumps)
         if key not in terms:
-            terms[key] = _jump_terms(corr, rho, lam_k2[s])
-        for i, j, weight in terms[key]:
-            if i == j:
-                own[s, i] = weight * rho[i] ** 2
-            else:
-                rows.append((s, i, j))
-                coeffs.append(weight * rho[j] * rho[i])
+            own_terms, cross_terms = np.zeros(n), []
+            for i, j, weight in _jump_terms(corr, r, lam_k2[s]):
+                if i == j:
+                    own_terms[i] = weight * r[i] ** 2
+                else:
+                    cross_terms.append(((i, j), weight * r[j] * r[i]))
+            terms[key] = own_terms, cross_terms
+        own[s], cross = terms[key]
+        for pair, coeff in cross:
+            row_set.append(s)
+            pairs.append(pair)
+            coeffs.append(coeff)
     for i, e in enumerate(e_without):
         coeff = _per_set(own[:, i], T)
         inner = inner + np.where(coeff != 0.0, coeff * e, 0.0)
-    if rows:
+    if pairs:
         values, _ = _cross_terms(
-            T, [portfolios[s] for s, _, _ in rows], [(i, j) for _, i, j in rows],
-            tol, var_i_coefficient,
+            T, lam, sigma0_2, kappa1, kappa2, row_set, pairs, tol, var_i_coefficient
         )
-        for (s, _, _), coeff, value in zip(rows, coeffs, values):
-            inner[s] = inner[s] + coeff * value
+        # row by row in stack order, as inner[s] = inner[s] + coeff * value
+        np.add.at(inner, row_set, _per_set(coeffs, T) * values)
     bracket = bracket + _per_set(lam_k2, T) * inner
     return corr.det_c * bracket / T
 

@@ -7,11 +7,14 @@ transformed parameters: log for one-sided bounds, logit for boxed ones, so
 every trial point respects the bounds. A parameter with lo == hi is frozen.
 Each Jacobian, and the one behind the covariance, stacks its 2 n_free
 perturbed points into one ``model_curve`` call; a Jacobian point transforms
-only its own perturbed coordinate again. For BNS the stack is one
-quadrature pass over the cross terms of all points, which evaluates each
-factor the points share once. The stacked curves are those of single calls
-unless some point forces a finer quadrature (then within its tolerance), so
-fits do not depend on the stacking.
+only its own perturbed coordinate again. The stack is validated once, by
+columns, and its columns go to the closed forms without a parameter object
+per point. For Heston the stack is one kernel call per group of points
+whose subset rates coincide alike; for BNS it is one quadrature pass over
+the cross terms of all points, which evaluates each factor the points
+share once. The stacked curves are those of single calls unless some point
+forces a finer quadrature (then within its tolerance), so fits do not
+depend on the stacking.
 ``fit`` has one exit rule, spelled out in its docstring: the gradient test
 max(|gradient|) < 1e-10, the SSE-decrease test (an accepted step that lowers
 the SSE by at most 1e-12 relative), the damping ceiling mu > 1e16 (a stall
@@ -44,13 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BnsAssetParams,
-    BnsPortfolioParams,
-    CorrelationMatrix,
-    HestonAssetParams,
-    LeverageSignWarning,
-)
+from . import bns, heston
+from .core import CorrelationMatrix, _require_finite, _require_nonnegative, _require_positive
 from .errors import (
     LengthMismatch,
     SingularNormalEquations,
@@ -58,9 +56,9 @@ from .errors import (
     WrongAssetCount,
     ZeroObserved,
 )
-from .heston import HestonPortfolio, expected_realized_variance
-# expected_realized_variance_bns is not called here; perfbench/tracing.py wraps it at this name.
-from .bns import _expected_realized_variance_sets, expected_realized_variance_bns  # noqa: F401
+# Neither closed form is called here; perfbench/tracing.py wraps both at these names.
+from .heston import expected_realized_variance  # noqa: F401
+from .bns import expected_realized_variance_bns  # noqa: F401
 from .marketdata import RealizedVarianceSeries
 
 __all__ = [
@@ -106,6 +104,23 @@ _LAYOUTS = {
         ("kappa2_star", False, (0.0, 100.0), 0.0),
     ),
 }
+# The check each field's parameter object (``HestonAssetParams``,
+# ``BnsAssetParams``, ``BnsPortfolioParams``) applies to it.
+_CHECKS = {
+    "k": _require_positive,
+    "theta2": _require_positive,
+    "sigma0_2": _require_positive,
+    "lambda": _require_positive,
+    "kappa1": _require_nonnegative,
+    "kappa2": _require_nonnegative,
+    "rho": _require_finite,
+    "kappa2_star": _require_nonnegative,
+}
+# The stacked closed forms, each taking the columns in ``_LAYOUTS`` order.
+_CURVES = {
+    "heston": heston._expected_realized_variance_sets,
+    "bns": bns._expected_realized_variance_sets,
+}
 
 
 def _entries(model: str, n: int) -> list[tuple[str, tuple[float, float], float | str]]:
@@ -119,15 +134,26 @@ def _entries(model: str, n: int) -> list[tuple[str, tuple[float, float], float |
     ]
 
 
-def _unpack(model: str, row: np.ndarray, n: int):
-    """One parameter vector as n per-asset dicts and one dict of the shared fields."""
-    per_asset, shared, at = {}, {}, 0
+def _columns(model: str, params: np.ndarray, n: int) -> list[np.ndarray]:
+    """A (P, p) stack as its ``_LAYOUTS`` columns: (P, n) per per-asset field, (P,) per shared.
+
+    Every entry is checked as its parameter object checks it, asset by
+    asset and then the shared fields, so a bad entry raises the
+    ``ValidationError`` naming its field that the object would raise. The
+    minimum and maximum of a column carry its check for every row (a NaN
+    into both). No warning is raised for a rho > 0.
+    """
+    columns, per_asset, shared, at = [], [], [], 0
     for field, each, _, _ in _LAYOUTS[model]:
-        if each:
-            per_asset[field], at = row[at:at + n], at + n
-        else:
-            shared[field], at = row[at], at + 1
-    return [dict(zip(per_asset, values)) for values in zip(*per_asset.values())], shared
+        columns.append(params[:, at:at + n] if each else params[:, at])
+        (per_asset if each else shared).append((field, at))
+        at += n if each else 1
+    extremes = [params.min(axis=0), params.max(axis=0)] if len(params) > 1 else params
+    extremes = [values.tolist() for values in extremes]
+    for field, j in [(field, j + i) for i in range(n) for field, j in per_asset] + shared:
+        for values in extremes:
+            _CHECKS[field](field, values[j])
+    return columns
 
 
 def param_names(model: str) -> tuple[str, ...]:
@@ -230,14 +256,19 @@ def model_curve(model: str, params, corr: CorrelationMatrix, times) -> np.ndarra
     assets; at three assets that is ``HESTON_PARAM_NAMES`` or
     ``BNS_PARAM_NAMES``. ``params`` is one vector, giving one curve, or P
     vectors stacked as (P, p), giving the P curves as (P, len(times)).
-    Heston rows go one at a time through ``expected_realized_variance``;
-    the BNS rows make one pass of the BNS kernel, whose cross terms of all
-    rows share one quadrature, and each rate, E[sigma^2] and E[sigma]
-    factor the rows share is evaluated once per node. Each stacked curve
-    equals its row's own curve bit for bit unless another row forces a
-    finer quadrature, and then differs from it within the quadrature
-    tolerance. Sign-convention warnings for trial rho > 0 are suppressed
-    here; judge signs on the fitted result.
+    The stack is checked once, column by column, by the rules and with
+    the ``ValidationError`` field names of the parameter objects, and its
+    columns go to the closed forms as they are; no object is built per
+    row. Heston rows make one closed-form kernel call per group of rows
+    whose subset rates coincide in the same places. BNS rows make one pass
+    of the BNS kernel: E_all and E_{-i} once per distinct (lambda,
+    sigma0^2 - kappa1, kappa1), and the cross terms of all rows in one
+    quadrature, where each rate, E[sigma^2] and E[sigma] factor the rows
+    share is evaluated once per node. Each stacked curve equals its row's
+    own curve bit for bit unless another row forces a finer quadrature,
+    and then differs from it within the quadrature tolerance. A trial
+    rho > 0 raises no sign-convention warning; judge signs on the fitted
+    result.
     """
     n = corr.n
     size = len(_entries(model, n))
@@ -248,27 +279,8 @@ def model_curve(model: str, params, corr: CorrelationMatrix, times) -> np.ndarra
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0.0):
         raise ValidationError("times must be a nonempty, strictly increasing 1-D array")
 
-    rows = [_unpack(model, row, n) for row in np.atleast_2d(params)]
-    if model == "heston":
-        portfolios = [
-            HestonPortfolio(tuple(HestonAssetParams(**a, gamma=1.0) for a in assets), corr)
-            for assets, _ in rows
-        ]
-        curves = [expected_realized_variance(times, portfolio) for portfolio in portfolios]
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LeverageSignWarning)
-            portfolios = [
-                BnsPortfolioParams(
-                    assets=tuple(BnsAssetParams(**a) for a in assets),
-                    lambda_=shared["lambda"],
-                    kappa2_star=shared["kappa2_star"],
-                )
-                for assets, shared in rows
-            ]
-        curves = _expected_realized_variance_sets(times, portfolios, corr)
-    out = np.asarray(curves, dtype=float)
-    return out[0] if params.ndim == 1 else out
+    curves = _CURVES[model](times, *_columns(model, np.atleast_2d(params), n), corr)
+    return curves[0] if params.ndim == 1 else curves
 
 
 def error_metrics(observed, fitted) -> ErrorMetrics:

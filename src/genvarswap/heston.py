@@ -142,15 +142,58 @@ def expected_realized_variance(T, portfolio: HestonPortfolio):
     Any asset count; ``expected_realized_variance_quad`` is the quadrature
     cross-check.
     """
-    T = _check_maturity(T)
-    integral = _affine_product_integral(
-        T,
-        [a.sigma0_2 - a.theta2 for a in portfolio.assets],
-        [a.theta2 for a in portfolio.assets],
-        [a.k for a in portfolio.assets],
-    )
-    out = portfolio.corr.det_c * integral / T
+    columns = np.array([[a.k, a.theta2, a.sigma0_2] for a in portfolio.assets]).T[:, None, :]
+    out = _expected_realized_variance_sets(T, *columns, portfolio.corr)[0]
     return out if out.ndim else float(out)
+
+
+def _coinciding_rates(k: np.ndarray) -> list[np.ndarray]:
+    """The rows of k grouped by which of their subset rates sum_{i in S} k_i are equal.
+
+    The rates are summed in ascending asset order, as
+    ``_affine_product_integral`` forms them. Each row's pattern labels
+    every subset by the first subset with its rate (a stable sort puts
+    equal rates in subset order); rows with the same labels form a group.
+    """
+    rates = np.zeros((len(k), 1))
+    for column in k.T:
+        rates = np.concatenate((rates, rates + column[:, None]), axis=1)
+    order = np.argsort(rates, axis=1, kind="stable")
+    ranked = np.take_along_axis(rates, order, axis=1)
+    starts = np.ones(rates.shape, dtype=bool)
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    runs = np.maximum.accumulate(np.where(starts, np.arange(rates.shape[1]), 0), axis=1)
+    labels = np.empty_like(order)
+    np.put_along_axis(labels, order, np.take_along_axis(order, runs, axis=1), axis=1)
+    groups: dict = {}
+    for row, pattern in enumerate(labels):
+        groups.setdefault(pattern.tobytes(), []).append(row)
+    return [np.array(rows) for rows in groups.values()]
+
+
+def _expected_realized_variance_sets(T, k, theta2, sigma0_2, corr: CorrelationMatrix) -> np.ndarray:
+    """``expected_realized_variance`` for P parameter sets at once, shaped ``(P, *T.shape)``.
+
+    ``k``, ``theta2`` and ``sigma0_2`` hold one row of n per set, already
+    validated. The kernel merges the terms whose rates are equal in every
+    set of a call, so the sets go in one call per group whose subset rates
+    coincide in the same places (``_coinciding_rates``): each set's terms
+    then merge, and add up, as in a call of its own, and every value is
+    that of its own call bit for bit.
+    """
+    T = _check_maturity(T)
+    columns = (sigma0_2 - theta2, theta2, k)
+    if len(k) == 1:  # one set as floats, which the kernel multiplies out faster than arrays
+        integral = _affine_product_integral(T, *(c[0].tolist() for c in columns))
+        return (corr.det_c * integral / T)[None]
+    shape = (-1,) + (1,) * T.ndim
+    out = np.empty((len(k), *T.shape))
+    for rows in _coinciding_rates(k):
+        integral = _affine_product_integral(
+            T, *([x.reshape(shape) for x in c[rows].T] for c in columns)
+        )
+        out[rows] = corr.det_c * integral / T
+    return out
 
 
 def expected_realized_variance_quad(

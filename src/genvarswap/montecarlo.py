@@ -791,8 +791,9 @@ def simulate_bns(p: BnsPortfolioParams, cfg: SimConfig) -> PathEnsemble:
 
 def _summarize(avgs: np.ndarray) -> McEstimate:
     n = avgs.size
-    mean = float(np.mean(avgs))
-    se = float(np.std(avgs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        mean = float(np.mean(avgs))
+        se = float(np.std(avgs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise NumericalError(f"Monte Carlo estimate is not finite: mean {mean}, std_error {se}")
     return McEstimate(mean=mean, std_error=se, n_paths=n)

@@ -453,6 +453,12 @@ def random_portfolio(rng, n, lambda_):
 PAIRS_3 = [(0, 1), (0, 2), (1, 2)]
 
 
+def cross_terms(T, p, pairs, tol):
+    """``bns._cross_terms`` of the pairs of one portfolio, passed as its columns."""
+    lam, sigma0_2, kappa1, kappa2, _, _ = bns._one_set(p)
+    return bns._cross_terms(T, lam, sigma0_2, kappa1, kappa2, [0] * len(pairs), pairs, tol, 8.0)
+
+
 def within_budget(values, errors, tol):
     return np.all(errors <= np.maximum(tol, tol * np.abs(values)))
 
@@ -465,7 +471,7 @@ class TestCrossTerms:
         p = random_portfolio(rng, n, lambda_)
         T = np.array([0.03, 0.4, 2.0, 10.0])
         pairs = list(combinations(range(n), 2))
-        values, errors = bns._cross_terms(T, p, pairs, 1e-12, 8.0)
+        values, errors = cross_terms(T, p, pairs, 1e-12)
         assert values.shape == errors.shape == (len(pairs), T.size)
         assert within_budget(values, errors, 1e-12)
         for k, (i, j) in enumerate(pairs):
@@ -476,12 +482,12 @@ class TestCrossTerms:
     def test_unsorted_duplicate_and_2d_maturities(self):
         p = random_portfolio(np.random.default_rng(5), 3, 2.0)
         T = np.array([[1.5, 0.2, 1.5], [0.7, 0.2, 3.0]])
-        values, errors = bns._cross_terms(T, p, PAIRS_3, 1e-12, 8.0)
+        values, errors = cross_terms(T, p, PAIRS_3, 1e-12)
         assert values.shape == errors.shape == (3, 2, 3)
         np.testing.assert_array_equal(values[:, 0, 0], values[:, 0, 2])
         np.testing.assert_array_equal(values[:, 0, 1], values[:, 1, 1])
         for idx in np.ndindex(T.shape):
-            scalar, scalar_errors = bns._cross_terms(T[idx], p, PAIRS_3, 1e-12, 8.0)
+            scalar, scalar_errors = cross_terms(T[idx], p, PAIRS_3, 1e-12)
             assert scalar.shape == (3,)
             np.testing.assert_allclose(values[(slice(None), *idx)], scalar, rtol=1e-14)
             assert within_budget(scalar, scalar_errors, 1e-12)
@@ -490,15 +496,15 @@ class TestCrossTerms:
     def test_reported_errors_within_tolerance(self, tol):
         p = random_portfolio(np.random.default_rng(8), 3, 20.0)
         T = np.linspace(0.05, 5.0, 25)
-        values, errors = bns._cross_terms(T, p, PAIRS_3, tol, 8.0)
+        values, errors = cross_terms(T, p, PAIRS_3, tol)
         assert within_budget(values, errors, tol)
-        exact, _ = bns._cross_terms(T, p, PAIRS_3, 1e-14, 8.0)
+        exact, _ = cross_terms(T, p, PAIRS_3, 1e-14)
         assert np.all(np.abs(values - exact) <= errors + 1e-15 * np.abs(exact))
 
     def test_forced_nonconvergence_raises(self):
         p = random_portfolio(np.random.default_rng(9), 3, 2.0)
         with pytest.raises(QuadratureFailure, match=r"cross term \(\d, \d\)"):
-            bns._cross_terms(np.array([0.5, 1.0]), p, PAIRS_3, 1e-300, 8.0)
+            cross_terms(np.array([0.5, 1.0]), p, PAIRS_3, 1e-300)
         with pytest.raises(QuadratureFailure):
             compute_e_terms(1.0, p, tol=1e-300)
 
@@ -540,9 +546,9 @@ class TestCrossTerms:
         seen = []
         cross_terms = bns._cross_terms
 
-        def spy(T, p, pairs, *args):
+        def spy(T, lam, sigma0_2, kappa1, kappa2, row_set, pairs, *args):
             seen.append(list(pairs))
-            return cross_terms(T, p, pairs, *args)
+            return cross_terms(T, lam, sigma0_2, kappa1, kappa2, row_set, pairs, *args)
 
         monkeypatch.setattr(bns, "_cross_terms", spy)
         p = make_portfolio(rhos=(-0.4, 0.0, -0.6), kappa2_star=0.02)

@@ -17,7 +17,7 @@ from genvarswap import (
     model_curve,
     validate_correlation,
 )
-from genvarswap import bns, calibrate
+from genvarswap import bns, calibrate, heston
 from genvarswap.bns import expected_realized_variance_bns
 from genvarswap.calibrate import (
     BNS_PARAM_NAMES,
@@ -375,6 +375,168 @@ class TestStackedCurves:
             model_curve("bns", np.ones((2, 9)), CORR, np.array([1.0]))
         with pytest.raises(ValidationError):
             model_curve("heston", np.ones((2, 2, 9)), CORR, np.array([1.0]))
+
+
+def own_heston_call(row, corr, times):
+    """A Heston row's curve as one closed-form kernel call on its own floats."""
+    k, theta2, sigma0_2 = (np.asarray(row, dtype=float).reshape(3, -1)).tolist()
+    d = [s - t for s, t in zip(sigma0_2, theta2)]
+    return corr.det_c * heston._affine_product_integral(times, d, theta2, k) / times
+
+
+def count_kernel_sets(monkeypatch, module):
+    """Patch ``module._affine_product_integral`` to record each call's number of sets."""
+    sets = []
+    kernel = module._affine_product_integral
+
+    def counting(T, d, c, k):
+        sets.append(len(np.atleast_1d(k[0])))
+        return kernel(T, d, c, k)
+
+    monkeypatch.setattr(module, "_affine_product_integral", counting)
+    return sets
+
+
+class TestCoincidingRates:
+    """Stacked rows keep the bits of their own calls where rates coincide."""
+
+    def test_heston_jacobian_at_the_flat_start(self, monkeypatch):
+        observed = heston_series(STACK_TIMES)
+        x = initial_guess("heston", observed, CORR)
+        assert np.all(x[:3] == 2.0)
+        bounds = default_bounds("heston")
+        free = list(range(x.size))
+        z = np.array([calibrate._to_internal(x[j], *bounds[j]) for j in free])
+        h = 1e-6 * np.maximum(1.0, np.abs(z))
+        rows = np.concatenate(calibrate._jacobian_points(x, free, bounds, z, h))
+        sets = count_kernel_sets(monkeypatch, heston)
+        curves = model_curve("heston", rows, CORR, STACK_TIMES)
+        # one call each for a moved k_1, k_2 or k_3, and one for the rows with all k = 2
+        assert sorted(sets) == [2, 2, 2, 12]
+        for row, curve in zip(rows, curves):
+            assert curve.tobytes() == own_heston_call(row, CORR, STACK_TIMES).tobytes()
+            assert curve.tobytes() == model_curve("heston", row, CORR, STACK_TIMES).tobytes()
+
+    def test_heston_rate_that_is_the_sum_of_two(self):
+        base = HESTON_TRUTH.copy()
+        base[:3] = 1.0, 2.0, 3.0  # k_1 + k_2 == k_3
+        assert base[0] + base[1] == base[2]
+        rows = near(base, 6, seed=4)
+        rows[3, :3] = 3.0, 2.0, 1.0  # k_1 == k_2 + k_3
+        rows[4, :3] = 1.0, 2.0, 3.0
+        for row, curve in zip(rows, model_curve("heston", rows, CORR, STACK_TIMES)):
+            assert curve.tobytes() == own_heston_call(row, CORR, STACK_TIMES).tobytes()
+            assert curve.tobytes() == model_curve("heston", row, CORR, STACK_TIMES).tobytes()
+
+    def test_bns_duplicate_mean_rows_integrated_once(self, monkeypatch):
+        """Rows differing only in kappa2, rho or kappa2* share (lambda, sigma0^2 - kappa1, kappa1)."""
+        rows = np.tile(BNS_LEVERAGED, (6, 1))
+        rows[1, 7] *= 1.5  # kappa2_1
+        rows[2, 10:13] = -0.1, 0.0, -0.7  # rho
+        rows[3, 13] = 0.0  # kappa2*
+        rows[4, 0] = 3.0  # lambda: a second distinct row
+        rows[5, 1] *= 1.01  # sigma0^2_1: a third
+        singles = [model_curve("bns", row, CORR, STACK_TIMES) for row in rows]
+        sets = count_kernel_sets(monkeypatch, bns)
+        curves = model_curve("bns", rows, CORR, STACK_TIMES)
+        # E_all and the n E_{-i}, each over the 3 distinct rows
+        assert sets == [3] * 4
+        for curve, single in zip(curves, singles):
+            assert curve.tobytes() == single.tobytes()
+
+
+def object_error(model, row):
+    """The ``ValidationError`` message of the parameter objects built from a 3-asset ``row``."""
+    names = [name for name, _, _ in calibrate._entries(model, 3)]
+    v = dict(zip(names, map(float, row)))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LeverageSignWarning)
+            if model == "heston":
+                for i in (1, 2, 3):
+                    HestonAssetParams(
+                        k=v[f"k_{i}"], theta2=v[f"theta2_{i}"], sigma0_2=v[f"sigma0_2_{i}"],
+                        gamma=1.0,
+                    )
+            else:
+                assets = [
+                    BnsAssetParams(
+                        sigma0_2=v[f"sigma0_2_{i}"], kappa1=v[f"kappa1_{i}"],
+                        kappa2=v[f"kappa2_{i}"], rho=v[f"rho_{i}"],
+                    )
+                    for i in (1, 2, 3)
+                ]
+                BnsPortfolioParams(assets=assets, lambda_=v["lambda"], kappa2_star=v["kappa2_star"])
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+BAD_VALUES = {
+    "k": [0.0, -0.0, -1e-300, -1.0, *NON_FINITE],
+    "theta2": [0.0, -0.0, -1e-300, *NON_FINITE],
+    "sigma0_2": [0.0, -1e-300, -1.0, *NON_FINITE],
+    "lambda": [0.0, -0.0, -2.0, *NON_FINITE],
+    "kappa1": [-1e-300, -1.0, *NON_FINITE],
+    "kappa2": [-1e-300, -1.0, *NON_FINITE],
+    "rho": NON_FINITE,
+    "kappa2_star": [-1e-300, -0.5, *NON_FINITE],
+}
+
+
+class TestStackValidation:
+    """A stack is checked by the parameter objects' rules, with their messages."""
+
+    TIMES = np.array([0.5, 1.0, 2.0])
+
+    def raised(self, model, params):
+        with pytest.raises(ValidationError) as info:
+            model_curve(model, params, CORR, self.TIMES)
+        return str(info.value)
+
+    @pytest.mark.parametrize("model", ["heston", "bns"])
+    def test_each_bad_entry_raises_the_objects_error(self, model):
+        base = HESTON_TRUTH if model == "heston" else BNS_LEVERAGED
+        fields = [
+            field for field, per_asset, _, _ in calibrate._LAYOUTS[model]
+            for _ in range(3 if per_asset else 1)
+        ]
+        for column, field in enumerate(fields):
+            for bad in BAD_VALUES[field]:
+                rows = near(base, 3, seed=2)
+                rows[1, column] = bad
+                expected = object_error(model, rows[1])
+                assert expected is not None and expected.startswith(f"{field} must be"), expected
+                assert self.raised(model, rows[1]) == expected, (column, bad)
+                assert self.raised(model, rows) == expected, (column, bad)
+
+    @pytest.mark.parametrize(
+        "model, changes, field",
+        [
+            ("heston", {1: -1.0, 3: -1.0}, "theta2"),  # theta2_1 comes before k_2
+            ("bns", {13: -1.0, 5: -1.0}, "kappa1"),  # assets before kappa2*
+            ("bns", {0: 0.0, 12: math.nan}, "rho"),  # and before lambda
+        ],
+    )
+    def test_first_bad_entry_in_the_objects_order(self, model, changes, field):
+        rows = near(HESTON_TRUTH if model == "heston" else BNS_LEVERAGED, 3, seed=2)
+        for column, value in changes.items():
+            rows[2, column] = value
+        expected = object_error(model, rows[2])
+        assert expected.startswith(f"{field} must be")
+        assert self.raised(model, rows[2]) == expected
+        assert self.raised(model, rows) == expected
+
+    def test_positive_rho_passes_without_a_warning(self):
+        rows = near(BNS_LEVERAGED, 3, seed=2)
+        rows[:, 10:13] = np.abs(rows[:, 10:13])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curves = model_curve("bns", rows, CORR, self.TIMES)
+            single = model_curve("bns", rows[1], CORR, self.TIMES)
+        assert np.all(np.isfinite(curves))
+        assert single.tobytes() == curves[1].tobytes()
 
 
 def batched_problem(model):

@@ -14,6 +14,7 @@ import copy
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -230,3 +231,26 @@ def test_report_result_documents(result):
     files = {"realized.csv": realized, "result.json": json.dumps(result)}
     run(lambda p, work: [["report", p["realized.csv"], "--result", p["result.json"],
                           "--out", work + "/out"]], files)
+
+
+def test_non_finite_estimate_exits_3_without_a_numpy_warning():
+    """sigma0_2 = 1e300 overflows the determinant: exit 3 with only the CLI's own message."""
+    model = copy.deepcopy(HESTON)
+    model["assets"][0]["sigma0_2"] = 1e300
+    sim = {"n_paths": 10, "dt": 0.1, "horizon": 1.0}
+    with tempfile.TemporaryDirectory() as work:
+        paths = {}
+        for name, doc in (("model.json", model), ("sim.json", sim)):
+            paths[name] = str(Path(work) / name)
+            Path(paths[name]).write_text(json.dumps(doc))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["simulate", "--model", paths["model.json"], "--sim", paths["sim.json"],
+                             "--seed", "1", "--out", work + "/out"])
+    assert code == 3, err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [
+        str(w.message) for w in caught
+    ]
+    assert "RuntimeWarning" not in err.getvalue()
