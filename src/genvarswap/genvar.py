@@ -21,8 +21,8 @@ form and the Monte Carlo integrals all read them from it.
 All functions are pure and safe for concurrent invocation. The ``*_values``
 variants evaluate determinants along whole ensembles of variance paths at
 once and are the kernels used by the Monte Carlo module: on a recorded
-ensemble, and for |Sigma_1| once per grid row of a Heston block as the row
-is made.
+ensemble, and for |Sigma_1| on each stack of grid rows a Heston block has
+just made, into a buffer the block reuses.
 """
 
 from __future__ import annotations
@@ -163,14 +163,23 @@ def det_sigma2(
     return corr.det_c * float(np.prod(s**2)) * (1.0 + lambda_ * var_z1 * quad_form)
 
 
-def det_sigma1_values(variances: np.ndarray, corr: CorrelationMatrix) -> np.ndarray:
-    """|Sigma_1| for an array of variance vectors (last axis = assets)."""
+def det_sigma1_values(
+    variances: np.ndarray, corr: CorrelationMatrix, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """|Sigma_1| for an array of variance vectors (last axis = assets).
+
+    ``out``, if given, is a float array of the result's shape that receives
+    the values and is returned, so that a caller evaluating many stacks of
+    rows can reuse one buffer; the values are the same bits either way.
+    """
     variances = np.asarray(variances, dtype=float)
     if variances.shape[-1] != corr.n:
         raise DimensionMismatch(
             f"last axis has {variances.shape[-1]} assets, correlation has {corr.n}"
         )
-    return corr.det_c * np.prod(variances, axis=-1)
+    values = np.prod(variances, axis=-1, out=out)
+    values *= corr.det_c
+    return values
 
 
 def det_sigma2_values(

@@ -20,11 +20,14 @@ routes:
 * Heston steps a block of paths through the grid in one loop
   (``_heston_rows``), its state stored asset-major, (assets, paths), and
   the normals of each chunk of ``_CHUNK`` steps drawn from the block's
-  live per-path generators. Each row is used as it is made: copied out if
-  it is recorded and, for the streaming route, its |Sigma_1| added to the
-  per-path trapezoidal time average. Besides its recorded rows a block
-  holds O(block_size * _CHUNK * n_assets) floats whatever the number of
-  steps. The chunks and the draw tiles below serve Heston's grid alone.
+  live per-path generators. Each step writes its row over the normals it
+  has just used, so the chunk's buffer ends up holding the chunk's rows.
+  Once per chunk the recorded ones are copied out and, for the streaming
+  route, their |Sigma_1| are taken a stack of rows per kernel call and
+  added to the per-path trapezoidal time average one row at a time in
+  grid order. Besides its recorded rows a block holds
+  O(block_size * _CHUNK * n_assets) floats whatever the number of steps.
+  The chunks and the draw tiles below serve Heston's grid alone.
 * BNS needs no grid. Its kernel (``_JumpList``) draws every path's jumps,
   merges each path's jumps across assets in time order and walks them once,
   keeping each variance's excess over its level, sigma^2 - a, right after
@@ -53,9 +56,12 @@ Three things keep a block cheap:
   (1 MiB) at a time and transposes each tile into the step-major buffer
   while it is in cache. Each path's normals come in the same order whatever
   the tile, so the tiling moves no result.
-* The Heston step loop allocates its buffers once per block (the state,
-  the step temporaries and the transposed normals, refilled for every
-  chunk) and works in place: no row is kept but the recorded ones.
+* Each Heston worker's buffers (the state, the step temporaries, the row
+  carried between chunks, the chunk buffer of normals and rows, and the
+  draw tile, which also takes a chunk's determinants once its normals
+  are transposed) are allocated once per run, in the calling thread, and
+  every block the worker runs reuses them in place: no row is kept but
+  the recorded ones, and no buffer is made per block, chunk or row.
 * No generator costs more than its key, and BNS jumps need none. Heston
   and the price routes keep one live generator per path:
   ``np.random.Philox`` takes the path's (seed, path) key from a minimal
@@ -101,6 +107,7 @@ from __future__ import annotations
 
 import functools
 import math
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -496,14 +503,20 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _run(block, cfg: SimConfig, n: int, scheme: str, threads: int = 1, record: bool = True):
-    """Every block [lo, hi) of paths through ``block(lo, hi, rows)`` on ``threads`` workers.
+def _run(worker, cfg: SimConfig, n: int, scheme: str, threads: int = 1, record: bool = True):
+    """Every block [lo, hi) of paths through a block function on ``threads`` workers.
 
-    ``block`` returns the block's grid rows ``rows`` path-major and per path
-    the time integral of |Sigma| over the horizon (zeros when nothing is
+    ``worker()`` makes one worker's block function ``block(lo, hi, rows)``
+    with whatever buffers it reuses from block to block. It is called here,
+    in the calling thread, once for each of min(threads, blocks) workers,
+    and no two blocks run on one block function at a time. ``block``
+    returns the block's grid rows ``rows`` path-major and per path the time
+    integral of |Sigma| over the horizon (zeros when nothing is
     integrated). Returns the ensemble of the rows of ``record_times`` (None
-    unless ``record``) and per path the time average.
+    unless ``record``) and per path the time average. ``threads`` must be a
+    whole number >= 1: NaN would start no worker and 2.5 would start three.
     """
+    threads = _whole_number("threads", threads)
     if threads < 1:
         raise InvalidConfig(f"threads must be >= 1, got {threads}")
     rows = cfg.record_indices if record else np.empty(0, dtype=int)
@@ -511,13 +524,21 @@ def _run(block, cfg: SimConfig, n: int, scheme: str, threads: int = 1, record: b
     times = cfg.times
     recorded = np.empty((cfg.n_paths, rows.size, n))
     averages = np.empty(cfg.n_paths)
+    workers = min(threads, -(-cfg.n_paths // cfg.block_size))
+    idle = queue.SimpleQueue()
+    for _ in range(workers):
+        idle.put(worker())
 
     def run(span):
         lo, hi = span
-        recorded[lo:hi], total = block(lo, hi, rows)
+        block = idle.get()
+        try:
+            recorded[lo:hi], total = block(lo, hi, rows)
+        finally:
+            idle.put(block)
         averages[lo:hi] = total / (times[-1] - times[0])
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run, _blocks(cfg.n_paths, cfg.block_size)))
     if not record:
         return None, averages
@@ -532,11 +553,39 @@ def _return_normals(rngs, cfg: SimConfig, n: int) -> np.ndarray:
     return eps
 
 
-# Heston paths: one Euler step loop per block, each row used as it is made
+# Heston paths: one Euler step loop per block, its rows used a chunk at a time
+
+
+class _HestonBuffers:
+    """One worker's buffers for Heston blocks of up to ``paths`` paths.
+
+    Made once per run, in the calling thread, and reused by every block the
+    worker steps, each block on the first columns of each buffer: the
+    per-asset parameter rows k, theta2 and gamma, the state, the row
+    carried from chunk to chunk and the step temporaries, each (assets,
+    paths); the chunk buffer ``z``, (chunk, assets, paths), which holds a
+    chunk's normals and then, step by step, its rows; and the flat draw
+    tile ``drawn``, which holds a tile of paths' normals of a chunk and,
+    once they are in ``z``, the chunk's determinants, at least one row of
+    them at a time.
+    """
+
+    def __init__(self, portfolio: HestonPortfolio, cfg: SimConfig, paths: int):
+        n = portfolio.n
+        chunk = min(_CHUNK, cfg.n_steps)
+        self.tile = min(paths, max(1, _TILE_BYTES // (chunk * n * 8)))
+        self.drawn = np.empty(max(self.tile * chunk * n, paths))
+        self.z = np.empty((chunk, n, paths))
+        # each parameter as a contiguous (assets, paths) row, not a column broadcast at every step
+        self.k, self.theta2, self.sigma0_2, self.gamma = (
+            np.repeat([[getattr(a, name)] for a in portfolio.assets], paths, axis=1)
+            for name in ("k", "theta2", "sigma0_2", "gamma")
+        )
+        self.state, self.carried, self.drift, self.shock = (np.empty((n, paths)) for _ in range(4))
 
 
 def _heston_rows(portfolio: HestonPortfolio, cfg: SimConfig, rngs, rows: np.ndarray,
-                 corr: CorrelationMatrix | None = None):
+                 buffers: _HestonBuffers, corr: CorrelationMatrix | None = None):
     """Full-truncation Euler variances of the paths of ``rngs``, made one grid row at a time.
 
     Returns the grid rows ``rows`` (strictly increasing) path-major, shape
@@ -544,18 +593,26 @@ def _heston_rows(portfolio: HestonPortfolio, cfg: SimConfig, rngs, rows: np.ndar
     of |Sigma_1| under ``corr`` (zeros without it). The state is held
     (assets, paths), so per-asset parameters broadcast along the contiguous
     path axis; a row holds the floored value while the raw state carries
-    the excursion. Each row is copied out if recorded and added to the time
-    average as soon as it is made. A chunk's normals are drawn a tile of
-    paths at a time (about ``_TILE_BYTES``) and transposed into the
-    step-major buffer ``z`` while the tile is in cache.
+    the excursion. A chunk's normals are drawn a tile of paths at a time
+    (about ``_TILE_BYTES``) and transposed into the step-major buffer ``z``
+    while the tile is in cache; each step writes its row over the normals
+    it has just used, ``z[s]``, and the chunk's last row is carried into
+    the next chunk. Once per chunk the recorded rows are copied out and the
+    rows' |Sigma_1| come from one ``det_sigma1_values`` call per stack of
+    rows that fits the idle draw tile; each row of the stack, times its
+    trapezoid weight, is added to the time average one at a time in grid
+    order. All of it runs in ``buffers``.
     """
     n = portfolio.n
     B = len(rngs)
-    # each parameter as a contiguous (assets, paths) row, not a column broadcast at every step
-    k, theta2, state, gamma = (
-        np.repeat([[getattr(a, name)] for a in portfolio.assets], B, axis=1)
-        for name in ("k", "theta2", "sigma0_2", "gamma")
+    k, theta2, sigma0_2, gamma, state, carried, drift, shock = (
+        a[:, :B] for a in (buffers.k, buffers.theta2, buffers.sigma0_2, buffers.gamma,
+                           buffers.state, buffers.carried, buffers.drift, buffers.shock)
     )
+    z = buffers.z[:, :, :B]
+    chunk, tile = z.shape[0], buffers.tile
+    drawn = buffers.drawn[: tile * chunk * n].reshape(tile, chunk * n)
+    per_call = buffers.drawn.size // B
     dt = cfg.dt
     sq_dt = math.sqrt(dt)
     weights = _trapezoid_weights(cfg.times)
@@ -563,58 +620,73 @@ def _heston_rows(portfolio: HestonPortfolio, cfg: SimConfig, rngs, rows: np.ndar
     total = np.zeros(B)
     kept = 0
 
-    def use(g, row):
-        """Record grid row g if it is in ``rows`` and add its |Sigma_1| to the time average."""
+    def use(g0, stack):
+        """Record the rows of ``stack`` (rows, assets, paths), grid rows g0, g0 + 1, ...,
+        that are in ``rows`` and add their |Sigma_1| to the time average."""
         nonlocal kept, total
-        if kept < rows.size and rows[kept] == g:
-            recorded[:, kept] = row.T
+        while kept < rows.size and rows[kept] < g0 + len(stack):
+            recorded[:, kept] = stack[rows[kept] - g0].T
             kept += 1
-        if corr is not None:
-            total += weights[g] * det_sigma1_values(row.T, corr)
+        if corr is None:
+            return
+        for r0 in range(0, len(stack), per_call):
+            piece = stack[r0:r0 + per_call]
+            values = det_sigma1_values(
+                piece.transpose(0, 2, 1), corr, out=buffers.drawn[: len(piece) * B].reshape(-1, B)
+            )
+            values *= weights[g0 + r0:g0 + r0 + len(values), np.newaxis]
+            for value in values:
+                total += value
 
-    floored = np.maximum(state, 0.0)
-    use(0, floored)
-    chunk = min(_CHUNK, cfg.n_steps)
-    tile = min(B, max(1, _TILE_BYTES // (chunk * n * 8)))
-    drawn = np.empty((tile, chunk * n))
-    z = np.empty((chunk, n, B))
-    drift = np.empty((n, B))
-    shock = np.empty((n, B))
-    for s0 in range(0, cfg.n_steps, _CHUNK):
-        c = min(_CHUNK, cfg.n_steps - s0)
+    np.copyto(state, sigma0_2)
+    np.maximum(state, 0.0, out=carried)
+    use(0, carried[np.newaxis])
+    for s0 in range(0, cfg.n_steps, chunk):
+        c = min(chunk, cfg.n_steps - s0)
+        tiles = drawn[:, : c * n]
         for j0 in range(0, B, tile):
             part = rngs[j0:j0 + tile]
-            for j, rng in enumerate(part):
-                rng.standard_normal(out=drawn[j, : c * n])
+            for rng, out in zip(part, tiles):
+                rng.standard_normal(out=out)
             np.copyto(
                 z[:c, :, j0:j0 + len(part)],
-                drawn[: len(part), : c * n].reshape(len(part), c, n).transpose(1, 2, 0),
+                tiles[: len(part)].reshape(len(part), c, n).transpose(1, 2, 0),
             )
-        for s in range(c):
-            # state += k (theta2 - floored) dt + gamma sqrt(floored) sqrt(dt) z in place,
-            # one operation at a time in the order of that expression
-            np.subtract(theta2, floored, out=drift)
+        prev = carried
+        for row in z[:c]:
+            # state += k (theta2 - prev) dt + gamma sqrt(prev) sqrt(dt) z in place, one
+            # operation at a time in the order of that expression; the floored state
+            # then takes the place of the normals z in ``row``
+            np.subtract(theta2, prev, out=drift)
             drift *= k
             drift *= dt
-            np.sqrt(floored, out=shock)
+            np.sqrt(prev, out=shock)
             shock *= gamma
             shock *= sq_dt
-            shock *= z[s]
+            shock *= row
             state += drift
             state += shock
-            np.maximum(state, 0.0, out=floored)
-            use(s0 + s + 1, floored)
+            np.maximum(state, 0.0, out=row)
+            prev = row
+        use(s0 + 1, z[:c])
+        np.copyto(carried, prev)
     return recorded, total
 
 
 def _heston_block(portfolio: HestonPortfolio, cfg: SimConfig,
                   corr: CorrelationMatrix | None = None):
-    """The Heston block function: the step loop on the block's live generators."""
+    """The Heston worker for ``_run``: each call makes one worker's block function, the
+    step loop on each block's live generators in buffers made once for all its blocks."""
 
-    def block(lo, hi, rows):
-        return _heston_rows(portfolio, cfg, _rngs(cfg, lo, hi), rows, corr)
+    def worker():
+        buffers = _HestonBuffers(portfolio, cfg, min(cfg.block_size, cfg.n_paths))
 
-    return block
+        def block(lo, hi, rows):
+            return _heston_rows(portfolio, cfg, _rngs(cfg, lo, hi), rows, buffers, corr)
+
+        return block
+
+    return worker
 
 
 def simulate_heston(portfolio: HestonPortfolio, cfg: SimConfig) -> PathEnsemble:
@@ -761,7 +833,8 @@ class _JumpList:
 
 
 def _bns_block(p: BnsPortfolioParams, cfg: SimConfig, corr: CorrelationMatrix | None = None):
-    """The BNS block function on each block's jump list.
+    """The BNS worker for ``_run``: one block function on each block's jump list, which
+    holds no buffers, so every worker runs it.
 
     Without ``corr`` only rows are recorded. With it, the time integral of
     |Sigma_2| is that of ``_JumpList.integrals``, over each jump-free interval.
@@ -773,7 +846,7 @@ def _bns_block(p: BnsPortfolioParams, cfg: SimConfig, corr: CorrelationMatrix | 
         integral = np.zeros(hi - lo) if corr is None else jumps.integrals(corr, p.rho, p.kappa2_star)
         return jumps.rows(cfg.times[rows]), integral
 
-    return block
+    return lambda: block
 
 
 def simulate_bns(p: BnsPortfolioParams, cfg: SimConfig) -> PathEnsemble:
@@ -835,9 +908,9 @@ def mc_realized_variance(
     return _summarize(total / (times[-1] - times[0]))
 
 
-def _streaming_estimate(block, cfg: SimConfig, n: int, scheme: str, threads: int,
+def _streaming_estimate(worker, cfg: SimConfig, n: int, scheme: str, threads: int,
                         return_ensemble: bool):
-    ensemble, averages = _run(block, cfg, n, scheme, threads, record=return_ensemble)
+    ensemble, averages = _run(worker, cfg, n, scheme, threads, record=return_ensemble)
     estimate = _summarize(averages)
     return (estimate, ensemble) if return_ensemble else estimate
 
@@ -854,8 +927,8 @@ def heston_realized_variance_mc(
     pass.
     """
     scheme = _check_scheme(cfg, "full_truncation_euler")
-    block = _heston_block(portfolio, cfg, portfolio.corr)
-    return _streaming_estimate(block, cfg, portfolio.n, scheme, threads, return_ensemble)
+    worker = _heston_block(portfolio, cfg, portfolio.corr)
+    return _streaming_estimate(worker, cfg, portfolio.n, scheme, threads, return_ensemble)
 
 
 def bns_realized_variance_mc(
@@ -916,10 +989,12 @@ def _log_euler_prices(v, eps, L, s0, mu, beta, dt: float, jumps=None) -> np.ndar
     return s0 * np.exp(x)
 
 
-def _price_paths(variance_rows, corr: CorrelationMatrix, cfg: SimConfig, s0, mu, beta, jumps=None):
+def _price_paths(worker, corr: CorrelationMatrix, cfg: SimConfig, s0, mu, beta, jumps=None):
     """(prices, variances) of all paths, each (n_paths, n_steps + 1, n).
 
-    Block [lo, hi) takes its variances at every grid time, path-major, from
+    The blocks run one after another on one block function, which
+    ``worker()`` makes once the size check has passed. Block [lo, hi) takes
+    its variances at every grid time, path-major, from
     ``variance_rows(lo, hi, rngs)``, then the return normals from its live
     generators ``rngs`` (after whatever the variances drew from them), and
     its per-step log-price jumps from ``jumps(lo, hi)``, if given.
@@ -929,6 +1004,7 @@ def _price_paths(variance_rows, corr: CorrelationMatrix, cfg: SimConfig, s0, mu,
     _check_ensemble_size(cfg, cfg.n_steps + 1, 2 * n, "use fewer paths or a coarser dt")
     s0, mu, beta = _price_inputs(n, s0, mu, beta)
     L = _corr_factor(corr)
+    variance_rows = worker()
     prices = np.empty((cfg.n_paths, cfg.n_steps + 1, n))
     variances = np.empty_like(prices)
     for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
@@ -948,10 +1024,12 @@ def simulate_heston_prices(
     """Log-Euler price paths with C-correlated return drivers."""
     _check_scheme(cfg, "full_truncation_euler")
 
-    def variance_rows(lo, hi, rngs):
-        return _heston_rows(portfolio, cfg, rngs, np.arange(cfg.n_steps + 1))[0]
+    def worker():
+        buffers = _HestonBuffers(portfolio, cfg, min(cfg.block_size, cfg.n_paths))
+        grid = np.arange(cfg.n_steps + 1)
+        return lambda lo, hi, rngs: _heston_rows(portfolio, cfg, rngs, grid, buffers)[0]
 
-    return PricePaths(cfg.times, *_price_paths(variance_rows, portfolio.corr, cfg, s0, mu, 0.0))
+    return PricePaths(cfg.times, *_price_paths(worker, portfolio.corr, cfg, s0, mu, 0.0))
 
 
 def simulate_bns_prices(
@@ -1002,7 +1080,7 @@ def simulate_bns_prices(
     def variance_rows(lo, hi, rngs):
         return _JumpList(p, cfg, lo, hi).rows(cfg.times)
 
-    paths = _price_paths(variance_rows, corr, cfg, s0, mu, beta, common_jumps)
+    paths = _price_paths(lambda: variance_rows, corr, cfg, s0, mu, beta, common_jumps)
     return PricePaths(cfg.times, *paths, jump_marks=tuple(marks))
 
 

@@ -193,6 +193,23 @@ class TestVectorizedValues:
         s = np.sqrt(variances[3, 2])
         assert out[3, 2] == pytest.approx(det_sigma1(InstantaneousVols(s), corr), rel=1e-12)
 
+    def test_det_sigma1_values_into_a_strided_view(self):
+        """Into ``out``, on an asset-major stack read through a transposed view, the values
+        are the bits of |C| times each row's product of variances taken in asset order."""
+        rng = np.random.default_rng(37)
+        corr = random_correlation(rng)
+        stack = rng.uniform(0.0, 4.0, (6, 3, 50))  # (rows, assets, paths)
+        buffer = np.full(400, np.nan)
+        out = buffer[:300].reshape(6, 50)
+        values = det_sigma1_values(stack.transpose(0, 2, 1), corr, out=out)
+        assert values is out
+        product = stack[:, 0].copy()
+        for i in (1, 2):
+            product *= stack[:, i]
+        np.testing.assert_array_equal(values, corr.det_c * product)
+        np.testing.assert_array_equal(values, det_sigma1_values(stack.transpose(0, 2, 1), corr))
+        assert np.isnan(buffer[300:]).all()
+
     def test_det_sigma2_values_matches_scalar(self):
         rng = np.random.default_rng(23)
         for rho in (

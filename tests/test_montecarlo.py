@@ -141,6 +141,25 @@ def bns_reference_events(p, cfg, j):
     return events
 
 
+def heston_reference_paths(pf, cfg):
+    """Full-truncation Euler rows of every path, (paths, n_steps + 1, n), by a plain loop
+    over each path's own (seed, path) stream, step-major."""
+    k, theta2, sigma0_2, gamma = (
+        np.array([getattr(a, name) for a in pf.assets]) for name in ("k", "theta2", "sigma0_2", "gamma")
+    )
+    paths = []
+    for j in range(cfg.n_paths):
+        rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, j], dtype=np.uint64)))
+        z = rng.standard_normal(cfg.n_steps * pf.n).reshape(cfg.n_steps, pf.n)
+        state = sigma0_2.copy()
+        rows = [np.maximum(state, 0.0)]
+        for s in range(cfg.n_steps):
+            state = state + k * (theta2 - rows[-1]) * cfg.dt + gamma * np.sqrt(rows[-1]) * math.sqrt(cfg.dt) * z[s]
+            rows.append(np.maximum(state, 0.0))
+        paths.append(rows)
+    return np.array(paths)
+
+
 def bns_reference_path(p, cfg, j):
     """Path j of simulate_bns(p, cfg): each recorded time from the last event at or before it."""
     lam, level = p.lambda_, bns_levels(p)
@@ -645,6 +664,25 @@ class TestStreamingEstimators:
             with pytest.raises(InvalidConfig):
                 bns_realized_variance_mc(bns_portfolio(), CORR, cfg, threads=threads)
 
+    @pytest.mark.parametrize(
+        "threads", [math.nan, math.inf, -math.inf, 2.5, True, "2"],
+        ids=("nan", "inf", "-inf", "2.5", "True", "str"),
+    )
+    def test_thread_count_must_be_a_whole_number(self, threads):
+        """NaN would start no worker and wait forever, 2.5 would run three; each is refused."""
+        cfg = SimConfig(n_paths=4, dt=0.25, horizon=1.0, seed=1)
+        with pytest.raises(InvalidConfig, match="threads"):
+            heston_realized_variance_mc(heston_portfolio(), cfg, threads=threads)
+        with pytest.raises(InvalidConfig, match="threads"):
+            bns_realized_variance_mc(bns_portfolio(), CORR, cfg, threads=threads)
+
+    def test_whole_float_thread_count_runs(self):
+        cfg = SimConfig(n_paths=40, dt=0.25, horizon=1.0, seed=1, block_size=7)
+        pf = heston_portfolio()
+        assert heston_realized_variance_mc(pf, cfg, threads=2.0) == heston_realized_variance_mc(
+            pf, cfg, threads=2
+        )
+
 
 class TestOnePass:
     """The streaming pass records the ensemble of the same paths in bounded memory."""
@@ -1083,6 +1121,83 @@ class TestBlockPipeline:
         finally:
             tracemalloc.stop()
         assert peak <= bound
+
+    @pytest.mark.parametrize("threads, n_paths", [(2, 4096), (3, 2048)], ids=("2x4", "3x2"))
+    def test_workers_hold_one_buffer_set_each(self, threads, n_paths):
+        """Each of min(threads, blocks) workers holds one block's buffers for the whole run:
+        2 threads over 4 blocks, and 3 threads over 2 blocks, stay within two sets, twice
+        the one-block bound of ``test_block_peak_memory[heston]``."""
+        cfg = SimConfig(n_paths=n_paths, dt=1e-3, horizon=1.0, seed=67, block_size=1024)
+        tracemalloc.start()
+        try:
+            heston_realized_variance_mc(heston_portfolio(), cfg, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (2 * 1024 * montecarlo._CHUNK * 3 * 8)
+
+    def test_one_determinant_call_per_stack_of_rows(self, monkeypatch):
+        """A block of 100 paths over 600 steps evaluates |Sigma_1| once for its first row
+        and once per chunk, not once per row; estimate and rows stay the ensemble route's."""
+        pf = heston_portfolio()
+        dt, steps = 0.001, 600
+        cfg = SimConfig(n_paths=300, dt=dt, horizon=steps * dt, seed=29, block_size=100)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return det_sigma1_values(*args, **kwargs)
+
+        det_sigma1_values = montecarlo.det_sigma1_values
+        monkeypatch.setattr(montecarlo, "det_sigma1_values", spy)
+        estimate, ensemble = heston_realized_variance_mc(pf, cfg, return_ensemble=True)
+        assert len(calls) <= 3 * (1 + math.ceil(steps / montecarlo._CHUNK))
+        assert sum(shape[0] for shape in calls) == 3 * (steps + 1)
+        reference = simulate_heston(pf, cfg)
+        assert estimate == mc_realized_variance(reference, pf.corr)
+        np.testing.assert_array_equal(ensemble.variance_paths, reference.variance_paths)
+
+    @pytest.mark.parametrize("tile_bytes", [None, 1], ids=("tiles", "one_path_tiles"))
+    @pytest.mark.parametrize(
+        "chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 1)], ids=("1", "C-1", "C", "C+1", "3C+1")
+    )
+    def test_chunk_boundaries(self, monkeypatch, chunks, extra, tile_bytes):
+        """Grids shorter than a chunk, ending on and just past its boundaries: the estimate
+        is the per-row trapezoid sum_g w_g (|C| prod_i v_i) added in grid order, bit for bit,
+        and the recorded rows, on both sides of every boundary, equal a per-path loop's.
+        One-path draw tiles hold fewer rows than a chunk, so a chunk's determinants take
+        several kernel calls."""
+        if tile_bytes is not None:
+            monkeypatch.setattr(montecarlo, "_TILE_BYTES", tile_bytes)
+        C = montecarlo._CHUNK
+        steps = chunks * C + extra
+        pf = heston_portfolio(gamma=0.9)
+        dt = 0.001
+        edges = sorted({g for b in range(C, steps + 1, C) for g in (b - 1, b, b + 1) if g <= steps}
+                       | {0, steps})
+        record = tuple(g * dt for g in edges)
+        full = heston_reference_paths(pf, SimConfig(n_paths=9, dt=dt, horizon=steps * dt, seed=47))
+        times = np.arange(steps + 1) * dt
+        total = np.zeros(9)
+        for g, w in enumerate(montecarlo._trapezoid_weights(times)):
+            product = full[:, g, 0].copy()
+            for i in range(1, pf.n):
+                product *= full[:, g, i]
+            total += w * (pf.corr.det_c * product)
+        expected = montecarlo._summarize(total / times[-1])
+        for block_size in (1, 7, 4096):
+            cfg = SimConfig(
+                n_paths=9, dt=dt, horizon=steps * dt, seed=47, block_size=block_size,
+                record_times=record,
+            )
+            thinned = simulate_heston(pf, cfg).variance_paths
+            np.testing.assert_array_equal(thinned, full[:, edges])
+            for threads in (1, 2, 3):
+                estimate, ensemble = heston_realized_variance_mc(
+                    pf, cfg, threads=threads, return_ensemble=True
+                )
+                assert estimate == expected
+                np.testing.assert_array_equal(ensemble.variance_paths, thinned)
 
 
 class TestJumpCountLimit:
