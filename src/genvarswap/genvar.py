@@ -22,7 +22,8 @@ All functions are pure and safe for concurrent invocation. The ``*_values``
 variants evaluate determinants along whole ensembles of variance paths at
 once and are the kernels used by the Monte Carlo module: on a recorded
 ensemble, and for |Sigma_1| on each stack of grid rows a Heston block has
-just made, into a buffer the block reuses.
+just made, into the block's draw tile, idle once the chunk's normals are
+transposed.
 """
 
 from __future__ import annotations

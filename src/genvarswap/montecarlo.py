@@ -22,10 +22,10 @@ routes:
   the normals of each chunk of ``_CHUNK`` steps drawn from the block's
   live per-path generators. Each step writes its row over the normals it
   has just used, so the chunk's buffer ends up holding the chunk's rows.
-  Once per chunk the recorded ones are copied out and, for the streaming
-  route, their |Sigma_1| are taken a stack of rows per kernel call and
-  added to the per-path trapezoidal time average one row at a time in
-  grid order. Besides its recorded rows a block holds
+  Once per chunk the recorded ones go to the run's ensemble and, for the
+  streaming route, their |Sigma_1| are taken a stack of rows per kernel
+  call and added to the per-path trapezoidal time average one row at a
+  time in grid order. Besides its recorded rows a block holds
   O(block_size * _CHUNK * n_assets) floats whatever the number of steps.
   The chunks and the draw tiles below serve Heston's grid alone.
 * BNS needs no grid. Its kernel (``_JumpList``) draws every path's jumps,
@@ -56,12 +56,12 @@ Three things keep a block cheap:
   (1 MiB) at a time and transposes each tile into the step-major buffer
   while it is in cache. Each path's normals come in the same order whatever
   the tile, so the tiling moves no result.
-* Each Heston worker's buffers (the state, the step temporaries, the row
-  carried between chunks, the chunk buffer of normals and rows, and the
-  draw tile, which also takes a chunk's determinants once its normals
-  are transposed) are allocated once per run, in the calling thread, and
-  every block the worker runs reuses them in place: no row is kept but
-  the recorded ones, and no buffer is made per block, chunk or row.
+* A block writes its rows straight into its slice of the run's arrays and
+  makes its working arrays for the length of the call: Heston's state, step
+  temporaries, the row carried between chunks, the chunk buffer of normals
+  and rows, and the draw tile, which also takes a chunk's determinants once
+  its normals are transposed. No row is kept but the recorded ones, none is
+  copied after the block, and no buffer is made per chunk or row.
 * No generator costs more than its key, and BNS jumps need none. Heston
   and the price routes keep one live generator per path:
   ``np.random.Philox`` takes the path's (seed, path) key from a minimal
@@ -107,7 +107,6 @@ from __future__ import annotations
 
 import functools
 import math
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -503,18 +502,17 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _run(worker, cfg: SimConfig, n: int, scheme: str, threads: int = 1, record: bool = True):
-    """Every block [lo, hi) of paths through a block function on ``threads`` workers.
+def _run(block, cfg: SimConfig, n: int, scheme: str, threads: int = 1, record: bool = True):
+    """Every block [lo, hi) of paths through ``block`` on min(threads, blocks) threads.
 
-    ``worker()`` makes one worker's block function ``block(lo, hi, rows)``
-    with whatever buffers it reuses from block to block. It is called here,
-    in the calling thread, once for each of min(threads, blocks) workers,
-    and no two blocks run on one block function at a time. ``block``
-    returns the block's grid rows ``rows`` path-major and per path the time
-    integral of |Sigma| over the horizon (zeros when nothing is
-    integrated). Returns the ensemble of the rows of ``record_times`` (None
-    unless ``record``) and per path the time average. ``threads`` must be a
-    whole number >= 1: NaN would start no worker and 2.5 would start three.
+    ``block(lo, hi, rows, out)`` writes the block's grid rows ``rows``
+    path-major into ``out``, its slice of the run's ensemble, and returns
+    per path the time integral of |Sigma| over the horizon (zeros when
+    nothing is integrated). Returns the ensemble of the rows of
+    ``record_times`` (None unless ``record``) and per path the time
+    average; a recorded row that is not finite raises ``NumericalError``.
+    ``threads`` must be a whole number >= 1: NaN would start no thread and
+    2.5 would start three.
     """
     threads = _whole_number("threads", threads)
     if threads < 1:
@@ -524,21 +522,16 @@ def _run(worker, cfg: SimConfig, n: int, scheme: str, threads: int = 1, record: 
     times = cfg.times
     recorded = np.empty((cfg.n_paths, rows.size, n))
     averages = np.empty(cfg.n_paths)
-    workers = min(threads, -(-cfg.n_paths // cfg.block_size))
-    idle = queue.SimpleQueue()
-    for _ in range(workers):
-        idle.put(worker())
 
     def run(span):
         lo, hi = span
-        block = idle.get()
-        try:
-            recorded[lo:hi], total = block(lo, hi, rows)
-        finally:
-            idle.put(block)
+        out = recorded[lo:hi]
+        total = block(lo, hi, rows, out)
+        if not np.isfinite(out).all():
+            raise NumericalError(f"a variance path among paths {lo} to {hi - 1} is not finite")
         averages[lo:hi] = total / (times[-1] - times[0])
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, -(-cfg.n_paths // cfg.block_size))) as pool:
         list(pool.map(run, _blocks(cfg.n_paths, cfg.block_size)))
     if not record:
         return None, averages
@@ -556,67 +549,44 @@ def _return_normals(rngs, cfg: SimConfig, n: int) -> np.ndarray:
 # Heston paths: one Euler step loop per block, its rows used a chunk at a time
 
 
-class _HestonBuffers:
-    """One worker's buffers for Heston blocks of up to ``paths`` paths.
-
-    Made once per run, in the calling thread, and reused by every block the
-    worker steps, each block on the first columns of each buffer: the
-    per-asset parameter rows k, theta2 and gamma, the state, the row
-    carried from chunk to chunk and the step temporaries, each (assets,
-    paths); the chunk buffer ``z``, (chunk, assets, paths), which holds a
-    chunk's normals and then, step by step, its rows; and the flat draw
-    tile ``drawn``, which holds a tile of paths' normals of a chunk and,
-    once they are in ``z``, the chunk's determinants, at least one row of
-    them at a time.
-    """
-
-    def __init__(self, portfolio: HestonPortfolio, cfg: SimConfig, paths: int):
-        n = portfolio.n
-        chunk = min(_CHUNK, cfg.n_steps)
-        self.tile = min(paths, max(1, _TILE_BYTES // (chunk * n * 8)))
-        self.drawn = np.empty(max(self.tile * chunk * n, paths))
-        self.z = np.empty((chunk, n, paths))
-        # each parameter as a contiguous (assets, paths) row, not a column broadcast at every step
-        self.k, self.theta2, self.sigma0_2, self.gamma = (
-            np.repeat([[getattr(a, name)] for a in portfolio.assets], paths, axis=1)
-            for name in ("k", "theta2", "sigma0_2", "gamma")
-        )
-        self.state, self.carried, self.drift, self.shock = (np.empty((n, paths)) for _ in range(4))
-
-
-def _heston_rows(portfolio: HestonPortfolio, cfg: SimConfig, rngs, rows: np.ndarray,
-                 buffers: _HestonBuffers, corr: CorrelationMatrix | None = None):
+def _heston_rows(portfolio: HestonPortfolio, cfg: SimConfig, rngs, rows: np.ndarray, out: np.ndarray,
+                 corr: CorrelationMatrix | None = None) -> np.ndarray:
     """Full-truncation Euler variances of the paths of ``rngs``, made one grid row at a time.
 
-    Returns the grid rows ``rows`` (strictly increasing) path-major, shape
-    (paths, rows.size, n), and per path the trapezoidal sum over the grid
-    of |Sigma_1| under ``corr`` (zeros without it). The state is held
-    (assets, paths), so per-asset parameters broadcast along the contiguous
-    path axis; a row holds the floored value while the raw state carries
-    the excursion. A chunk's normals are drawn a tile of paths at a time
-    (about ``_TILE_BYTES``) and transposed into the step-major buffer ``z``
-    while the tile is in cache; each step writes its row over the normals
-    it has just used, ``z[s]``, and the chunk's last row is carried into
-    the next chunk. Once per chunk the recorded rows are copied out and the
-    rows' |Sigma_1| come from one ``det_sigma1_values`` call per stack of
-    rows that fits the idle draw tile; each row of the stack, times its
-    trapezoid weight, is added to the time average one at a time in grid
-    order. All of it runs in ``buffers``.
+    Writes the grid rows ``rows`` (strictly increasing) path-major into
+    ``out``, shape (paths, rows.size, n), and returns per path the
+    trapezoidal sum over the grid of |Sigma_1| under ``corr`` (zeros
+    without it). The state is held (assets, paths), so per-asset parameters
+    broadcast along the contiguous path axis; a row holds the floored value
+    while the raw state carries the excursion. A chunk's normals are drawn a
+    tile of paths at a time (about ``_TILE_BYTES``) and transposed into the
+    step-major buffer ``z`` while the tile is in cache; each step writes its
+    row over the normals it has just used, ``z[s]``, and the chunk's last
+    row is carried into the next chunk. Once per chunk the recorded rows go
+    to ``out`` and the rows' |Sigma_1| come from one ``det_sigma1_values``
+    call per stack of rows that fits the idle draw tile; each row of the
+    stack, times its trapezoid weight, is added to the time average one at a
+    time in grid order. The buffers live for the call. A path that
+    overflows goes on as inf or NaN without a warning; the caller checks
+    what it gets.
     """
     n = portfolio.n
     B = len(rngs)
-    k, theta2, sigma0_2, gamma, state, carried, drift, shock = (
-        a[:, :B] for a in (buffers.k, buffers.theta2, buffers.sigma0_2, buffers.gamma,
-                           buffers.state, buffers.carried, buffers.drift, buffers.shock)
+    chunk = min(_CHUNK, cfg.n_steps)
+    tile = min(B, max(1, _TILE_BYTES // (chunk * n * 8)))
+    buffer = np.empty(max(tile * chunk * n, B))
+    drawn = buffer[: tile * chunk * n].reshape(tile, chunk * n)
+    per_call = buffer.size // B
+    z = np.empty((chunk, n, B))
+    # each parameter as a contiguous (assets, paths) row, not a column broadcast at every step
+    k, theta2, sigma0_2, gamma = (
+        np.repeat([[getattr(a, name)] for a in portfolio.assets], B, axis=1)
+        for name in ("k", "theta2", "sigma0_2", "gamma")
     )
-    z = buffers.z[:, :, :B]
-    chunk, tile = z.shape[0], buffers.tile
-    drawn = buffers.drawn[: tile * chunk * n].reshape(tile, chunk * n)
-    per_call = buffers.drawn.size // B
+    state, carried, drift, shock = (np.empty((n, B)) for _ in range(4))
     dt = cfg.dt
     sq_dt = math.sqrt(dt)
     weights = _trapezoid_weights(cfg.times)
-    recorded = np.empty((B, rows.size, n))
     total = np.zeros(B)
     kept = 0
 
@@ -625,68 +595,64 @@ def _heston_rows(portfolio: HestonPortfolio, cfg: SimConfig, rngs, rows: np.ndar
         that are in ``rows`` and add their |Sigma_1| to the time average."""
         nonlocal kept, total
         while kept < rows.size and rows[kept] < g0 + len(stack):
-            recorded[:, kept] = stack[rows[kept] - g0].T
+            out[:, kept] = stack[rows[kept] - g0].T
             kept += 1
         if corr is None:
             return
         for r0 in range(0, len(stack), per_call):
             piece = stack[r0:r0 + per_call]
             values = det_sigma1_values(
-                piece.transpose(0, 2, 1), corr, out=buffers.drawn[: len(piece) * B].reshape(-1, B)
+                piece.transpose(0, 2, 1), corr, out=buffer[: len(piece) * B].reshape(-1, B)
             )
             values *= weights[g0 + r0:g0 + r0 + len(values), np.newaxis]
             for value in values:
                 total += value
 
-    np.copyto(state, sigma0_2)
-    np.maximum(state, 0.0, out=carried)
-    use(0, carried[np.newaxis])
-    for s0 in range(0, cfg.n_steps, chunk):
-        c = min(chunk, cfg.n_steps - s0)
-        tiles = drawn[:, : c * n]
-        for j0 in range(0, B, tile):
-            part = rngs[j0:j0 + tile]
-            for rng, out in zip(part, tiles):
-                rng.standard_normal(out=out)
-            np.copyto(
-                z[:c, :, j0:j0 + len(part)],
-                tiles[: len(part)].reshape(len(part), c, n).transpose(1, 2, 0),
-            )
-        prev = carried
-        for row in z[:c]:
-            # state += k (theta2 - prev) dt + gamma sqrt(prev) sqrt(dt) z in place, one
-            # operation at a time in the order of that expression; the floored state
-            # then takes the place of the normals z in ``row``
-            np.subtract(theta2, prev, out=drift)
-            drift *= k
-            drift *= dt
-            np.sqrt(prev, out=shock)
-            shock *= gamma
-            shock *= sq_dt
-            shock *= row
-            state += drift
-            state += shock
-            np.maximum(state, 0.0, out=row)
-            prev = row
-        use(s0 + 1, z[:c])
-        np.copyto(carried, prev)
-    return recorded, total
+    # worker threads start with numpy's default error state, so each call sets its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.copyto(state, sigma0_2)
+        np.maximum(state, 0.0, out=carried)
+        use(0, carried[np.newaxis])
+        for s0 in range(0, cfg.n_steps, chunk):
+            c = min(chunk, cfg.n_steps - s0)
+            tiles = drawn[:, : c * n]
+            for j0 in range(0, B, tile):
+                part = rngs[j0:j0 + tile]
+                for rng, normals in zip(part, tiles):
+                    rng.standard_normal(out=normals)
+                np.copyto(
+                    z[:c, :, j0:j0 + len(part)],
+                    tiles[: len(part)].reshape(len(part), c, n).transpose(1, 2, 0),
+                )
+            prev = carried
+            for row in z[:c]:
+                # state += k (theta2 - prev) dt + gamma sqrt(prev) sqrt(dt) z in place, one
+                # operation at a time in the order of that expression; the floored state
+                # then takes the place of the normals z in ``row``
+                np.subtract(theta2, prev, out=drift)
+                drift *= k
+                drift *= dt
+                np.sqrt(prev, out=shock)
+                shock *= gamma
+                shock *= sq_dt
+                shock *= row
+                state += drift
+                state += shock
+                np.maximum(state, 0.0, out=row)
+                prev = row
+            use(s0 + 1, z[:c])
+            np.copyto(carried, prev)
+    return total
 
 
 def _heston_block(portfolio: HestonPortfolio, cfg: SimConfig,
                   corr: CorrelationMatrix | None = None):
-    """The Heston worker for ``_run``: each call makes one worker's block function, the
-    step loop on each block's live generators in buffers made once for all its blocks."""
+    """The Heston block function for ``_run``: the step loop on the block's live generators."""
 
-    def worker():
-        buffers = _HestonBuffers(portfolio, cfg, min(cfg.block_size, cfg.n_paths))
+    def block(lo, hi, rows, out):
+        return _heston_rows(portfolio, cfg, _rngs(cfg, lo, hi), rows, out, corr)
 
-        def block(lo, hi, rows):
-            return _heston_rows(portfolio, cfg, _rngs(cfg, lo, hi), rows, buffers, corr)
-
-        return block
-
-    return worker
+    return block
 
 
 def simulate_heston(portfolio: HestonPortfolio, cfg: SimConfig) -> PathEnsemble:
@@ -759,8 +725,9 @@ class _JumpList:
             events = self.starts[jumps >= rank] + rank
             self.excess[events] += self.excess[events - 1] * decay[events, np.newaxis]
 
-    def rows(self, times: np.ndarray) -> np.ndarray:
-        """The variances at sorted ``times`` >= 0, shape (paths, times.size, assets).
+    def rows(self, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The variances at sorted ``times`` >= 0, shape (paths, times.size, assets), in ``out``
+        if given.
 
         Row g of a path reads its last event at or before times[g], the
         running count along the rows of the events per (path, row) cell. A
@@ -773,7 +740,8 @@ class _JumpList:
         cells = self.path[inside] * T + first[inside]
         events = np.cumsum(np.bincount(cells, minlength=B * T).reshape(B, T), axis=1)
         events += self.starts[:, np.newaxis] - 1
-        rows = self.excess[events]
+        # every index is in range; "clip" writes into ``out`` without the buffer "raise" makes
+        rows = np.take(self.excess, events, axis=0, out=out, mode="clip")
         rows *= np.exp(-self.lam * (times - self.time[events]))[..., np.newaxis]
         rows += self.level
         return rows
@@ -833,20 +801,22 @@ class _JumpList:
 
 
 def _bns_block(p: BnsPortfolioParams, cfg: SimConfig, corr: CorrelationMatrix | None = None):
-    """The BNS worker for ``_run``: one block function on each block's jump list, which
-    holds no buffers, so every worker runs it.
+    """The BNS block function for ``_run``, on each block's jump list.
 
     Without ``corr`` only rows are recorded. With it, the time integral of
-    |Sigma_2| is that of ``_JumpList.integrals``, over each jump-free interval.
+    |Sigma_2| is that of ``_JumpList.integrals``, over each jump-free
+    interval, taken before the rows so that its temporaries are gone when
+    the rows fill their pages of the ensemble.
     """
     _check_jump_count(p, cfg)
 
-    def block(lo, hi, rows):
+    def block(lo, hi, rows, out):
         jumps = _JumpList(p, cfg, lo, hi)
         integral = np.zeros(hi - lo) if corr is None else jumps.integrals(corr, p.rho, p.kappa2_star)
-        return jumps.rows(cfg.times[rows]), integral
+        jumps.rows(cfg.times[rows], out)
+        return integral
 
-    return lambda: block
+    return block
 
 
 def simulate_bns(p: BnsPortfolioParams, cfg: SimConfig) -> PathEnsemble:
@@ -908,9 +878,9 @@ def mc_realized_variance(
     return _summarize(total / (times[-1] - times[0]))
 
 
-def _streaming_estimate(worker, cfg: SimConfig, n: int, scheme: str, threads: int,
+def _streaming_estimate(block, cfg: SimConfig, n: int, scheme: str, threads: int,
                         return_ensemble: bool):
-    ensemble, averages = _run(worker, cfg, n, scheme, threads, record=return_ensemble)
+    ensemble, averages = _run(block, cfg, n, scheme, threads, record=return_ensemble)
     estimate = _summarize(averages)
     return (estimate, ensemble) if return_ensemble else estimate
 
@@ -927,8 +897,8 @@ def heston_realized_variance_mc(
     pass.
     """
     scheme = _check_scheme(cfg, "full_truncation_euler")
-    worker = _heston_block(portfolio, cfg, portfolio.corr)
-    return _streaming_estimate(worker, cfg, portfolio.n, scheme, threads, return_ensemble)
+    block = _heston_block(portfolio, cfg, portfolio.corr)
+    return _streaming_estimate(block, cfg, portfolio.n, scheme, threads, return_ensemble)
 
 
 def bns_realized_variance_mc(
@@ -973,48 +943,59 @@ def _price_inputs(n: int, s0, mu, beta):
     return s0, mu, beta
 
 
-def _log_euler_prices(v, eps, L, s0, mu, beta, dt: float, jumps=None) -> np.ndarray:
-    """s0 exp(x) for the log-Euler paths x driven by variances v and normals eps.
+def _log_euler_prices(v, eps, L, s0, mu, beta, dt: float, out: np.ndarray, jumps=None) -> None:
+    """Write s0 exp(x) into ``out`` for the log-Euler paths x driven by variances v and normals eps.
 
     The increment of step s is (mu + beta v_s - v_s / 2) dt
-    + sqrt(v_s dt) (L eps_s), plus ``jumps[:, s]`` when given.
+    + sqrt(v_s dt) (L eps_s), plus ``jumps[:, s]`` when given. It is built
+    in ``out`` one operation at a time in the order of that expression
+    (sums and products taken the other way round have the same bits), and
+    summed along the steps where it stands.
     """
     v_start = v[:, :-1, :]
-    incr = (mu + beta * v_start - 0.5 * v_start) * dt
-    incr += np.sqrt(v_start) * math.sqrt(dt) * (eps @ L.T)
+    incr = out[:, 1:]
+    np.multiply(beta, v_start, out=incr)
+    incr += mu
+    shock = 0.5 * v_start  # v_s / 2 first; the array then takes the shock
+    incr -= shock
+    incr *= dt
+    np.sqrt(v_start, out=shock)
+    shock *= math.sqrt(dt)
+    shock *= eps @ L.T
+    incr += shock
     if jumps is not None:
         incr += jumps
-    x = np.zeros_like(v)
-    x[:, 1:] = np.cumsum(incr, axis=1)
-    return s0 * np.exp(x)
+    out[:, 0] = 0.0
+    np.cumsum(incr, axis=1, out=incr)
+    np.exp(out, out=out)
+    out *= s0
 
 
-def _price_paths(worker, corr: CorrelationMatrix, cfg: SimConfig, s0, mu, beta, jumps=None):
+def _price_paths(variance_rows, corr: CorrelationMatrix, cfg: SimConfig, s0, mu, beta, jumps=None):
     """(prices, variances) of all paths, each (n_paths, n_steps + 1, n).
 
-    The blocks run one after another on one block function, which
-    ``worker()`` makes once the size check has passed. Block [lo, hi) takes
-    its variances at every grid time, path-major, from
-    ``variance_rows(lo, hi, rngs)``, then the return normals from its live
-    generators ``rngs`` (after whatever the variances drew from them), and
-    its per-step log-price jumps from ``jumps(lo, hi)``, if given.
+    The blocks run one after another. Block [lo, hi) writes its variances at
+    every grid time, path-major, into its slice ``out`` of the run's
+    variances by ``variance_rows(lo, hi, rngs, out)``, then draws the return
+    normals from its live generators ``rngs`` (after whatever the variances
+    drew from them) and its per-step log-price jumps from ``jumps(lo, hi)``,
+    if given, and writes its prices into its slice of the run's prices.
     """
     n = corr.n
     # the price routes hold every grid row, whatever record_times says
     _check_ensemble_size(cfg, cfg.n_steps + 1, 2 * n, "use fewer paths or a coarser dt")
     s0, mu, beta = _price_inputs(n, s0, mu, beta)
     L = _corr_factor(corr)
-    variance_rows = worker()
     prices = np.empty((cfg.n_paths, cfg.n_steps + 1, n))
     variances = np.empty_like(prices)
     for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
         rngs = _rngs(cfg, lo, hi)
-        v = variance_rows(lo, hi, rngs)
+        v = variances[lo:hi]
+        variance_rows(lo, hi, rngs, v)
         eps = _return_normals(rngs, cfg, n)
-        prices[lo:hi] = _log_euler_prices(
-            v, eps, L, s0, mu, beta, cfg.dt, None if jumps is None else jumps(lo, hi)
+        _log_euler_prices(
+            v, eps, L, s0, mu, beta, cfg.dt, prices[lo:hi], None if jumps is None else jumps(lo, hi)
         )
-        variances[lo:hi] = v
     return prices, variances
 
 
@@ -1023,13 +1004,12 @@ def simulate_heston_prices(
 ) -> PricePaths:
     """Log-Euler price paths with C-correlated return drivers."""
     _check_scheme(cfg, "full_truncation_euler")
+    grid = np.arange(cfg.n_steps + 1)
 
-    def worker():
-        buffers = _HestonBuffers(portfolio, cfg, min(cfg.block_size, cfg.n_paths))
-        grid = np.arange(cfg.n_steps + 1)
-        return lambda lo, hi, rngs: _heston_rows(portfolio, cfg, rngs, grid, buffers)[0]
+    def variance_rows(lo, hi, rngs, out):
+        _heston_rows(portfolio, cfg, rngs, grid, out)
 
-    return PricePaths(cfg.times, *_price_paths(worker, portfolio.corr, cfg, s0, mu, 0.0))
+    return PricePaths(cfg.times, *_price_paths(variance_rows, portfolio.corr, cfg, s0, mu, 0.0))
 
 
 def simulate_bns_prices(
@@ -1077,10 +1057,10 @@ def simulate_bns_prices(
         marks.extend(zip(np.split(t_jump, cuts), np.split(sizes, cuts)))
         return star.reshape(hi - lo, cfg.n_steps, 1) * p.rho
 
-    def variance_rows(lo, hi, rngs):
-        return _JumpList(p, cfg, lo, hi).rows(cfg.times)
+    def variance_rows(lo, hi, rngs, out):
+        _JumpList(p, cfg, lo, hi).rows(cfg.times, out)
 
-    paths = _price_paths(lambda: variance_rows, corr, cfg, s0, mu, beta, common_jumps)
+    paths = _price_paths(variance_rows, corr, cfg, s0, mu, beta, common_jumps)
     return PricePaths(cfg.times, *paths, jump_marks=tuple(marks))
 
 

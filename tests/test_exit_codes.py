@@ -18,6 +18,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -233,11 +234,9 @@ def test_report_result_documents(result):
                           "--out", work + "/out"]], files)
 
 
-def test_non_finite_estimate_exits_3_without_a_numpy_warning():
-    """sigma0_2 = 1e300 overflows the determinant: exit 3 with only the CLI's own message."""
-    model = copy.deepcopy(HESTON)
-    model["assets"][0]["sigma0_2"] = 1e300
-    sim = {"n_paths": 10, "dt": 0.1, "horizon": 1.0}
+def _simulate_without_warnings(model, sim, *flags):
+    """Run ``simulate`` in-process; assert that no RuntimeWarning was raised or printed, and
+    return the exit code and stderr."""
     with tempfile.TemporaryDirectory() as work:
         paths = {}
         for name, doc in (("model.json", model), ("sim.json", sim)):
@@ -248,9 +247,28 @@ def test_non_finite_estimate_exits_3_without_a_numpy_warning():
             warnings.simplefilter("always")
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(["simulate", "--model", paths["model.json"], "--sim", paths["sim.json"],
-                             "--seed", "1", "--out", work + "/out"])
-    assert code == 3, err.getvalue()
+                             "--seed", "1", *flags, "--out", work + "/out"])
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [
         str(w.message) for w in caught
     ]
     assert "RuntimeWarning" not in err.getvalue()
+    return code, err.getvalue()
+
+
+def test_non_finite_estimate_exits_3_without_a_numpy_warning():
+    """sigma0_2 = 1e300 overflows the determinant: exit 3 with only the CLI's own message."""
+    model = copy.deepcopy(HESTON)
+    model["assets"][0]["sigma0_2"] = 1e300
+    code, err = _simulate_without_warnings(model, {"n_paths": 10, "dt": 0.1, "horizon": 1.0})
+    assert code == 3, err
+
+
+@pytest.mark.parametrize("flags", [(), ("--paths-csv",)], ids=("estimate", "paths_csv"))
+def test_overflowing_heston_path_exits_3_without_a_numpy_warning(flags):
+    """gamma = 1e200 overflows the Euler step itself, in the worker threads: a numerical
+    failure, exit 3, whether or not the paths are recorded, and no warning from numpy."""
+    model = copy.deepcopy(HESTON)
+    model["assets"][1]["gamma"] = 1e200
+    code, err = _simulate_without_warnings(model, {"n_paths": 10, "dt": 0.1, "horizon": 1.0}, *flags)
+    assert code == 3, err
+    assert "numerical failure" in err

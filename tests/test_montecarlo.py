@@ -491,6 +491,30 @@ class TestMcRealizedVariance:
         ),
     }
 
+    HESTON_ROUTES = {
+        "ensemble": lambda pf, cfg: simulate_heston(pf, cfg),
+        "streaming": lambda pf, cfg: heston_realized_variance_mc(pf, cfg, threads=2),
+        "streaming_recorded": lambda pf, cfg: heston_realized_variance_mc(
+            pf, cfg, threads=2, return_ensemble=True
+        ),
+    }
+
+    @pytest.mark.parametrize("route", HESTON_ROUTES)
+    def test_overflowing_heston_path_raises_without_a_warning(self, route):
+        """gamma = 1e200 overflows the Euler step to inf and NaN: ``NumericalError`` on every
+        route, not a ``ValidationError`` of the ensemble, and no warning from the worker
+        threads, which start with numpy's default error state."""
+        assets = heston_portfolio().assets
+        pf = HestonPortfolio(
+            assets=(assets[0], HestonAssetParams(k=1.0, theta2=0.05, sigma0_2=0.06, gamma=1e200),
+                    assets[2]),
+            corr=CORR,
+        )
+        cfg = SimConfig(n_paths=10, dt=0.1, horizon=1.0, seed=1, block_size=4)
+        with warnings.catch_warnings(), pytest.raises(NumericalError, match="not finite"):
+            warnings.simplefilter("error")
+            self.HESTON_ROUTES[route](pf, cfg)
+
     @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_non_finite_estimate_raises(self, estimator):
         """sigma_0^2 = 1e300 on one asset: every |Sigma| is finite, their spread overflows."""
@@ -904,6 +928,24 @@ class TestBlockPipeline:
         assert not reads
         assert not isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence)
 
+    def test_heston_price_paths_do_not_depend_on_block_size(self):
+        """Prices and variances, with mu != 0, over a grid that crosses a chunk boundary."""
+        pf = heston_portfolio(gamma=0.9)
+        dt, steps = 0.004, montecarlo._CHUNK + 44
+        runs = [
+            simulate_heston_prices(
+                pf, SimConfig(n_paths=20, dt=dt, horizon=steps * dt, seed=97, block_size=size),
+                s0=[100.0, 50.0, 20.0], mu=0.03,
+            )
+            for size in (1, 7, 4096)
+        ]
+        first = runs[0]
+        for other in runs[1:]:
+            assert other.prices.tobytes() == first.prices.tobytes()
+            assert other.variance_paths.tobytes() == first.variance_paths.tobytes()
+        cfg = SimConfig(n_paths=20, dt=dt, horizon=steps * dt, seed=97)
+        np.testing.assert_array_equal(first.variance_paths, simulate_heston(pf, cfg).variance_paths)
+
     def test_bns_price_paths_do_not_depend_on_block_size(self):
         """Prices and jump marks, with a drift-only and a rho = 0 asset.
 
@@ -1092,29 +1134,42 @@ class TestBlockPipeline:
                 np.testing.assert_allclose(bns[path, :, i], ou, rtol=1e-13, atol=0)
                 np.testing.assert_array_equal(heston[path, :, i], euler)
 
-    @pytest.mark.parametrize("model", ["heston", "heston_recorded", "bns", "bns_recorded"])
+    @pytest.mark.parametrize(
+        "model", ["heston", "heston_recorded", "bns", "bns_recorded", "heston_prices", "bns_prices"]
+    )
     def test_block_peak_memory(self, model):
         """One 1024-path block over 1000 steps.
 
         The streaming routes stay within two Heston chunk planes (Heston, whose step loop
         keeps one chunk of normals and no plane of rows) and within 12 KiB a path (BNS,
-        whose jump list does not grow with the steps); the recorded routes, every grid row
-        of every path, within 2.5 (Heston) and 3.5 (BNS) times those rows.
+        whose jump list does not grow with the steps). The recorded routes, which write
+        every grid row of every path into the ensemble and copy none of them, stay within
+        1.6 (Heston) and 2.6 (BNS) times those rows. The price routes, which hold the
+        prices, the variances and the return normals (BNS: and the Z* increments), stay
+        within 6.5 (Heston) and 7.5 (BNS) times the variance rows.
         """
         cfg = SimConfig(n_paths=1024, dt=1e-3, horizon=1.0, seed=67, block_size=1024)
         p = bns_portfolio(rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01)
+        rows = 1024 * 1001 * 3 * 8
         bound = {
             "heston": 2 * 1024 * montecarlo._CHUNK * 3 * 8,
-            "heston_recorded": 2.5 * 1024 * 1001 * 3 * 8,
+            "heston_recorded": 1.6 * rows,
             "bns": 1024 * 12 * 1024,
-            "bns_recorded": 3.5 * 1024 * 1001 * 3 * 8,
+            "bns_recorded": 2.6 * rows,
+            "heston_prices": 6.5 * rows,
+            "bns_prices": 7.5 * rows,
         }[model]
+        star = GammaOuSpec.from_cumulants(0.05, 0.01)
         tracemalloc.start()
         try:
             if model == "heston":
                 heston_realized_variance_mc(heston_portfolio(), cfg)
             elif model == "heston_recorded":
                 simulate_heston(heston_portfolio(), cfg)
+            elif model == "heston_prices":
+                simulate_heston_prices(heston_portfolio(), cfg, s0=100.0, mu=0.05)
+            elif model == "bns_prices":
+                simulate_bns_prices(p, CORR, cfg, s0=100.0, mu=0.05, beta=0.5, subordinator_star=star)
             else:
                 bns_realized_variance_mc(p, CORR, cfg, return_ensemble=model == "bns_recorded")
             peak = tracemalloc.get_traced_memory()[1]
@@ -1123,10 +1178,11 @@ class TestBlockPipeline:
         assert peak <= bound
 
     @pytest.mark.parametrize("threads, n_paths", [(2, 4096), (3, 2048)], ids=("2x4", "3x2"))
-    def test_workers_hold_one_buffer_set_each(self, threads, n_paths):
-        """Each of min(threads, blocks) workers holds one block's buffers for the whole run:
-        2 threads over 4 blocks, and 3 threads over 2 blocks, stay within two sets, twice
-        the one-block bound of ``test_block_peak_memory[heston]``."""
+    def test_concurrent_blocks_hold_one_buffer_set_each(self, threads, n_paths):
+        """Each block makes its buffers for the length of its call, and at most
+        min(threads, blocks) blocks run at once: 2 threads over 4 blocks, and 3 threads
+        over 2 blocks, stay within two sets, twice the one-block bound of
+        ``test_block_peak_memory[heston]``."""
         cfg = SimConfig(n_paths=n_paths, dt=1e-3, horizon=1.0, seed=67, block_size=1024)
         tracemalloc.start()
         try:
