@@ -45,10 +45,16 @@ routes:
   n_steps * dt (the span the jumps are drawn over), nor do rows at times on
   both grids.
 
-The ensemble route records ``record_times``; the price route evaluates
-every grid row and then draws the return randomness. Rows come from one
-formula on every route, so ``simulate_bns``, the recorded ensemble of the
-streaming estimator and the price route's variances are the same numbers.
+Every route, prices included, runs its blocks of paths through one runner
+(``_run``). The ensemble route records the rows of ``record_times``, the
+streaming route none unless asked for its ensemble, and the price routes
+every grid row, after which each price block draws its return randomness
+and writes its prices. The runner sets numpy's error state for each block,
+so a path that overflows goes on as inf or NaN without a warning, and a
+block with a row (or, on the price routes, a price) that is not finite
+raises ``NumericalError``. Rows come from one formula on every route, so
+``simulate_bns``, the recorded ensemble of the streaming estimator and the
+price route's variances are the same numbers.
 
 Three things keep a block cheap:
 
@@ -472,11 +478,6 @@ def _jumps(seed: int, lo: int, hi: int, lanes, laws, lam: float, horizon: float)
     return stream // A, stream % A, time, size
 
 
-def _blocks(n_paths: int, block_size: int):
-    for lo in range(0, n_paths, block_size):
-        yield lo, min(lo + block_size, n_paths)
-
-
 def _check_scheme(cfg: SimConfig, allowed: str) -> str:
     if cfg.scheme not in ("auto", allowed):
         raise InvalidConfig(f"scheme {cfg.scheme!r} does not apply to this model")
@@ -502,48 +503,45 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _run(block, cfg: SimConfig, n: int, scheme: str, threads: int = 1, record: bool = True):
+def _run(block, cfg: SimConfig, n: int, rows: np.ndarray, threads: int = 1):
     """Every block [lo, hi) of paths through ``block`` on min(threads, blocks) threads.
 
     ``block(lo, hi, rows, out)`` writes the block's grid rows ``rows``
-    path-major into ``out``, its slice of the run's ensemble, and returns
-    per path the time integral of |Sigma| over the horizon (zeros when
-    nothing is integrated). Returns the ensemble of the rows of
-    ``record_times`` (None unless ``record``) and per path the time
-    average; a recorded row that is not finite raises ``NumericalError``.
-    ``threads`` must be a whole number >= 1: NaN would start no thread and
-    2.5 would start three.
+    path-major into ``out``, its slice of the run's rows, and returns per
+    path the time integral of |Sigma| over the horizon (zeros when nothing
+    is integrated). Each block runs under ``np.errstate(over="ignore",
+    invalid="ignore")``, since worker threads start with numpy's default
+    error state, so a path that overflows goes on as inf or NaN without a
+    warning; a block whose rows are not all finite raises
+    ``NumericalError``. Returns the rows, (n_paths, rows.size, n), and per
+    path the time average. ``threads`` must be a whole number >= 1: NaN
+    would start no thread and 2.5 would start three.
     """
     threads = _whole_number("threads", threads)
     if threads < 1:
         raise InvalidConfig(f"threads must be >= 1, got {threads}")
-    rows = cfg.record_indices if record else np.empty(0, dtype=int)
     _check_ensemble_size(cfg, rows.size, n, "thin with record_times or use the streaming estimators")
     times = cfg.times
     recorded = np.empty((cfg.n_paths, rows.size, n))
     averages = np.empty(cfg.n_paths)
 
-    def run(span):
-        lo, hi = span
+    def run(lo):
+        hi = min(lo + cfg.block_size, cfg.n_paths)
         out = recorded[lo:hi]
-        total = block(lo, hi, rows, out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = block(lo, hi, rows, out)
         if not np.isfinite(out).all():
             raise NumericalError(f"a variance path among paths {lo} to {hi - 1} is not finite")
         averages[lo:hi] = total / (times[-1] - times[0])
 
     with ThreadPoolExecutor(max_workers=min(threads, -(-cfg.n_paths // cfg.block_size))) as pool:
-        list(pool.map(run, _blocks(cfg.n_paths, cfg.block_size)))
-    if not record:
-        return None, averages
-    return PathEnsemble(times=times[rows], variance_paths=recorded, scheme=scheme), averages
+        list(pool.map(run, range(0, cfg.n_paths, cfg.block_size)))
+    return recorded, averages
 
 
-def _return_normals(rngs, cfg: SimConfig, n: int) -> np.ndarray:
-    """Each path's n_steps * n return normals, step-major, after its variance draws."""
-    eps = np.empty((len(rngs), cfg.n_steps, n))
-    for j, rng in enumerate(rngs):
-        rng.standard_normal(out=eps[j])
-    return eps
+def _ensemble(cfg: SimConfig, recorded: np.ndarray, scheme: str) -> PathEnsemble:
+    """The rows ``_run`` recorded at ``record_times`` as an ensemble."""
+    return PathEnsemble(times=cfg.times[cfg.record_indices], variance_paths=recorded, scheme=scheme)
 
 
 # Heston paths: one Euler step loop per block, its rows used a chunk at a time
@@ -566,9 +564,9 @@ def _heston_rows(portfolio: HestonPortfolio, cfg: SimConfig, rngs, rows: np.ndar
     to ``out`` and the rows' |Sigma_1| come from one ``det_sigma1_values``
     call per stack of rows that fits the idle draw tile; each row of the
     stack, times its trapezoid weight, is added to the time average one at a
-    time in grid order. The buffers live for the call. A path that
-    overflows goes on as inf or NaN without a warning; the caller checks
-    what it gets.
+    time in grid order. The buffers live for the call. It runs under
+    ``_run``'s error state, so a path that overflows goes on as inf or NaN
+    without a warning, and ``_run`` checks the rows.
     """
     n = portfolio.n
     B = len(rngs)
@@ -608,40 +606,38 @@ def _heston_rows(portfolio: HestonPortfolio, cfg: SimConfig, rngs, rows: np.ndar
             for value in values:
                 total += value
 
-    # worker threads start with numpy's default error state, so each call sets its own
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.copyto(state, sigma0_2)
-        np.maximum(state, 0.0, out=carried)
-        use(0, carried[np.newaxis])
-        for s0 in range(0, cfg.n_steps, chunk):
-            c = min(chunk, cfg.n_steps - s0)
-            tiles = drawn[:, : c * n]
-            for j0 in range(0, B, tile):
-                part = rngs[j0:j0 + tile]
-                for rng, normals in zip(part, tiles):
-                    rng.standard_normal(out=normals)
-                np.copyto(
-                    z[:c, :, j0:j0 + len(part)],
-                    tiles[: len(part)].reshape(len(part), c, n).transpose(1, 2, 0),
-                )
-            prev = carried
-            for row in z[:c]:
-                # state += k (theta2 - prev) dt + gamma sqrt(prev) sqrt(dt) z in place, one
-                # operation at a time in the order of that expression; the floored state
-                # then takes the place of the normals z in ``row``
-                np.subtract(theta2, prev, out=drift)
-                drift *= k
-                drift *= dt
-                np.sqrt(prev, out=shock)
-                shock *= gamma
-                shock *= sq_dt
-                shock *= row
-                state += drift
-                state += shock
-                np.maximum(state, 0.0, out=row)
-                prev = row
-            use(s0 + 1, z[:c])
-            np.copyto(carried, prev)
+    np.copyto(state, sigma0_2)
+    np.maximum(state, 0.0, out=carried)
+    use(0, carried[np.newaxis])
+    for s0 in range(0, cfg.n_steps, chunk):
+        c = min(chunk, cfg.n_steps - s0)
+        tiles = drawn[:, : c * n]
+        for j0 in range(0, B, tile):
+            part = rngs[j0:j0 + tile]
+            for rng, normals in zip(part, tiles):
+                rng.standard_normal(out=normals)
+            np.copyto(
+                z[:c, :, j0:j0 + len(part)],
+                tiles[: len(part)].reshape(len(part), c, n).transpose(1, 2, 0),
+            )
+        prev = carried
+        for row in z[:c]:
+            # state += k (theta2 - prev) dt + gamma sqrt(prev) sqrt(dt) z in place, one
+            # operation at a time in the order of that expression; the floored state
+            # then takes the place of the normals z in ``row``
+            np.subtract(theta2, prev, out=drift)
+            drift *= k
+            drift *= dt
+            np.sqrt(prev, out=shock)
+            shock *= gamma
+            shock *= sq_dt
+            shock *= row
+            state += drift
+            state += shock
+            np.maximum(state, 0.0, out=row)
+            prev = row
+        use(s0 + 1, z[:c])
+        np.copyto(carried, prev)
     return total
 
 
@@ -662,7 +658,8 @@ def simulate_heston(portfolio: HestonPortfolio, cfg: SimConfig) -> PathEnsemble:
     only in determinant evaluation through C.
     """
     scheme = _check_scheme(cfg, "full_truncation_euler")
-    return _run(_heston_block(portfolio, cfg), cfg, portfolio.n, scheme)[0]
+    block = _heston_block(portfolio, cfg)
+    return _ensemble(cfg, _run(block, cfg, portfolio.n, cfg.record_indices)[0], scheme)
 
 
 # BNS paths
@@ -826,7 +823,7 @@ def simulate_bns(p: BnsPortfolioParams, cfg: SimConfig) -> PathEnsemble:
     here; ``jump_marks`` stays empty.
     """
     scheme = _check_scheme(cfg, "exact_ou")
-    return _run(_bns_block(p, cfg), cfg, p.n, scheme)[0]
+    return _ensemble(cfg, _run(_bns_block(p, cfg), cfg, p.n, cfg.record_indices)[0], scheme)
 
 
 # realized generalized variance
@@ -880,9 +877,10 @@ def mc_realized_variance(
 
 def _streaming_estimate(block, cfg: SimConfig, n: int, scheme: str, threads: int,
                         return_ensemble: bool):
-    ensemble, averages = _run(block, cfg, n, scheme, threads, record=return_ensemble)
+    rows = cfg.record_indices if return_ensemble else np.empty(0, dtype=int)
+    recorded, averages = _run(block, cfg, n, rows, threads)
     estimate = _summarize(averages)
-    return (estimate, ensemble) if return_ensemble else estimate
+    return (estimate, _ensemble(cfg, recorded, scheme)) if return_ensemble else estimate
 
 
 def heston_realized_variance_mc(
@@ -934,8 +932,12 @@ def _corr_factor(corr: CorrelationMatrix) -> np.ndarray:
 
 
 def _price_inputs(n: int, s0, mu, beta):
-    """s0, mu and beta broadcast to one finite value per asset, with s0 > 0."""
-    s0, mu, beta = (np.broadcast_to(np.asarray(x, dtype=float), (n,)) for x in (s0, mu, beta))
+    """s0, mu and beta, each one value or one per asset, as one finite value per asset, with s0 > 0."""
+    s0, mu, beta = (np.asarray(x, dtype=float) for x in (s0, mu, beta))
+    for name, x in (("s0", s0), ("mu", mu), ("beta", beta)):
+        if x.ndim > 1 or x.size not in (1, n):
+            raise DimensionMismatch(f"{name} must be one value or {n}, one per asset; got shape {x.shape}")
+    s0, mu, beta = (np.broadcast_to(x, (n,)) for x in (s0, mu, beta))
     if not all(np.all(np.isfinite(x)) for x in (s0, mu, beta)):
         raise ValidationError("s0, mu and beta must be finite")
     if np.any(s0 <= 0.0):
@@ -972,14 +974,16 @@ def _log_euler_prices(v, eps, L, s0, mu, beta, dt: float, out: np.ndarray, jumps
 
 
 def _price_paths(variance_rows, corr: CorrelationMatrix, cfg: SimConfig, s0, mu, beta, jumps=None):
-    """(prices, variances) of all paths, each (n_paths, n_steps + 1, n).
+    """(prices, variances) of all paths, each (n_paths, n_steps + 1, n), on ``_run``.
 
-    The blocks run one after another. Block [lo, hi) writes its variances at
-    every grid time, path-major, into its slice ``out`` of the run's
-    variances by ``variance_rows(lo, hi, rngs, out)``, then draws the return
-    normals from its live generators ``rngs`` (after whatever the variances
-    drew from them) and its per-step log-price jumps from ``jumps(lo, hi)``,
-    if given, and writes its prices into its slice of the run's prices.
+    Its block [lo, hi) writes the variances at every grid row, path-major,
+    into its slice ``out`` of the run's rows by ``variance_rows(lo, hi,
+    rngs, rows, out)``, then draws each path's n_steps * n return normals,
+    step-major, from its live generators ``rngs`` (after whatever the
+    variances drew from them) and its per-step log-price jumps from
+    ``jumps(lo, hi)``, if given, and writes its prices into its slice of the
+    run's prices. A price that is not finite raises ``NumericalError``, as
+    ``_run`` does for a variance.
     """
     n = corr.n
     # the price routes hold every grid row, whatever record_times says
@@ -987,16 +991,21 @@ def _price_paths(variance_rows, corr: CorrelationMatrix, cfg: SimConfig, s0, mu,
     s0, mu, beta = _price_inputs(n, s0, mu, beta)
     L = _corr_factor(corr)
     prices = np.empty((cfg.n_paths, cfg.n_steps + 1, n))
-    variances = np.empty_like(prices)
-    for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
+
+    def block(lo, hi, rows, out):
         rngs = _rngs(cfg, lo, hi)
-        v = variances[lo:hi]
-        variance_rows(lo, hi, rngs, v)
-        eps = _return_normals(rngs, cfg, n)
+        variance_rows(lo, hi, rngs, rows, out)
+        eps = np.empty((hi - lo, cfg.n_steps, n))
+        for rng, normals in zip(rngs, eps):
+            rng.standard_normal(out=normals)
         _log_euler_prices(
-            v, eps, L, s0, mu, beta, cfg.dt, prices[lo:hi], None if jumps is None else jumps(lo, hi)
+            out, eps, L, s0, mu, beta, cfg.dt, prices[lo:hi], None if jumps is None else jumps(lo, hi)
         )
-    return prices, variances
+        if not np.isfinite(prices[lo:hi]).all():
+            raise NumericalError(f"a price path among paths {lo} to {hi - 1} is not finite")
+        return np.zeros(hi - lo)
+
+    return prices, _run(block, cfg, n, np.arange(cfg.n_steps + 1))[0]
 
 
 def simulate_heston_prices(
@@ -1004,10 +1013,9 @@ def simulate_heston_prices(
 ) -> PricePaths:
     """Log-Euler price paths with C-correlated return drivers."""
     _check_scheme(cfg, "full_truncation_euler")
-    grid = np.arange(cfg.n_steps + 1)
 
-    def variance_rows(lo, hi, rngs, out):
-        _heston_rows(portfolio, cfg, rngs, grid, out)
+    def variance_rows(lo, hi, rngs, rows, out):
+        _heston_rows(portfolio, cfg, rngs, rows, out)
 
     return PricePaths(cfg.times, *_price_paths(variance_rows, portfolio.corr, cfg, s0, mu, 0.0))
 
@@ -1029,16 +1037,16 @@ def simulate_bns_prices(
     _check_scheme(cfg, "exact_ou")
     if p.n != corr.n:
         raise DimensionMismatch(f"{p.n} assets vs {corr.n}x{corr.n} correlation")
-    if p.kappa2_star > 0.0:
-        if subordinator_star is None:
+    if subordinator_star is None:
+        if p.kappa2_star > 0.0:
             raise MissingSubordinatorSpec(
                 "kappa2_star > 0 requires subordinator_star to fix the law of Z*"
             )
-        if not math.isclose(subordinator_star.kappa2, p.kappa2_star, rel_tol=1e-8):
-            raise ValidationError(
-                f"subordinator_star has kappa2 = {subordinator_star.kappa2}, "
-                f"portfolio states kappa2_star = {p.kappa2_star}"
-            )
+    elif not math.isclose(subordinator_star.kappa2, p.kappa2_star, rel_tol=1e-8):
+        raise ValidationError(
+            f"subordinator_star has kappa2 = {subordinator_star.kappa2}, "
+            f"portfolio states kappa2_star = {p.kappa2_star}"
+        )
     _check_jump_count(p, cfg, subordinator_star)
     horizon = cfg.n_steps * cfg.dt
     marks = []
@@ -1057,8 +1065,8 @@ def simulate_bns_prices(
         marks.extend(zip(np.split(t_jump, cuts), np.split(sizes, cuts)))
         return star.reshape(hi - lo, cfg.n_steps, 1) * p.rho
 
-    def variance_rows(lo, hi, rngs, out):
-        _JumpList(p, cfg, lo, hi).rows(cfg.times, out)
+    def variance_rows(lo, hi, rngs, rows, out):
+        _JumpList(p, cfg, lo, hi).rows(cfg.times[rows], out)
 
     paths = _price_paths(variance_rows, corr, cfg, s0, mu, beta, common_jumps)
     return PricePaths(cfg.times, *paths, jump_marks=tuple(marks))

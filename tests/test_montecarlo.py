@@ -497,6 +497,7 @@ class TestMcRealizedVariance:
         "streaming_recorded": lambda pf, cfg: heston_realized_variance_mc(
             pf, cfg, threads=2, return_ensemble=True
         ),
+        "prices": lambda pf, cfg: simulate_heston_prices(pf, cfg, s0=100.0),
     }
 
     @pytest.mark.parametrize("route", HESTON_ROUTES)
@@ -514,6 +515,20 @@ class TestMcRealizedVariance:
         with warnings.catch_warnings(), pytest.raises(NumericalError, match="not finite"):
             warnings.simplefilter("error")
             self.HESTON_ROUTES[route](pf, cfg)
+
+    PRICE_ROUTES = {
+        "heston": lambda cfg, mu: simulate_heston_prices(heston_portfolio(), cfg, s0=100.0, mu=mu),
+        "bns": lambda cfg, mu: simulate_bns_prices(bns_portfolio(), CORR, cfg, s0=100.0, mu=mu),
+    }
+
+    @pytest.mark.parametrize("route", PRICE_ROUTES)
+    def test_overflowing_price_path_raises_without_a_warning(self, route):
+        """mu = 1000 over a horizon of 1 overflows exp of the log prices while every
+        variance stays finite: ``NumericalError``, and no warning from the worker thread."""
+        cfg = SimConfig(n_paths=10, dt=0.1, horizon=1.0, seed=1, block_size=4)
+        with warnings.catch_warnings(), pytest.raises(NumericalError, match="price path"):
+            warnings.simplefilter("error")
+            self.PRICE_ROUTES[route](cfg, 1000.0)
 
     @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_non_finite_estimate_raises(self, estimator):
@@ -661,7 +676,7 @@ class TestStreamingEstimators:
         for block_size in (1, 7, 4096):
             cfg = SimConfig(n_paths=300, dt=0.01, horizon=1.0, seed=3, block_size=block_size)
             block = montecarlo._bns_block(p, cfg, CORR)
-            averages.append(montecarlo._run(block, cfg, p.n, "exact_ou", record=False)[1])
+            averages.append(montecarlo._run(block, cfg, p.n, np.empty(0, dtype=int))[1])
         assert averages[1].tobytes() == averages[0].tobytes()
         assert averages[2].tobytes() == averages[0].tobytes()
 
@@ -1036,15 +1051,16 @@ class TestBlockPipeline:
         runs = []
         for block_size in (1, 7, 4096):
             cfg = SimConfig(n_paths=20, dt=0.01, horizon=1.0, seed=41, block_size=block_size)
-            runs.append(montecarlo._run(montecarlo._bns_block(p, cfg, CORR), cfg, p.n, "exact_ou"))
-        (ensemble, averages), *others = runs
+            block = montecarlo._bns_block(p, cfg, CORR)
+            runs.append(montecarlo._run(block, cfg, p.n, cfg.record_indices))
+        (recorded, averages), *others = runs
         for other, other_averages in others:
-            assert other.variance_paths.tobytes() == ensemble.variance_paths.tobytes()
+            assert other.tobytes() == recorded.tobytes()
             assert other_averages.tobytes() == averages.tobytes()
         for j in range(cfg.n_paths):
             assert len(bns_reference_events(p, cfg, j)) > 50
             np.testing.assert_allclose(
-                ensemble.variance_paths[j], bns_reference_path(p, cfg, j), rtol=1e-13, atol=0
+                recorded[j], bns_reference_path(p, cfg, j), rtol=1e-13, atol=0
             )
 
     def test_exact_rows_agree_with_the_grid_recursion(self):
@@ -1389,11 +1405,13 @@ class TestPricePaths:
             simulate_bns_prices(p, CORR, cfg, s0=100.0)
 
     def test_bns_star_spec_variance_mismatch_rejected(self):
-        p = bns_portfolio(rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01)
-        star = GammaOuSpec.from_cumulants(0.05, 0.02)
+        """The law of Z* must state the portfolio's kappa2_star, zero included."""
         cfg = SimConfig(n_paths=4, dt=0.01, horizon=0.5, seed=47)
-        with pytest.raises(ValidationError):
-            simulate_bns_prices(p, CORR, cfg, s0=100.0, subordinator_star=star)
+        for kappa2_star, law_kappa2 in ((0.01, 0.02), (0.0, 0.2)):
+            p = bns_portfolio(rhos=(-0.3, -0.2, -0.4), kappa2_star=kappa2_star)
+            star = GammaOuSpec.from_cumulants(0.05, law_kappa2)
+            with pytest.raises(ValidationError, match="kappa2_star"):
+                simulate_bns_prices(p, CORR, cfg, s0=100.0, subordinator_star=star)
 
     def test_heston_price_stream_pin(self):
         """Stream pin: the first closes of the one-path history the calibration benchmark fits.
@@ -1426,11 +1444,18 @@ class TestPricePaths:
         cfg = SimConfig(n_paths=2, dt=0.25, horizon=1.0, seed=1)
         with pytest.raises(ValidationError):
             simulate_heston_prices(pf, cfg, s0=(100.0, 0.0, 50.0))
-        for bad in (dict(s0=math.nan), dict(s0=100.0, mu=math.inf)):
-            with pytest.raises(ValidationError):
+        for bad, error in (
+            (dict(s0=math.nan), ValidationError),
+            (dict(s0=100.0, mu=math.inf), ValidationError),
+            (dict(s0=(100.0, 50.0)), DimensionMismatch),
+            (dict(s0=100.0, mu=(0.01, 0.02, 0.03, 0.04)), DimensionMismatch),
+            (dict(s0=[[100.0, 50.0, 20.0]]), DimensionMismatch),
+        ):
+            with pytest.raises(error):
                 simulate_heston_prices(pf, cfg, **bad)
-        with pytest.raises(ValidationError):
-            simulate_bns_prices(bns_portfolio(), CORR, cfg, s0=100.0, beta=math.nan)
+        for beta, error in ((math.nan, ValidationError), ((0.1, 0.2), DimensionMismatch)):
+            with pytest.raises(error):
+                simulate_bns_prices(bns_portfolio(), CORR, cfg, s0=100.0, beta=beta)
 
 
 class TestContainers:
