@@ -25,7 +25,8 @@ entries delta_ij:
 
 where E_all and E_{-i} integrate products of expected variances over all
 assets and over all assets but i. They are exact: the exponential-affine
-product kernel of ``heston`` expands them over subsets of assets. E_{ij}
+product kernel of ``heston`` expands them over subsets of assets, which
+share the rate lambda, so the subsets of one size make one term. E_{ij}
 replaces the variances of assets i and j by their expected volatilities.
 The pairs with a nonzero coefficient are integrated together over all
 maturities in one vectorised pass (``quad``) of the 15-point Gauss-Kronrod
@@ -47,7 +48,7 @@ correction kappa2 (1 - e^{-2 lambda t}) / (16 E^{3/2}) equals
 Var / (8 E^{3/2}) identically, since (1/2)/8 = 1/16. ``var_i_coefficient``
 is exposed for compatibility with the coefficient-16 reading of that
 specialized formula (which halves the correction); the default 8 follows the
-Brockhaus-Long expansion.
+Brockhaus-Long expansion. It must be finite and > 0 (``ValidationError``).
 
 All functions are pure.
 """
@@ -68,7 +69,7 @@ from .errors import (
     ValidationError,
     WrongAssetCount,
 )
-from .genvar import _jump_terms
+from .genvar import _jump_weights
 from .heston import _affine_product_integral, _check_maturity, _check_time, price_swap
 
 __all__ = [
@@ -160,6 +161,7 @@ def expected_vol_bns(
     input); otherwise it is None. See the module docstring for the
     ``var_i_coefficient`` compatibility flag.
     """
+    _check_positive(var_i_coefficient, "var_i_coefficient")
     ev = expected_variance_bns(t, a, lambda_)
     if np.any(np.asarray(ev) <= 0.0):
         raise DegenerateVariance("E[sigma_t^2] <= 0 under the supplied parameters")
@@ -203,9 +205,8 @@ def _mean_variance_products(T, lam, sigma0_2, kappa1) -> tuple:
     rate = _per_set(lam[first], T)
 
     def product(keep):
-        return _affine_product_integral(
-            T, [d[i] for i in keep], [c[i] for i in keep], [rate] * len(keep)
-        )[index]
+        d_keep, c_keep = [d[i] for i in keep], [c[i] for i in keep]
+        return _affine_product_integral(T, d_keep, c_keep, rate=rate)[index]
 
     return product(range(n)), [product([l for l in range(n) if l != i]) for i in range(n)]
 
@@ -258,10 +259,10 @@ _MAX_PANELS_PER_MATURITY = 200
 _SPLIT_SHARE = 1.0 - 1e-6
 
 
-def _check_tol(tol) -> float:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"quadrature tolerance must be finite and > 0, got {tol!r}")
-    return float(tol)
+def _check_positive(value, name: str) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
 
 
 def quad(f, T, tol: float, labels):
@@ -442,7 +443,8 @@ def compute_e_terms(
     if p.n != 3:
         raise WrongAssetCount(f"E_0..E_6 are defined for exactly 3 assets, got {p.n}")
     T = float(_check_maturity(T))
-    tol = _check_tol(tol)
+    tol = _check_positive(tol, "quadrature tolerance")
+    _check_positive(var_i_coefficient, "var_i_coefficient")
     lam, sigma0_2, kappa1, kappa2, _, _ = _one_set(p)
     e_all, e_without = _mean_variance_products(T, lam, sigma0_2, kappa1)
     pairs = [(0, 1), (0, 2), (1, 2)]
@@ -485,47 +487,35 @@ def _expected_realized_variance_sets(
     force a refinement, every row is integrated on the finer panels, so a
     value may differ from the set's own call, each within
     max(tol, tol |value|). Otherwise every value is that of its own call.
-    The determinant-lemma terms (``_jump_terms``) are listed once per
-    distinct rho vector and zero or nonzero lambda kappa2*, all they depend on.
+    The determinant-lemma coefficients of all sets are one (P, n, n) array
+    built from ``_jump_weights``: E_{-i} takes its diagonal, and the cross
+    rows are the nonzero entries of its strict upper triangle.
     """
     n = corr.n
     if sigma0_2.shape[1] != n:
         raise DimensionMismatch(f"{sigma0_2.shape[1]} assets vs {n}x{n} correlation")
-    corr.inverse()  # raises SingularCorrelation for a singular C, jump terms or not
+    weights = _jump_weights(corr)  # raises SingularCorrelation for a singular C, jump terms or not
     T = _check_maturity(T)
-    tol = _check_tol(tol)
+    tol = _check_positive(tol, "quadrature tolerance")
+    _check_positive(var_i_coefficient, "var_i_coefficient")
 
     bracket, e_without = _mean_variance_products(T, lam, sigma0_2, kappa1)
     inner = np.zeros_like(bracket)
     lam_k2 = lam * kappa2_star
-    # the coefficients of E_{-i}, and the set, pair and coefficient of each E_{ij}
-    own = np.zeros((len(lam), n))
-    row_set, pairs, coeffs = [], [], []
-    terms = {}  # (rho, lambda kappa2* != 0) -> its E_{-i} coefficients and its E_{ij} rows
-    for s, (r, jumps) in enumerate(zip(rho, (lam_k2 != 0.0).tolist())):
-        key = (r.tobytes(), jumps)
-        if key not in terms:
-            own_terms, cross_terms = np.zeros(n), []
-            for i, j, weight in _jump_terms(corr, r, lam_k2[s]):
-                if i == j:
-                    own_terms[i] = weight * r[i] ** 2
-                else:
-                    cross_terms.append(((i, j), weight * r[j] * r[i]))
-            terms[key] = own_terms, cross_terms
-        own[s], cross = terms[key]
-        for pair, coeff in cross:
-            row_set.append(s)
-            pairs.append(pair)
-            coeffs.append(coeff)
+    # coeff[s, i, j]: (1 or 2) delta_ij rho_j rho_i of set s for i <= j, none without jumps
+    coeff = weights * rho[:, None, :] * rho[:, :, None]
+    coeff[lam_k2 == 0.0] = 0.0
     for i, e in enumerate(e_without):
-        coeff = _per_set(own[:, i], T)
-        inner = inner + np.where(coeff != 0.0, coeff * e, 0.0)
-    if pairs:
+        own = _per_set(coeff[:, i, i], T)
+        inner = inner + np.where(own != 0.0, own * e, 0.0)
+    row_set, first, second = np.nonzero(np.triu(coeff, 1))  # in (set, i, j) order
+    if row_set.size:
+        pairs = list(zip(first.tolist(), second.tolist()))
         values, _ = _cross_terms(
             T, lam, sigma0_2, kappa1, kappa2, row_set, pairs, tol, var_i_coefficient
         )
         # row by row in stack order, as inner[s] = inner[s] + coeff * value
-        np.add.at(inner, row_set, _per_set(coeffs, T) * values)
+        np.add.at(inner, row_set, _per_set(coeff[row_set, first, second], T) * values)
     bracket = bracket + _per_set(lam_k2, T) * inner
     return corr.det_c * bracket / T
 

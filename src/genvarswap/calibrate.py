@@ -9,12 +9,11 @@ Each Jacobian, and the one behind the covariance, stacks its 2 n_free
 perturbed points into one ``model_curve`` call; a Jacobian point transforms
 only its own perturbed coordinate again. The stack is validated once, by
 columns, and its columns go to the closed forms without a parameter object
-per point. For Heston the stack is one kernel call per group of points
-whose subset rates coincide alike; for BNS it is one quadrature pass over
-the cross terms of all points, which evaluates each factor the points
-share once. The stacked curves are those of single calls unless some point
-forces a finer quadrature (then within its tolerance), so fits do not
-depend on the stacking.
+per point. For Heston the stack is one closed-form kernel call; for BNS
+it is one quadrature pass over the cross terms of all points, which
+evaluates each factor the points share once. The stacked curves are those
+of single calls unless some point forces a finer quadrature (then within
+its tolerance), so fits do not depend on the stacking.
 ``fit`` has one exit rule, spelled out in its docstring: the gradient test
 max(|gradient|) < 1e-10, the SSE-decrease test (an accepted step that lowers
 the SSE by at most 1e-12 relative), the damping ceiling mu > 1e16 (a stall
@@ -259,8 +258,7 @@ def model_curve(model: str, params, corr: CorrelationMatrix, times) -> np.ndarra
     The stack is checked once, column by column, by the rules and with
     the ``ValidationError`` field names of the parameter objects, and its
     columns go to the closed forms as they are; no object is built per
-    row. Heston rows make one closed-form kernel call per group of rows
-    whose subset rates coincide in the same places. BNS rows make one pass
+    row. Heston rows make one closed-form kernel call. BNS rows make one pass
     of the BNS kernel: E_all and E_{-i} once per distinct (lambda,
     sigma0^2 - kappa1, kappa1), and the cross terms of all rows in one
     quadrature, where each rate, E[sigma^2] and E[sigma] factor the rows

@@ -13,10 +13,11 @@ divides by no sigma_i and so holds where a vol touches zero. Expanded over
 the entries of C^-1 it is the polynomial the pricing formulas use. Both
 forms are implemented and cross-checked in the tests.
 
-The terms of the lemma's bracket, the pairs i <= j with a nonzero
-coefficient (1 or 2) delta_ij rho_i rho_j, delta = C^-1, are enumerated in
-one place, ``_jump_terms``; the vectorized determinant here, the BNS closed
-form and the Monte Carlo integrals all read them from it.
+The weights of the lemma's bracket, (1 or 2) delta_ij for the pairs
+i <= j, delta = C^-1, are set in one place, ``_jump_weights``. The BNS
+closed form multiplies them by rho_i rho_j for all its parameter sets at
+once; ``_jump_terms`` lists the pairs with a nonzero coefficient for the
+vectorized determinant here and the Monte Carlo integrals.
 
 All functions are pure and safe for concurrent invocation. The ``*_values``
 variants evaluate determinants along whole ensembles of variance paths at
@@ -92,29 +93,31 @@ def _check_jump_scale(lambda_: float, var_z1: float) -> tuple[float, float]:
     return lambda_, var_z1
 
 
+def _jump_weights(corr: CorrelationMatrix) -> np.ndarray:
+    """The weights (1 if i == j else 2) delta_ij of the determinant lemma's bracket, i <= j.
+
+    lambda Var[Z_1*] rho^T Sigma_1^-1 rho is lambda Var[Z_1*] times the sum
+    of weight_ij rho_i rho_j / (sigma_i sigma_j) over this upper triangle,
+    delta = C^-1 (``SingularCorrelation`` where C has no inverse).
+    """
+    return np.triu(corr.inverse() * (2.0 - np.eye(corr.n)))
+
+
 def _jump_terms(
     corr: CorrelationMatrix, rho: np.ndarray, jump_scale: float
 ) -> list[tuple[int, int, float]]:
     """The nonzero terms (i, j, weight) of the determinant lemma's bracket, i <= j.
 
-    lambda Var[Z_1*] rho^T Sigma_1^-1 rho is jump_scale times the sum of
-    weight rho_i rho_j / (sigma_i sigma_j) over these terms, with weight =
-    (1 if i == j else 2) delta_ij. A term is kept where its coefficient
-    weight rho_i rho_j is nonzero, in row-major order over the pairs; there
-    are none where ``jump_scale`` = lambda Var[Z_1*] is 0, and C^-1 is read
-    only when some rho_i is nonzero.
+    A term of ``_jump_weights`` is kept where its coefficient weight rho_i
+    rho_j is nonzero, in row-major order over the pairs; there are none
+    where ``jump_scale`` = lambda Var[Z_1*] is 0, and C^-1 is read only
+    when some rho_i is nonzero.
     """
     if jump_scale == 0.0 or not np.any(rho):
         return []
-    delta = corr.inverse()
-    jumping = np.flatnonzero(rho)
-    terms = []
-    for a, i in enumerate(jumping):
-        for j in jumping[a:]:
-            weight = (1.0 if i == j else 2.0) * delta[i, j]
-            if weight * rho[i] * rho[j] != 0.0:
-                terms.append((int(i), int(j), weight))
-    return terms
+    weights = _jump_weights(corr)
+    rows, cols = np.nonzero(weights * rho[:, None] * rho)
+    return [(i, j, weights[i, j]) for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 def build_sigma1(vols: InstantaneousVols, corr: CorrelationMatrix) -> np.ndarray:

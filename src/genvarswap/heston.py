@@ -11,7 +11,9 @@ for any asset count n. The time integral is one exponential-affine product,
 integral_0^T prod_i (d_i e^{-k_i t} + c_i) dt, which expands over the 2^n
 subsets S of assets: each contributes prod_{i in S} d_i prod_{i not in S} c_i
 times (1 - e^{-a T})/a with a = sum_{i in S} k_i, or times T when a = 0.
-The BNS closed forms reuse the same kernel.
+Heston passes per-asset rates and keeps all 2^n terms, for one parameter
+set or a stack alike. The BNS closed forms reuse the same kernel with one
+shared rate lambda, where the subsets of one size merge into one term.
 
 Time arguments accept scalars or arrays (broadcast elementwise); all
 functions are pure.
@@ -104,35 +106,30 @@ def expected_product(t, portfolio: HestonPortfolio):
     return out if out.ndim else float(out)
 
 
-def _affine_product_integral(T, d, c, k):
+def _affine_product_integral(T, d, c, k=None, *, rate=None):
     """integral_0^T prod_i (d_i e^{-k_i t} + c_i) dt, vectorised over T.
 
     Multiplying the factors out one at a time expands the product over the
     subsets S of indices, sum_S prod_{i in S} d_i prod_{i not in S} c_i
-    e^{-a_S t} with a_S = sum_{i in S} k_i. Terms that share a rate are
-    merged as they appear, so an equal-rate family (every BNS rate is a
-    multiple of lambda) keeps n + 1 terms instead of 2^n.
+    e^{-a_S t} with a_S = sum_{i in S} k_i. With per-factor rates ``k``
+    every subset is its own term, 2^n of them. With one shared ``rate``
+    instead (every BNS rate is lambda), a_S depends only on |S|, and the
+    subsets of one size merge as they appear: n + 1 terms.
 
-    Each d_i, c_i and k_i may also be an array over parameter sets that
-    broadcasts against T; array rates must be > 0. Terms then merge where
-    their rates are equal in every set, so each set gets the value of its
-    own call whenever its equal rates are equal in all sets, as BNS rates
-    are (multiples of each set's own lambda).
+    Each d_i, c_i and rate may also be an array over parameter sets that
+    broadcasts against T; array rates must be > 0. Which terms merge
+    depends on the call alone, never on the rates' values, so each set
+    gets the value of its own call.
     """
-    terms = {0.0: (0.0, 1.0)}  # rate key -> (rate, coefficient)
-    for d_i, c_i, k_i in zip(d, c, k):
-        grown: dict = {}
-        for rate, coeff in terms.values():
-            for new_rate, part in ((rate, coeff * c_i), (rate + k_i, coeff * d_i)):
-                key = new_rate.tobytes() if isinstance(new_rate, np.ndarray) else new_rate
-                grown[key] = (new_rate, (grown[key][1] if key in grown else 0.0) + part)
-        terms = grown
-    total = 0.0
-    for key, (rate, coeff) in terms.items():
-        if key == 0.0:
-            total = total + coeff * T
-        else:
-            total = total + coeff * -np.expm1(-rate * T) / rate
+    terms = [(0.0, 1.0)]  # (rate, coefficient), the empty subset first
+    for i, (d_i, c_i) in enumerate(zip(d, c)):
+        k_i = rate if k is None else k[i]
+        terms = [t for a, coeff in terms for t in ((a, coeff * c_i), (a + k_i, coeff * d_i))]
+        if k is None:  # the subsets of one size share a rate: merge them, in order
+            terms[1:-1] = [(a, x + y) for (a, x), (_, y) in zip(terms[1::2], terms[2::2])]
+    total = terms[0][1] * T
+    for a, coeff in terms[1:]:
+        total = total + coeff * -np.expm1(-a * T) / a
     return total
 
 
@@ -147,53 +144,17 @@ def expected_realized_variance(T, portfolio: HestonPortfolio):
     return out if out.ndim else float(out)
 
 
-def _coinciding_rates(k: np.ndarray) -> list[np.ndarray]:
-    """The rows of k grouped by which of their subset rates sum_{i in S} k_i are equal.
-
-    The rates are summed in ascending asset order, as
-    ``_affine_product_integral`` forms them. Each row's pattern labels
-    every subset by the first subset with its rate (a stable sort puts
-    equal rates in subset order); rows with the same labels form a group.
-    """
-    rates = np.zeros((len(k), 1))
-    for column in k.T:
-        rates = np.concatenate((rates, rates + column[:, None]), axis=1)
-    order = np.argsort(rates, axis=1, kind="stable")
-    ranked = np.take_along_axis(rates, order, axis=1)
-    starts = np.ones(rates.shape, dtype=bool)
-    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    runs = np.maximum.accumulate(np.where(starts, np.arange(rates.shape[1]), 0), axis=1)
-    labels = np.empty_like(order)
-    np.put_along_axis(labels, order, np.take_along_axis(order, runs, axis=1), axis=1)
-    groups: dict = {}
-    for row, pattern in enumerate(labels):
-        groups.setdefault(pattern.tobytes(), []).append(row)
-    return [np.array(rows) for rows in groups.values()]
-
-
 def _expected_realized_variance_sets(T, k, theta2, sigma0_2, corr: CorrelationMatrix) -> np.ndarray:
     """``expected_realized_variance`` for P parameter sets at once, shaped ``(P, *T.shape)``.
 
     ``k``, ``theta2`` and ``sigma0_2`` hold one row of n per set, already
-    validated. The kernel merges the terms whose rates are equal in every
-    set of a call, so the sets go in one call per group whose subset rates
-    coincide in the same places (``_coinciding_rates``): each set's terms
-    then merge, and add up, as in a call of its own, and every value is
-    that of its own call bit for bit.
+    validated. All sets go in one kernel call with per-factor rates, which
+    merges no terms, so every value is that of its own call bit for bit.
     """
     T = _check_maturity(T)
-    columns = (sigma0_2 - theta2, theta2, k)
-    if len(k) == 1:  # one set as floats, which the kernel multiplies out faster than arrays
-        integral = _affine_product_integral(T, *(c[0].tolist() for c in columns))
-        return (corr.det_c * integral / T)[None]
     shape = (-1,) + (1,) * T.ndim
-    out = np.empty((len(k), *T.shape))
-    for rows in _coinciding_rates(k):
-        integral = _affine_product_integral(
-            T, *([x.reshape(shape) for x in c[rows].T] for c in columns)
-        )
-        out[rows] = corr.det_c * integral / T
-    return out
+    columns = ([x.reshape(shape) for x in c.T] for c in (sigma0_2 - theta2, theta2, k))
+    return corr.det_c * _affine_product_integral(T, *columns) / T
 
 
 def expected_realized_variance_quad(

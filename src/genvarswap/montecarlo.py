@@ -771,7 +771,7 @@ class _JumpList:
             ds, cs = [d[l] for l in factors], [self.level[l] for l in factors]
             if d_extra is not None:
                 ds, cs = [d_extra, *ds], [0.0, *cs]
-            return _affine_product_integral(tau, ds, cs, [self.lam] * len(ds))
+            return _affine_product_integral(tau, ds, cs, rate=self.lam)
 
         def pair(k, s, i, j):
             """sqrt(v_i v_j) prod_{l != i, j} v_l on intervals k at times s after their events."""

@@ -1,4 +1,5 @@
-"""Shared test oracles: hand-rolled determinants and random SPD instances.
+"""Shared test oracles: hand-rolled determinants, random SPD instances and
+times that count the ufunc work done on them.
 
 The determinant oracle deliberately avoids ``np.linalg`` so the library's
 determinant identities are checked against an independent evaluation route.
@@ -36,3 +37,19 @@ def random_correlation(rng, n=3):
     gram = factors @ factors.T + 0.5 * np.eye(n)
     scale = 1.0 / np.sqrt(np.diag(gram))
     return validate_correlation(gram * np.outer(scale, scale))
+
+
+class CountedTimes(np.ndarray):
+    """Times whose ufunc results stay counted: ``counts[name]`` adds up the size of each."""
+
+    def __array_finalize__(self, obj):
+        self.counts = getattr(obj, "counts", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        out = getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+        if method != "__call__":
+            return out
+        self.counts[ufunc.__name__] += out.size
+        out = out.view(CountedTimes)
+        out.counts = self.counts
+        return out

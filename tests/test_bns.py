@@ -583,6 +583,23 @@ class TestCrossTerms:
         with pytest.raises(ValidationError, match="tolerance"):
             expected_realized_variance_bns(1.0, make_portfolio(), CORR, tol=tol)
 
+    @pytest.mark.parametrize("coefficient", [0.0, -8.0, math.nan, math.inf])
+    @pytest.mark.parametrize("route", ["expected_vol", "e_terms", "realized_variance"])
+    def test_invalid_var_i_coefficient_rejected(self, route, coefficient):
+        """Zero divided, a negative one flipped the correction, NaN and inf spoiled or dropped it."""
+        p = make_portfolio(rhos=(-0.4, -0.25, -0.6), kappa2_star=0.02)
+        call = {
+            "expected_vol": lambda: expected_vol_bns(
+                0.5, p.assets[0], p.lambda_, var_i_coefficient=coefficient
+            ),
+            "e_terms": lambda: compute_e_terms(1.0, p, var_i_coefficient=coefficient),
+            "realized_variance": lambda: expected_realized_variance_bns(
+                1.0, p, CORR, var_i_coefficient=coefficient
+            ),
+        }[route]
+        with pytest.raises(ValidationError, match="var_i_coefficient must be finite and > 0"):
+            call()
+
 
 class TestPriceSwapBns:
     def test_shared_contract_arithmetic(self):

@@ -1,10 +1,11 @@
 """Heston closed forms: expected variance, product expansion, realized variance."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
-from conftest import random_correlation
+from conftest import CountedTimes, random_correlation
 from scipy.integrate import quad
 
 from genvarswap import (
@@ -214,11 +215,31 @@ class TestProductKernelOverParameterSets:
             np.testing.assert_allclose(batched[s], self.single(s, k), rtol=1e-13)
 
     def test_one_rate_per_set_is_exact(self):
-        """The BNS layout: every factor of a set decays at that set's lambda."""
-        k = np.repeat([[2.0], [0.7], [2.0]], 3, axis=1)
-        batched = self.batched(k)
+        """The BNS layout: every factor of a set decays at that set's lambda, one shared rate."""
+        lam = np.array([2.0, 0.7, 2.0])
+        d, c = self.D.T[:, :, None], self.C.T[:, :, None]
+        batched = _affine_product_integral(self.T, d, c, rate=lam[:, None])
         for s in range(3):
-            np.testing.assert_array_equal(batched[s], self.single(s, k))
+            single = _affine_product_integral(self.T, self.D[s], self.C[s], rate=lam[s])
+            np.testing.assert_array_equal(batched[s], single)
+            np.testing.assert_allclose(single, self.single(s, np.full((3, 3), lam[s])), rtol=1e-13)
+
+    @staticmethod
+    def expm1_terms(n, **rates):
+        """The number of e^{-a t} terms, counted by the size of the kernel's expm1 results."""
+        T = np.array([0.5, 1.0]).view(CountedTimes)
+        T.counts = collections.Counter()
+        _affine_product_integral(T, [0.01] * n, [0.05] * n, **rates)
+        return T.counts["expm1"] // T.size
+
+    def test_shared_rate_merges_the_subsets_of_one_size(self):
+        """n + 1 terms, the rate-0 one times T and n through expm1, not 2^n."""
+        assert self.expm1_terms(9, rate=2.0) == 9
+
+    def test_per_factor_rates_never_merge(self):
+        """2^n - 1 terms through expm1 even where the subset rates coincide."""
+        assert self.expm1_terms(3, k=[2.0, 2.0, 2.0]) == 7
+        assert self.expm1_terms(3, k=[1.0, 2.0, 3.0]) == 7
 
 
 class TestPortfolioType:
