@@ -48,7 +48,9 @@ correction kappa2 (1 - e^{-2 lambda t}) / (16 E^{3/2}) equals
 Var / (8 E^{3/2}) identically, since (1/2)/8 = 1/16. ``var_i_coefficient``
 is exposed for compatibility with the coefficient-16 reading of that
 specialized formula (which halves the correction); the default 8 follows the
-Brockhaus-Long expansion. It must be finite and > 0 (``ValidationError``).
+Brockhaus-Long expansion. It must be finite and > 0, as must lambda and
+the quadrature ``tol``, and ``mu3`` finite and >= 0: ``core``'s rules
+check each, with their ``ValidationError`` messages.
 
 All functions are pure.
 """
@@ -61,14 +63,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BnsAssetParams, BnsPortfolioParams, CorrelationMatrix, SwapContract, _jump_law
-from .errors import (
-    DegenerateVariance,
-    DimensionMismatch,
-    QuadratureFailure,
-    ValidationError,
-    WrongAssetCount,
+from .core import (
+    BnsAssetParams, BnsPortfolioParams, CorrelationMatrix, SwapContract, _check_field, _jump_law,
+    _require_nonnegative, _require_positive,
 )
+from .errors import DegenerateVariance, DimensionMismatch, QuadratureFailure, WrongAssetCount
 from .genvar import _jump_weights
 from .heston import _affine_product_integral, _check_maturity, _check_time, price_swap
 
@@ -117,8 +116,9 @@ class BnsETerms:
 
 
 def expected_variance_bns(t, a: BnsAssetParams, lambda_: float):
-    """E[sigma_t^2] = e^{-lambda t}(sigma_0^2 - kappa1) + kappa1."""
+    """E[sigma_t^2] = e^{-lambda t}(sigma_0^2 - kappa1) + kappa1, for a finite lambda > 0."""
     t = _check_time(t)
+    lambda_ = _check_field("lambda", lambda_)
     out = np.exp(-lambda_ * t) * (a.sigma0_2 - a.kappa1) + a.kappa1
     return out if out.ndim else float(out)
 
@@ -126,6 +126,7 @@ def expected_variance_bns(t, a: BnsAssetParams, lambda_: float):
 def _ou_cumulant(t, kappa_m: float, m: int, lambda_: float):
     """The m-th cumulant of the OU state sigma_t^2: kappa_m(Z_1) (1 - e^{-m lambda t}) / m."""
     t = _check_time(t)
+    lambda_ = _check_field("lambda", lambda_)
     out = kappa_m * -np.expm1(-m * lambda_ * t) / m
     return out if out.ndim else float(out)
 
@@ -158,10 +159,14 @@ def expected_vol_bns(
     Returns ``VolApprox(value, error_bound)``. The error bound
     mu3 / (16 E[sigma_t^2]^{5/2}) is filled only when the caller supplies
     mu3 (the subordinator family is a simulation choice, not a pricing
-    input); otherwise it is None. See the module docstring for the
-    ``var_i_coefficient`` compatibility flag.
+    input); otherwise it is None. mu3 must be finite and >= 0, as the third
+    cumulant of a subordinator-driven OU state is. See the module docstring
+    for the ``var_i_coefficient`` compatibility flag.
     """
-    _check_positive(var_i_coefficient, "var_i_coefficient")
+    _require_positive("var_i_coefficient", var_i_coefficient)
+    if mu3 is not None:  # scalar, or an array following t: its extremes carry the rule
+        for extreme in (np.min(mu3), np.max(mu3)):
+            _require_nonnegative("mu3", extreme)
     ev = expected_variance_bns(t, a, lambda_)
     if np.any(np.asarray(ev) <= 0.0):
         raise DegenerateVariance("E[sigma_t^2] <= 0 under the supplied parameters")
@@ -257,12 +262,6 @@ _MAX_PANELS_PER_MATURITY = 200
 # the relative rounding of the cumulative sums (N eps for N panels) up to
 # about 10^9 panels.
 _SPLIT_SHARE = 1.0 - 1e-6
-
-
-def _check_positive(value, name: str) -> float:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
-    return float(value)
 
 
 def quad(f, T, tol: float, labels):
@@ -443,8 +442,8 @@ def compute_e_terms(
     if p.n != 3:
         raise WrongAssetCount(f"E_0..E_6 are defined for exactly 3 assets, got {p.n}")
     T = float(_check_maturity(T))
-    tol = _check_positive(tol, "quadrature tolerance")
-    _check_positive(var_i_coefficient, "var_i_coefficient")
+    tol = _require_positive("quadrature tolerance", tol)
+    _require_positive("var_i_coefficient", var_i_coefficient)
     lam, sigma0_2, kappa1, kappa2, _, _ = _one_set(p)
     e_all, e_without = _mean_variance_products(T, lam, sigma0_2, kappa1)
     pairs = [(0, 1), (0, 2), (1, 2)]
@@ -496,8 +495,8 @@ def _expected_realized_variance_sets(
         raise DimensionMismatch(f"{sigma0_2.shape[1]} assets vs {n}x{n} correlation")
     weights = _jump_weights(corr)  # raises SingularCorrelation for a singular C, jump terms or not
     T = _check_maturity(T)
-    tol = _check_positive(tol, "quadrature tolerance")
-    _check_positive(var_i_coefficient, "var_i_coefficient")
+    tol = _require_positive("quadrature tolerance", tol)
+    _require_positive("var_i_coefficient", var_i_coefficient)
 
     bracket, e_without = _mean_variance_products(T, lam, sigma0_2, kappa1)
     inner = np.zeros_like(bracket)

@@ -8,7 +8,8 @@ every trial point respects the bounds. A parameter with lo == hi is frozen.
 Each Jacobian, and the one behind the covariance, stacks its 2 n_free
 perturbed points into one ``model_curve`` call; a Jacobian point transforms
 only its own perturbed coordinate again. The stack is validated once, by
-columns, and its columns go to the closed forms without a parameter object
+columns, with the rules the parameter objects read from ``core``'s field
+table, and its columns go to the closed forms without a parameter object
 per point. For Heston the stack is one closed-form kernel call; for BNS
 it is one quadrature pass over the cross terms of all points, which
 evaluates each factor the points share once. The stacked curves are those
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bns, heston
-from .core import CorrelationMatrix, _require_finite, _require_nonnegative, _require_positive
+from .core import CorrelationMatrix, _as_float, _check_field
 from .errors import (
     LengthMismatch,
     SingularNormalEquations,
@@ -103,18 +104,6 @@ _LAYOUTS = {
         ("kappa2_star", False, (0.0, 100.0), 0.0),
     ),
 }
-# The check each field's parameter object (``HestonAssetParams``,
-# ``BnsAssetParams``, ``BnsPortfolioParams``) applies to it.
-_CHECKS = {
-    "k": _require_positive,
-    "theta2": _require_positive,
-    "sigma0_2": _require_positive,
-    "lambda": _require_positive,
-    "kappa1": _require_nonnegative,
-    "kappa2": _require_nonnegative,
-    "rho": _require_finite,
-    "kappa2_star": _require_nonnegative,
-}
 # The stacked closed forms, each taking the columns in ``_LAYOUTS`` order.
 _CURVES = {
     "heston": heston._expected_realized_variance_sets,
@@ -136,11 +125,11 @@ def _entries(model: str, n: int) -> list[tuple[str, tuple[float, float], float |
 def _columns(model: str, params: np.ndarray, n: int) -> list[np.ndarray]:
     """A (P, p) stack as its ``_LAYOUTS`` columns: (P, n) per per-asset field, (P,) per shared.
 
-    Every entry is checked as its parameter object checks it, asset by
-    asset and then the shared fields, so a bad entry raises the
-    ``ValidationError`` naming its field that the object would raise. The
-    minimum and maximum of a column carry its check for every row (a NaN
-    into both). No warning is raised for a rho > 0.
+    Every entry is checked by its field's rule in ``core._FIELD_RULES``,
+    the table the parameter objects read, asset by asset and then the
+    shared fields, so a bad entry raises the ``ValidationError`` the object
+    would raise. The minimum and maximum of a column carry its check for
+    every row (a NaN into both). No warning is raised for a rho > 0.
     """
     columns, per_asset, shared, at = [], [], [], 0
     for field, each, _, _ in _LAYOUTS[model]:
@@ -151,7 +140,7 @@ def _columns(model: str, params: np.ndarray, n: int) -> list[np.ndarray]:
     extremes = [values.tolist() for values in extremes]
     for field, j in [(field, j + i) for i in range(n) for field, j in per_asset] + shared:
         for values in extremes:
-            _CHECKS[field](field, values[j])
+            _check_field(field, values[j])
     return columns
 
 
@@ -270,7 +259,10 @@ def model_curve(model: str, params, corr: CorrelationMatrix, times) -> np.ndarra
     """
     n = corr.n
     size = len(_entries(model, n))
-    params = np.asarray(params, dtype=float)
+    try:
+        params = np.asarray(params, dtype=float)
+    except OverflowError:  # an integer beyond the float range, which its field's rule rejects
+        params = np.vectorize(_as_float, otypes=[float])(np.asarray(params, dtype=object))
     if params.ndim not in (1, 2) or params.shape[-1] != size:
         raise ValidationError(f"{model} needs {size} parameters for {n} assets")
     times = np.asarray(times, dtype=float)

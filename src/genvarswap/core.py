@@ -5,6 +5,14 @@ variance of an n-asset portfolio is the determinant of its instantaneous
 return covariance matrix and therefore carries units of variance^n. A swap
 strike ``k_var`` must be quoted in those same variance^n units.
 
+The rules for a valid scalar live here, one message each: ``_require_finite``
+("{name} must be finite, got ..."), ``_require_positive`` ("... must be
+finite and > 0 ...") and ``_require_nonnegative`` ("... must be finite and
+>= 0 ..."), each raising ``ValidationError``. An integer beyond the float
+range counts as infinite. ``_FIELD_RULES`` gives each model field its rule
+once; the parameter objects, calibration's stacked columns and the closed
+forms' bare arguments all read them.
+
 Every type is immutable after construction and safe to share across threads.
 Each type serializes to/from a plain JSON dictionary whose keys match the
 field names below (``lambda_`` maps to the JSON key ``"lambda"``); these
@@ -105,25 +113,41 @@ def _whole_number(name: str, value) -> int:
     return whole
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return value
+def _as_float(value) -> float:
+    """``float(value)``, with an integer beyond the float range as +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
-def _require_positive(name: str, value: float) -> float:
-    value = _require_finite(name, value)
-    if value <= 0.0:
-        raise ValidationError(f"{name} must be > 0, got {value!r}")
-    return value
+def _rule(condition: str, holds):
+    """A check of a named scalar: finite and ``holds``, else "{name} must be finite{condition}"."""
+
+    def require(name: str, value) -> float:
+        value = _as_float(value)
+        if not (math.isfinite(value) and holds(value)):
+            raise ValidationError(f"{name} must be finite{condition}, got {value!r}")
+        return value
+
+    return require
 
 
-def _require_nonnegative(name: str, value: float) -> float:
-    value = _require_finite(name, value)
-    if value < 0.0:
-        raise ValidationError(f"{name} must be >= 0, got {value!r}")
-    return value
+_require_finite = _rule("", lambda x: True)
+_require_positive = _rule(" and > 0", lambda x: x > 0.0)
+_require_nonnegative = _rule(" and >= 0", lambda x: x >= 0.0)
+
+# The rule of each model field, whatever shape its value comes in.
+_FIELD_RULES = {
+    **dict.fromkeys(("k", "theta2", "sigma0_2", "gamma", "lambda"), _require_positive),
+    **dict.fromkeys(("kappa1", "kappa2", "kappa2_star"), _require_nonnegative),
+    "rho": _require_finite,
+}
+
+
+def _check_field(name: str, value) -> float:
+    """``value`` as a float, checked by the rule of the model field ``name``."""
+    return _FIELD_RULES[name](name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +247,7 @@ class HestonAssetParams:
 
     def __post_init__(self):
         for f in fields(self):
-            _require_positive(f.name, getattr(self, f.name))
+            _check_field(f.name, getattr(self, f.name))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -300,10 +324,8 @@ class BnsAssetParams:
     subordinator: GammaOuSpec | None = None
 
     def __post_init__(self):
-        _require_positive("sigma0_2", self.sigma0_2)
-        _require_nonnegative("kappa1", self.kappa1)
-        _require_nonnegative("kappa2", self.kappa2)
-        _require_finite("rho", self.rho)
+        for name in ("sigma0_2", "kappa1", "kappa2", "rho"):
+            _check_field(name, getattr(self, name))
         if self.subordinator is not None:
             for name in ("kappa1", "kappa2"):
                 stated, implied = getattr(self, name), getattr(self.subordinator, name)
@@ -319,15 +341,7 @@ class BnsAssetParams:
             )
 
     def to_dict(self) -> dict:
-        d = {
-            "sigma0_2": self.sigma0_2,
-            "kappa1": self.kappa1,
-            "kappa2": self.kappa2,
-            "rho": self.rho,
-        }
-        if self.subordinator is not None:
-            d["subordinator"] = self.subordinator.to_dict()
-        return d
+        return {name: v for name, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BnsAssetParams":
@@ -377,8 +391,8 @@ class BnsPortfolioParams:
         object.__setattr__(self, "assets", tuple(self.assets))
         if not self.assets:
             raise ValidationError("assets must be nonempty")
-        _require_positive("lambda", self.lambda_)
-        _require_nonnegative("kappa2_star", self.kappa2_star)
+        _check_field("lambda", self.lambda_)
+        _check_field("kappa2_star", self.kappa2_star)
 
     @property
     def n(self) -> int:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationMatrix
+from .core import CorrelationMatrix, _check_field, _require_nonnegative
 from .errors import DimensionMismatch, ValidationError
 
 __all__ = [
@@ -81,16 +81,6 @@ def _check_rho(rho, n: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValidationError("rho entries must be finite")
     return arr
-
-
-def _check_jump_scale(lambda_: float, var_z1: float) -> tuple[float, float]:
-    lambda_ = float(lambda_)
-    var_z1 = float(var_z1)
-    if not (0.0 < lambda_ < math.inf):
-        raise ValidationError(f"lambda must be finite and > 0, got {lambda_}")
-    if not (0.0 <= var_z1 < math.inf):
-        raise ValidationError(f"var_z1 must be finite and >= 0, got {var_z1}")
-    return lambda_, var_z1
 
 
 def _jump_weights(corr: CorrelationMatrix) -> np.ndarray:
@@ -142,7 +132,7 @@ def build_sigma2(
 ) -> np.ndarray:
     """Sigma_2 = Sigma_1 + lambda Var[Z_1*] rho rho^T."""
     rho = _check_rho(rho, vols.n)
-    lambda_, var_z1 = _check_jump_scale(lambda_, var_z1)
+    lambda_, var_z1 = _check_field("lambda", lambda_), _require_nonnegative("var_z1", var_z1)
     return build_sigma1(vols, corr) + lambda_ * var_z1 * np.outer(rho, rho)
 
 
@@ -160,7 +150,7 @@ def det_sigma2(
     """
     _check_dims(vols, corr)
     rho = _check_rho(rho, vols.n)
-    lambda_, var_z1 = _check_jump_scale(lambda_, var_z1)
+    lambda_, var_z1 = _check_field("lambda", lambda_), _require_nonnegative("var_z1", var_z1)
     delta = corr.inverse()
     s = vols.sigma
     quad_form = float((rho / s) @ delta @ (rho / s))
@@ -211,7 +201,7 @@ def det_sigma2_values(
             f"last axis has {variances.shape[-1]} assets, correlation has {n}"
         )
     rho = _check_rho(rho, n)
-    lambda_, var_z1 = _check_jump_scale(lambda_, var_z1)
+    lambda_, var_z1 = _check_field("lambda", lambda_), _require_nonnegative("var_z1", var_z1)
     terms = _jump_terms(corr, rho, lambda_ * var_z1)
     if not terms:
         return det_sigma1_values(variances, corr)

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationMatrix, HestonAssetParams, SwapContract
+from .core import (
+    CorrelationMatrix, HestonAssetParams, SwapContract, _real_matrix, validate_correlation,
+)
 from .errors import (
     DimensionMismatch,
     NegativeTime,
@@ -71,8 +73,6 @@ class HestonPortfolio:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HestonPortfolio":
-        from .core import _real_matrix, validate_correlation
-
         return cls(
             assets=tuple(HestonAssetParams.from_dict(a) for a in d["assets"]),
             corr=validate_correlation(_real_matrix("correlation", d["correlation"])),

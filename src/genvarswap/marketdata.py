@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationMatrix, validate_correlation
+from .core import CorrelationMatrix, _require_finite, validate_correlation
 from .errors import (
     DegenerateColumn,
     NegativeDeterminant,
     NonPositivePrice,
+    NumericalError,
     ParseError,
     TooFewRows,
     TooShort,
@@ -207,8 +208,10 @@ def rolling_determinants(
     Windows advance by ``window`` rows (blocked, the default) or by one row
     (``rolling=True``). Each needs at least n+1 observations so the sample
     covariance of n assets can be nonsingular. ``annualization`` (periods
-    per year) must be >= 1.
+    per year) must be finite and >= 1. A window whose determinant is not
+    finite raises ``NumericalError``.
     """
+    annualization = _require_finite("annualization", annualization)
     if not annualization >= 1:
         raise ValidationError(f"annualization must be >= 1 period per year, got {annualization}")
     returns = np.asarray(returns, dtype=float)
@@ -227,8 +230,11 @@ def rolling_determinants(
     clamped = 0
     for idx, start in enumerate(starts):
         block = returns[start : start + window]
-        cov = np.cov(block.T, ddof=1) * annualization
-        det = float(np.linalg.det(np.atleast_2d(cov)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = np.cov(block.T, ddof=1) * annualization
+            det = float(np.linalg.det(np.atleast_2d(cov)))
+        if not math.isfinite(det):
+            raise NumericalError(f"window ending at row {start + window} has determinant {det}")
         if _DET_CLAMP_FLOOR < det < 0.0:
             det = 0.0
             clamped += 1

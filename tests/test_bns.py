@@ -106,6 +106,20 @@ class TestOuMoments:
                 variance_of_variance_bns(t, a, 1.0)
 
 
+    @pytest.mark.parametrize("lambda_", [math.nan, -1.0, 0.0, math.inf])
+    @pytest.mark.parametrize(
+        "moment",
+        [expected_variance_bns, variance_of_variance_bns, third_central_moment_bns,
+         lambda t, a, lambda_: expected_vol_bns(t, a, lambda_)],
+        ids=["expected_variance", "variance_of_variance", "third_central_moment", "expected_vol"],
+    )
+    def test_lambda_rule(self, moment, lambda_):
+        """lambda = -1 once gave a negative Var[sigma_t^2], NaN a NaN."""
+        a = BnsAssetParams(sigma0_2=0.04, kappa1=0.06, kappa2=0.01)
+        with pytest.raises(ValidationError, match="lambda must be finite and > 0"):
+            moment(1.0, a, lambda_)
+
+
 class TestThirdCentralMoment:
     def test_from_explicit_subordinator(self):
         spec = GammaOuSpec(a=2.0, b=20.0)
@@ -166,6 +180,20 @@ class TestExpectedVol:
         approx = expected_vol_bns(0.5, a, 2.0, mu3=mu3)
         ev = expected_variance_bns(0.5, a, 2.0)
         assert approx.error_bound == pytest.approx(mu3 / (16.0 * ev**2.5), rel=1e-14)
+
+    @pytest.mark.parametrize("mu3", [-5.0, math.nan, math.inf, np.array([0.001, -1e-300])])
+    def test_mu3_rule(self, mu3):
+        """A subordinator's third cumulant is >= 0, so mu3 is; -5 once gave a negative bound."""
+        a = BnsAssetParams(sigma0_2=0.04, kappa1=0.05, kappa2=0.004)
+        with pytest.raises(ValidationError, match="mu3 must be finite and >= 0"):
+            expected_vol_bns(np.array([0.5, 1.0]), a, 2.0, mu3=mu3)
+
+    def test_error_bound_follows_an_array_of_times(self):
+        a = BnsAssetParams(sigma0_2=0.04, kappa1=0.05, kappa2=0.004)
+        t = np.array([0.5, 1.0])
+        approx = expected_vol_bns(t, a, 2.0, mu3=third_central_moment_bns(t, a, 2.0))
+        single = expected_vol_bns(1.0, a, 2.0, mu3=third_central_moment_bns(1.0, a, 2.0))
+        assert approx.error_bound[1] == single.error_bound
 
     def test_coefficient_sixteen_halves_the_correction(self):
         a = BnsAssetParams(sigma0_2=0.04, kappa1=0.05, kappa2=0.004)

@@ -132,6 +132,21 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert "annualization" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("digits, code", [(400, 2), (300, 3)])
+    def test_huge_annualization_exits_in_contract(self, tmp_path, digits, code):
+        """10^400 is beyond the float range (a ValidationError); 10^300 overflows |cov|."""
+        write_prices(tmp_path, n_rows=60)
+        source = str(Path(genvarswap.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": source}
+        proc = subprocess.run(
+            [sys.executable, "-m", "genvarswap.cli", "estimate", "prices.csv",
+             "--annualization", "1" + "0" * digits, "--out", "out"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
+        assert not (tmp_path / "out" / "realized.csv").exists()
+
     def test_negative_determinant_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(np.linalg, "det", lambda a: -1.0)
         prices = write_prices(tmp_path)

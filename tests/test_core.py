@@ -16,6 +16,9 @@ from genvarswap import (
     SwapContract,
     validate_correlation,
 )
+from genvarswap.genvar import InstantaneousVols, det_sigma2
+from genvarswap.bns import compute_e_terms, expected_variance_bns
+from genvarswap.calibrate import model_curve
 from genvarswap.errors import (
     BadDiagonal,
     InvalidConfig,
@@ -272,3 +275,48 @@ class TestFromDictNumbers:
         p = HestonAssetParams.from_dict(doc)
         assert p == HestonAssetParams(k=2.0, theta2=0.09, sigma0_2=0.04, gamma=1.0)
         assert all(type(x) is float for x in (p.k, p.theta2, p.sigma0_2, p.gamma))
+
+
+RULE_CORR = validate_correlation(equicorrelated(3, 0.3))
+RULE_ASSET = BnsAssetParams(sigma0_2=0.04, kappa1=0.05, kappa2=0.004)
+RULE_ROW = [1.0, 3.0, 6.0, 0.05, 0.08, 0.06, 0.10, 0.03, 0.09]
+# (entry point, call with the bad value, the message before ", got ...")
+RULE_CASES = [
+    ("HestonAssetParams.k",
+     lambda v: HestonAssetParams(k=v, theta2=0.05, sigma0_2=0.04, gamma=0.3),
+     "k must be finite and > 0"),
+    ("BnsPortfolioParams.lambda_",
+     lambda v: BnsPortfolioParams(assets=(RULE_ASSET,), lambda_=v, kappa2_star=0.01),
+     "lambda must be finite and > 0"),
+    ("model_curve stack k_2",
+     lambda v: model_curve("heston", [RULE_ROW, [RULE_ROW[0], v, *RULE_ROW[2:]]], RULE_CORR, [1.0]),
+     "k must be finite and > 0"),
+    ("expected_variance_bns lambda_",
+     lambda v: expected_variance_bns(1.0, RULE_ASSET, v),
+     "lambda must be finite and > 0"),
+    ("det_sigma2 lambda_",
+     lambda v: det_sigma2(InstantaneousVols(np.full(3, 0.2)), RULE_CORR, [-0.3, 0.0, 0.0], v, 0.01),
+     "lambda must be finite and > 0"),
+    ("compute_e_terms tol",
+     lambda v: compute_e_terms(
+         1.0, BnsPortfolioParams(assets=(RULE_ASSET,) * 3, lambda_=2.0, kappa2_star=0.0), tol=v
+     ),
+     "quadrature tolerance must be finite and > 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "bad, shown",
+    [(math.nan, "nan"), (-1.0, "-1.0"), (math.inf, "inf"), (10**400, "inf")],
+    ids=["nan", "-1.0", "inf", "10**400"],
+)
+@pytest.mark.parametrize("call, message", [case[1:] for case in RULE_CASES],
+                         ids=[case[0] for case in RULE_CASES])
+def test_one_rule_whatever_the_shape(call, message, bad, shown):
+    """An object field, a stack column and a bare argument read one rule, with one message.
+
+    An integer beyond the float range counts as infinite: no bare OverflowError.
+    """
+    with pytest.raises(ValidationError) as info:
+        call(bad)
+    assert str(info.value) == f"{message}, got {shown}"
