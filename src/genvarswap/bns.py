@@ -64,8 +64,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    BnsAssetParams, BnsPortfolioParams, CorrelationMatrix, SwapContract, _check_field, _jump_law,
-    _require_nonnegative, _require_positive,
+    BnsAssetParams, BnsPortfolioParams, CorrelationMatrix, SwapContract, _as_floats, _check_field,
+    _jump_law, _require_nonnegative, _require_positive,
 )
 from .errors import DegenerateVariance, DimensionMismatch, QuadratureFailure, WrongAssetCount
 from .genvar import _jump_weights
@@ -165,6 +165,7 @@ def expected_vol_bns(
     """
     _require_positive("var_i_coefficient", var_i_coefficient)
     if mu3 is not None:  # scalar, or an array following t: its extremes carry the rule
+        mu3 = _as_floats("mu3", mu3)
         for extreme in (np.min(mu3), np.max(mu3)):
             _require_nonnegative("mu3", extreme)
     ev = expected_variance_bns(t, a, lambda_)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bns, heston
-from .core import CorrelationMatrix, _as_float, _check_field
+from .core import CorrelationMatrix, _as_float, _as_floats, _check_field, _exp
 from .errors import (
     LengthMismatch,
     SingularNormalEquations,
@@ -189,13 +189,13 @@ class CalibrationProblem:
                 "as variance^n"
             )
         names = [name for name, _, _ in _entries(self.model, self.corr.n)]
-        initial = np.asarray(self.initial, dtype=float)
+        initial = _as_floats("initial", self.initial)
         if initial.shape != (len(names),):
             raise ValidationError(
                 f"{self.model} needs {len(names)} parameters "
                 f"({', '.join(names)}), got shape {initial.shape}"
             )
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        bounds = tuple((_as_float("bounds", lo), _as_float("bounds", hi)) for lo, hi in self.bounds)
         if len(bounds) != len(names):
             raise ValidationError(f"need {len(names)} bounds, got {len(bounds)}")
         for name, x, (lo, hi) in zip(names, initial, bounds):
@@ -259,13 +259,10 @@ def model_curve(model: str, params, corr: CorrelationMatrix, times) -> np.ndarra
     """
     n = corr.n
     size = len(_entries(model, n))
-    try:
-        params = np.asarray(params, dtype=float)
-    except OverflowError:  # an integer beyond the float range, which its field's rule rejects
-        params = np.vectorize(_as_float, otypes=[float])(np.asarray(params, dtype=object))
+    params = _as_floats("params", params)
     if params.ndim not in (1, 2) or params.shape[-1] != size:
         raise ValidationError(f"{model} needs {size} parameters for {n} assets")
-    times = np.asarray(times, dtype=float)
+    times = _as_floats("times", times)
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0.0):
         raise ValidationError("times must be a nonempty, strictly increasing 1-D array")
 
@@ -322,17 +319,14 @@ def _to_internal(x: float, lo: float, hi: float) -> float:
 
 
 def _from_internal(z: float, lo: float, hi: float) -> float:
+    """The inverse of ``_to_internal``; a one-sided bound's e^z past the float range gives +-inf."""
     if not math.isfinite(lo) and not math.isfinite(hi):
         return z
     if not math.isfinite(hi):
-        return lo + math.exp(z)
+        return lo + _exp(z)
     if not math.isfinite(lo):
-        return hi - math.exp(z)
-    try:
-        u = 1.0 / (1.0 + math.exp(-z))  # the logistic function, as scipy's expit
-    except OverflowError:  # z < -709.78: e^-z overflows, the logistic value underflows to 0
-        u = 0.0
-    return lo + (hi - lo) * u
+        return hi - _exp(z)
+    return lo + (hi - lo) * (1.0 / (1.0 + _exp(-z)))  # the logistic function, as scipy's expit
 
 
 def _assemble(full: np.ndarray, free: list[int], bounds, z: np.ndarray) -> np.ndarray:
@@ -375,16 +369,16 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
     free = [j for j, (lo, hi) in enumerate(problem.bounds) if lo < hi]
     bounds = problem.bounds
 
-    def evaluate(z: np.ndarray):
-        """The model curve at z, its residual and its SSE (inf if not finite)."""
-        curve = model_curve(problem.model, _assemble(full, free, bounds, z), problem.corr, times)
+    def evaluate(x: np.ndarray):
+        """The model curve at x, its residual and its SSE (inf if not finite)."""
+        curve = model_curve(problem.model, x, problem.corr, times)
         r = curve - obs
         return curve, r, float(r @ r) if np.all(np.isfinite(r)) else math.inf
 
     z = np.array(
         [_to_internal(_interior(full[j], *bounds[j]), *bounds[j]) for j in free]
     )
-    curve, r, sse = evaluate(z)
+    curve, r, sse = evaluate(_assemble(full, free, bounds, z))
     if not np.all(np.isfinite(r)):
         raise SingularNormalEquations("objective is not finite at the initial point")
     converged = not free
@@ -412,9 +406,12 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
             stepped = delta is not None and np.all(np.isfinite(delta))
             if stepped:
                 z_try = z + delta
-                curve_try, r_try, sse_try = evaluate(z_try)
-                if sse_try < sse:
-                    break
+                x_try = _assemble(full, free, bounds, z_try)
+                # a step past e^z's float range has no point to evaluate: rejected, as an inf SSE
+                if np.all(np.isfinite(x_try)):
+                    curve_try, r_try, sse_try = evaluate(x_try)
+                    if sse_try < sse:
+                        break
             mu *= 10.0
         else:
             if not stepped:

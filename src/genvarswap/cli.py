@@ -49,8 +49,8 @@ from .calibrate import (
 from .core import (
     BnsPortfolioParams,
     SwapContract,
+    _as_float,
     _real_matrix,
-    _real_number,
     _real_vector,
     validate_correlation,
 )
@@ -354,8 +354,8 @@ def cmd_calibrate(args) -> int:
             else:
                 bounds = tuple(
                     (
-                        -np.inf if lo is None else _real_number("bounds", lo),
-                        np.inf if hi is None else _real_number("bounds", hi),
+                        -np.inf if lo is None else _as_float("bounds", lo),
+                        np.inf if hi is None else _as_float("bounds", hi),
                     )
                     for lo, hi in raw_bounds
                 )

@@ -5,13 +5,22 @@ variance of an n-asset portfolio is the determinant of its instantaneous
 return covariance matrix and therefore carries units of variance^n. A swap
 strike ``k_var`` must be quoted in those same variance^n units.
 
-The rules for a valid scalar live here, one message each: ``_require_finite``
-("{name} must be finite, got ..."), ``_require_positive`` ("... must be
-finite and > 0 ...") and ``_require_nonnegative`` ("... must be finite and
->= 0 ..."), each raising ``ValidationError``. An integer beyond the float
-range counts as infinite. ``_FIELD_RULES`` gives each model field its rule
-once; the parameter objects, calibration's stacked columns and the closed
-forms' bare arguments all read them.
+Every value a caller passes is turned into floats here, once, by one of two
+readers. ``_as_float`` reads a scalar and ``_as_floats`` an array. A number
+is a real scalar (a Python or numpy int or float, or a 0-d numeric array) or
+an array of them. A str, bytes, bool or None is not a number and raises
+``InvalidConfig`` ("{name} must be a number, got ..."). An integer beyond
+the float range reads as +-inf, which the rule or invariant that follows
+rejects.
+
+The rules for a valid scalar live here too, one message each:
+``_require_finite`` ("{name} must be finite, got ..."), ``_require_positive``
+("... must be finite and > 0 ...") and ``_require_nonnegative`` ("... must be
+finite and >= 0 ..."). Each reads its value through ``_as_float`` and raises
+``ValidationError``. ``_FIELD_RULES`` gives each model field its rule once.
+The parameter objects, calibration's stacked columns and the closed forms'
+bare arguments all read them. A parameter object stores the float its rule
+returns, so JSON ``2`` and ``2.0`` build the same object.
 
 Every type is immutable after construction and safe to share across threads.
 Each type serializes to/from a plain JSON dictionary whose keys match the
@@ -24,9 +33,8 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -64,24 +72,57 @@ class LeverageSignWarning(UserWarning):
     """A jump loading rho > 0 reverses the usual leverage sign convention."""
 
 
-def _real_number(name: str, value) -> float:
-    """``value`` as a float; a bool, a string or any other non-number is an InvalidConfig.
+def _as_float(name: str, value) -> float:
+    """A caller's real number as a float: the one reader of a scalar.
 
-    ``float()`` alone would take "2.0" and True from a JSON document.
+    A Python or numpy int or float, or a 0-d numeric array, is a number; an
+    integer beyond the float range reads as +-inf, which the rule that
+    follows rejects. A str, bytes, bool, None or anything else raises
+    ``InvalidConfig``: ``float()`` alone would take "2.0" and True.
     """
+    if type(value) is float:  # the rules' hot path
+        return value
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]  # its numpy scalar, judged as any other
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise InvalidConfig(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise InvalidConfig(f"{name} must be a number ({exc})") from None
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _as_floats(name: str, values) -> np.ndarray:
+    """A caller's array of real numbers as a float64 array: the one reader of an array.
+
+    The array numpy makes is judged. A numeric one is converted, and float64
+    passes through uncopied, so ``[True, 2.0]`` reads as floats. Any other
+    (strings, bools, objects such as ``10**400``, ragged rows) is read entry
+    by entry, as the caller gave them, through ``_as_float``.
+    """
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged rows
+        array = np.asarray(values, dtype=object)
+    if array.dtype.kind not in "iuf":
+        read = np.vectorize(lambda x: _as_float(name, x), otypes=[float])
+        array = read(np.asarray(values, dtype=object))
+    return array.astype(float, copy=False)
+
+
+def _exp(x: float) -> float:
+    """e^x, or inf past the float range (x > 709.78), where ``math.exp`` raises."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _real_vector(name: str, values) -> np.ndarray:
-    """A list of numbers as a float array, each entry checked by ``_real_number``."""
+    """A list of numbers as a float array, each entry read by ``_as_float``."""
     if not isinstance(values, (list, tuple)):
         raise InvalidConfig(f"{name} must be a list of numbers, got {values!r}")
-    return np.array([_real_number(name, x) for x in values])
+    return np.array([_as_float(name, x) for x in values])
 
 
 def _real_matrix(name: str, rows) -> np.ndarray:
@@ -91,41 +132,25 @@ def _real_matrix(name: str, rows) -> np.ndarray:
     return np.array([_real_vector(name, row) for row in rows])
 
 
-def _from_numbers(cls, d: dict):
-    """A ``cls`` whose fields are all numbers, each read from ``d`` by ``_real_number``."""
-    return cls(**{f.name: _real_number(f.name, d[f.name]) for f in fields(cls)})
-
-
 def _whole_number(name: str, value) -> int:
-    """``value`` as an int; a bool, a non-integral or a non-finite number is an InvalidConfig."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    """``value`` as an int; a non-number, a fraction, NaN or infinity raises InvalidConfig."""
+    number = _as_float(name, value)
+    if isinstance(value, numbers.Integral):  # exactly, whatever its size
+        return int(value)
     try:
-        return operator.index(value)
-    except TypeError:
-        pass
-    try:
-        whole = int(value)
+        whole = int(number)
     except (OverflowError, ValueError) as exc:  # infinity, NaN
         raise InvalidConfig(f"{name} must be an integer ({exc})") from None
-    if whole != value:
+    if whole != number:
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
     return whole
-
-
-def _as_float(value) -> float:
-    """``float(value)``, with an integer beyond the float range as +-inf."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 def _rule(condition: str, holds):
     """A check of a named scalar: finite and ``holds``, else "{name} must be finite{condition}"."""
 
     def require(name: str, value) -> float:
-        value = _as_float(value)
+        value = _as_float(name, value)
         if not (math.isfinite(value) and holds(value)):
             raise ValidationError(f"{name} must be finite{condition}, got {value!r}")
         return value
@@ -137,17 +162,42 @@ _require_finite = _rule("", lambda x: True)
 _require_positive = _rule(" and > 0", lambda x: x > 0.0)
 _require_nonnegative = _rule(" and >= 0", lambda x: x >= 0.0)
 
-# The rule of each model field, whatever shape its value comes in.
+# The rule of each model and contract field, whatever shape its value comes in.
 _FIELD_RULES = {
-    **dict.fromkeys(("k", "theta2", "sigma0_2", "gamma", "lambda"), _require_positive),
-    **dict.fromkeys(("kappa1", "kappa2", "kappa2_star"), _require_nonnegative),
-    "rho": _require_finite,
+    **dict.fromkeys(
+        ("k", "theta2", "sigma0_2", "gamma", "lambda", "b", "maturity"), _require_positive
+    ),
+    **dict.fromkeys(("kappa1", "kappa2", "kappa2_star", "a"), _require_nonnegative),
+    **dict.fromkeys(("rho", "k_var", "r", "notional"), _require_finite),
 }
 
 
 def _check_field(name: str, value) -> float:
-    """``value`` as a float, checked by the rule of the model field ``name``."""
+    """``value`` as a float, checked by the rule of the field ``name``."""
     return _FIELD_RULES[name](name, value)
+
+
+class _NumberFields:
+    """A frozen dataclass whose number fields are named in ``_FIELD_RULES``.
+
+    Each such field is stored as the float its rule returns, in field
+    order, so a caller's ``2`` and ``2.0`` build the same object. The JSON
+    form is the fields by name; ``from_dict`` passes each value to the
+    constructor as it is, and a field with a default may be left out.
+    """
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.name in _FIELD_RULES:
+                object.__setattr__(self, f.name, _check_field(f.name, getattr(self, f.name)))
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        given = [f.name for f in fields(cls) if f.name in d or f.default is MISSING]
+        return cls(**{name: d[name] for name in given})
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +243,7 @@ def validate_correlation(c) -> CorrelationMatrix:
     |C| > ``SINGULAR_DET_FLOOR`` the inverse is computed and verified
     against C * C^-1 = I to 1e-10 element-wise.
     """
-    arr = np.asarray(c, dtype=float)
+    arr = _as_floats("correlation", c)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotSymmetric(f"correlation matrix must be square, got shape {arr.shape}")
     n = arr.shape[0]
@@ -230,7 +280,7 @@ def validate_correlation(c) -> CorrelationMatrix:
 
 
 @dataclass(frozen=True)
-class HestonAssetParams:
+class HestonAssetParams(_NumberFields):
     """One asset's square-root variance process parameters.
 
     ``k`` is the mean-reversion speed (1/year), ``theta2`` the long-run
@@ -245,20 +295,9 @@ class HestonAssetParams:
     sigma0_2: float
     gamma: float
 
-    def __post_init__(self):
-        for f in fields(self):
-            _check_field(f.name, getattr(self, f.name))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HestonAssetParams":
-        return _from_numbers(cls, d)
-
 
 @dataclass(frozen=True)
-class GammaOuSpec:
+class GammaOuSpec(_NumberFields):
     """Compound-Poisson subordinator with exponential jumps (Gamma-OU BDLP).
 
     ``a`` is the jump rate and ``b`` the inverse mean jump size, so the
@@ -269,10 +308,6 @@ class GammaOuSpec:
 
     a: float
     b: float
-
-    def __post_init__(self):
-        _require_nonnegative("a", self.a)
-        _require_positive("b", self.b)
 
     @classmethod
     def from_cumulants(cls, kappa1: float, kappa2: float) -> "GammaOuSpec":
@@ -295,16 +330,9 @@ class GammaOuSpec:
     def kappa3(self) -> float:
         return 3.0 * self.kappa2 / self.b
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GammaOuSpec":
-        return _from_numbers(cls, d)
-
 
 @dataclass(frozen=True)
-class BnsAssetParams:
+class BnsAssetParams(_NumberFields):
     """One asset's non-Gaussian OU variance parameters.
 
     ``kappa1``/``kappa2`` are the first/second cumulants of the driving
@@ -324,8 +352,7 @@ class BnsAssetParams:
     subordinator: GammaOuSpec | None = None
 
     def __post_init__(self):
-        for name in ("sigma0_2", "kappa1", "kappa2", "rho"):
-            _check_field(name, getattr(self, name))
+        super().__post_init__()
         if self.subordinator is not None:
             for name in ("kappa1", "kappa2"):
                 stated, implied = getattr(self, name), getattr(self.subordinator, name)
@@ -346,13 +373,8 @@ class BnsAssetParams:
     @classmethod
     def from_dict(cls, d: dict) -> "BnsAssetParams":
         sub = d.get("subordinator")
-        return cls(
-            sigma0_2=_real_number("sigma0_2", d["sigma0_2"]),
-            kappa1=_real_number("kappa1", d["kappa1"]),
-            kappa2=_real_number("kappa2", d["kappa2"]),
-            rho=_real_number("rho", d.get("rho", 0.0)),
-            subordinator=GammaOuSpec.from_dict(sub) if sub is not None else None,
-        )
+        sub = None if sub is None else GammaOuSpec.from_dict(sub)
+        return super().from_dict({**d, "subordinator": sub})
 
 
 def _jump_law(asset: BnsAssetParams) -> GammaOuSpec | None:
@@ -391,8 +413,8 @@ class BnsPortfolioParams:
         object.__setattr__(self, "assets", tuple(self.assets))
         if not self.assets:
             raise ValidationError("assets must be nonempty")
-        _check_field("lambda", self.lambda_)
-        _check_field("kappa2_star", self.kappa2_star)
+        object.__setattr__(self, "lambda_", _check_field("lambda", self.lambda_))
+        object.__setattr__(self, "kappa2_star", _check_field("kappa2_star", self.kappa2_star))
 
     @property
     def n(self) -> int:
@@ -413,13 +435,13 @@ class BnsPortfolioParams:
     def from_dict(cls, d: dict) -> "BnsPortfolioParams":
         return cls(
             assets=tuple(BnsAssetParams.from_dict(a) for a in d["assets"]),
-            lambda_=_real_number("lambda", d["lambda"]),
-            kappa2_star=_real_number("kappa2_star", d["kappa2_star"]),
+            lambda_=d["lambda"],
+            kappa2_star=d["kappa2_star"],
         )
 
 
 @dataclass(frozen=True)
-class SwapContract:
+class SwapContract(_NumberFields):
     """Variance swap terms.
 
     ``k_var`` is the strike in the same units as the realized generalized
@@ -432,16 +454,3 @@ class SwapContract:
     r: float
     maturity: float
     notional: float
-
-    def __post_init__(self):
-        _require_finite("k_var", self.k_var)
-        _require_finite("r", self.r)
-        _require_positive("maturity", self.maturity)
-        _require_finite("notional", self.notional)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SwapContract":
-        return _from_numbers(cls, d)

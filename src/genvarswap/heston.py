@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    CorrelationMatrix, HestonAssetParams, SwapContract, _real_matrix, validate_correlation,
+    CorrelationMatrix, HestonAssetParams, SwapContract, _as_floats, _exp, _real_matrix,
+    _require_finite, validate_correlation,
 )
 from .errors import (
     DimensionMismatch,
@@ -79,15 +80,15 @@ class HestonPortfolio:
         )
 
 
-def _check_time(t, name: str = "t"):
-    t = np.asarray(t, dtype=float)
+def _check_time(t):
+    t = _as_floats("t", t)
     if not np.all(t >= 0.0):
-        raise NegativeTime(f"{name} must be >= 0 (not NaN)")
+        raise NegativeTime("t must be >= 0 (not NaN)")
     return t
 
 
 def _check_maturity(T):
-    T = np.asarray(T, dtype=float)
+    T = _as_floats("maturity", T)
     if not np.all((T > 0.0) & np.isfinite(T)):
         raise NonPositiveMaturity("maturity must be finite and > 0")
     return T
@@ -186,13 +187,12 @@ def expected_realized_variance_quad(
 def price_swap(ev_realized: float, contract: SwapContract) -> float:
     """Discounted swap value: notional * e^{-r T} (E[sigma_R^2] - k_var).
 
-    Raises ``NumericalError`` where the discount factor or the value is not finite.
+    ``ev_realized`` must be finite. Raises ``NumericalError`` where the
+    discount factor or the value is not finite.
     """
-    try:
-        discount = math.exp(-contract.r * contract.maturity)
-    except OverflowError:
-        discount = math.inf
-    value = contract.notional * discount * (float(ev_realized) - contract.k_var)
+    ev_realized = _require_finite("ev_realized", ev_realized)
+    discount = _exp(-contract.r * contract.maturity)
+    value = contract.notional * discount * (ev_realized - contract.k_var)
     if not math.isfinite(value):
         raise NumericalError(
             f"swap value {value} is not finite (discount factor e^(-r T) = {discount:.6g} "

@@ -24,9 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationMatrix, _require_finite, validate_correlation
+from .core import CorrelationMatrix, _require_finite, _whole_number, validate_correlation
 from .errors import (
     DegenerateColumn,
+    DimensionMismatch,
+    InvalidConfig,
     NegativeDeterminant,
     NonPositivePrice,
     NumericalError,
@@ -207,10 +209,14 @@ def rolling_determinants(
 
     Windows advance by ``window`` rows (blocked, the default) or by one row
     (``rolling=True``). Each needs at least n+1 observations so the sample
-    covariance of n assets can be nonsingular. ``annualization`` (periods
-    per year) must be finite and >= 1. A window whose determinant is not
-    finite raises ``NumericalError``.
+    covariance of n assets can be nonsingular. ``window`` must be a whole
+    number, ``rolling`` a bool and ``annualization`` (periods per year)
+    finite and >= 1. A window whose determinant is not finite raises
+    ``NumericalError``.
     """
+    window = _whole_number("window", window)
+    if not isinstance(rolling, (bool, np.bool_)):
+        raise InvalidConfig(f"rolling must be a bool, got {rolling!r}")
     annualization = _require_finite("annualization", annualization)
     if not annualization >= 1:
         raise ValidationError(f"annualization must be >= 1 period per year, got {annualization}")
@@ -251,6 +257,8 @@ def rolling_determinants(
 def estimate_correlation(returns: np.ndarray) -> CorrelationMatrix:
     """Sample Pearson correlation of the full return sample, validated."""
     returns = np.asarray(returns, dtype=float)
+    if returns.ndim != 2:
+        raise TooFewRows(f"returns must be 2-d, got shape {returns.shape}")
     m, n = returns.shape
     if m < n + 1:
         raise TooFewRows(f"{m} return rows < n+1 = {n + 1}")
@@ -299,7 +307,7 @@ def summary_stats(matrix: np.ndarray, tickers=None) -> tuple[AssetSummary, ...]:
     if tickers is None:
         tickers = [f"asset_{i + 1}" for i in range(n)]
     if len(tickers) != n:
-        raise TooFewRows(f"{len(tickers)} tickers for {n} columns")
+        raise DimensionMismatch(f"{len(tickers)} tickers for {n} columns")
 
     out = []
     for i in range(n):

@@ -123,8 +123,8 @@ from .core import (
     BnsPortfolioParams,
     CorrelationMatrix,
     GammaOuSpec,
+    _as_float,
     _jump_law,
-    _real_number,
     _whole_number,
 )
 from .errors import (
@@ -188,7 +188,7 @@ class SimConfig:
         for name in ("n_paths", "seed", "block_size"):
             object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
         for name in ("dt", "horizon"):
-            object.__setattr__(self, name, _real_number(name, getattr(self, name)))
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if not 1 <= self.n_paths <= _MAX_ENSEMBLE_ENTRIES:
             raise InvalidConfig(
                 f"n_paths must be between 1 and {_MAX_ENSEMBLE_ENTRIES}, got {self.n_paths}"
@@ -211,7 +211,7 @@ class SimConfig:
         if abs(round(steps) - steps) > 1e-9 * max(1.0, steps):
             raise InvalidConfig("dt must divide horizon into a whole number of steps")
         if self.record_times is not None:
-            rec = tuple(_real_number("record time", t) for t in self.record_times)
+            rec = tuple(_as_float("record time", t) for t in self.record_times)
             if not rec:
                 raise InvalidConfig("record_times must be nonempty when given")
             if any(t2 <= t1 for t1, t2 in zip(rec, rec[1:])):

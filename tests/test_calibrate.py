@@ -657,6 +657,11 @@ class TestParamTables:
             assert _from_internal(float(z), 0.1, 3.0) == 0.1 + 2.9 * float(special.expit(z))
         assert _from_internal(-1e308, 0.1, 3.0) == 0.1
 
+    def test_one_sided_transform_past_exp_range_is_the_infinite_end(self):
+        """e^710 overflows math.exp; a one-sided coordinate there maps to +-inf, no OverflowError."""
+        assert _from_internal(710.0, 0.0, math.inf) == math.inf
+        assert _from_internal(710.0, -math.inf, 0.0) == -math.inf
+
     def test_problem_validation(self):
         obs = heston_series(np.linspace(0.1, 1.0, 5))
         with pytest.raises(ValidationError):
@@ -958,6 +963,30 @@ class TestFit:
         slope = (model_curve("heston", moved, CORR, times)
                  - model_curve("heston", params, CORR, times)) / (moved[3] - params[3])
         np.testing.assert_allclose(columns[0][:, 3], slope, rtol=1e-7)
+
+    def test_step_past_exp_range_is_a_rejected_step(self, monkeypatch):
+        """A first step to z = log(k_1 - lo) + 800 assembles k_1 = inf: SSE inf, damping x10."""
+        bounds = ((1e-4, math.inf),) + default_bounds("heston")[1:]
+        problem = CalibrationProblem(
+            model="heston", observed=heston_series(np.linspace(0.05, 2.0, 20)), corr=CORR,
+            initial=HESTON_TRUTH * 1.5, bounds=bounds,
+        )
+        solve, systems = np.linalg.solve, []
+
+        def far_first_step(a, b):
+            systems.append(a)
+            step = solve(a, b)
+            if len(systems) == 1:
+                step[0] = 800.0
+            return step
+
+        monkeypatch.setattr(np.linalg, "solve", far_first_step)
+        result = fit(problem)
+        assert len(systems) >= 2
+        assert np.all(np.diag(systems[1]) > np.diag(systems[0]))  # mu grew after the rejection
+        assert np.all(np.isfinite(result.params)) and math.isfinite(result.sse)
+        start = model_curve("heston", HESTON_TRUTH * 1.5, CORR, problem.observed.times)
+        assert result.sse < float(np.sum((start - problem.observed.values) ** 2))
 
     def test_result_round_trip(self):
         obs = heston_series(np.linspace(0.1, 1.0, 5))

@@ -554,6 +554,22 @@ class TestCalibrate:
                      "--model", "heston", "--init", str(init), "--out", str(out)])
         assert code == 0
 
+    def test_huge_integer_bound_is_an_open_bound(self, tmp_path):
+        """A JSON bound of +-10**400 reads as +-inf, as null does: the same fit."""
+        realized = write_realized(tmp_path)
+        correlation = write_correlation(tmp_path)
+        results = []
+        for name, open_hi, open_lo in [("null", None, None), ("huge", 10**400, -10**400)]:
+            init = tmp_path / f"{name}.json"
+            bounds = [[1e-4, open_hi]] * 3 + [[1e-10, 10.0]] * 6
+            bounds[3] = [open_lo, 10.0]
+            init.write_text(json.dumps({"initial": TRUTH.tolist(), "bounds": bounds}))
+            out = tmp_path / name
+            assert main(["calibrate", str(realized), str(correlation),
+                         "--model", "heston", "--init", str(init), "--out", str(out)]) == 0
+            results.append((out / "result.json").read_text())
+        assert results[0] == results[1]
+
     def test_non_finite_series_exits_3(self, tmp_path, capsys):
         realized = tmp_path / "realized.csv"
         realized.write_text("t,value\n0.5,nan\n1.0,1e-4\n")

@@ -1,10 +1,13 @@
 """Parameter types, correlation validation, and JSON round trips."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from conftest import laplace_det, random_correlation
+from hypothesis import given
+from hypothesis import strategies as st
 
 from genvarswap import (
     BnsAssetParams,
@@ -12,16 +15,29 @@ from genvarswap import (
     CorrelationMatrix,
     GammaOuSpec,
     HestonAssetParams,
+    HestonPortfolio,
     LeverageSignWarning,
+    SimConfig,
     SwapContract,
+    price_swap,
+    rolling_determinants,
     validate_correlation,
 )
 from genvarswap.genvar import InstantaneousVols, det_sigma2
-from genvarswap.bns import compute_e_terms, expected_variance_bns
+from genvarswap.bns import (
+    compute_e_terms,
+    expected_realized_variance_bns,
+    expected_variance_bns,
+    expected_vol_bns,
+    third_central_moment_bns,
+    variance_of_variance_bns,
+)
 from genvarswap.calibrate import model_curve
+from genvarswap.heston import expected_realized_variance
 from genvarswap.errors import (
     BadDiagonal,
     InvalidConfig,
+    NonPositiveMaturity,
     NotPositiveSemiDefinite,
     NotSymmetric,
     SingularCorrelation,
@@ -320,3 +336,142 @@ def test_one_rule_whatever_the_shape(call, message, bad, shown):
     with pytest.raises(ValidationError) as info:
         call(bad)
     assert str(info.value) == f"{message}, got {shown}"
+
+
+READ_HESTON = HestonPortfolio(
+    (HestonAssetParams(k=2.0, theta2=0.05, sigma0_2=0.04, gamma=0.3),) * 3, RULE_CORR
+)
+READ_BNS = BnsPortfolioParams(assets=(RULE_ASSET,) * 3, lambda_=2.0, kappa2_star=0.01)
+READ_CONTRACT = SwapContract(1e-4, 0.02, 1.0, 1000.0)
+READ_RETURNS = np.random.default_rng(7).normal(0.0, 0.01, (30, 3))
+# (entry point, call with a caller's value, the exact message): the cases that used to
+# be stored, accepted, computed with, or raise a bare TypeError
+NON_NUMBER_CASES = [
+    ("HestonAssetParams text k",
+     lambda: HestonAssetParams(k="2.0", theta2=0.05, sigma0_2=0.04, gamma=0.3),
+     "k must be a number, got '2.0'"),
+    ("HestonAssetParams bool k",
+     lambda: HestonAssetParams(k=True, theta2=0.05, sigma0_2=0.04, gamma=0.3),
+     "k must be a number, got True"),
+    ("HestonAssetParams null k",
+     lambda: HestonAssetParams(k=None, theta2=0.05, sigma0_2=0.04, gamma=0.3),
+     "k must be a number, got None"),
+    ("SwapContract text k_var", lambda: SwapContract("1e-4", 0.02, 1.0, 1000.0),
+     "k_var must be a number, got '1e-4'"),
+    ("price_swap text ev", lambda: price_swap("2e-4", READ_CONTRACT),
+     "ev_realized must be a number, got '2e-4'"),
+    ("expected_variance_bns text lambda_", lambda: expected_variance_bns(1.0, RULE_ASSET, "2.0"),
+     "lambda must be a number, got '2.0'"),
+    ("compute_e_terms text T", lambda: compute_e_terms("1.0", READ_BNS),
+     "maturity must be a number, got '1.0'"),
+    ("compute_e_terms text tol", lambda: compute_e_terms(1.0, READ_BNS, tol="1e-12"),
+     "quadrature tolerance must be a number, got '1e-12'"),
+    ("expected_realized_variance text T", lambda: expected_realized_variance("1.0", READ_HESTON),
+     "maturity must be a number, got '1.0'"),
+    ("validate_correlation text entries",
+     lambda: validate_correlation([["1", "0.3"], ["0.3", "1"]]),
+     "correlation must be a number, got '1'"),
+    ("model_curve text params",
+     lambda: model_curve("heston", ["2.0"] * 3 + ["0.05"] * 6, RULE_CORR, [0.5, 1.0]),
+     "params must be a number, got '2.0'"),
+    ("model_curve text times",
+     lambda: model_curve("heston", RULE_ROW, RULE_CORR, ["0.5", "1.0"]),
+     "times must be a number, got '0.5'"),
+    ("rolling_determinants text window", lambda: rolling_determinants(READ_RETURNS, window="10"),
+     "window must be a number, got '10'"),
+    ("rolling_determinants bool window", lambda: rolling_determinants(READ_RETURNS, window=True),
+     "window must be a number, got True"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in NON_NUMBER_CASES],
+                         ids=[case[0] for case in NON_NUMBER_CASES])
+def test_a_non_number_is_named_where_it_enters(call, message):
+    with pytest.raises(InvalidConfig) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_huge_integer_in_a_time_array_is_an_infinite_maturity():
+    with pytest.raises(NonPositiveMaturity, match="maturity must be finite and > 0"):
+        expected_realized_variance([1.0, 10**400], READ_HESTON)
+
+
+def test_objects_store_the_float_their_rule_returns():
+    """A caller's 2 and 2.0 build the same object, holding floats."""
+    cases = [
+        (HestonAssetParams(k=2, theta2=0.05, sigma0_2=0.04, gamma=np.float32(0.5)),
+         HestonAssetParams(k=2.0, theta2=0.05, sigma0_2=0.04, gamma=0.5)),
+        (GammaOuSpec(a=3, b=np.int64(10)), GammaOuSpec(a=3.0, b=10.0)),
+        (BnsAssetParams(sigma0_2=np.array(0.04), kappa1=0.05, kappa2=0, rho=0),
+         BnsAssetParams(sigma0_2=0.04, kappa1=0.05, kappa2=0.0, rho=0.0)),
+        (BnsPortfolioParams(assets=(RULE_ASSET,), lambda_=2, kappa2_star=0),
+         BnsPortfolioParams(assets=(RULE_ASSET,), lambda_=2.0, kappa2_star=0.0)),
+        (SwapContract(0, 0, 1, 1000), SwapContract(0.0, 0.0, 1.0, 1000.0)),
+    ]
+    for built, expected in cases:
+        assert built == expected
+        numbers = [getattr(built, f.name) for f in dataclasses.fields(built) if f.type == "float"]
+        assert numbers and all(type(x) is float for x in numbers)
+
+
+HESTON_FIELDS = dict(k=2.0, theta2=0.05, sigma0_2=0.04, gamma=0.3)
+BNS_FIELDS = dict(sigma0_2=0.04, kappa1=0.05, kappa2=0.004, rho=-0.1)
+SWAP_FIELDS = dict(k_var=1e-4, r=0.02, maturity=1.0, notional=1000.0)
+SIM_FIELDS = dict(n_paths=8, dt=0.25, horizon=1.0, seed=1, block_size=4)
+# (entry point, call with a non-number in place of one numeric argument)
+READER_ENTRY_POINTS = [
+    *((f"HestonAssetParams {f}", lambda v, f=f: HestonAssetParams(**{**HESTON_FIELDS, f: v}))
+      for f in HESTON_FIELDS),
+    *((f"BnsAssetParams {f}", lambda v, f=f: BnsAssetParams(**{**BNS_FIELDS, f: v}))
+      for f in BNS_FIELDS),
+    ("BnsPortfolioParams lambda_",
+     lambda v: BnsPortfolioParams(assets=(RULE_ASSET,), lambda_=v, kappa2_star=0.01)),
+    ("BnsPortfolioParams kappa2_star",
+     lambda v: BnsPortfolioParams(assets=(RULE_ASSET,), lambda_=2.0, kappa2_star=v)),
+    *((f"SwapContract {f}", lambda v, f=f: SwapContract(**{**SWAP_FIELDS, f: v}))
+      for f in SWAP_FIELDS),
+    ("GammaOuSpec a", lambda v: GammaOuSpec(a=v, b=10.0)),
+    ("GammaOuSpec b", lambda v: GammaOuSpec(a=3.0, b=v)),
+    ("GammaOuSpec.from_cumulants kappa1", lambda v: GammaOuSpec.from_cumulants(v, 0.004)),
+    ("GammaOuSpec.from_cumulants kappa2", lambda v: GammaOuSpec.from_cumulants(0.05, v)),
+    *((f"SimConfig {f}", lambda v, f=f: SimConfig(**{**SIM_FIELDS, f: v})) for f in SIM_FIELDS),
+    ("SimConfig record time", lambda v: SimConfig(**SIM_FIELDS, record_times=(0.0, v))),
+    *((f"{moment.__name__} {slot}",
+       lambda v, moment=moment, slot=slot: moment(*((v, RULE_ASSET, 2.0) if slot == "t"
+                                                     else (1.0, RULE_ASSET, v))))
+      for moment in (expected_variance_bns, variance_of_variance_bns, third_central_moment_bns,
+                     expected_vol_bns)
+      for slot in ("t", "lambda_")),
+    ("expected_vol_bns mu3", lambda v: expected_vol_bns(1.0, RULE_ASSET, 2.0, mu3=[v])),
+    ("expected_vol_bns var_i_coefficient",
+     lambda v: expected_vol_bns(1.0, RULE_ASSET, 2.0, var_i_coefficient=v)),
+    ("expected_realized_variance T", lambda v: expected_realized_variance(v, READ_HESTON)),
+    ("expected_realized_variance_bns T",
+     lambda v: expected_realized_variance_bns(v, READ_BNS, RULE_CORR)),
+    ("expected_realized_variance_bns tol",
+     lambda v: expected_realized_variance_bns(1.0, READ_BNS, RULE_CORR, tol=v)),
+    ("expected_realized_variance_bns var_i_coefficient",
+     lambda v: expected_realized_variance_bns(1.0, READ_BNS, RULE_CORR, var_i_coefficient=v)),
+    ("compute_e_terms T", lambda v: compute_e_terms(v, READ_BNS)),
+    ("compute_e_terms tol", lambda v: compute_e_terms(1.0, READ_BNS, tol=v)),
+    ("compute_e_terms var_i_coefficient",
+     lambda v: compute_e_terms(1.0, READ_BNS, var_i_coefficient=v)),
+    ("validate_correlation c", validate_correlation),
+    ("model_curve params", lambda v: model_curve("heston", v, RULE_CORR, [0.5, 1.0])),
+    ("model_curve times", lambda v: model_curve("heston", RULE_ROW, RULE_CORR, v)),
+    ("price_swap ev_realized", lambda v: price_swap(v, READ_CONTRACT)),
+    ("rolling_determinants window", lambda v: rolling_determinants(READ_RETURNS, window=v)),
+    ("rolling_determinants annualization",
+     lambda v: rolling_determinants(READ_RETURNS, window=10, annualization=v)),
+]
+
+
+@pytest.mark.parametrize("call", [case[1] for case in READER_ENTRY_POINTS],
+                         ids=[case[0] for case in READER_ENTRY_POINTS])
+@given(value=st.text() | st.booleans() | st.none())
+def test_every_entry_point_reads_numbers_only(call, value):
+    """Text, a bool or None for a number is an InvalidConfig; a bare TypeError,
+    ValueError or OverflowError fails here, since InvalidConfig alone is caught."""
+    with pytest.raises(InvalidConfig, match="must be a number, got "):
+        call(value)

@@ -15,6 +15,8 @@ from genvarswap import (
 )
 from genvarswap.errors import (
     DegenerateColumn,
+    DimensionMismatch,
+    InvalidConfig,
     NegativeDeterminant,
     NonPositivePrice,
     NumericalError,
@@ -203,6 +205,22 @@ class TestRollingDeterminants:
         with pytest.raises(ValidationError, match="annualization"):
             rolling_determinants(returns, window=10, annualization=annualization)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(window=10.5), "window must be an integer, got 10.5"),
+            (dict(window="10"), "window must be a number, got '10'"),
+            (dict(window=True), "window must be a number, got True"),
+            (dict(window=10, rolling="no"), "rolling must be a bool, got 'no'"),
+        ],
+        ids=["fractional-window", "text-window", "bool-window", "text-rolling"],
+    )
+    def test_window_and_rolling_read_as_their_types(self, kwargs, message):
+        returns = np.random.default_rng(3).normal(0.0, 0.01, (30, 3))
+        with pytest.raises(InvalidConfig) as info:
+            rolling_determinants(returns, **kwargs)
+        assert str(info.value) == message
+
     def test_determinant_below_rounding_level_is_numerical_error(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "det", lambda a: -1.0)
         returns = np.random.default_rng(3).normal(0.0, 0.01, (30, 3))
@@ -233,6 +251,10 @@ class TestEstimateCorrelation:
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             estimate_correlation(np.ones((3, 3)))
+
+    def test_one_dimensional_returns(self):
+        with pytest.raises(TooFewRows, match="returns must be 2-d"):
+            estimate_correlation(np.ones(10))
 
     def test_degenerate_column(self):
         rng = np.random.default_rng(101)
@@ -272,6 +294,11 @@ class TestSummaryStats:
     def test_too_short(self):
         with pytest.raises(TooShort):
             summary_stats(np.ones((3, 2)))
+
+    def test_ticker_count_must_match_the_columns(self):
+        matrix = np.random.default_rng(109).standard_normal((10, 3))
+        with pytest.raises(DimensionMismatch, match="2 tickers for 3 columns"):
+            summary_stats(matrix, ["a", "b"])
 
 
 class TestCsvRoundTrips:
