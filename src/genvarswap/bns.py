@@ -27,21 +27,23 @@ where E_all and E_{-i} integrate products of expected variances over all
 assets and over all assets but i. They are exact: the exponential-affine
 product kernel of ``heston`` expands them over subsets of assets, which
 share the rate lambda, so the subsets of one size make one term. E_{ij}
-replaces the variances of assets i and j by their expected volatilities.
-The pairs with a nonzero coefficient are integrated together over all
-maturities in one vectorised pass (``quad``) of the 15-point Gauss-Kronrod
-rule (QUADPACK's qk15): the sorted maturities split [0, max T] into
-panels, cumulative panel sums give every maturity, and |K15 - G7| is the
-reported error estimate. Failing panels are split until each maturity's
-error is within max(tol, tol |value|) (tol = 1e-12 by default). The same
-kernel prices many parameter sets at once, as the calibration Jacobian
-needs. The sets come as columns, one row per set (``_one_set`` turns a
-portfolio into a stack of one): E_all and E_{-i} are integrated once per
-distinct (lambda, sigma_0^2 - kappa1, kappa1), and the cross terms of every
-(set, pair) row share one pass, which evaluates each rate, E[sigma^2] and
-E[sigma] factor the sets share once per node. For n = 3 these are the
-paper's E_0..E_6 (``compute_e_terms``): E_0 = E_all, E_1..E_3 =
-E_{-1}..E_{-3} and E_4..E_6 = E_{12}, E_{13}, E_{23} (1-based).
+replaces the variances of assets i and j by their expected volatilities. A
+parameter set whose whole jump part is provably below 2^-56 of its smallest
+E_all (``_jump_bound``) keeps E_all's bits without it, and so integrates no
+term of it. The pairs of the other sets with a nonzero coefficient are
+integrated together over all maturities in one vectorised pass (``quad``)
+of the 15-point Gauss-Kronrod rule (QUADPACK's qk15): the sorted maturities
+split [0, max T] into panels, cumulative panel sums give every maturity,
+and |K15 - G7| is the reported error estimate. Failing panels are split
+until each maturity's error is within max(tol, tol |value|) (tol = 1e-12 by
+default). The same kernel prices many parameter sets at once, as the
+calibration Jacobian needs. The sets come as columns, one row per set
+(``_one_set`` turns a portfolio into a stack of one): E_all and E_{-i} are
+integrated once per distinct (lambda, sigma_0^2 - kappa1, kappa1), and the
+cross terms of every (set, pair) row share one pass, which evaluates each
+rate, E[sigma^2] and E[sigma] factor the sets share once per node. For n =
+3 these are the paper's E_0..E_6 (``compute_e_terms``): E_0 = E_all,
+E_1..E_3 = E_{-1}..E_{-3} and E_4..E_6 = E_{12}, E_{13}, E_{23} (1-based).
 
 A note on the volatility correction: with Var[sigma_t^2] written out, the
 correction kappa2 (1 - e^{-2 lambda t}) / (16 E^{3/2}) equals
@@ -466,11 +468,34 @@ def expected_realized_variance_bns(
 
     Accepts scalar or array T. The cross terms are integrated, in one pass,
     only when some cross coefficient is nonzero (kappa2* > 0 and two nonzero
-    rho), which makes the common rho = 0 calibration path fully
+    rho) and the jump part can reach E_all's last bit, which makes the
+    common rho = 0 calibration path, and a start at rho ~ -1e-10, fully
     closed-form. ``tol`` must be finite and > 0.
     """
     out = _expected_realized_variance_sets(T, *_one_set(p), corr, tol, var_i_coefficient)[0]
     return out if out.ndim else float(out)
+
+
+def _jump_bound(t_max, lam, sigma0_2, kappa1, kappa2, coeff, var_i_coefficient) -> np.ndarray:
+    """J of each set: |sum_i c_ii E_{-i} + sum_{i<j} c_ij E_{ij}| <= J for every T <= t_max.
+
+    ``coeff`` holds each set's (P, n, n) upper-triangular coefficients c.
+    Per asset l, with H_l = max(sigma_0^2, kappa1), L_l = min(sigma_0^2,
+    E[sigma^2](t_max)) and a_l = 1 + (kappa2 / 2) / (var_i_coefficient L_l^2),
+
+        J = t_max prod_l H_l (sum_i |c_ii| / H_i
+                              + sum_{i<j} |c_ij| a_i a_j / sqrt(H_i H_j)).
+
+    An L_l of 0 gives an inf or NaN J, which no comparison passes.
+    """
+    high = np.maximum(sigma0_2, kappa1)
+    low = np.minimum(sigma0_2, np.exp(-lam[:, None] * t_max) * (sigma0_2 - kappa1) + kappa1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vol = (1.0 + 0.5 * kappa2 / (var_i_coefficient * low * low)) / np.sqrt(high)
+        terms = np.abs(coeff) * vol[:, :, None] * vol[:, None, :]
+        diagonal = np.arange(coeff.shape[1])
+        terms[:, diagonal, diagonal] = np.abs(coeff[:, diagonal, diagonal]) / high
+        return t_max * high.prod(axis=1) * terms.sum(axis=(1, 2))
 
 
 def _expected_realized_variance_sets(
@@ -482,14 +507,32 @@ def _expected_realized_variance_sets(
     Each set is one row of the columns: ``lam`` and ``kappa2_star`` (P,),
     ``sigma0_2``, ``kappa1``, ``kappa2`` and ``rho`` (P, n), already
     validated. The cross terms of all sets are integrated in one ``quad``
-    pass whose rows are the (set, pair) combinations with a nonzero
-    coefficient. The rows share the pass's panels: when one set's rows
-    force a refinement, every row is integrated on the finer panels, so a
-    value may differ from the set's own call, each within
+    pass whose rows are the (set, pair) combinations whose term can reach
+    the bracket's last bit. The rows share the pass's panels: when one
+    set's rows force a refinement, every row is integrated on the finer
+    panels, so a value may differ from the set's own call, each within
     max(tol, tol |value|). Otherwise every value is that of its own call.
     The determinant-lemma coefficients of all sets are one (P, n, n) array
     built from ``_jump_weights``: E_{-i} takes its diagonal, and the cross
     rows are the nonzero entries of its strict upper triangle.
+
+    A set's coefficients are zeroed, as for lambda kappa2* = 0, when its
+    whole jump part cannot reach its bracket's last bit: lambda kappa2* J <
+    2^-56 min_t E_all, with J from ``_jump_bound`` at the largest maturity.
+    Such a set integrates no cross term, and its value keeps the bits of
+    the full sum, because
+    - E[sigma_l^2] moves monotonically from sigma_0^2 to kappa1, so
+      L_l <= E[sigma_l^2](t) <= H_l on [0, max T];
+    - the Brockhaus-Long value has |E[sigma_l]| <= sqrt(E[sigma_l^2]) a_l,
+      since its growth factor 1 - e^{-2 lambda t} is below 1;
+    - every computed E_{ij} sums K15 panel values whose weights are
+      positive and add up to the panel width, so |E_{ij}| <= T sup|integrand|
+      on any panels, and E_{-i} <= T prod_{l != i} H_l;
+    - so |lambda kappa2* inner| <= lambda kappa2* J. The factor 2^-56 leaves
+      a margin of 2 for rounding and stays below a quarter of E_all's
+      spacing, so E_all plus the jump part rounds back to E_all.
+    A skipped set raises no ``QuadratureFailure`` from a term it cannot
+    use.
     """
     n = corr.n
     if sigma0_2.shape[1] != n:
@@ -502,9 +545,13 @@ def _expected_realized_variance_sets(
     bracket, e_without = _mean_variance_products(T, lam, sigma0_2, kappa1)
     inner = np.zeros_like(bracket)
     lam_k2 = lam * kappa2_star
-    # coeff[s, i, j]: (1 or 2) delta_ij rho_j rho_i of set s for i <= j, none without jumps
+    # coeff[s, i, j]: (1 or 2) delta_ij rho_j rho_i of set s for i <= j, none where the
+    # jump part cannot reach the bracket's last bit
     coeff = weights * rho[:, None, :] * rho[:, :, None]
     coeff[lam_k2 == 0.0] = 0.0
+    if coeff.any():
+        bound = _jump_bound(T.max(), lam, sigma0_2, kappa1, kappa2, coeff, var_i_coefficient)
+        coeff[lam_k2 * bound < 2.0**-56 * bracket.reshape(len(lam), -1).min(axis=1)] = 0.0
     for i, e in enumerate(e_without):
         own = _per_set(coeff[:, i, i], T)
         inner = inner + np.where(own != 0.0, own * e, 0.0)

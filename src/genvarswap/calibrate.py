@@ -33,6 +33,16 @@ Identifiability caveat: a flat (near-stationary) Heston curve only pins the
 product theta_1^2 theta_2^2 theta_3^2 |C|, so judge fits by curve quality
 (SSE, metrics) unless the data has strong transients.
 
+The default BNS start never moves kappa2_i, rho_i or kappa2*. ``initial_guess``
+puts rho_i and kappa2* at 0, which the bounds nudge to -1e-10 and 1e-8. There
+the jump part, the only place kappa2_i enters, is about 1e-26 of E_all and
+below its last bit, so the curve does not depend on these seven entries: their
+Jacobian columns are exactly zero and the fit ends at their start values (as
+does a leveraged curve with rho ~ -0.3 and kappa2* = 0.01). A start with a
+visible jump part (``--init``) is needed to fit them. A fitted kappa2_i can
+then be the start's tiny guess, under which ``bns_realized_variance_mc``
+refuses the model for its expected jump count.
+
 Error metrics follow the usual definitions: RMSE = sqrt(sum e^2 / n),
 AAE = sum |e| / n, ARPE = (1/n) sum |e_i| / observed_i and
 APE = AAE / mean(observed); points with observed value zero are skipped in
@@ -272,8 +282,8 @@ def model_curve(model: str, params, corr: CorrelationMatrix, times) -> np.ndarra
 
 def error_metrics(observed, fitted) -> ErrorMetrics:
     """RMSE, APE, AAE and ARPE between two equal-length vectors."""
-    obs = np.asarray(observed, dtype=float).ravel()
-    fit = np.asarray(fitted, dtype=float).ravel()
+    obs = _as_floats("observed", observed).ravel()
+    fit = _as_floats("fitted", fitted).ravel()
     if obs.size != fit.size:
         raise LengthMismatch(f"observed has {obs.size} points, fitted has {fit.size}")
     if obs.size == 0:
@@ -496,7 +506,7 @@ def _gauss_newton_covariance(
 
 def subordinator_initial_guess(values) -> tuple[float, float]:
     """Rough (kappa1, kappa2) start from positive increments of a series."""
-    values = np.asarray(values, dtype=float)
+    values = _as_floats("values", values)
     increments = np.diff(values)
     positive = increments[increments > 0.0]
     if positive.size == 0:

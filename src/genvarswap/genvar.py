@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationMatrix, _check_field, _require_nonnegative
+from .core import CorrelationMatrix, _as_floats, _check_field, _require_nonnegative
 from .errors import DimensionMismatch, ValidationError
 
 __all__ = [
@@ -55,7 +55,7 @@ class InstantaneousVols:
     sigma: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.sigma, dtype=float)
+        arr = _as_floats("sigma", self.sigma)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError(f"sigma must be a nonempty vector, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
@@ -75,7 +75,7 @@ def _check_dims(vols: InstantaneousVols, corr: CorrelationMatrix) -> None:
 
 
 def _check_rho(rho, n: int) -> np.ndarray:
-    arr = np.asarray(rho, dtype=float)
+    arr = _as_floats("rho", rho)
     if arr.shape != (n,):
         raise DimensionMismatch(f"rho must have shape ({n},), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -166,7 +166,7 @@ def det_sigma1_values(
     the values and is returned, so that a caller evaluating many stacks of
     rows can reuse one buffer; the values are the same bits either way.
     """
-    variances = np.asarray(variances, dtype=float)
+    variances = _as_floats("variances", variances)
     if variances.shape[-1] != corr.n:
         raise DimensionMismatch(
             f"last axis has {variances.shape[-1]} assets, correlation has {corr.n}"
@@ -194,7 +194,7 @@ def det_sigma2_values(
     by dividing by sigma_i, so the value is continuous down to v_i = 0 and
     floored simulator variances need no special case.
     """
-    variances = np.asarray(variances, dtype=float)
+    variances = _as_floats("variances", variances)
     n = corr.n
     if variances.shape[-1] != n:
         raise DimensionMismatch(

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationMatrix, _require_finite, _whole_number, validate_correlation
+from .core import (
+    CorrelationMatrix, _as_floats, _require_finite, _whole_number, validate_correlation,
+)
 from .errors import (
     DegenerateColumn,
     DimensionMismatch,
@@ -69,7 +71,7 @@ class PriceSeries:
     dropped_rows: int = 0
 
     def __post_init__(self):
-        closes = np.asarray(self.closes, dtype=float)
+        closes = _as_floats("closes", self.closes)
         closes.setflags(write=False)
         object.__setattr__(self, "closes", closes)
 
@@ -88,8 +90,8 @@ class RealizedVarianceSeries:
     clamped: int = 0
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        times = _as_floats("times", self.times)
+        values = _as_floats("values", self.values)
         if times.shape != values.shape or times.ndim != 1:
             raise ParseError("times and values must be matching vectors")
         times.setflags(write=False)
@@ -220,7 +222,7 @@ def rolling_determinants(
     annualization = _require_finite("annualization", annualization)
     if not annualization >= 1:
         raise ValidationError(f"annualization must be >= 1 period per year, got {annualization}")
-    returns = np.asarray(returns, dtype=float)
+    returns = _as_floats("returns", returns)
     if returns.ndim != 2:
         raise TooFewRows(f"returns must be 2-d, got shape {returns.shape}")
     m, n = returns.shape
@@ -256,7 +258,7 @@ def rolling_determinants(
 
 def estimate_correlation(returns: np.ndarray) -> CorrelationMatrix:
     """Sample Pearson correlation of the full return sample, validated."""
-    returns = np.asarray(returns, dtype=float)
+    returns = _as_floats("returns", returns)
     if returns.ndim != 2:
         raise TooFewRows(f"returns must be 2-d, got shape {returns.shape}")
     m, n = returns.shape
@@ -298,9 +300,11 @@ def summary_stats(matrix: np.ndarray, tickers=None) -> tuple[AssetSummary, ...]:
     correction. A constant column is returned with variance 0, NaN kurtosis
     and ``degenerate=True`` rather than raising.
     """
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = _as_floats("matrix", matrix)
     if matrix.ndim == 1:
         matrix = matrix[:, np.newaxis]
+    if matrix.ndim != 2:
+        raise TooFewRows(f"matrix must be 1-d or 2-d, got shape {matrix.shape}")
     m, n = matrix.shape
     if m < 4:
         raise TooShort(f"kurtosis needs at least 4 rows, got {m}")

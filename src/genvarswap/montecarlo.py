@@ -124,6 +124,7 @@ from .core import (
     CorrelationMatrix,
     GammaOuSpec,
     _as_float,
+    _as_floats,
     _jump_law,
     _whole_number,
 )
@@ -264,8 +265,8 @@ class PathEnsemble:
     jump_marks: tuple | None = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        paths = np.asarray(self.variance_paths, dtype=float)
+        times = _as_floats("times", self.times)
+        paths = _as_floats("variance_paths", self.variance_paths)
         if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0.0):
             raise ValidationError("times must be a strictly increasing vector of finite values")
         if paths.ndim != 3 or paths.shape[1] != times.size:
@@ -933,7 +934,7 @@ def _corr_factor(corr: CorrelationMatrix) -> np.ndarray:
 
 def _price_inputs(n: int, s0, mu, beta):
     """s0, mu and beta, each one value or one per asset, as one finite value per asset, with s0 > 0."""
-    s0, mu, beta = (np.asarray(x, dtype=float) for x in (s0, mu, beta))
+    s0, mu, beta = (_as_floats(name, x) for name, x in (("s0", s0), ("mu", mu), ("beta", beta)))
     for name, x in (("s0", s0), ("mu", mu), ("beta", beta)):
         if x.ndim > 1 or x.size not in (1, n):
             raise DimensionMismatch(f"{name} must be one value or {n}, one per asset; got shape {x.shape}")

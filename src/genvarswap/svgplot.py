@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .core import _as_floats
+
 __all__ = ["line_chart", "grouped_histogram", "heatmap"]
 
 _PALETTE = (
@@ -134,10 +136,11 @@ def line_chart(
 ) -> None:
     """Polyline per ``curves[label] = (x, y)`` plus optional scatter series."""
     points = points or {}
-    all_x = [np.asarray(x, dtype=float) for x, _ in list(curves.values()) + list(points.values())]
-    all_y = [np.asarray(y, dtype=float) for _, y in list(curves.values()) + list(points.values())]
-    xs = np.concatenate(all_x) if all_x else np.array([0.0, 1.0])
-    ys = np.concatenate(all_y) if all_y else np.array([0.0, 1.0])
+    curves = {label: (_as_floats("x", x), _as_floats("y", y)) for label, (x, y) in curves.items()}
+    points = {label: (_as_floats("x", x), _as_floats("y", y)) for label, (x, y) in points.items()}
+    series = [*curves.values(), *points.values()]
+    xs = np.concatenate([x for x, _ in series]) if series else np.array([0.0, 1.0])
+    ys = np.concatenate([y for _, y in series]) if series else np.array([0.0, 1.0])
     canvas = _Canvas(*size)
     frame = _Frame(canvas, (xs.min(), xs.max()), (ys.min(), ys.max()), title, xlabel, ylabel)
 
@@ -146,7 +149,7 @@ def line_chart(
     for label, (x, y) in points.items():
         color = _PALETTE[color_index % len(_PALETTE)]
         color_index += 1
-        for xi, yi in zip(np.asarray(x, dtype=float), np.asarray(y, dtype=float)):
+        for xi, yi in zip(x, y):
             canvas.circle(frame.px(xi), frame.py(yi), 2.4, color)
         canvas.circle(frame.px1 - 130, legend_y - 3, 3, color)
         canvas.text(frame.px1 - 122, legend_y, label, size=10)
@@ -154,10 +157,7 @@ def line_chart(
     for label, (x, y) in curves.items():
         color = _PALETTE[color_index % len(_PALETTE)]
         color_index += 1
-        pts = [
-            (frame.px(xi), frame.py(yi))
-            for xi, yi in zip(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        ]
+        pts = [(frame.px(xi), frame.py(yi)) for xi, yi in zip(x, y)]
         canvas.polyline(pts, color)
         canvas.line(frame.px1 - 136, legend_y - 3, frame.px1 - 124, legend_y - 3, color, 2)
         canvas.text(frame.px1 - 122, legend_y, label, size=10)
@@ -175,7 +175,7 @@ def grouped_histogram(
     size: tuple[int, int] = (720, 440),
 ) -> None:
     """Side-by-side bars per group over shared bin edges."""
-    arrays = {label: np.asarray(v, dtype=float) for label, v in samples.items()}
+    arrays = {label: _as_floats("samples", v) for label, v in samples.items()}
     pooled = np.concatenate(list(arrays.values()))
     edges = np.histogram_bin_edges(pooled, bins=bins)
     counts = {label: np.histogram(v, bins=edges)[0] for label, v in arrays.items()}
@@ -219,7 +219,7 @@ def heatmap(
     size: tuple[int, int] = (520, 520),
 ) -> None:
     """Correlation-style heatmap with the value printed in each cell."""
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = _as_floats("matrix", matrix)
     n = matrix.shape[0]
     canvas = _Canvas(*size)
     canvas.text(size[0] / 2, 18, title, size=13, anchor="middle")

@@ -2,10 +2,13 @@
 
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import random_correlation
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from genvarswap import (
@@ -26,6 +29,7 @@ from genvarswap import (
 )
 from genvarswap import bns
 from genvarswap.bns import third_central_moment_bns
+from genvarswap.genvar import _jump_weights
 from genvarswap.errors import (
     DegenerateVariance,
     DimensionMismatch,
@@ -627,6 +631,152 @@ class TestCrossTerms:
         }[route]
         with pytest.raises(ValidationError, match="var_i_coefficient must be finite and > 0"):
             call()
+
+
+def jump_coefficients(rho, corr):
+    """Each set's (P, n, n) determinant-lemma coefficients (1 or 2) delta_ij rho_i rho_j, i <= j."""
+    return _jump_weights(corr) * rho[:, None, :] * rho[:, :, None]
+
+
+def always_integrated(T, lam, sigma0_2, kappa1, kappa2, rho, kappa2_star, corr):
+    """Each set's E[sigma_R^2] with every term whose coefficient is nonzero integrated.
+
+    The assembly of ``bns._expected_realized_variance_sets`` without its
+    negligible-jump test, in its order of operations: E_{-i} by i, then the
+    cross rows of all sets in one ``_cross_terms`` pass, added in stack order.
+    """
+    T = np.asarray(T, dtype=float)
+    per_set = (len(lam),) + (1,) * T.ndim
+    bracket, e_without = bns._mean_variance_products(T, lam, sigma0_2, kappa1)
+    lam_k2 = lam * kappa2_star
+    coeff = jump_coefficients(rho, corr)
+    coeff[lam_k2 == 0.0] = 0.0
+    inner = np.zeros_like(bracket)
+    for i, e in enumerate(e_without):
+        own = coeff[:, i, i].reshape(per_set)
+        inner = inner + np.where(own != 0.0, own * e, 0.0)
+    row_set, first, second = np.nonzero(np.triu(coeff, 1))
+    if row_set.size:
+        pairs = list(zip(first.tolist(), second.tolist()))
+        values, _ = bns._cross_terms(
+            T, lam, sigma0_2, kappa1, kappa2, row_set, pairs, 1e-12, 8.0
+        )
+        row_coeff = coeff[row_set, first, second].reshape((-1, *per_set[1:]))
+        np.add.at(inner, row_set, row_coeff * values)
+    return corr.det_c * (bracket + lam_k2.reshape(per_set) * inner) / T
+
+
+def jump_floor(T, lam, sigma0_2, kappa1, kappa2, rho, corr):
+    """The kappa2* of each set whose jump bound lambda kappa2* J is 2^-56 of its smallest E_all."""
+    coeff = jump_coefficients(rho, corr)
+    bound = bns._jump_bound(np.max(T), lam, sigma0_2, kappa1, kappa2, coeff, 8.0)
+    e_all, _ = bns._mean_variance_products(np.asarray(T, dtype=float), lam, sigma0_2, kappa1)
+    return 2.0**-56 * e_all.reshape(len(lam), -1).min(axis=1) / (lam * bound)
+
+
+def spy_cross_terms():
+    """A patch of ``bns._cross_terms`` and the list of the row sets it is passed."""
+    seen = []
+    cross_terms = bns._cross_terms
+
+    def spy(T, lam, sigma0_2, kappa1, kappa2, row_set, *args):
+        seen.append(np.asarray(row_set).tolist())
+        return cross_terms(T, lam, sigma0_2, kappa1, kappa2, row_set, *args)
+
+    return mock.patch.object(bns, "_cross_terms", spy), seen
+
+
+class TestNegligibleJumps:
+    """A set whose jump part cannot reach E_all's last bit integrates no cross term."""
+
+    TIMES = np.linspace(0.04, 2.0, 50)
+
+    def test_negligible_set_never_integrates(self):
+        """rho = -1e-10 and kappa2* = 1e-8, where a BNS fit's start leaves them."""
+        patch, seen = spy_cross_terms()
+        negligible = make_portfolio(rhos=(-1e-10,) * 3, kappa2_star=1e-8)
+        with patch:
+            value = expected_realized_variance_bns(self.TIMES, negligible, CORR)
+        assert seen == []
+        np.testing.assert_array_equal(
+            value, expected_realized_variance_bns(self.TIMES, make_portfolio(), CORR)
+        )
+
+    def test_floor_decides_which_sets_integrate(self):
+        columns = bns._one_set(make_portfolio(rhos=(-0.4, -0.25, -0.6)))[:5]
+        floor = jump_floor(self.TIMES, *columns, CORR)
+        for factor, reached in [(1.0 - 1e-6, False), (1.0 + 1e-6, True)]:
+            patch, seen = spy_cross_terms()
+            with patch:
+                got = bns._expected_realized_variance_sets(
+                    self.TIMES, *columns, factor * floor, CORR
+                )
+            assert (seen == [[0, 0, 0]]) == reached
+            expected = always_integrated(self.TIMES, *columns, factor * floor, CORR)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_e_terms_still_integrate(self):
+        """E_4..E_6 are outputs of compute_e_terms, however small the jump part."""
+        patch, seen = spy_cross_terms()
+        with patch:
+            terms = compute_e_terms(1.0, make_portfolio(rhos=(-1e-10,) * 3, kappa2_star=1e-8))
+        assert seen == [[0, 0, 0]]
+        assert min(terms.e4, terms.e5, terms.e6) > 0.0
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 3, 4]),
+        sets=st.integers(1, 28),
+        scalar_T=st.booleans(),
+    )
+    def test_every_set_keeps_the_bits_of_always_integrating(self, seed, n, sets, scalar_T):
+        """Jump scales from 1e-30 to 1 and just below or above the floor, against a
+        reference that integrates every nonzero coefficient. A set that reaches no
+        cross term keeps the reference's bits on any panels. So does every set of a
+        stack whose reference pass ran on the maturity panels alone; where the
+        reference refined them, an integrated set is within the tolerance."""
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(0.5, 4.0, sets)
+        sigma0_2 = rng.uniform(0.01, 0.2, (sets, n))
+        kappa1 = rng.uniform(0.01, 0.2, (sets, n))
+        kappa2 = rng.uniform(0.0, 0.01, (sets, n))
+        tight = rng.random(sets) < 0.3  # stationary without vol of vol: the bound is attained
+        kappa1[tight], kappa2[tight] = sigma0_2[tight], 0.0
+        scale = 10.0 ** rng.uniform(-30.0, 0.0, sets)
+        split = rng.random(sets)
+        rho = -rng.uniform(0.05, 0.8, (sets, n)) * (scale ** ((1.0 - split) / 2.0))[:, None]
+        kappa2_star = 0.05 * scale**split
+        corr = random_correlation(rng, n) if rng.random() < 0.7 else validate_correlation(np.eye(n))
+        T = rng.uniform(0.05, 3.0) if scalar_T else rng.uniform(0.04, 3.0, rng.integers(1, 30))
+        mode = rng.integers(0, 4, sets)  # 0, 1: the drawn scale; 2, 3: just below, just above
+        floor = jump_floor(T, lam, sigma0_2, kappa1, kappa2, rho, corr)
+        near_floor = floor * np.where(mode == 2, 1.0 - 1e-6, 1.0 + 1e-6)
+        kappa2_star = np.where(mode < 2, kappa2_star, near_floor)
+        columns = (lam, sigma0_2, kappa1, kappa2, rho, kappa2_star)
+
+        for s in range(sets):  # each set on its own
+            one = [column[s:s + 1] for column in columns]
+            got = bns._expected_realized_variance_sets(T, *one, corr)
+            assert got.tobytes() == always_integrated(T, *one, corr).tobytes()
+
+        rounds = []
+        quad_pass = bns.quad
+
+        def counting(f, *args):
+            return quad_pass(lambda t: rounds.append(1) or f(t), *args)
+
+        with mock.patch.object(bns, "quad", counting):
+            expected = always_integrated(T, *columns, corr)
+        patch, seen = spy_cross_terms()
+        with patch:
+            got = bns._expected_realized_variance_sets(T, *columns, corr)
+        integrated = set(*seen)  # the sets of the one cross-term pass, if any
+        for s in range(sets):
+            if len(rounds) <= 1 or s not in integrated:
+                assert got[s].tobytes() == expected[s].tobytes()
+            else:
+                np.testing.assert_allclose(got[s], expected[s], rtol=1e-10, atol=0.0)
+        assert integrated <= {s for s in range(sets) if mode[s] != 2}
 
 
 class TestPriceSwapBns:

@@ -1015,6 +1015,22 @@ class TestInitialGuess:
         for x, (lo, hi) in zip(start, default_bounds("bns")):
             assert lo <= x <= hi
 
+    def test_bns_fit_from_the_guess_integrates_no_cross_term(self, monkeypatch):
+        """From the start rho = -1e-10 and kappa2* = 1e-8 every curve's jump part is below
+        E_all's last bit, so no curve runs the cross-term quadrature. The Jacobian columns of
+        kappa2, rho and kappa2* are then exactly zero, and the fit leaves them at the start."""
+        obs = heston_series(np.linspace(0.05, 2.0, 25), noise=1e-7, seed=3)
+        start = initial_guess("bns", obs, CORR)
+        passes = []
+        quad = bns.quad
+        monkeypatch.setattr(bns, "quad", lambda *args: passes.append(args[3]) or quad(*args))
+        result = fit(CalibrationProblem("bns", obs, CORR, start, default_bounds("bns")))
+        assert passes == []
+        assert result.iterations > 1
+        inside = [calibrate._interior(x, *b) for x, b in zip(start, default_bounds("bns"))]
+        assert inside[10:] == [-1e-10] * 3 + [1e-8]
+        np.testing.assert_allclose(result.params[7:], inside[7:], rtol=1e-9)
+
     def test_subordinator_guess_from_increments(self):
         k1, k2 = subordinator_initial_guess([1.0, 1.2, 1.1, 1.5, 1.4, 1.9])
         assert k1 > 0.0

@@ -194,6 +194,22 @@ class TestPrice:
         assert main(["price", "--model", str(model), "--contract", str(contract)]) == 0
         assert "bns" in capsys.readouterr().out
 
+    def test_negligible_jump_part_prices_as_none(self, tmp_path):
+        """rho = -1e-10 and kappa2* = 1e-8, where a BNS fit's start leaves them: the jump
+        part is below E_all's last bit, and price.csv keeps the bytes of kappa2* = 0."""
+        contract = write_contract(tmp_path)
+        written = []
+        for kappa2_star in (1e-8, 0.0):
+            doc = _bns_doc()
+            doc["assets"] = [{**asset, "rho": -1e-10} for asset in doc["assets"]]
+            model = tmp_path / f"bns_{kappa2_star}.json"
+            model.write_text(json.dumps({**doc, "kappa2_star": kappa2_star}))
+            out = tmp_path / f"out_{kappa2_star}"
+            assert main(["price", "--model", str(model), "--contract", str(contract),
+                         "--out", str(out)]) == 0
+            written.append((out / "price.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_stdout_only_without_out_flag(self, tmp_path):
         model = write_model(tmp_path)
         contract = write_contract(tmp_path)

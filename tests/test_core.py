@@ -1,7 +1,9 @@
 """Parameter types, correlation validation, and JSON round trips."""
 
 import dataclasses
+import datetime
 import math
+import os
 
 import numpy as np
 import pytest
@@ -23,7 +25,12 @@ from genvarswap import (
     rolling_determinants,
     validate_correlation,
 )
-from genvarswap.genvar import InstantaneousVols, det_sigma2
+from genvarswap.genvar import InstantaneousVols, det_sigma1_values, det_sigma2, det_sigma2_values
+from genvarswap.marketdata import (
+    PriceSeries, RealizedVarianceSeries, estimate_correlation, summary_stats,
+)
+from genvarswap.montecarlo import PathEnsemble, simulate_bns_prices, simulate_heston_prices
+from genvarswap.svgplot import grouped_histogram, heatmap, line_chart
 from genvarswap.bns import (
     compute_e_terms,
     expected_realized_variance_bns,
@@ -32,7 +39,7 @@ from genvarswap.bns import (
     third_central_moment_bns,
     variance_of_variance_bns,
 )
-from genvarswap.calibrate import model_curve
+from genvarswap.calibrate import error_metrics, model_curve, subordinator_initial_guess
 from genvarswap.heston import expected_realized_variance
 from genvarswap.errors import (
     BadDiagonal,
@@ -344,6 +351,7 @@ READ_HESTON = HestonPortfolio(
 READ_BNS = BnsPortfolioParams(assets=(RULE_ASSET,) * 3, lambda_=2.0, kappa2_star=0.01)
 READ_CONTRACT = SwapContract(1e-4, 0.02, 1.0, 1000.0)
 READ_RETURNS = np.random.default_rng(7).normal(0.0, 0.01, (30, 3))
+READ_BNS_DRIFT = BnsPortfolioParams(assets=(RULE_ASSET,) * 3, lambda_=2.0, kappa2_star=0.0)
 # (entry point, call with a caller's value, the exact message): the cases that used to
 # be stored, accepted, computed with, or raise a bare TypeError
 NON_NUMBER_CASES = [
@@ -381,6 +389,19 @@ NON_NUMBER_CASES = [
      "window must be a number, got '10'"),
     ("rolling_determinants bool window", lambda: rolling_determinants(READ_RETURNS, window=True),
      "window must be a number, got True"),
+    ("error_metrics text vectors", lambda: error_metrics(["1.0", "2.0"], ["1.5", "2.5"]),
+     "observed must be a number, got '1.0'"),
+    ("RealizedVarianceSeries text times",
+     lambda: RealizedVarianceSeries(times=["1", "2"], values=["0.1", "0.2"], window=0),
+     "times must be a number, got '1'"),
+    ("InstantaneousVols text vols", lambda: InstantaneousVols(["0.1", "0.2"]),
+     "sigma must be a number, got '0.1'"),
+    ("det_sigma1_values text variances",
+     lambda: det_sigma1_values([["0.1", "0.2"]], validate_correlation(np.eye(2))),
+     "variances must be a number, got '0.1'"),
+    ("PathEnsemble text times",
+     lambda: PathEnsemble(times=["0", "1"], variance_paths=[[["0.1"], ["0.2"]]], scheme="x"),
+     "times must be a number, got '0'"),
 ]
 
 
@@ -464,6 +485,41 @@ READER_ENTRY_POINTS = [
     ("rolling_determinants window", lambda v: rolling_determinants(READ_RETURNS, window=v)),
     ("rolling_determinants annualization",
      lambda v: rolling_determinants(READ_RETURNS, window=10, annualization=v)),
+    ("rolling_determinants returns", lambda v: rolling_determinants([[v] * 3] * 12, window=10)),
+    ("estimate_correlation returns", lambda v: estimate_correlation([[v] * 3] * 12)),
+    ("summary_stats matrix", lambda v: summary_stats([[v] * 3] * 5)),
+    ("PriceSeries closes",
+     lambda v: PriceSeries(dates=(datetime.date(2024, 1, 2),), tickers=("A",), closes=[[v]])),
+    ("RealizedVarianceSeries times",
+     lambda v: RealizedVarianceSeries(times=[v, v], values=[0.1, 0.2], window=0)),
+    ("RealizedVarianceSeries values",
+     lambda v: RealizedVarianceSeries(times=[1.0, 2.0], values=[v, v], window=0)),
+    ("error_metrics observed", lambda v: error_metrics([v, v], [1.5, 2.5])),
+    ("error_metrics fitted", lambda v: error_metrics([1.0, 2.0], [v, v])),
+    ("subordinator_initial_guess values", lambda v: subordinator_initial_guess([v] * 4)),
+    ("InstantaneousVols sigma", lambda v: InstantaneousVols([v, v, v])),
+    ("det_sigma2 rho",
+     lambda v: det_sigma2(InstantaneousVols([0.2] * 3), RULE_CORR, [v] * 3, 2.0, 0.01)),
+    ("det_sigma1_values variances", lambda v: det_sigma1_values([[v] * 3], RULE_CORR)),
+    ("det_sigma2_values variances",
+     lambda v: det_sigma2_values([[v] * 3], RULE_CORR, [-0.1] * 3, 2.0, 0.01)),
+    ("det_sigma2_values rho",
+     lambda v: det_sigma2_values([[0.04] * 3], RULE_CORR, [v] * 3, 2.0, 0.01)),
+    ("PathEnsemble times",
+     lambda v: PathEnsemble(times=[v, v], variance_paths=np.full((1, 2, 3), 0.04), scheme="x")),
+    ("PathEnsemble variance_paths",
+     lambda v: PathEnsemble(times=[0.0, 1.0], variance_paths=[[[v] * 3] * 2], scheme="x")),
+    *((f"simulate_heston_prices {name}",
+       lambda v, name=name: simulate_heston_prices(
+           READ_HESTON, SimConfig(**SIM_FIELDS), **{"s0": 100.0, name: [v] * 3}))
+      for name in ("s0", "mu")),
+    ("simulate_bns_prices beta",
+     lambda v: simulate_bns_prices(READ_BNS_DRIFT, RULE_CORR, SimConfig(**SIM_FIELDS), 100.0,
+                                   beta=[v] * 3)),
+    ("line_chart x", lambda v: line_chart(os.devnull, {"a": ([v, v], [1.0, 2.0])})),
+    ("line_chart points y", lambda v: line_chart(os.devnull, {}, {"a": ([1.0, 2.0], [v, v])})),
+    ("grouped_histogram samples", lambda v: grouped_histogram(os.devnull, {"a": [v, v]})),
+    ("heatmap matrix", lambda v: heatmap(os.devnull, [[v, v], [v, v]], ["a", "b"])),
 ]
 
 

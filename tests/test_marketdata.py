@@ -295,6 +295,12 @@ class TestSummaryStats:
         with pytest.raises(TooShort):
             summary_stats(np.ones((3, 2)))
 
+    @pytest.mark.parametrize("shape", [(), (5, 2, 2)])
+    def test_wrong_shape(self, shape):
+        """A 3-d matrix once raised a bare ValueError from unpacking its shape."""
+        with pytest.raises(TooFewRows, match="matrix must be 1-d or 2-d"):
+            summary_stats(np.ones(shape))
+
     def test_ticker_count_must_match_the_columns(self):
         matrix = np.random.default_rng(109).standard_normal((10, 3))
         with pytest.raises(DimensionMismatch, match="2 tickers for 3 columns"):
