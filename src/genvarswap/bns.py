@@ -30,19 +30,22 @@ share the rate lambda, so the subsets of one size make one term. E_{ij}
 replaces the variances of assets i and j by their expected volatilities. A
 parameter set whose whole jump part is provably below 2^-56 of its smallest
 E_all (``_jump_bound``) keeps E_all's bits without it, and so integrates no
-term of it. The pairs of the other sets with a nonzero coefficient are
-integrated together over all maturities in one vectorised pass (``quad``)
-of the 15-point Gauss-Kronrod rule (QUADPACK's qk15): the sorted maturities
-split [0, max T] into panels, cumulative panel sums give every maturity,
-and |K15 - G7| is the reported error estimate. Failing panels are split
-until each maturity's error is within max(tol, tol |value|) (tol = 1e-12 by
-default). The same kernel prices many parameter sets at once, as the
-calibration Jacobian needs. The sets come as columns, one row per set
-(``_one_set`` turns a portfolio into a stack of one): E_all and E_{-i} are
-integrated once per distinct (lambda, sigma_0^2 - kappa1, kappa1), and the
-cross terms of every (set, pair) row share one pass, which evaluates each
-rate, E[sigma^2] and E[sigma] factor the sets share once per node. For n =
-3 these are the paper's E_0..E_6 (``compute_e_terms``): E_0 = E_all,
+term of it. E_{-i} enters only through its coefficient lambda kappa2*
+delta_ii rho_i^2, so it is integrated only for an asset whose coefficient
+survives in some set. The pairs of the other sets with a nonzero
+coefficient are integrated together over all maturities in one vectorised
+pass (``quad``) of the 15-point Gauss-Kronrod rule (QUADPACK's qk15): the
+sorted maturities split [0, max T] into panels, cumulative panel sums give
+every maturity, and |K15 - G7| is the reported error estimate. Failing
+panels are split until each maturity's error is within max(tol, tol |value|)
+(tol = 1e-12 by default). The same kernel prices many parameter sets at
+once, as the calibration Jacobian needs. The sets come as columns, one row
+per set (``_one_set`` turns a portfolio into a stack of one): E_all and each
+E_{-i} still needed are integrated once per distinct (lambda, sigma_0^2 -
+kappa1, kappa1), and the cross terms of every (set, pair) row share one
+pass, which evaluates each rate, E[sigma^2] and E[sigma] factor the sets
+share once per node. For n = 3 these are the paper's E_0..E_6
+(``compute_e_terms``, which integrates every one): E_0 = E_all,
 E_1..E_3 = E_{-1}..E_{-3} and E_4..E_6 = E_{12}, E_{13}, E_{23} (1-based).
 
 A note on the volatility correction: with Var[sigma_t^2] written out, the
@@ -197,13 +200,15 @@ def _one_set(p: BnsPortfolioParams) -> tuple:
 
 
 def _mean_variance_products(T, lam, sigma0_2, kappa1) -> tuple:
-    """E_all and E_{-0}, ..., E_{-(n-1)} of each set, shaped ``(P, *T.shape)``.
+    """E_all of each set, shaped ``(P, *T.shape)``, and a function of i giving E_{-i} alike.
 
     Each integrates prod_l E[(sigma^l)^2] over [0, T] in closed form, over
     all assets or all but asset i, with E[(sigma^l)^2] = d_l e^{-lambda t}
     + c_l taken per set from ``lam`` (P,) and ``sigma0_2``, ``kappa1``
     (P, n). Sets with the same (lambda, sigma_0^2 - kappa1, kappa1) bits are
-    integrated once, and their values gathered back into stack order.
+    integrated once, and their values gathered back into stack order. E_all
+    is integrated here, each E_{-i} only when asked for, so a caller whose
+    coefficient of E_{-i} is zero in every set skips its kernel call.
     """
     d = sigma0_2 - kappa1
     first, index = (_distinct if len(lam) > 1 else _each)(np.column_stack((lam, d, kappa1)))
@@ -216,7 +221,7 @@ def _mean_variance_products(T, lam, sigma0_2, kappa1) -> tuple:
         d_keep, c_keep = [d[i] for i in keep], [c[i] for i in keep]
         return _affine_product_integral(T, d_keep, c_keep, rate=rate)[index]
 
-    return product(range(n)), [product([l for l in range(n) if l != i]) for i in range(n)]
+    return product(range(n)), lambda i: product([l for l in range(n) if l != i])
 
 
 # QUADPACK qk15 on [-1, 1] (Piessens et al., 1983): the 15 Kronrod nodes and
@@ -454,7 +459,7 @@ def compute_e_terms(
         T, lam, sigma0_2, kappa1, kappa2, [0] * 3, pairs, tol, var_i_coefficient
     )
     # in field order: e0, e1..e3, e4..e6, e4_error..e6_error
-    return BnsETerms(*map(float, [e_all[0], *(e[0] for e in e_without), *cross, *errors]))
+    return BnsETerms(*map(float, [e_all[0], *(e_without(i)[0] for i in range(3)), *cross, *errors]))
 
 
 def expected_realized_variance_bns(
@@ -514,7 +519,12 @@ def _expected_realized_variance_sets(
     max(tol, tol |value|). Otherwise every value is that of its own call.
     The determinant-lemma coefficients of all sets are one (P, n, n) array
     built from ``_jump_weights``: E_{-i} takes its diagonal, and the cross
-    rows are the nonzero entries of its strict upper triangle.
+    rows are the nonzero entries of its strict upper triangle. E_{-i} is
+    integrated only when some set's diagonal coefficient c_ii is nonzero
+    after the test below; otherwise every set would add the +0 of
+    ``np.where``, and inner, which starts at +0 and only ever adds, is never
+    -0, so adding +0 leaves its bits. A skipped E_{-i} raises no overflow
+    warning either.
 
     A set's coefficients are zeroed, as for lambda kappa2* = 0, when its
     whole jump part cannot reach its bracket's last bit: lambda kappa2* J <
@@ -552,9 +562,10 @@ def _expected_realized_variance_sets(
     if coeff.any():
         bound = _jump_bound(T.max(), lam, sigma0_2, kappa1, kappa2, coeff, var_i_coefficient)
         coeff[lam_k2 * bound < 2.0**-56 * bracket.reshape(len(lam), -1).min(axis=1)] = 0.0
-    for i, e in enumerate(e_without):
-        own = _per_set(coeff[:, i, i], T)
-        inner = inner + np.where(own != 0.0, own * e, 0.0)
+    for i in range(n):  # E_{-i} only where some set's coefficient survives
+        if coeff[:, i, i].any():
+            own = _per_set(coeff[:, i, i], T)
+            inner = inner + np.where(own != 0.0, own * e_without(i), 0.0)
     row_set, first, second = np.nonzero(np.triu(coeff, 1))  # in (set, i, j) order
     if row_set.size:
         pairs = list(zip(first.tolist(), second.tolist()))

@@ -258,8 +258,9 @@ def model_curve(model: str, params, corr: CorrelationMatrix, times) -> np.ndarra
     the ``ValidationError`` field names of the parameter objects, and its
     columns go to the closed forms as they are; no object is built per
     row. Heston rows make one closed-form kernel call. BNS rows make one pass
-    of the BNS kernel: E_all and E_{-i} once per distinct (lambda,
-    sigma0^2 - kappa1, kappa1), and the cross terms of all rows in one
+    of the BNS kernel: E_all once per distinct (lambda, sigma0^2 - kappa1,
+    kappa1), E_{-i} likewise for each asset whose coefficient survives in
+    some row, and the cross terms of all rows in one
     quadrature, where each rate, E[sigma^2] and E[sigma] factor the rows
     share is evaluated once per node. Each stacked curve equals its row's
     own curve bit for bit unless another row forces a finer quadrature,

@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import dataclasses
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -409,14 +410,20 @@ def cmd_report(args) -> int:
             params = _real_vector("params", doc["params"])
             curve = model_curve(model, params, corr, series.times)
         metrics = error_metrics(series.values, curve)
-        loaded.append((model, curve, metrics))
+        loaded.append((idx + 1, model, curve, metrics))
         inputs[f"result_{idx + 1}"] = path
     if not loaded:
         raise FileNotFoundError("no result files could be read")
 
+    # a model given more than once is labelled by its --result position, so no curve hides another
+    models = [model for _, model, _, _ in loaded]
+    curves = {}
+    for position, model, curve, _ in loaded:
+        label = f"{model} fit" if models.count(model) == 1 else f"{model} fit ({position})"
+        curves[label] = (series.times, curve)
     line_chart(
         os.path.join(out, "fitted_vs_realized.svg"),
-        {f"{model} fit": (series.times, curve) for model, curve, _ in loaded},
+        curves,
         points={"realized": (series.times, series.values)},
         title="Realized vs fitted generalized variance",
         ylabel="E[sigma_R^2]",
@@ -424,7 +431,7 @@ def cmd_report(args) -> int:
     header = f"{'model':<8} {'RMSE':>12} {'APE':>12} {'AAE':>12} {'ARPE':>12}"
     print(header)
     rows = [["model", "RMSE", "APE", "AAE", "ARPE"]]
-    for model, _, m in loaded:
+    for _, model, _, m in loaded:
         rows.append([model, f"{m.rmse:.12g}", f"{m.ape:.12g}", f"{m.aae:.12g}", f"{m.arpe:.12g}"])
         print(f"{model:<8} {m.rmse:>12.6e} {m.ape:>12.6e} {m.aae:>12.6e} {m.arpe:>12.6e}")
     _write_rows(os.path.join(out, "metrics.csv"), rows)
@@ -432,7 +439,13 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first ``main`` call and reused by later ones.
+
+    ``parse_args`` reads every value into a fresh namespace, so no call
+    sees another's; ``--threads`` defaults to the CPU count read then.
+    """
     parser = argparse.ArgumentParser(
         prog="genvarswap",
         description="Multivariate variance swaps on the covariance determinant: "

@@ -27,9 +27,10 @@ from genvarswap import (
     validate_correlation,
     variance_of_variance_bns,
 )
-from genvarswap import bns
+from genvarswap import bns, calibrate
 from genvarswap.bns import third_central_moment_bns
 from genvarswap.genvar import _jump_weights
+from genvarswap.marketdata import RealizedVarianceSeries
 from genvarswap.errors import (
     DegenerateVariance,
     DimensionMismatch,
@@ -63,6 +64,10 @@ def stationary_portfolio(kappa1s=(0.05, 0.07, 0.06), **kwargs):
 
 
 CORR = validate_correlation(np.full((3, 3), 0.3) + 0.7 * np.eye(3))
+# lambda, sigma0^2 x3, kappa1 x3, kappa2 x3, rho x3, kappa2* (calibrate's BNS layout)
+BNS_LEVERAGED = np.array(
+    [2.0, 0.04, 0.06, 0.05, 0.05, 0.07, 0.06, 0.004, 0.006, 0.005, -0.4, -0.25, -0.6, 0.02]
+)
 
 
 class TestOuMoments:
@@ -642,8 +647,9 @@ def always_integrated(T, lam, sigma0_2, kappa1, kappa2, rho, kappa2_star, corr):
     """Each set's E[sigma_R^2] with every term whose coefficient is nonzero integrated.
 
     The assembly of ``bns._expected_realized_variance_sets`` without its
-    negligible-jump test, in its order of operations: E_{-i} by i, then the
-    cross rows of all sets in one ``_cross_terms`` pass, added in stack order.
+    negligible-jump test, in its order of operations: every E_{-i} by i, then
+    the cross rows of all sets in one ``_cross_terms`` pass, added in stack
+    order.
     """
     T = np.asarray(T, dtype=float)
     per_set = (len(lam),) + (1,) * T.ndim
@@ -652,9 +658,9 @@ def always_integrated(T, lam, sigma0_2, kappa1, kappa2, rho, kappa2_star, corr):
     coeff = jump_coefficients(rho, corr)
     coeff[lam_k2 == 0.0] = 0.0
     inner = np.zeros_like(bracket)
-    for i, e in enumerate(e_without):
+    for i in range(sigma0_2.shape[1]):
         own = coeff[:, i, i].reshape(per_set)
-        inner = inner + np.where(own != 0.0, own * e, 0.0)
+        inner = inner + np.where(own != 0.0, own * e_without(i), 0.0)
     row_set, first, second = np.nonzero(np.triu(coeff, 1))
     if row_set.size:
         pairs = list(zip(first.tolist(), second.tolist()))
@@ -667,11 +673,15 @@ def always_integrated(T, lam, sigma0_2, kappa1, kappa2, rho, kappa2_star, corr):
 
 
 def jump_floor(T, lam, sigma0_2, kappa1, kappa2, rho, corr):
-    """The kappa2* of each set whose jump bound lambda kappa2* J is 2^-56 of its smallest E_all."""
+    """The kappa2* of each set whose jump bound lambda kappa2* J is 2^-56 of its smallest E_all.
+
+    A set without leverage (every rho_i = 0) has J = 0 and no floor: inf.
+    """
     coeff = jump_coefficients(rho, corr)
     bound = bns._jump_bound(np.max(T), lam, sigma0_2, kappa1, kappa2, coeff, 8.0)
     e_all, _ = bns._mean_variance_products(np.asarray(T, dtype=float), lam, sigma0_2, kappa1)
-    return 2.0**-56 * e_all.reshape(len(lam), -1).min(axis=1) / (lam * bound)
+    with np.errstate(divide="ignore"):
+        return 2.0**-56 * e_all.reshape(len(lam), -1).min(axis=1) / (lam * bound)
 
 
 def spy_cross_terms():
@@ -684,6 +694,66 @@ def spy_cross_terms():
         return cross_terms(T, lam, sigma0_2, kappa1, kappa2, row_set, *args)
 
     return mock.patch.object(bns, "_cross_terms", spy), seen
+
+
+def spy_kernel():
+    """A patch of ``bns._affine_product_integral`` and the list of the factor counts it is passed."""
+    seen = []
+    kernel = bns._affine_product_integral
+
+    def spy(T, d, c, *args, **kwargs):
+        seen.append(len(d))
+        return kernel(T, d, c, *args, **kwargs)
+
+    return mock.patch.object(bns, "_affine_product_integral", spy), seen
+
+
+class TestLazyMeanVarianceProducts:
+    """E_{-i} is integrated only for an asset whose diagonal coefficient survives."""
+
+    TIMES = np.linspace(0.04, 2.0, 50)
+
+    def kernel_calls(self, params):
+        """The factor counts of the kernel calls of one BNS curve of ``params``."""
+        patch, seen = spy_kernel()
+        with patch:
+            calibrate.model_curve("bns", params, CORR, self.TIMES)
+        return seen
+
+    def test_curve_from_the_initial_guess_makes_one_call(self):
+        """The default start and the point inside the bounds that a fit evaluates from it."""
+        curve = calibrate.model_curve("bns", BNS_LEVERAGED, CORR, self.TIMES)
+        observed = RealizedVarianceSeries(times=self.TIMES, values=curve, window=0)
+        start = calibrate.initial_guess("bns", observed, CORR)
+        inside = [calibrate._interior(x, *b) for x, b in zip(start, calibrate.default_bounds("bns"))]
+        assert inside[10:] == [-1e-10] * 3 + [1e-8]
+        assert self.kernel_calls(start) == [3]
+        assert self.kernel_calls(inside) == [3]
+
+    def test_leveraged_curve_integrates_every_e_without(self):
+        """The leveraged model of the Monte Carlo benchmark: rho = (-0.3, -0.2, -0.4)."""
+        params = np.array([2.0, 0.04, 0.06, 0.05, 0.05, 0.07, 0.06, 0.004, 0.006, 0.005,
+                           -0.3, -0.2, -0.4, 0.01])
+        assert self.kernel_calls(params) == [3, 2, 2, 2]
+
+    def test_asset_without_leverage_skips_its_e_without(self):
+        params = BNS_LEVERAGED.copy()
+        params[10:13] = -0.3, 0.0, -0.4
+        assert self.kernel_calls(params) == [3, 2, 2]
+        p = make_portfolio(rhos=(-0.3, 0.0, -0.4), kappa2_star=0.01)
+        patch, seen = spy_kernel()
+        with patch:
+            got = expected_realized_variance_bns(self.TIMES, p, CORR)
+        assert seen == [3, 2, 2]
+        columns = bns._one_set(p)
+        assert got.tobytes() == always_integrated(self.TIMES, *columns, CORR)[0].tobytes()
+
+    def test_e_terms_integrate_every_e_without(self):
+        """E_1..E_3 are outputs of compute_e_terms, whatever their coefficients."""
+        patch, seen = spy_kernel()
+        with patch:
+            compute_e_terms(1.0, make_portfolio())
+        assert seen == [3, 2, 2, 2]
 
 
 class TestNegligibleJumps:
@@ -730,11 +800,12 @@ class TestNegligibleJumps:
         scalar_T=st.booleans(),
     )
     def test_every_set_keeps_the_bits_of_always_integrating(self, seed, n, sets, scalar_T):
-        """Jump scales from 1e-30 to 1 and just below or above the floor, against a
-        reference that integrates every nonzero coefficient. A set that reaches no
-        cross term keeps the reference's bits on any panels. So does every set of a
-        stack whose reference pass ran on the maturity panels alone; where the
-        reference refined them, an integrated set is within the tolerance."""
+        """Jump scales from 1e-30 to 1 and just below or above the floor, in half the
+        stacks with some rho_i = 0, against a reference that integrates every E_{-i}
+        and every nonzero cross coefficient. A set that reaches no cross term keeps
+        the reference's bits on any panels. So does every set of a stack whose
+        reference pass ran on the maturity panels alone; where the reference refined
+        them, an integrated set is within the tolerance."""
         rng = np.random.default_rng(seed)
         lam = rng.uniform(0.5, 4.0, sets)
         sigma0_2 = rng.uniform(0.01, 0.2, (sets, n))
@@ -746,12 +817,14 @@ class TestNegligibleJumps:
         split = rng.random(sets)
         rho = -rng.uniform(0.05, 0.8, (sets, n)) * (scale ** ((1.0 - split) / 2.0))[:, None]
         kappa2_star = 0.05 * scale**split
+        if rng.random() < 0.5:  # mixed leverage: some assets of some sets without it
+            rho[rng.random((sets, n)) < 0.4] = 0.0
         corr = random_correlation(rng, n) if rng.random() < 0.7 else validate_correlation(np.eye(n))
         T = rng.uniform(0.05, 3.0) if scalar_T else rng.uniform(0.04, 3.0, rng.integers(1, 30))
         mode = rng.integers(0, 4, sets)  # 0, 1: the drawn scale; 2, 3: just below, just above
         floor = jump_floor(T, lam, sigma0_2, kappa1, kappa2, rho, corr)
         near_floor = floor * np.where(mode == 2, 1.0 - 1e-6, 1.0 + 1e-6)
-        kappa2_star = np.where(mode < 2, kappa2_star, near_floor)
+        kappa2_star = np.where((mode < 2) | np.isinf(floor), kappa2_star, near_floor)
         columns = (lam, sigma0_2, kappa1, kappa2, rho, kappa2_star)
 
         for s in range(sets):  # each set on its own

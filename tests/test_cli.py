@@ -21,7 +21,7 @@ from genvarswap import (
     price_swap,
     validate_correlation,
 )
-from genvarswap import montecarlo
+from genvarswap import cli, montecarlo
 from genvarswap.calibrate import model_curve
 from genvarswap.cli import main
 
@@ -80,6 +80,15 @@ def write_correlation(tmp_path, name="correlation.csv"):
     lines = ["AAA,BBB,CCC"] + [",".join(f"{float(x)!r}" for x in row) for row in CORR_ARRAY]
     target = tmp_path / name
     target.write_text("\n".join(lines) + "\n")
+    return target
+
+
+def write_result(tmp_path, name="result.json", model="heston", params=TRUTH):
+    """A result.json as ``calibrate`` writes it, with only the fields ``report`` reads."""
+    target = tmp_path / name
+    target.write_text(json.dumps(
+        {"model": model, "correlation": CORR_ARRAY.tolist(), "params": list(params)}
+    ))
     return target
 
 
@@ -758,6 +767,74 @@ class TestReport:
         err = capsys.readouterr().err
         assert "unknown model" in err and str(result) in err
         assert "Traceback" not in err
+
+    def test_one_model_twice_draws_both_curves(self, tmp_path, capsys):
+        """A model given by more than one --result labels its curves by position."""
+        realized = write_realized(tmp_path)
+        result = write_result(tmp_path)
+        out = tmp_path / "rep"
+        code = main(["report", str(realized), "--result", str(result),
+                     "--result", str(tmp_path / "missing.json"), "--result", str(result),
+                     "--out", str(out)])
+        assert code == 0
+        svg = (out / "fitted_vs_realized.svg").read_text()
+        assert svg.count("<polyline") == 2
+        assert "heston fit (1)" in svg and "heston fit (3)" in svg
+        assert ">heston fit<" not in svg
+        rows = (out / "metrics.csv").read_text().strip().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["heston", "heston"]
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call sees what another parsed."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._build_parser.cache_clear()
+        yield
+        cli._build_parser.cache_clear()
+
+    def report(self, tmp_path, capsys, name, results, fresh):
+        """``report`` on ``results``; returns its exit code, stdout and output bytes."""
+        if fresh:
+            cli._build_parser.cache_clear()
+        out = tmp_path / name
+        argv = ["report", str(tmp_path / "realized.csv")]
+        for result in results:
+            argv += ["--result", str(tmp_path / result)]
+        code = main(argv + ["--out", str(out)])
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        return code, capsys.readouterr().out, files
+
+    def test_repeated_report_calls_carry_nothing_over(self, tmp_path, capsys):
+        write_realized(tmp_path)
+        write_result(tmp_path, "a.json")
+        bns_params = [2.0, 0.04, 0.06, 0.05, 0.05, 0.07, 0.06, 0.004, 0.006, 0.005,
+                      -0.3, -0.2, -0.4, 0.01]
+        write_result(tmp_path, "b.json", model="bns", params=bns_params)
+        sequence = [["a.json"], ["a.json", "b.json"], ["b.json"]]
+        reused = [self.report(tmp_path, capsys, f"reused{k}", results, fresh=False)
+                  for k, results in enumerate(sequence)]
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = [self.report(tmp_path, capsys, f"fresh{k}", results, fresh=True)
+                 for k, results in enumerate(sequence)]
+        assert reused == fresh
+        models = [[row.split(",")[0] for row in files["metrics.csv"].decode().splitlines()[1:]]
+                  for _, _, files in reused]
+        assert models == [["heston"], ["heston", "bns"], ["bns"]]
+
+    def test_errors_and_version_on_first_and_later_calls(self, capsys):
+        for _ in range(2):
+            assert main(["estimate", "x.csv", "--out", "o", "--bogus"]) == 2
+            assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+            assert main(["--version"]) == 0
+            assert capsys.readouterr().out == f"genvarswap {genvarswap.__version__}\n"
+
+    def test_parser_is_built_once(self, capsys):
+        for argv in (["--version"], ["price", "--help"], ["estimate", "--bogus"]):
+            main(argv)
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 @pytest.mark.parametrize(
