@@ -41,10 +41,10 @@ panels are split until each maturity's error is within max(tol, tol |value|)
 (tol = 1e-12 by default). The same kernel prices many parameter sets at
 once, as the calibration Jacobian needs. The sets come as columns, one row
 per set (``_one_set`` turns a portfolio into a stack of one): E_all and each
-E_{-i} still needed are integrated once per distinct (lambda, sigma_0^2 -
-kappa1, kappa1), and the cross terms of every (set, pair) row share one
-pass, which evaluates each rate, E[sigma^2] and E[sigma] factor the sets
-share once per node. For n = 3 these are the paper's E_0..E_6
+E_{-i} still needed are one kernel call over all sets, as they are given,
+and the cross terms of every (set, pair) row share one pass, which
+evaluates each rate, E[sigma^2] and E[sigma] factor the sets share once
+per node. For n = 3 these are the paper's E_0..E_6
 (``compute_e_terms``, which integrates every one): E_0 = E_all,
 E_1..E_3 = E_{-1}..E_{-3} and E_4..E_6 = E_{12}, E_{13}, E_{23} (1-based).
 
@@ -74,7 +74,7 @@ from .core import (
 )
 from .errors import DegenerateVariance, DimensionMismatch, QuadratureFailure, WrongAssetCount
 from .genvar import _jump_weights
-from .heston import _affine_product_integral, _check_maturity, _check_time, price_swap
+from .heston import _affine_product_integral, _check_maturity, _check_time, _finite_realized_variance, price_swap
 
 __all__ = [
     "BnsETerms",
@@ -205,21 +205,18 @@ def _mean_variance_products(T, lam, sigma0_2, kappa1) -> tuple:
     Each integrates prod_l E[(sigma^l)^2] over [0, T] in closed form, over
     all assets or all but asset i, with E[(sigma^l)^2] = d_l e^{-lambda t}
     + c_l taken per set from ``lam`` (P,) and ``sigma0_2``, ``kappa1``
-    (P, n). Sets with the same (lambda, sigma_0^2 - kappa1, kappa1) bits are
-    integrated once, and their values gathered back into stack order. E_all
-    is integrated here, each E_{-i} only when asked for, so a caller whose
-    coefficient of E_{-i} is zero in every set skips its kernel call.
+    (P, n). All P sets go through one kernel call as they are given, whose
+    arithmetic is elementwise, so each set gets the bits of its own call.
+    E_all is integrated here, each E_{-i} only when asked for, so a caller
+    whose coefficient of E_{-i} is zero in every set skips its kernel call.
     """
-    d = sigma0_2 - kappa1
-    first, index = (_distinct if len(lam) > 1 else _each)(np.column_stack((lam, d, kappa1)))
-    n = d.shape[1]
-    d = [_per_set(d[first, i], T) for i in range(n)]
-    c = [_per_set(kappa1[first, i], T) for i in range(n)]
-    rate = _per_set(lam[first], T)
+    n = sigma0_2.shape[1]
+    d = [_per_set(sigma0_2[:, i] - kappa1[:, i], T) for i in range(n)]
+    c = [_per_set(kappa1[:, i], T) for i in range(n)]
+    rate = _per_set(lam, T)
 
     def product(keep):
-        d_keep, c_keep = [d[i] for i in keep], [c[i] for i in keep]
-        return _affine_product_integral(T, d_keep, c_keep, rate=rate)[index]
+        return _affine_product_integral(T, [d[i] for i in keep], [c[i] for i in keep], rate=rate)
 
     return product(range(n)), lambda i: product([l for l in range(n) if l != i])
 
@@ -365,12 +362,6 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, index
 
 
-def _each(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_distinct`` without the search: every row its own, as for a single set."""
-    rows = np.arange(len(keys))
-    return rows, rows
-
-
 def _cross_terms(
     T, lam, sigma0_2, kappa1, kappa2, row_set, pairs, tol: float, var_i_coefficient: float
 ):
@@ -387,32 +378,27 @@ def _cross_terms(
     only those must keep E[sigma^2] > 0. Rows with the same factors are
     integrated once. Keys compare bit for bit, and each row's product is
     gathered from the factors with the operations of a row on its own, so
-    no row's value depends on the others; a single set skips the search for
-    shared factors. Returns the values and the absolute error estimates,
-    shaped ``(len(pairs), *T.shape)``.
+    no row's value depends on the others. Returns the values and the
+    absolute error estimates, shaped ``(len(pairs), *T.shape)``.
     """
     row_set = np.asarray(row_set)
-    if len(lam) > 1:  # the factor tables hold only the sets of some row
-        used, row_set = np.unique(row_set, return_inverse=True)
-        lam, sigma0_2, kappa1, kappa2 = lam[used], sigma0_2[used], kappa1[used], kappa2[used]
-    distinct = _distinct if len(lam) > 1 else _each
     n = sigma0_2.shape[1]
     # cell s * n + l, asset l of set s: (lambda, sigma_0^2 - kappa1, kappa1, kappa2)
     cells = np.column_stack(
         (np.repeat(lam, n), (sigma0_2 - kappa1).ravel(), kappa1.ravel(), kappa2.ravel())
     )
-    mean_cells, cell_mean = distinct(cells[:, :3])
+    mean_cells, cell_mean = _distinct(cells[:, :3])
     means = cells[mean_cells]
-    rate_means, mean_rate = distinct(means[:, :1])
+    rate_means, mean_rate = _distinct(means[:, :1])
     pair_cells = (row_set[:, None] * n + np.array(pairs)).ravel()
-    vol_pairs, pair_vol = distinct(cells[pair_cells])
+    vol_pairs, pair_vol = _distinct(cells[pair_cells])
     vol_cells = pair_cells[vol_pairs]
     vol_mean = cell_mean[vol_cells]
     vol_rate = mean_rate[vol_mean]
     others = np.array([[l for l in range(n) if l not in pair] for pair in pairs], dtype=int)
     # a row is its factors: the E[sigma^2] of its other assets, then the E[sigma] of its pair
     factors = np.column_stack((cell_mean[row_set[:, None] * n + others], pair_vol.reshape(-1, 2)))
-    distinct_rows, row_distinct = distinct(factors)
+    distinct_rows, row_distinct = _distinct(factors)
     row_factors = factors[distinct_rows]
     row_others, first, second = row_factors[:, :-2], row_factors[:, -2], row_factors[:, -1]
     rate = means[rate_means, :1, None]
@@ -453,13 +439,14 @@ def compute_e_terms(
     tol = _require_positive("quadrature tolerance", tol)
     _require_positive("var_i_coefficient", var_i_coefficient)
     lam, sigma0_2, kappa1, kappa2, _, _ = _one_set(p)
-    e_all, e_without = _mean_variance_products(T, lam, sigma0_2, kappa1)
     pairs = [(0, 1), (0, 2), (1, 2)]
-    cross, errors = _cross_terms(
-        T, lam, sigma0_2, kappa1, kappa2, [0] * 3, pairs, tol, var_i_coefficient
-    )
-    # in field order: e0, e1..e3, e4..e6, e4_error..e6_error
-    return BnsETerms(*map(float, [e_all[0], *(e_without(i)[0] for i in range(3)), *cross, *errors]))
+    with np.errstate(all="ignore"):  # a term past the float range fails BnsETerms' own check
+        e_all, e_without = _mean_variance_products(T, lam, sigma0_2, kappa1)
+        cross, errors = _cross_terms(
+            T, lam, sigma0_2, kappa1, kappa2, [0] * 3, pairs, tol, var_i_coefficient
+        )
+        # in field order: e0, e1..e3, e4..e6, e4_error..e6_error
+        return BnsETerms(*map(float, [e_all[0], *(e_without(i)[0] for i in range(3)), *cross, *errors]))
 
 
 def expected_realized_variance_bns(
@@ -475,10 +462,11 @@ def expected_realized_variance_bns(
     only when some cross coefficient is nonzero (kappa2* > 0 and two nonzero
     rho) and the jump part can reach E_all's last bit, which makes the
     common rho = 0 calibration path, and a start at rho ~ -1e-10, fully
-    closed-form. ``tol`` must be finite and > 0.
+    closed-form. ``tol`` must be finite and > 0. Raises ``NumericalError``
+    where a value leaves the float range.
     """
     out = _expected_realized_variance_sets(T, *_one_set(p), corr, tol, var_i_coefficient)[0]
-    return out if out.ndim else float(out)
+    return _finite_realized_variance(out)
 
 
 def _jump_bound(t_max, lam, sigma0_2, kappa1, kappa2, coeff, var_i_coefficient) -> np.ndarray:
@@ -491,16 +479,16 @@ def _jump_bound(t_max, lam, sigma0_2, kappa1, kappa2, coeff, var_i_coefficient) 
         J = t_max prod_l H_l (sum_i |c_ii| / H_i
                               + sum_{i<j} |c_ij| a_i a_j / sqrt(H_i H_j)).
 
-    An L_l of 0 gives an inf or NaN J, which no comparison passes.
+    An L_l of 0 gives an inf or NaN J, which no comparison passes; the
+    caller's ``np.errstate`` keeps it from warning.
     """
     high = np.maximum(sigma0_2, kappa1)
     low = np.minimum(sigma0_2, np.exp(-lam[:, None] * t_max) * (sigma0_2 - kappa1) + kappa1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vol = (1.0 + 0.5 * kappa2 / (var_i_coefficient * low * low)) / np.sqrt(high)
-        terms = np.abs(coeff) * vol[:, :, None] * vol[:, None, :]
-        diagonal = np.arange(coeff.shape[1])
-        terms[:, diagonal, diagonal] = np.abs(coeff[:, diagonal, diagonal]) / high
-        return t_max * high.prod(axis=1) * terms.sum(axis=(1, 2))
+    vol = (1.0 + 0.5 * kappa2 / (var_i_coefficient * low * low)) / np.sqrt(high)
+    terms = np.abs(coeff) * vol[:, :, None] * vol[:, None, :]
+    diagonal = np.arange(coeff.shape[1])
+    terms[:, diagonal, diagonal] = np.abs(coeff[:, diagonal, diagonal]) / high
+    return t_max * high.prod(axis=1) * terms.sum(axis=(1, 2))
 
 
 def _expected_realized_variance_sets(
@@ -542,7 +530,8 @@ def _expected_realized_variance_sets(
       a margin of 2 for rounding and stays below a quarter of E_all's
       spacing, so E_all plus the jump part rounds back to E_all.
     A skipped set raises no ``QuadratureFailure`` from a term it cannot
-    use.
+    use. A value past the float range comes back as inf or NaN, with no
+    numpy warning.
     """
     n = corr.n
     if sigma0_2.shape[1] != n:
@@ -552,30 +541,31 @@ def _expected_realized_variance_sets(
     tol = _require_positive("quadrature tolerance", tol)
     _require_positive("var_i_coefficient", var_i_coefficient)
 
-    bracket, e_without = _mean_variance_products(T, lam, sigma0_2, kappa1)
-    inner = np.zeros_like(bracket)
-    lam_k2 = lam * kappa2_star
-    # coeff[s, i, j]: (1 or 2) delta_ij rho_j rho_i of set s for i <= j, none where the
-    # jump part cannot reach the bracket's last bit
-    coeff = weights * rho[:, None, :] * rho[:, :, None]
-    coeff[lam_k2 == 0.0] = 0.0
-    if coeff.any():
-        bound = _jump_bound(T.max(), lam, sigma0_2, kappa1, kappa2, coeff, var_i_coefficient)
-        coeff[lam_k2 * bound < 2.0**-56 * bracket.reshape(len(lam), -1).min(axis=1)] = 0.0
-    for i in range(n):  # E_{-i} only where some set's coefficient survives
-        if coeff[:, i, i].any():
-            own = _per_set(coeff[:, i, i], T)
-            inner = inner + np.where(own != 0.0, own * e_without(i), 0.0)
-    row_set, first, second = np.nonzero(np.triu(coeff, 1))  # in (set, i, j) order
-    if row_set.size:
-        pairs = list(zip(first.tolist(), second.tolist()))
-        values, _ = _cross_terms(
-            T, lam, sigma0_2, kappa1, kappa2, row_set, pairs, tol, var_i_coefficient
-        )
-        # row by row in stack order, as inner[s] = inner[s] + coeff * value
-        np.add.at(inner, row_set, _per_set(coeff[row_set, first, second], T) * values)
-    bracket = bracket + _per_set(lam_k2, T) * inner
-    return corr.det_c * bracket / T
+    with np.errstate(all="ignore"):  # a value past the float range comes back as inf or NaN
+        bracket, e_without = _mean_variance_products(T, lam, sigma0_2, kappa1)
+        inner = np.zeros_like(bracket)
+        lam_k2 = lam * kappa2_star
+        # coeff[s, i, j]: (1 or 2) delta_ij rho_j rho_i of set s for i <= j, none where the
+        # jump part cannot reach the bracket's last bit
+        coeff = weights * rho[:, None, :] * rho[:, :, None]
+        coeff[lam_k2 == 0.0] = 0.0
+        if coeff.any():
+            bound = _jump_bound(T.max(), lam, sigma0_2, kappa1, kappa2, coeff, var_i_coefficient)
+            coeff[lam_k2 * bound < 2.0**-56 * bracket.reshape(len(lam), -1).min(axis=1)] = 0.0
+        for i in range(n):  # E_{-i} only where some set's coefficient survives
+            if coeff[:, i, i].any():
+                own = _per_set(coeff[:, i, i], T)
+                inner = inner + np.where(own != 0.0, own * e_without(i), 0.0)
+        row_set, first, second = np.nonzero(np.triu(coeff, 1))  # in (set, i, j) order
+        if row_set.size:
+            pairs = list(zip(first.tolist(), second.tolist()))
+            values, _ = _cross_terms(
+                T, lam, sigma0_2, kappa1, kappa2, row_set, pairs, tol, var_i_coefficient
+            )
+            # row by row in stack order, as inner[s] = inner[s] + coeff * value
+            np.add.at(inner, row_set, _per_set(coeff[row_set, first, second], T) * values)
+        bracket = bracket + _per_set(lam_k2, T) * inner
+        return corr.det_c * bracket / T
 
 
 def price_swap_bns(ev_realized: float, contract: SwapContract) -> float:

@@ -52,7 +52,6 @@ ARPE (counted in ``skipped``).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +60,7 @@ from . import bns, heston
 from .core import CorrelationMatrix, _as_float, _as_floats, _check_field, _exp
 from .errors import (
     LengthMismatch,
+    NumericalError,
     SingularNormalEquations,
     ValidationError,
     WrongAssetCount,
@@ -258,15 +258,15 @@ def model_curve(model: str, params, corr: CorrelationMatrix, times) -> np.ndarra
     the ``ValidationError`` field names of the parameter objects, and its
     columns go to the closed forms as they are; no object is built per
     row. Heston rows make one closed-form kernel call. BNS rows make one pass
-    of the BNS kernel: E_all once per distinct (lambda, sigma0^2 - kappa1,
-    kappa1), E_{-i} likewise for each asset whose coefficient survives in
-    some row, and the cross terms of all rows in one
-    quadrature, where each rate, E[sigma^2] and E[sigma] factor the rows
-    share is evaluated once per node. Each stacked curve equals its row's
-    own curve bit for bit unless another row forces a finer quadrature,
-    and then differs from it within the quadrature tolerance. A trial
-    rho > 0 raises no sign-convention warning; judge signs on the fitted
-    result.
+    of the BNS kernel: E_all in one kernel call over all rows, E_{-i}
+    likewise for each asset whose coefficient survives in some row, and the
+    cross terms of all rows in one quadrature, where each rate, E[sigma^2]
+    and E[sigma] factor the rows share is evaluated once per node. Each
+    stacked curve equals its row's own curve bit for bit unless another row
+    forces a finer quadrature, and then differs from it within the
+    quadrature tolerance. A curve past the float range comes back as inf or
+    NaN, without a numpy warning. A trial rho > 0 raises no sign-convention
+    warning; judge signs on the fitted result.
     """
     n = corr.n
     size = len(_entries(model, n))
@@ -282,25 +282,38 @@ def model_curve(model: str, params, corr: CorrelationMatrix, times) -> np.ndarra
 
 
 def error_metrics(observed, fitted) -> ErrorMetrics:
-    """RMSE, APE, AAE and ARPE between two equal-length vectors."""
+    """RMSE, APE, AAE and ARPE between two equal-length vectors.
+
+    Raises ``NumericalError``, without a numpy warning, where an observed
+    or fitted value or a metric is not finite.
+    """
     obs = _as_floats("observed", observed).ravel()
     fit = _as_floats("fitted", fitted).ravel()
     if obs.size != fit.size:
         raise LengthMismatch(f"observed has {obs.size} points, fitted has {fit.size}")
     if obs.size == 0:
         raise LengthMismatch("need at least one point")
-    err = fit - obs
-    rmse = float(np.sqrt(np.mean(err**2)))
-    aae = float(np.mean(np.abs(err)))
+    for name, values in (("observed", obs), ("fitted", fit)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NumericalError(f"{name} value {values[bad[0]]} at point {bad[0] + 1} is not finite")
     nonzero = obs != 0.0
     skipped = int(np.count_nonzero(~nonzero))
     if not np.any(nonzero):
         raise ZeroObserved("all observed values are zero; ARPE/APE undefined")
-    mean_obs = float(np.mean(obs))
-    if mean_obs == 0.0:
-        raise ZeroObserved("observed values average to zero; APE undefined")
-    arpe = float(np.mean(np.abs(err[nonzero]) / obs[nonzero]))
-    return ErrorMetrics(rmse=rmse, ape=aae / mean_obs, aae=aae, arpe=arpe, skipped=skipped)
+    with np.errstate(all="ignore"):  # a metric past the float range is reported below
+        mean_obs = float(np.mean(obs))
+        if mean_obs == 0.0:
+            raise ZeroObserved("observed values average to zero; APE undefined")
+        err = fit - obs
+        rmse = float(np.sqrt(np.mean(err**2)))
+        aae = float(np.mean(np.abs(err)))
+        arpe = float(np.mean(np.abs(err[nonzero]) / obs[nonzero]))
+        metrics = ErrorMetrics(rmse=rmse, ape=aae / mean_obs, aae=aae, arpe=arpe, skipped=skipped)
+    for name, value in metrics.to_dict().items():
+        if not math.isfinite(value):
+            raise NumericalError(f"error metric {name.upper()} = {value} is not finite")
+    return metrics
 
 
 # bounded-parameter transforms
@@ -434,9 +447,7 @@ def fit(problem: CalibrationProblem) -> CalibrationResult:
 
     params = _assemble(full, free, bounds, z)
     covariance = _gauss_newton_covariance(problem, params, free, sse)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        metrics = error_metrics(obs, curve)
+    metrics = error_metrics(obs, curve)
     params.setflags(write=False)
     covariance.setflags(write=False)
     return CalibrationResult(

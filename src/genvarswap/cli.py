@@ -409,7 +409,10 @@ def cmd_report(args) -> int:
             corr = validate_correlation(_real_matrix("correlation", doc["correlation"]))
             params = _real_vector("params", doc["params"])
             curve = model_curve(model, params, corr, series.times)
-        metrics = error_metrics(series.values, curve)
+        try:  # before any file is written
+            metrics = error_metrics(series.values, curve)
+        except NumericalError as exc:
+            raise type(exc)(f"{path} on {args.realized}: {exc}") from None
         loaded.append((idx + 1, model, curve, metrics))
         inputs[f"result_{idx + 1}"] = path
     if not loaded:

@@ -138,10 +138,21 @@ def expected_realized_variance(T, portfolio: HestonPortfolio):
     """E[sigma_R^2] = (|C|/T) integral_0^T prod_i E[(sigma_t^i)^2] dt, in closed form.
 
     Any asset count; ``expected_realized_variance_quad`` is the quadrature
-    cross-check.
+    cross-check. Raises ``NumericalError`` where a value leaves the float
+    range.
     """
     columns = np.array([[a.k, a.theta2, a.sigma0_2] for a in portfolio.assets]).T[:, None, :]
     out = _expected_realized_variance_sets(T, *columns, portfolio.corr)[0]
+    return _finite_realized_variance(out)
+
+
+def _finite_realized_variance(out: np.ndarray):
+    """One portfolio's E[sigma_R^2], a float for scalar T; ``NumericalError`` if a value is not finite."""
+    bad = out[~np.isfinite(out)]
+    if bad.size:
+        raise NumericalError(
+            f"E[sigma_R^2] = {bad.flat[0]} is not finite: the closed form leaves the float range"
+        )
     return out if out.ndim else float(out)
 
 
@@ -150,12 +161,15 @@ def _expected_realized_variance_sets(T, k, theta2, sigma0_2, corr: CorrelationMa
 
     ``k``, ``theta2`` and ``sigma0_2`` hold one row of n per set, already
     validated. All sets go in one kernel call with per-factor rates, which
-    merges no terms, so every value is that of its own call bit for bit.
+    merges no terms, so every value is that of its own call bit for bit. A
+    value that leaves the float range comes back as inf or NaN, without a
+    numpy warning.
     """
     T = _check_maturity(T)
     shape = (-1,) + (1,) * T.ndim
     columns = ([x.reshape(shape) for x in c.T] for c in (sigma0_2 - theta2, theta2, k))
-    return corr.det_c * _affine_product_integral(T, *columns) / T
+    with np.errstate(all="ignore"):
+        return corr.det_c * _affine_product_integral(T, *columns) / T
 
 
 def expected_realized_variance_quad(

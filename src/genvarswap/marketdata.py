@@ -340,7 +340,8 @@ def load_realized_csv(path) -> RealizedVarianceSeries:
 
     Times must be finite, > 0 and strictly increasing, and values, being
     determinants of covariance matrices, must not be negative. A NaN or
-    +inf value is read as it is; a fit then reports a numerical failure.
+    +inf value is read as it is; a fit or a report then reports a numerical
+    failure.
     """
     rows = _read_rows(path)
     if not rows or [c.strip() for c in rows[0]] != ["t", "value"]:

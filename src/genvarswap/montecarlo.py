@@ -67,7 +67,10 @@ Three things keep a block cheap:
   temporaries, the row carried between chunks, the chunk buffer of normals
   and rows, and the draw tile, which also takes a chunk's determinants once
   its normals are transposed. No row is kept but the recorded ones, none is
-  copied after the block, and no buffer is made per chunk or row.
+  copied after the block, and no buffer is made per chunk or row. The chunk
+  buffer, the largest, is a mapping of its own (``_mapped_empty``), so a
+  run's peak memory is min(threads, blocks) of them whatever the allocator
+  does with freed memory.
 * No generator costs more than its key, and BNS jumps need none. Heston
   and the price routes keep one live generator per path:
   ``np.random.Philox`` takes the path's (seed, path) key from a minimal
@@ -548,6 +551,29 @@ def _ensemble(cfg: SimConfig, recorded: np.ndarray, scheme: str) -> PathEnsemble
 # Heston paths: one Euler step loop per block, its rows used a chunk at a time
 
 
+def _mapped_empty(shape) -> np.ndarray:
+    """A float64 array in an anonymous mapping of its own, unmapped when the array and its views go.
+
+    A Heston block's chunk buffer (``_CHUNK`` rows of its paths, 24 MiB at
+    the default block size) taken from malloc stays with the allocator once
+    freed, in the arena of the worker thread that made it, and whether the
+    next block gets it back or grows the arena by another buffer depends on
+    how the threads interleave: a process's peak memory would then differ
+    from run to run by a whole buffer. ``mmap`` is imported on first use, not
+    with the CLI; ``MAP_POPULATE`` maps the pages in one call instead of a
+    fault per page.
+    """
+    import mmap
+
+    size = 8 * math.prod(shape)
+    if hasattr(mmap, "MAP_ANONYMOUS"):
+        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+        mapping = mmap.mmap(-1, size, flags=flags)
+    else:  # Windows, where -1 maps memory private to the process and takes no flags
+        mapping = mmap.mmap(-1, size)
+    return np.frombuffer(mapping, dtype=np.float64).reshape(shape)
+
+
 def _heston_rows(portfolio: HestonPortfolio, cfg: SimConfig, rngs, rows: np.ndarray, out: np.ndarray,
                  corr: CorrelationMatrix | None = None) -> np.ndarray:
     """Full-truncation Euler variances of the paths of ``rngs``, made one grid row at a time.
@@ -576,7 +602,7 @@ def _heston_rows(portfolio: HestonPortfolio, cfg: SimConfig, rngs, rows: np.ndar
     buffer = np.empty(max(tile * chunk * n, B))
     drawn = buffer[: tile * chunk * n].reshape(tile, chunk * n)
     per_call = buffer.size // B
-    z = np.empty((chunk, n, B))
+    z = _mapped_empty((chunk, n, B))
     # each parameter as a contiguous (assets, paths) row, not a column broadcast at every step
     k, theta2, sigma0_2, gamma = (
         np.repeat([[getattr(a, name)] for a in portfolio.assets], B, axis=1)

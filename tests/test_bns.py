@@ -37,6 +37,7 @@ from genvarswap.errors import (
     MissingSubordinatorSpec,
     NegativeTime,
     NonPositiveMaturity,
+    NumericalError,
     QuadratureFailure,
     SingularCorrelation,
     ValidationError,
@@ -400,6 +401,19 @@ class TestExpectedRealizedVariance:
         singular = validate_correlation(np.ones((3, 3)))
         with pytest.raises(SingularCorrelation):
             expected_realized_variance_bns(1.0, p, singular)
+
+    def test_overflow_is_a_numerical_failure_without_a_warning(self):
+        """Valid fields whose products leave the float range: E[sigma_R^2] raises NumericalError
+        and E_0..E_6 QuadratureFailure, while the stack behind model_curve returns NaN. A numpy
+        warning from any of them fails the test (``filterwarnings`` in pyproject.toml)."""
+        p = make_portfolio(sigma0_2s=(1e200, 1e200, 0.05), kappa1s=(1e200, 0.07, 0.06),
+                           rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01)
+        with pytest.raises(NumericalError, match=r"E\[sigma_R\^2\] = nan is not finite"):
+            expected_realized_variance_bns(1.0, p, CORR)
+        with pytest.raises(QuadratureFailure):
+            compute_e_terms(1.0, p)
+        stacked = bns._expected_realized_variance_sets(np.array([1.0]), *bns._one_set(p), CORR)
+        assert np.isnan(stacked).all()
 
 
 def realized_variance_oracle(T, p, corr):

@@ -271,11 +271,13 @@ class TestStackedCurves:
             else:
                 assert curve.tobytes() == single.tobytes()
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_copies_of_one_portfolio_share_every_factor(self, n, monkeypatch):
-        """Per node, 28 copies evaluate one e^{-lambda t} and one e^{-2 lambda t} - 1,
-        at most n E[sigma^2] (the integrand's one add, d e^{-lambda t} + c), at
-        most n E[sigma] (its one sqrt) and one row per pair."""
+    @pytest.mark.parametrize(
+        "n, copies", [(2, 28), (3, 28), (4, 28), (3, 1)], ids=["2", "3", "4", "one-set"]
+    )
+    def test_copies_of_one_portfolio_share_every_factor(self, n, copies, monkeypatch):
+        """Per node, one leveraged set or 28 copies of it evaluate one e^{-lambda t} and one
+        e^{-2 lambda t} - 1, at most n E[sigma^2] (the integrand's one add, d e^{-lambda t}
+        + c), at most n E[sigma] (its one sqrt) and one row per pair."""
         per_node = []
         quad = bns.quad
 
@@ -293,7 +295,7 @@ class TestStackedCurves:
         monkeypatch.setattr(bns, "quad", counting)
         corr = equicorrelation(n)
         x = layout_vector("bns", n)
-        curves = model_curve("bns", np.tile(x, (28, 1)), corr, STACK_TIMES)
+        curves = model_curve("bns", np.tile(x, (copies, 1)), corr, STACK_TIMES)
         assert per_node
         for counts in per_node:
             assert counts["exp"] == counts["expm1"] == 1
@@ -413,8 +415,9 @@ class TestCoincidingRates:
             assert curve.tobytes() == own_heston_call(row, CORR, STACK_TIMES).tobytes()
             assert curve.tobytes() == model_curve("heston", row, CORR, STACK_TIMES).tobytes()
 
-    def test_bns_duplicate_mean_rows_integrated_once(self, monkeypatch):
-        """Rows differing only in kappa2, rho or kappa2* share (lambda, sigma0^2 - kappa1, kappa1)."""
+    def test_bns_duplicate_mean_rows_keep_their_own_bits(self, monkeypatch):
+        """Rows differing only in kappa2, rho or kappa2* share (lambda, sigma0^2 - kappa1, kappa1);
+        each kernel call takes every row as given, and each keeps its single call's bits."""
         rows = np.tile(BNS_LEVERAGED, (6, 1))
         rows[1, 7] *= 1.5  # kappa2_1
         rows[2, 10:13] = -0.1, 0.0, -0.7  # rho
@@ -424,8 +427,8 @@ class TestCoincidingRates:
         singles = [model_curve("bns", row, CORR, STACK_TIMES) for row in rows]
         sets = count_kernel_sets(monkeypatch, bns)
         curves = model_curve("bns", rows, CORR, STACK_TIMES)
-        # E_all and the n E_{-i}, each over the 3 distinct rows
-        assert sets == [3] * 4
+        # E_all and the n E_{-i}, each over all 6 rows
+        assert sets == [6] * 4
         for curve, single in zip(curves, singles):
             assert curve.tobytes() == single.tobytes()
 

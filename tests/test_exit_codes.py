@@ -58,6 +58,15 @@ BNS_RESULT = {"model": "bns", "correlation": CORRELATION,
               "params": [2.0, 0.04, 0.06, 0.05, 0.05, 0.07, 0.06, 0.004, 0.006, 0.005,
                          -0.3, -0.2, -0.4, 0.01]}
 
+# valid under the field rules, but the closed form leaves the float range
+OVERFLOWING_HESTON = copy.deepcopy(HESTON)
+for asset in OVERFLOWING_HESTON["assets"][:2]:
+    asset["theta2"] = 1e200
+OVERFLOWING_BNS = copy.deepcopy(BNS)
+OVERFLOWING_BNS["assets"][0].update(sigma0_2=1e200, kappa1=1e200)
+OVERFLOWING_BNS["assets"][1]["sigma0_2"] = 1e200
+OVERFLOWING_RESULT = {**RESULT, "params": HESTON_TRUTH[:3] + [1e200, 0.08, 1e200] + HESTON_TRUTH[6:]}
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 10) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
@@ -144,6 +153,14 @@ def realized_rows():
     return [["t", "value"]] + [[repr(float(t)), repr(float(v))] for t, v in zip(times, values)]
 
 
+def _realized_csv(value=None):
+    """``realized_rows()`` as CSV text, the third value replaced by ``value`` if given."""
+    rows = realized_rows()
+    if value is not None:
+        rows[3][1] = value
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
 CORRELATION_CSV = "AAA,BBB,CCC\n" + "\n".join(",".join(map(str, row)) for row in CORRELATION) + "\n"
 
 
@@ -176,6 +193,8 @@ def small_simulation(sim) -> bool:
 
 
 @settings(max_examples=200)
+@example(model=OVERFLOWING_HESTON, contract=CONTRACT)
+@example(model=OVERFLOWING_BNS, contract=CONTRACT)
 @given(model=edited(HESTON) | edited(BNS), contract=edited(CONTRACT))
 def test_price_documents(model, contract):
     files = {"model.json": json.dumps(model), "contract.json": json.dumps(contract)}
@@ -226,33 +245,44 @@ def test_calibrate_and_report_inputs(realized, init):
 @example(result={**RESULT, "model": ["bns"]})
 @example(result={**RESULT, "model": {"bns": 1}})
 @example(result={**RESULT, "model": 5})
+@example(result=OVERFLOWING_RESULT)
 @given(result=edited(RESULT) | edited(BNS_RESULT))
 def test_report_result_documents(result):
-    realized = "\n".join(",".join(row) for row in realized_rows()) + "\n"
-    files = {"realized.csv": realized, "result.json": json.dumps(result)}
+    files = {"realized.csv": _realized_csv(), "result.json": json.dumps(result)}
     run(lambda p, work: [["report", p["realized.csv"], "--result", p["result.json"],
                           "--out", work + "/out"]], files)
 
 
-def _simulate_without_warnings(model, sim, *flags):
-    """Run ``simulate`` in-process; assert that no RuntimeWarning was raised or printed, and
-    return the exit code and stderr."""
+def _main_without_warnings(files, argv):
+    """Write ``files`` (name -> JSON document or CSV text) to a fresh directory and run ``main``
+    in-process on ``argv(paths, work)``; assert that no RuntimeWarning was raised or printed, and
+    return the exit code, stderr and the names of the files written under ``work/out``."""
     with tempfile.TemporaryDirectory() as work:
         paths = {}
-        for name, doc in (("model.json", model), ("sim.json", sim)):
+        for name, doc in files.items():
             paths[name] = str(Path(work) / name)
-            Path(paths[name]).write_text(json.dumps(doc))
+            Path(paths[name]).write_text(doc if isinstance(doc, str) else json.dumps(doc))
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             with contextlib.redirect_stdout(io.StringIO()):
-                code = main(["simulate", "--model", paths["model.json"], "--sim", paths["sim.json"],
-                             "--seed", "1", *flags, "--out", work + "/out"])
+                code = main(argv(paths, work))
+        written = sorted(path.name for path in Path(work, "out").rglob("*"))
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [
         str(w.message) for w in caught
     ]
     assert "RuntimeWarning" not in err.getvalue()
-    return code, err.getvalue()
+    return code, err.getvalue(), written
+
+
+def _simulate_without_warnings(model, sim, *flags):
+    """``_main_without_warnings`` for ``simulate``: the exit code and stderr."""
+    code, err, _ = _main_without_warnings(
+        {"model.json": model, "sim.json": sim},
+        lambda p, work: ["simulate", "--model", p["model.json"], "--sim", p["sim.json"],
+                         "--seed", "1", *flags, "--out", work + "/out"],
+    )
+    return code, err
 
 
 def test_non_finite_estimate_exits_3_without_a_numpy_warning():
@@ -272,3 +302,35 @@ def test_overflowing_heston_path_exits_3_without_a_numpy_warning(flags):
     code, err = _simulate_without_warnings(model, {"n_paths": 10, "dt": 0.1, "horizon": 1.0}, *flags)
     assert code == 3, err
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("model", [OVERFLOWING_HESTON, OVERFLOWING_BNS], ids=["heston", "bns"])
+def test_overflowing_price_exits_3_without_a_numpy_warning(model):
+    """A closed form past the float range is a numerical failure naming E[sigma_R^2], not
+    invalid input, and writes no price.csv."""
+    code, err, written = _main_without_warnings(
+        {"model.json": model, "contract.json": CONTRACT},
+        lambda p, work: ["price", "--model", p["model.json"], "--contract", p["contract.json"],
+                         "--out", work + "/out"],
+    )
+    assert code == 3, err
+    assert "numerical failure" in err and "E[sigma_R^2]" in err
+    assert written == []
+
+
+@pytest.mark.parametrize(
+    "realized, result",
+    [(_realized_csv(), OVERFLOWING_RESULT), (_realized_csv("nan"), RESULT),
+     (_realized_csv("inf"), RESULT)],
+    ids=["overflowing-fit", "nan-observed", "inf-observed"],
+)
+def test_non_finite_report_exits_3_without_a_numpy_warning(realized, result):
+    """A non-finite fitted or observed value fails before metrics.csv or the SVG is written."""
+    code, err, written = _main_without_warnings(
+        {"realized.csv": realized, "result.json": result},
+        lambda p, work: ["report", p["realized.csv"], "--result", p["result.json"],
+                         "--out", work + "/out"],
+    )
+    assert code == 3, err
+    assert "numerical failure" in err and "result.json" in err
+    assert written == []

@@ -24,7 +24,9 @@ from genvarswap.errors import (
     NonPositiveMaturity,
     NumericalError,
 )
-from genvarswap.heston import _affine_product_integral, expected_realized_variance_quad
+from genvarswap.heston import (
+    _affine_product_integral, _expected_realized_variance_sets, expected_realized_variance_quad,
+)
 
 
 def make_assets(ks=(2.0, 1.0, 3.0), theta2s=(0.09, 0.05, 0.07), sigma0_2s=(0.04, 0.06, 0.05)):
@@ -191,6 +193,16 @@ class TestExpectedRealizedVariance:
                 expected_realized_variance_quad(T, pf)
         with pytest.raises(NonPositiveMaturity):
             expected_realized_variance(np.array([1.0, math.inf]), pf)
+
+    def test_overflow_is_a_numerical_failure_without_a_warning(self):
+        """theta2_1 = theta2_2 = 1e200 is valid, but the kernel's products leave the float range:
+        NumericalError for a portfolio, NaN from the stack behind model_curve, and no numpy
+        warning (``filterwarnings`` in pyproject.toml makes one fail the test)."""
+        pf = make_portfolio(theta2s=(1e200, 1e200, 0.07))
+        with pytest.raises(NumericalError, match=r"E\[sigma_R\^2\] = nan is not finite"):
+            expected_realized_variance(np.array([0.5, 1.0]), pf)
+        columns = np.array([[a.k, a.theta2, a.sigma0_2] for a in pf.assets]).T[:, None, :]
+        assert np.isnan(_expected_realized_variance_sets(1.0, *columns, pf.corr)).all()
 
 
 class TestProductKernelOverParameterSets:

@@ -2,10 +2,12 @@
 
 import csv
 import math
+import mmap
 import random
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -50,6 +52,14 @@ def equicorrelated(n):
 
 
 CORR = equicorrelated(3)
+
+
+@pytest.fixture
+def traced_chunk_buffer(monkeypatch):
+    """Heston's chunk buffer from numpy, which tracemalloc traces, not from a mapping of its
+    own, which it does not, so the memory bounds below count it."""
+    monkeypatch.setattr(montecarlo, "_mapped_empty", np.empty)
+
 
 # gamma this small leaves the diffusion term below one ulp of the variance
 # state, so paths follow the Euler-discretized mean ODE exactly
@@ -821,7 +831,7 @@ class TestOnePass:
             heston_realized_variance_mc(heston_portfolio(), cfg, return_ensemble=True)
 
     @pytest.mark.parametrize("model", ["heston", "bns"])
-    def test_streaming_memory_does_not_grow_with_steps(self, model):
+    def test_streaming_memory_does_not_grow_with_steps(self, model, traced_chunk_buffer):
         p = bns_portfolio(rhos=(-0.3, -0.2, -0.4), kappa2_star=0.01)
 
         def peak(dt):
@@ -1153,7 +1163,7 @@ class TestBlockPipeline:
     @pytest.mark.parametrize(
         "model", ["heston", "heston_recorded", "bns", "bns_recorded", "heston_prices", "bns_prices"]
     )
-    def test_block_peak_memory(self, model):
+    def test_block_peak_memory(self, model, traced_chunk_buffer):
         """One 1024-path block over 1000 steps.
 
         The streaming routes stay within two Heston chunk planes (Heston, whose step loop
@@ -1194,7 +1204,7 @@ class TestBlockPipeline:
         assert peak <= bound
 
     @pytest.mark.parametrize("threads, n_paths", [(2, 4096), (3, 2048)], ids=("2x4", "3x2"))
-    def test_concurrent_blocks_hold_one_buffer_set_each(self, threads, n_paths):
+    def test_concurrent_blocks_hold_one_buffer_set_each(self, threads, n_paths, traced_chunk_buffer):
         """Each block makes its buffers for the length of its call, and at most
         min(threads, blocks) blocks run at once: 2 threads over 4 blocks, and 3 threads
         over 2 blocks, stay within two sets, twice the one-block bound of
@@ -1207,6 +1217,30 @@ class TestBlockPipeline:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * (2 * 1024 * montecarlo._CHUNK * 3 * 8)
+
+    def test_chunk_buffers_are_unmapped_when_their_blocks_end(self, monkeypatch):
+        """Each Heston block maps its chunk buffer for itself and unmaps it on return: 2
+        threads over 4 blocks make 4 mappings, find at most the other thread's one alive
+        when they make theirs, leave none, and estimate as numpy's buffers do."""
+        cfg = SimConfig(n_paths=4096, dt=1e-3, horizon=1.0, seed=67, block_size=1024)
+        mapped_empty, made = montecarlo._mapped_empty, []
+
+        def tracked(shape):
+            array = mapped_empty(shape)
+            base = array
+            while isinstance(base, np.ndarray):
+                base = base.base
+            mapping = getattr(base, "obj", base)  # numpy may hold a memoryview of the mapping
+            assert isinstance(mapping, mmap.mmap)
+            assert sum(ref() is not None for ref in made) <= 1
+            made.append(weakref.ref(mapping))
+            return array
+
+        monkeypatch.setattr(montecarlo, "_mapped_empty", tracked)
+        estimate = heston_realized_variance_mc(heston_portfolio(), cfg, threads=2)
+        assert len(made) == 4 and all(ref() is None for ref in made)
+        monkeypatch.setattr(montecarlo, "_mapped_empty", np.empty)
+        assert heston_realized_variance_mc(heston_portfolio(), cfg, threads=2) == estimate
 
     def test_one_determinant_call_per_stack_of_rows(self, monkeypatch):
         """A block of 100 paths over 600 steps evaluates |Sigma_1| once for its first row
